@@ -65,6 +65,31 @@ def load_config(path) -> dict:
     return cfg
 
 
+# The keys each config object may carry; any other key is a typo.
+CONFIG_KEYS = {
+    "q", "source", "key", "W", "n_list", "R", "R_A", "gamma", "seeds", "tol",
+    "monte_carlo_samples", "code", "mutation", "adversary", "mu_points",
+    "exponents", "exponent_grid", "rate_grid",
+}
+NESTED_CONFIG_KEYS = {
+    "seeds": {"keymap", "replay"},
+    "exponent_grid": {
+        "mu_points", "alpha_points", "lambda_points", "lambda_max",
+        "refine_rounds", "refine_points",
+    },
+    "rate_grid": {"RA", "R"},
+    "adversary": {"kind", "cells", "table"},
+}
+
+
+def _check_keys(obj, allowed, where):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def _require(cfg, key):
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
@@ -75,6 +100,10 @@ class Experiment:
     """Validated view of one experiment config."""
 
     def __init__(self, cfg: dict, *, seed_override=None, tol_override=None):
+        _check_keys(cfg, CONFIG_KEYS, "config")
+        for name, allowed in NESTED_CONFIG_KEYS.items():
+            if name in cfg:
+                _check_keys(cfg[name], allowed, name)
         try:
             self.q = int(_require(cfg, "q"))
             self.spec = galois.FieldSpec(self.q)
@@ -443,7 +472,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment JSON")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override seeds")
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
+    parser.add_argument(
+        "--tol", type=float, default=None,
+        help="tolerance echoed in leakage outputs (no leakage value depends on it)",
+    )
     parser.add_argument("--jobs", type=int, default=1, help="worker threads")
     args = parser.parse_args(argv)
 

@@ -11,14 +11,20 @@ posterior table over masked keys:
 
     gamma[x](c | a) = Pr[keymap(K^n) = c - encode(x) | M_A = a].
 
-The leakage criteria follow:
+Given M_A = a the ciphertext is the sum over Z_q^m of two independent
+parts, encode(X) and the masked key, so every criterion has a closed form:
 
-* ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, exactly;
-* ``delta_max_mi``   -- the worst case over all plaintext laws, which equals
-  the capacity of the channel x -> (C, M_A) and is solved by the alternating
-  capacity iteration with a duality-gap stopping rule;
+* ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, as a cyclic
+  convolution over Z_q^m evaluated with one radix-q Fourier transform;
+* ``delta_max_mi``   -- the worst case over all plaintext laws,
+  m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
+  set (the channel x -> (C, M_A) is symmetric);
 * closed-form lower / upper bounds through the key equivocations
   H(K^n | M_A) and H(keymap(K^n) | M_A).
+
+``channel_capacity`` (the Blahut-Arimoto iteration) and
+``GammaKernel.channel_rows`` stay as the slow path the tests check the
+closed forms against.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from .probability import (
     ChannelMatrix,
     Pmf,
     ProductDistribution,
+    _xlogx,
     all_sequences,
-    entropy,
 )
 
 __all__ = [
@@ -106,6 +112,9 @@ class GammaKernel:
         """Rows of the plaintext-image -> (ciphertext, message) channel.
 
         Row t is the joint law p(c, a | image = t) flattened over (c, a).
+        The array has q^m * q^m * messages entries; it feeds
+        ``channel_capacity`` as the slow check of ``delta_max_mi`` in the
+        tests and is not built on any pipeline path.
         """
         if inputs is None:
             inputs = np.arange(self.image_count)
@@ -232,34 +241,68 @@ def _plaintext_vector(kernel: GammaKernel, p_x) -> np.ndarray:
     return v
 
 
-def delta_mi(kernel: GammaKernel, p_x, method: str = "kl") -> float:
+def _dft_matrix(q: int) -> np.ndarray:
+    """The q-point DFT matrix F[j, k] = exp(-2 pi i jk / q).
+
+    For q = 2 its entries are +-1, and ``real_if_close`` returns it as a
+    real array, so the transforms below run in real arithmetic.
+    """
+    k = np.arange(q)
+    return np.real_if_close(np.exp(-2j * np.pi * (np.outer(k, k) % q) / q))
+
+
+def _zq_transform(a: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
+    """Apply ``mat`` along each of the m length-q axes of a (batch, q, ..., q)
+    array.  Each ``tensordot`` contracts axis 1 and appends the transformed
+    axis last, so after m passes the axes are back in their order."""
+    for _ in range(m):
+        a = np.tensordot(a, mat, axes=([1], [0]))
+    return a
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row of a 2-D table."""
+    return -_xlogx(rows).sum(axis=1)
+
+
+def delta_mi(kernel: GammaKernel, p_x) -> float:
     """I(C; X | M_A) in nats for the given plaintext law, exactly.
 
-    ``method="kl"`` averages per-plaintext divergences from the mixture
-    kernel; ``method="entropy"`` uses H(C|M) - H(C|X,M).  The two agree to
-    float precision and are cross-checked in the tests.
+    Proof of the formula.  X is independent of (K^n, M_A).  Given M_A = a,
+    the masked key T = keymap(K^n) has law post_a (the row a of
+    ``key_image_posterior``) and the codeword U = encode(X) has law p_img,
+    independent of T; the ciphertext is C = U + T over Z_q^m.  Hence
+
+        p(c | a)           = sum_u p_img(u) post_a(c - u) = (post_a * p_img)(c),
+        H(C | X, M_A = a)  = H(U + T | U, M_A = a) = H(post_a),
+
+    and I(C; X | M_A) = sum_a p(a) [H(post_a * p_img) - H(post_a)], where *
+    is cyclic convolution over Z_q^m.  The Fourier transform of Z_q^m turns
+    the convolution into a product; it factorizes into the q-point DFT along
+    each of the m digit axes (index t = sum_j t_j q^(m-1-j)), so one radix-q
+    transform serves all messages at once.  There is no precondition beyond
+    the additive form of the kernel.
+
+    A message whose posterior is constant contributes exactly zero (its
+    convolution is the same constant) and is skipped, so a kernel with no
+    other message gives exactly 0.0.
     """
     px = _plaintext_vector(kernel, p_x)
     p_img = np.bincount(kernel.image_of, weights=px, minlength=kernel.image_count)
-    sub = kernel.sub_index()
-    total = 0.0
-    for a in range(kernel.message_count):
-        pa = kernel.p_message[a]
-        table = kernel.key_image_posterior[a][sub]  # [c, t]
-        if np.all(table == table[:, :1]):
-            continue  # kernel is plaintext-independent given this message
-        mix = table @ p_img
-        if method == "kl":
-            logt = np.where(table > 0, np.log(np.maximum(table, _TINY)), 0.0)
-            logm = np.log(np.maximum(mix, _TINY))
-            kl_t = np.sum(np.where(table > 0, table * (logt - logm[:, None]), 0.0), axis=0)
-            total += pa * float(kl_t @ p_img)
-        elif method == "entropy":
-            # every column of `table` is a permutation of the posterior row
-            total += pa * (entropy(mix) - entropy(kernel.key_image_posterior[a]))
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return total
+    post = kernel.key_image_posterior
+    live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
+    if live.size == 0:
+        return 0.0
+    q, m = kernel.q, kernel.m
+    dft = _dft_matrix(q)
+    shape = (-1,) + (q,) * m
+    spectrum = _zq_transform(post[live].reshape(shape), dft, m) * _zq_transform(
+        p_img.reshape(shape), dft, m
+    )
+    mix = np.real(_zq_transform(spectrum, dft.conj(), m)).reshape(live.size, -1)
+    mix /= kernel.image_count
+    gain = _row_entropies(mix) - _row_entropies(post[live])
+    return float(kernel.p_message[live] @ gain)
 
 
 @dataclass
@@ -321,55 +364,50 @@ class DeltaMaxResult:
     """Worst-case leakage with its achieving plaintext distribution."""
 
     value: float
-    lower: float
-    upper: float
-    iterations: int
-    converged: bool
     input_distribution: np.ndarray  # over X^n, lexicographic
-    image_distribution: np.ndarray  # over X^m images
 
 
-def delta_max_mi(
-    kernel: GammaKernel,
-    tol: float = 1e-7,
-    *,
-    max_iter: int = 10**5,
-    restrict_to_decoding_set: bool = False,
-) -> DeltaMaxResult:
-    """max over plaintext laws of I(C; X | M_A), in nats.
+def _masked_key_leakage(kernel: GammaKernel) -> float:
+    """m ln q - H(keymap(K^n) | M_A), floored at zero against rounding."""
+    h_img = float(kernel.p_message @ _row_entropies(kernel.key_image_posterior))
+    return max(0.0, kernel.m * math.log(kernel.q) - h_img)
 
-    Since the plaintext is independent of (key, side message), the target
-    equals I(X; C, M_A): the capacity of the channel x -> (c, a).  The
-    channel row depends on x only through encode(x), so the iteration runs
-    over the (surjective) image alphabet X^m; the returned plaintext
-    optimizer is supported on the decoding set.  With
-    ``restrict_to_decoding_set`` the input set is the images reachable from
-    D only (identical for every valid system, by surjectivity on D).
+
+def delta_max_mi(kernel: GammaKernel) -> DeltaMaxResult:
+    """max over plaintext laws of I(C; X | M_A), in nats, in closed form:
+
+        delta_max = m ln q - H(keymap(K^n) | M_A),
+
+    reached by the uniform law on the decoding set D.
+
+    Precondition: encode maps D onto Z_q^m (true for every valid system,
+    where encode is a bijection D -> Z_q^m).  ``ValueError`` otherwise.
+
+    Proof.  X is independent of (K^n, M_A) and C = encode(X) + keymap(K^n),
+    so H(C | X, M_A) = H(keymap(K^n) | M_A) for every plaintext law, and
+
+        I(C; X | M_A) = H(C | M_A) - H(keymap(K^n) | M_A).
+
+    H(C | M_A) <= ln |Z_q^m| = m ln q.  A plaintext law whose codeword is
+    uniform on Z_q^m makes C uniform given each message, whatever the masked
+    key, so it meets the bound; by the precondition the uniform law on one
+    D-member per image (the uniform law on D for a valid system) is such a
+    law.  Equivalently, the channel from codewords to (C, M_A) has rows that
+    are translates of each other over Z_q^m, so it is symmetric and a
+    uniform input is optimal (Cover & Thomas, Elements of Information
+    Theory, section 7.2).  The value is the same number that
+    ``delta_max_upper_bound`` returns, bit for bit.
     """
-    source = kernel.in_decoding_set if restrict_to_decoding_set else None
-    if source is None:
-        inputs = np.unique(kernel.image_of)
-    else:
-        inputs = np.unique(kernel.image_of[source])
-    rows = kernel.channel_rows(inputs)
-    cap = channel_capacity(rows, tol=tol, max_iter=max_iter)
-    img_dist = np.zeros(kernel.image_count)
-    img_dist[inputs] = cap.input_distribution
-    x_dist = np.zeros(kernel.q**kernel.n)
     lex = kernel.lex_of_image()
-    ok = lex >= 0
-    x_dist[lex[ok]] = img_dist[ok]
-    # images unreachable from D (none for valid systems) keep zero mass
-    x_dist /= x_dist.sum()
-    return DeltaMaxResult(
-        value=cap.value,
-        lower=cap.lower,
-        upper=cap.upper,
-        iterations=cap.iterations,
-        converged=cap.converged,
-        input_distribution=x_dist,
-        image_distribution=img_dist,
-    )
+    if np.any(lex < 0):
+        missing = int(np.count_nonzero(lex < 0))
+        raise ValueError(
+            f"encode does not map the decoding set onto Z_q^m "
+            f"({missing} of {kernel.image_count} images unreached)"
+        )
+    x_dist = np.zeros(kernel.q**kernel.n)
+    x_dist[lex] = 1.0 / kernel.image_count
+    return DeltaMaxResult(value=_masked_key_leakage(kernel), input_distribution=x_dist)
 
 
 def _side_channel_from_joint(p_kz) -> tuple:
@@ -394,16 +432,14 @@ def delta_max_lower_bound(sys: Cryptosystem, encoder, p_kz) -> float:
 def delta_max_upper_bound(
     sys: Cryptosystem, encoder, p_kz, *, kernel: GammaKernel | None = None
 ) -> float:
-    """m ln q - H(keymap(K^n) | M_A), valid for the additive construction."""
+    """m ln q - H(keymap(K^n) | M_A), valid for the additive construction.
+
+    For the additive construction this is also the exact worst case (see
+    ``delta_max_mi``, which computes the same number).
+    """
     if kernel is None:
         kernel = build_gamma_kernel(sys, encoder, p_kz)
-    h_img = float(
-        np.dot(
-            kernel.p_message,
-            [entropy(row) for row in kernel.key_image_posterior],
-        )
-    )
-    return sys.m * math.log(sys.q) - h_img
+    return _masked_key_leakage(kernel)
 
 
 @dataclass
@@ -467,7 +503,12 @@ def structural_checks(
 
 @dataclass
 class LeakageReport:
-    """One experiment row: exact leakage plus both closed-form bounds."""
+    """One experiment row: exact leakage plus both closed-form bounds.
+
+    ``tol`` is echoed in the CSV for configs that carry it; no leakage
+    value depends on it.  The ``iters`` column stays in the schema and
+    reads 0, since no iteration runs.
+    """
 
     n: int
     m: int
@@ -478,7 +519,6 @@ class LeakageReport:
     delta_max: float
     lower_bound: float
     upper_bound: float
-    iterations: int
     tol: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -495,7 +535,7 @@ class LeakageReport:
             self.delta_max,
             self.lower_bound,
             self.upper_bound,
-            self.iterations,
+            0,
             self.tol,
         ]
         return ",".join(_fmt(v) for v in vals)
@@ -519,27 +559,16 @@ def leakage_report(
 ) -> LeakageReport:
     """Assemble the full leakage picture for one configuration."""
     kernel = build_gamma_kernel(sys, encoder, p_kz)
-    dmi = delta_mi(kernel, p_x)
-    dmax = delta_max_mi(kernel, tol)
-    dmax_d = delta_max_mi(kernel, tol, restrict_to_decoding_set=True)
-    lb = delta_max_lower_bound(sys, encoder, p_kz)
-    ub = delta_max_upper_bound(sys, encoder, p_kz, kernel=kernel)
     return LeakageReport(
         n=sys.n,
         m=sys.m,
         q=sys.q,
         R_A=R_A,
         R=R,
-        delta_mi=dmi,
-        delta_max=dmax.value,
-        lower_bound=lb,
-        upper_bound=ub,
-        iterations=dmax.iterations,
+        delta_mi=delta_mi(kernel, p_x),
+        delta_max=delta_max_mi(kernel).value,
+        lower_bound=delta_max_lower_bound(sys, encoder, p_kz),
+        upper_bound=delta_max_upper_bound(sys, encoder, p_kz, kernel=kernel),
         tol=tol,
-        diagnostics={
-            "delta_max_bracket": (dmax.lower, dmax.upper),
-            "delta_max_on_decoding_set": dmax_d.value,
-            "adversary_rate": encoder.rate,
-            "converged": dmax.converged,
-        },
+        diagnostics={"adversary_rate": encoder.rate},
     )

@@ -2,6 +2,34 @@
 
 import numpy as np
 
+from leaklab.leakage import _plaintext_vector, channel_capacity
+
+
+def capacity_oracle(kern, inputs=None, tol=1e-10):
+    """Blahut-Arimoto capacity of the explicit plaintext-image ->
+    (ciphertext, message) rows of ``kern``, restricted to ``inputs`` (image
+    indices) when given: the slow path behind ``delta_max_mi``."""
+    return channel_capacity(kern.channel_rows(inputs), tol=tol)
+
+
+def delta_mi_oracle(kern, p_x):
+    """I(C; X | M_A) as the per-message average of per-codeword divergences
+    from the mixture kernel, on explicit [ciphertext, codeword] tables."""
+    px = _plaintext_vector(kern, p_x)
+    p_img = np.bincount(kern.image_of, weights=px, minlength=kern.image_count)
+    sub = kern.sub_index()
+    total = 0.0
+    for a in range(kern.message_count):
+        table = kern.key_image_posterior[a][sub]  # [c, t]
+        if np.all(table == table[:, :1]):
+            continue  # kernel is plaintext-independent given this message
+        mix = table @ p_img
+        logt = np.where(table > 0, np.log(np.maximum(table, 1e-300)), 0.0)
+        logm = np.log(np.maximum(mix, 1e-300))
+        kl_t = np.sum(np.where(table > 0, table * (logt - logm[:, None]), 0.0), axis=0)
+        total += kern.p_message[a] * float(kl_t @ p_img)
+    return total
+
 
 def simplex_grid_capacity(kern, rounds=4, pts=21):
     """Dense zoom grid over the plaintext simplex; exact channel rows.

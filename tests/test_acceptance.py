@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import simplex_grid_capacity
+from helpers import capacity_oracle, simplex_grid_capacity
 
 from leaklab import analysis
 from leaklab.adversary import scalar_quantizer_encoder
@@ -89,7 +89,8 @@ def test_criterion_1_structural_suite():
 
 
 def test_criterion_2_perfect_secrecy_zero():
-    """One-time pad: exactly zero measured leakage, solver confirms the max."""
+    """One-time pad: exactly zero measured leakage; the closed-form max is
+    zero and the capacity solver on the explicit rows confirms it."""
     with budget("2 perfect-secrecy-zero", 5):
         n = 8
         sys = Cryptosystem(
@@ -100,8 +101,11 @@ def test_criterion_2_perfect_secrecy_zero():
         kern = build_gamma_kernel(sys, scalar_quantizer_encoder([0], n), no_info)
         assert delta_mi(kern, Pmf.uniform(2)) == 0.0
         assert delta_mi(kern, Pmf.bernoulli(0.11)) == 0.0
-        res = delta_max_mi(kern, tol=1e-7)
+        res = delta_max_mi(kern)
         assert res.value <= 1e-6
+        cap = capacity_oracle(kern, tol=1e-7)
+        assert cap.converged and cap.value <= 1e-6
+        assert abs(res.value - cap.value) <= 1e-9
 
 
 def test_criterion_3_sandwich_bounds():
@@ -129,17 +133,19 @@ def test_criterion_3_sandwich_bounds():
             W = ChannelMatrix(rng.dirichlet(np.ones(q) * 2, size=q))
             p_kz = joint_from_channel(p_k, W)
             kern = build_gamma_kernel(sys, enc, p_kz)
-            val = delta_max_mi(kern, tol=1e-8).value
+            val = delta_max_mi(kern).value
             lb = delta_max_lower_bound(sys, enc, p_kz)
             ub = delta_max_upper_bound(sys, enc, p_kz, kernel=kern)
+            assert abs(val - capacity_oracle(kern).value) <= 1e-9, (q, n, R)
             assert lb - 1e-6 <= val, (q, n, R, lb, val)
             assert val <= ub + 1e-6, (q, n, R, val, ub)
             checked += 1
 
 
 def test_criterion_4_capacity_oracle_equivalence():
-    """The alternating capacity iteration agrees with a dense grid search
-    over the plaintext simplex on every tiny instance."""
+    """The alternating capacity iteration on the explicit rows agrees with a
+    dense grid search over the plaintext simplex on every tiny instance, and
+    the closed-form worst case agrees with both."""
     with budget("4 capacity-vs-grid", 120):
         cases = []
         for n, R, seed, flip in [
@@ -154,9 +160,13 @@ def test_criterion_4_capacity_oracle_equivalence():
             enc = scalar_quantizer_encoder([0, 1], n)
             p_kz = joint_from_channel(Pmf.uniform(2), ChannelMatrix.bsc(flip))
             kern = build_gamma_kernel(sys, enc, p_kz)
-            got = delta_max_mi(kern, tol=1e-9).value
+            cap = capacity_oracle(kern, tol=1e-9)
+            assert cap.converged
+            closed = delta_max_mi(kern).value
             want = simplex_grid_capacity(kern)
-            cases.append(abs(got - want))
+            cases.append(abs(cap.value - want))
+            assert abs(closed - cap.value) <= 1e-9, (n, R, seed)
+            assert abs(closed - want) < 1e-6, (n, R, seed)
         assert max(cases) < 1e-6, cases
 
 

@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leaklab
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(leaklab.__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "q": 2,
@@ -68,6 +73,17 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
     tight = write_config(tmp_path, R_A=0.1)  # identity quantizer rate ln 2 > 0.1
     assert main(["simulate", "--config", str(tight), "--out", str(tmp_path)]) == EXIT_CONFIG
+    typo = write_config(tmp_path, monte_carlo_sample=100)  # misspelt key
+    assert main(["simulate", "--config", str(typo), "--out", str(tmp_path)]) == EXIT_CONFIG
+    for nested in (
+        {"seeds": {"keymap": 7, "replpay": 11}},
+        {"exponent_grid": {"lamda_points": 8}},
+        {"rate_grid": {"Ra": [0.1]}},
+        {"adversary": {"kind": "scalar", "cell": [[0], [1]]}},
+        {"seeds": [7, 11]},
+    ):
+        bad = write_config(tmp_path, **nested)
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_simulate_schema_and_lossless_regime(tmp_path, capsys):
@@ -207,3 +223,28 @@ def test_table_adversary_kind(tmp_path):
     )
     out = tmp_path / "o"
     assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
+    # q=2, n=12 with the finest scalar adversary: the explicit capacity rows
+    # alone would take 2 GiB, the closed forms need under 100 MiB
+    cfg = write_config(tmp_path, n_list=[12], adversary={"kind": "scalar", "cells": None})
+    out = tmp_path / "o"
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from leaklab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "leakage", "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    header, row = (out / "leakage.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert vals["n"] == "12"
+    assert vals["delta_max"] == vals["ub"]

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import capacity_oracle, delta_mi_oracle
+from helpers import simplex_grid_capacity as grid_capacity_oracle
 from leaklab.adversary import scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem
@@ -213,15 +215,24 @@ def test_full_leak_uniform_plaintext_saturates():
 
 
 def test_delta_mi_two_formulas_agree():
+    # the Z_q^m Fourier convolution against the per-message KL loop
     n = 4
     code = build_universal_code(n, 0.6, 2)
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=2))
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.15))
     for p in (Pmf.uniform(2), Pmf.bernoulli(0.23), Pmf.bernoulli(0.8)):
-        a = delta_mi(kern, p, method="kl")
-        b = delta_mi(kern, p, method="entropy")
-        assert abs(a - b) < 1e-10
+        assert abs(delta_mi(kern, p) - delta_mi_oracle(kern, p)) < 1e-12
+    # q = 3: complex transforms, finest and coarse quantizers, random laws
+    rng = np.random.default_rng(11)
+    for n, R, labels in [(3, 0.9, [0, 1, 2]), (4, 0.6, [0, 1, 1]), (5, 0.8, [0, 1, 2])]:
+        code = build_universal_code(n, R, 3)
+        sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(3), seed=n))
+        W = ChannelMatrix(rng.dirichlet(np.ones(3), size=3))
+        p_kz = joint_from_channel(Pmf(rng.dirichlet(np.ones(3))), W)
+        kern = build_gamma_kernel(sys, scalar_quantizer_encoder(labels, n), p_kz)
+        for p in (Pmf.uniform(3), Pmf(rng.dirichlet(np.ones(3))), rng.dirichlet(np.ones(3**n))):
+            assert abs(delta_mi(kern, p) - delta_mi_oracle(kern, p)) < 1e-12
 
 
 def test_delta_mi_accepts_product_and_vector():
@@ -262,7 +273,6 @@ def test_capacity_useless_channel_is_zero():
 # ---------------------------------------------------------------------------
 
 
-from helpers import simplex_grid_capacity as grid_capacity_oracle
 
 
 @pytest.mark.parametrize("n,R,seed", [(1, 0.7, 0), (2, 0.4, 1), (2, 0.7, 2)])
@@ -271,18 +281,21 @@ def test_delta_max_matches_simplex_grid_oracle(n, R, seed):
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=seed))
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.3))
-    res = delta_max_mi(kern, tol=1e-9)
+    res = delta_max_mi(kern)
     oracle = grid_capacity_oracle(kern)
     assert abs(res.value - oracle) < 1e-6
+    assert abs(res.value - capacity_oracle(kern).value) <= 1e-9
 
 
 def test_delta_max_otp_zero():
     sys = otp_system(5)
     enc = scalar_quantizer_encoder([0], 5)
     kern = build_gamma_kernel(sys, enc, no_side_info())
-    res = delta_max_mi(kern, tol=1e-7)
+    res = delta_max_mi(kern)
     assert res.value <= 1e-6
-    assert res.converged
+    cap = capacity_oracle(kern, tol=1e-7)
+    assert cap.converged
+    assert abs(res.value - cap.value) <= 1e-9
 
 
 def test_delta_max_full_leak_saturates():
@@ -291,8 +304,9 @@ def test_delta_max_full_leak_saturates():
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=3))
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, full_leak_joint())
-    res = delta_max_mi(kern, tol=1e-9)
+    res = delta_max_mi(kern)
     assert res.value == pytest.approx(code.m * LN2, abs=1e-7)
+    assert abs(res.value - capacity_oracle(kern).value) <= 1e-9
     # optimizer is uniform over the decoding set
     support = res.input_distribution[res.input_distribution > 0]
     assert support.size == code.decoding_set_size
@@ -300,14 +314,28 @@ def test_delta_max_full_leak_saturates():
 
 
 def test_delta_max_restricted_to_decoding_set_matches():
+    # the capacity solve over the images of the decoding set only agrees
+    # with the closed form
     n = 4
     code = build_universal_code(n, 0.45, 2)
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=4))
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.1))
-    a = delta_max_mi(kern, tol=1e-9)
-    b = delta_max_mi(kern, tol=1e-9, restrict_to_decoding_set=True)
-    assert abs(a.value - b.value) < 1e-9
+    inputs = np.unique(kern.image_of[kern.in_decoding_set])
+    cap = capacity_oracle(kern, inputs=inputs)
+    assert abs(delta_max_mi(kern).value - cap.value) < 1e-9
+
+
+def test_delta_max_requires_decoding_set_onto_images():
+    n = 4
+    code = build_universal_code(n, 0.45, 2)
+    sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=4))
+    enc = scalar_quantizer_encoder([0, 1], n)
+    kern = build_gamma_kernel(sys, enc, bsc_joint(0.1))
+    in_d = kern.in_decoding_set.copy()
+    in_d[np.flatnonzero(in_d)[0]] = False
+    with pytest.raises(ValueError, match="onto"):
+        delta_max_mi(replace(kern, in_decoding_set=in_d))
 
 
 def test_lower_bound_floors_at_zero():
@@ -365,7 +393,7 @@ def sandwich_case(q, n, R, seed):
     p_kz = joint_from_channel(p_k, W)
     sys = Cryptosystem(code, keymap)
     kern = build_gamma_kernel(sys, enc, p_kz)
-    dmax = delta_max_mi(kern, tol=1e-8)
+    dmax = delta_max_mi(kern)
     lb = delta_max_lower_bound(sys, enc, p_kz)
     ub = delta_max_upper_bound(sys, enc, p_kz, kernel=kern)
     return lb, dmax.value, ub, kern
@@ -375,8 +403,10 @@ def sandwich_case(q, n, R, seed):
     "q,n,R,seed", [(2, 4, 0.5, 0), (2, 5, 0.35, 1), (3, 3, 0.9, 2), (3, 4, 0.6, 3)]
 )
 def test_sandwich_bounds(q, n, R, seed):
-    lb, val, ub, _ = sandwich_case(q, n, R, seed)
+    lb, val, ub, kern = sandwich_case(q, n, R, seed)
     assert lb - 1e-6 <= val <= ub + 1e-6
+    assert val == ub  # one masked-key equivocation computes both
+    assert abs(val - capacity_oracle(kern).value) <= 1e-9
 
 
 def test_delta_mi_never_exceeds_delta_max():
@@ -384,7 +414,9 @@ def test_delta_mi_never_exceeds_delta_max():
     rng = np.random.default_rng(10)
     for _ in range(100):
         px = rng.dirichlet(np.ones(2**4))
-        assert delta_mi(kern, px) <= val + 1e-6
+        got = delta_mi(kern, px)
+        assert got <= val + 1e-6
+        assert abs(got - delta_mi_oracle(kern, px)) < 1e-12
 
 
 def test_perfect_secrecy_implication():
@@ -397,7 +429,8 @@ def test_perfect_secrecy_implication():
         kern = build_gamma_kernel(sys, enc, p_kz)
         dmi = delta_mi(kern, Pmf.uniform(q))
         assert dmi <= 1e-9
-        assert delta_max_mi(kern, tol=1e-7).value <= 1e-6
+        assert delta_max_mi(kern).value <= 1e-6
+        assert capacity_oracle(kern, tol=1e-7).value <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +479,8 @@ def test_leakage_decays_inside_secure_region():
             sys = Cryptosystem(code, keymap, validation="none")
             enc = scalar_quantizer_encoder([0, 1], n)
             kern = build_gamma_kernel(sys, enc, p_kz)
-            vals.append(delta_max_mi(kern, tol=1e-10).value)
+            vals.append(delta_max_mi(kern).value)
+            assert abs(vals[-1] - capacity_oracle(kern).value) <= 1e-9
         best.append(min(vals))
     assert best[0] > best[1] > best[2]
     assert best[2] < 1e-4  # frozen: 2.2e-5 at n = 12
@@ -463,7 +497,8 @@ def test_leakage_grows_inside_helper_region():
         sys = Cryptosystem(code, keymap)
         enc = scalar_quantizer_encoder([0, 1], n)
         kern = build_gamma_kernel(sys, enc, p_kz)
-        vals.append(delta_max_mi(kern, tol=1e-9).value)
+        vals.append(delta_max_mi(kern).value)
+        assert abs(vals[-1] - capacity_oracle(kern).value) <= 1e-9
         lb = delta_max_lower_bound(sys, enc, p_kz)
         assert vals[-1] >= lb - 1e-9
     assert vals[0] < vals[1] < vals[2]
@@ -487,8 +522,8 @@ def test_leakage_report_row():
     )
     assert rep.lower_bound - 1e-6 <= rep.delta_max <= rep.upper_bound + 1e-6
     assert rep.delta_mi <= rep.delta_max + 1e-6
-    assert rep.diagnostics["delta_max_on_decoding_set"] == pytest.approx(
-        rep.delta_max, abs=1e-6
-    )
-    row = rep.csv_row()
-    assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
+    assert rep.delta_max == rep.upper_bound
+    assert rep.diagnostics == {"adversary_rate": enc.rate}
+    row = dict(zip(rep.CSV_HEADER.split(","), rep.csv_row().split(",")))
+    assert len(row) == len(rep.csv_row().split(","))
+    assert row["iters"] == "0" and row["tol"] == "1e-07"
