@@ -8,7 +8,7 @@ seeds are bit-identical.
 
 Subcommands: ``verify``, ``simulate``, ``leakage``, ``region``,
 ``exponent``, ``build-code``.  Exit codes: 0 ok, 1 property violation,
-2 config error.
+2 config error, which includes a table that would exceed its size cap.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, adversary, analysis, codec, crypto, galois, leakage
 from . import probability as prob
+from .leakage import _fmt
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,16 +34,6 @@ EXIT_CONFIG = 2
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".12g")
 
 
 def _csv_line(values) -> str:
@@ -165,8 +156,8 @@ class Experiment:
             code = _MutatedDecoderCode(code.n, code.m, code.q, code.order)
         return code
 
-    def build_system(self, n: int) -> crypto.Cryptosystem:
-        code = self.build_code(n)
+    def build_system(self, code: codec.UniversalCode) -> crypto.Cryptosystem:
+        n = code.n
         seed = np.random.SeedSequence([self.keymap_seed, n])
         if self.code_kind == "identity":
             keymap = galois.AffineMap(
@@ -212,12 +203,12 @@ class _MutatedDecoderCode(codec.UniversalCode):
     decoding set comes up short and verify fails with a witness."""
 
     def decode(self, c):
-        r = self._lex_index(np.asarray(c, dtype=np.int64))
-        if r == 0:
-            r = 1
-        elif r == 1:
-            r = 0
-        return self.sequence_at(r)
+        # codewords 0 and 1 are 0...00 and 0...01: swap them by flipping the
+        # last symbol where all others are 0 and it is 0 or 1
+        c = np.array(c, dtype=np.int64)
+        swap = ~np.any(c[..., :-1], axis=-1) & np.isin(c[..., -1], (0, 1))
+        c[..., -1] = np.where(swap, 1 - c[..., -1], c[..., -1])
+        return super().decode(c)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +255,15 @@ def cmd_verify(exp: Experiment, out_dir, jobs: int, config_path) -> int:
     failures = 0
     for n in exp.n_list:
         try:
-            sys_n = exp.build_system(n)
+            code = exp.build_code(n)
+        except ValueError as e:
+            print(f"notice: skipping n={n}: {e}", file=sys.stderr)
+            continue
+        try:
+            sys_n = exp.build_system(code)
         except AssertionError as e:
             print(f"FAIL construction (n={n}): {e}")
             failures += 1
-            continue
-        except ValueError as e:
-            print(f"notice: skipping n={n}: {e}", file=sys.stderr)
             continue
         rep = crypto.check_structural_properties(sys_n)
         for name, entry in rep.checks.items():
@@ -296,26 +289,27 @@ def cmd_verify(exp: Experiment, out_dir, jobs: int, config_path) -> int:
 
 def _simulate_row(exp: Experiment, n: int, fvals):
     try:
-        sys_n = exp.build_system(n)
+        code = exp.build_code(n)
     except ValueError as e:
         print(f"notice: skipping n={n}: {e}", file=sys.stderr)
         return None
+    sys_n = exp.build_system(code)
     enc = exp.build_encoder(n)
-    code = sys_n.code
     pe = codec.error_probability_exact(code, exp.p_x)
     p2 = codec.verify_error_bound(code, exp.p_x, exp.gamma, R=exp.R)
     rep = leakage.leakage_report(
         sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
     )
-    # seeded transmission replay through the real encrypt/decrypt path
+    # seeded transmission replay through the real encrypt/decrypt path: the
+    # draws alternate plaintext and key per sample, as the seeds fix them
     rng = np.random.default_rng(np.random.SeedSequence([exp.replay_seed, n]))
-    errors = 0
-    for _ in range(exp.mc_samples):
-        x = rng.choice(exp.q, size=n, p=exp.p_x.probs)
-        k = rng.choice(exp.q, size=n, p=exp.p_k.probs)
-        if not np.array_equal(sys_n.decrypt(k, sys_n.encrypt(k, x)), x):
-            errors += 1
-    pe_mc = errors / exp.mc_samples
+    xs = np.empty((exp.mc_samples, n), dtype=np.int64)
+    ks = np.empty_like(xs)
+    for i in range(exp.mc_samples):
+        xs[i] = rng.choice(exp.q, size=n, p=exp.p_x.probs)
+        ks[i] = rng.choice(exp.q, size=n, p=exp.p_k.probs)
+    back = sys_n.decrypt(ks, sys_n.encrypt(ks, xs))
+    pe_mc = np.count_nonzero(np.any(back != xs, axis=1)) / exp.mc_samples
     return [
         n,
         code.m,
@@ -360,7 +354,7 @@ def cmd_simulate(exp: Experiment, out_dir, jobs: int, config_path) -> int:
 
 def cmd_leakage(exp: Experiment, out_dir, jobs: int, config_path) -> int:
     def one(n):
-        sys_n = exp.build_system(n)
+        sys_n = exp.build_system(exp.build_code(n))
         enc = exp.build_encoder(n)
         rep = leakage.leakage_report(
             sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
@@ -495,7 +489,7 @@ def main(argv=None) -> int:
             return cmd_exponent(exp, out_dir, args.jobs, args.config)
         if args.command == "build-code":
             return cmd_build_code(exp, out_dir, args.jobs, args.config)
-    except ConfigError as e:
+    except (ConfigError, prob.TableCapError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

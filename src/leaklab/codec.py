@@ -7,6 +7,9 @@ everything later maps to the image of the last element of D, which keeps the
 encoder surjective.  The decoder inverts the bijection, so decoding succeeds
 exactly on D.
 
+X^n is ranked once, by the cached tables of ``UniversalCode.full_tables``;
+``encode`` and ``decode`` are lookups on them, for one word or a batch.
+
 Because D is type-aligned (whole classes plus at most one partial boundary
 class), the exact error probability is a short sum over type classes, with
 no q**n enumeration.
@@ -22,13 +25,11 @@ import numpy as np
 from .probability import (
     MATERIALIZE_CAP,
     Pmf,
-    TypeClass,
-    _as_prob_array,
+    TableCapError,
     all_sequences,
     entropy,
     enumerate_types,
     kl_divergence,
-    type_of,
 )
 
 __all__ = [
@@ -47,6 +48,27 @@ def _ordered_types(n: int, q: int) -> list:
     return sorted(types, key=lambda t: (t.entropy(), t.counts))
 
 
+def _radix(width: int, q: int) -> np.ndarray:
+    """Place values of a width-digit base-q word, most significant first."""
+    return q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _as_symbols(a, width: int, q: int, what: str) -> np.ndarray:
+    """Validate one word, shape (width,), or a batch, shape (B, width), of
+    symbols in [0, q); ``ValueError`` on any other shape or entry."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim not in (1, 2) or a.shape[-1] != width:
+        raise ValueError(f"{what} shape {a.shape} is not ({width},) or (B, {width})")
+    if a.size and (a.min() < 0 or a.max() >= q):
+        raise ValueError(f"{what} entries outside [0, {q})")
+    return a
+
+
+def _from_index(index: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Base-q digits of lexicographic indices: the inverse of ``@ _radix``."""
+    return (index[..., None] // _radix(width, q)) % q
+
+
 @dataclass
 class UniversalCode:
     """The pair (encode, decode) with its decoding set descriptor.
@@ -62,6 +84,7 @@ class UniversalCode:
     order: str = "type"
     type_order: list = field(init=False, repr=False)
     offsets: list = field(init=False, repr=False)
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n):
@@ -80,7 +103,6 @@ class UniversalCode:
             offsets.append(pos)
             pos += t.size
         self.offsets = offsets
-        self._class_pos = {t.counts: i for i, t in enumerate(self.type_order)}
 
     # -- descriptor ---------------------------------------------------------
 
@@ -97,107 +119,70 @@ class UniversalCode:
         """Whether (m/n) ln q lies in the scheme's window [R - 1/n, R]."""
         return R - 1.0 / self.n - 1e-12 <= self.rate <= R + 1e-12
 
-    # -- ranking ------------------------------------------------------------
-
-    def global_rank(self, x) -> int:
-        """Position of x in the canonical ordering of X^n (exact int)."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise ValueError(f"sequence shape {x.shape} != ({self.n},)")
-        if x.size and (x.min() < 0 or x.max() >= self.q):
-            raise ValueError(f"sequence entries outside [0, {self.q})")
-        if self.order == "lexicographic":
-            return self._lex_index(x)
-        t = type_of(x, self.q)
-        pos = self._class_pos[t.counts]
-        return self.offsets[pos] + self.type_order[pos].rank(x)
-
-    def sequence_at(self, rank: int) -> np.ndarray:
-        """Inverse of :meth:`global_rank`."""
-        if not 0 <= rank < self.q**self.n:
-            raise ValueError(f"rank {rank} outside [0, q^n)")
-        if self.order == "lexicographic":
-            return self._digits(rank, self.n)
-        lo, hi = 0, len(self.type_order) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.offsets[mid] <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        t = self.type_order[lo]
-        return t.unrank(rank - self.offsets[lo])
-
-    def _digits(self, value: int, width: int) -> np.ndarray:
-        out = np.empty(width, dtype=np.int64)
-        for i in range(width - 1, -1, -1):
-            out[i] = value % self.q
-            value //= self.q
-        return out
-
-    def _lex_index(self, seq) -> int:
-        out = 0
-        for s in seq:
-            out = out * self.q + int(s)
-        return out
-
-    # -- the code itself ----------------------------------------------------
-
-    def encode(self, x) -> np.ndarray:
-        """phi: X^n -> X^m (surjective; bijective when restricted to D)."""
-        r = self.global_rank(x)
-        if r >= self.decoding_set_size:
-            r = self.decoding_set_size - 1
-        return self._digits(r, self.m)
-
-    def decode(self, c) -> np.ndarray:
-        """psi: X^m -> X^n, the inverse of encode on the decoding set."""
-        c = np.asarray(c, dtype=np.int64)
-        if c.shape != (self.m,):
-            raise ValueError(f"codeword shape {c.shape} != ({self.m},)")
-        if c.size and (c.min() < 0 or c.max() >= self.q):
-            raise ValueError(f"codeword entries outside [0, {self.q})")
-        return self.sequence_at(self._lex_index(c))
-
-    def in_decoding_set(self, x) -> bool:
-        return self.global_rank(x) < self.decoding_set_size
-
-    def decoding_set(self) -> np.ndarray:
-        """All of D as an array of sequences, shape (q**m, n)."""
-        return np.stack([self.sequence_at(r) for r in range(self.decoding_set_size)])
-
-    # -- vectorized tables (desk-scale; guarded by MATERIALIZE_CAP) ---------
+    # -- the ranking of X^n (desk-scale; guarded by MATERIALIZE_CAP) ---------
 
     def full_tables(self, cap: int = MATERIALIZE_CAP):
         """(image index, in-D mask, rank->lex map) over all of X^n.
 
-        Image indices follow lexicographic sequence order; computed by one
-        stable lexsort replicating the canonical ordering.  Cross-checked
-        against encode/decode in the test suite.
+        The first two are indexed by the lexicographic index of a sequence;
+        the third maps a canonical rank to that index.  One stable lexsort
+        by type-class position replicates the canonical ordering (classes in
+        ``type_order``, lexicographic inside a class).  The tables are built
+        on the first call, cached on the code and returned read-only.  The
+        test suite checks them against the scalar ``TypeClass.rank`` path.
         """
         total = self.q**self.n
         if total > cap:
-            raise ValueError(f"q**n = {total} exceeds cap {cap}")
+            raise TableCapError(f"q**n = {total} exceeds cap {cap}")
+        if self._tables is not None:
+            return self._tables
         if self.order == "lexicographic":
             idx = np.arange(total, dtype=np.int64)
-            return idx.copy(), np.ones(total, dtype=bool), idx
-        seqs = all_sequences(self.n, self.q, cap=cap * self.n)
-        counts = np.stack([(seqs == a).sum(axis=1) for a in range(self.q)], axis=1)
-        radix = (self.n + 1) ** np.arange(self.q, dtype=np.int64)
-        keys = counts @ radix
-        class_keys = np.array(
-            [np.dot(np.array(t.counts), radix) for t in self.type_order]
-        )
-        sorter = np.argsort(class_keys)
-        pos = sorter[np.searchsorted(class_keys[sorter], keys)]
-        order = np.lexsort((np.arange(total), pos))
-        ranks = np.empty(total, dtype=np.int64)
-        ranks[order] = np.arange(total)
-        images = np.minimum(ranks, self.decoding_set_size - 1)
-        in_d = ranks < self.decoding_set_size
-        return images, in_d, order
+            tables = (idx, np.ones(total, dtype=bool), idx)
+        else:
+            seqs = all_sequences(self.n, self.q, cap=cap * self.n)
+            counts = np.stack([(seqs == a).sum(axis=1) for a in range(self.q)], axis=1)
+            radix = (self.n + 1) ** np.arange(self.q, dtype=np.int64)
+            keys = counts @ radix
+            class_keys = np.array(
+                [np.dot(np.array(t.counts), radix) for t in self.type_order]
+            )
+            sorter = np.argsort(class_keys)
+            pos = sorter[np.searchsorted(class_keys[sorter], keys)]
+            order = np.lexsort((np.arange(total), pos))
+            ranks = np.empty(total, dtype=np.int64)
+            ranks[order] = np.arange(total)
+            images = np.minimum(ranks, self.decoding_set_size - 1)
+            tables = (images, ranks < self.decoding_set_size, order)
+        for t in tables:
+            t.setflags(write=False)
+        self._tables = tables
+        return tables
 
-    # -- serialization ------------------------------------------------------
+    def _sequence_index(self, x) -> np.ndarray:
+        return _as_symbols(x, self.n, self.q, "sequence") @ _radix(self.n, self.q)
+
+    # -- the code itself ----------------------------------------------------
+
+    def encode(self, x) -> np.ndarray:
+        """phi: X^n -> X^m (surjective; bijective when restricted to D), for
+        one sequence, shape (n,), or a batch, shape (B, n)."""
+        images, _, _ = self.full_tables()
+        return _from_index(images[self._sequence_index(x)], self.m, self.q)
+
+    def decode(self, c) -> np.ndarray:
+        """psi: X^m -> X^n, the inverse of encode on the decoding set, for
+        one codeword, shape (m,), or a batch; a codeword's index is its rank."""
+        _, _, order = self.full_tables()
+        ranks = _as_symbols(c, self.m, self.q, "codeword") @ _radix(self.m, self.q)
+        return _from_index(order[ranks], self.n, self.q)
+
+    def in_decoding_set(self, x):
+        """Whether x (one sequence or each row of a batch) lies in D."""
+        _, in_d, _ = self.full_tables()
+        return in_d[self._sequence_index(x)]
+
+# -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m, "q": self.q, "order": self.order}

@@ -7,8 +7,9 @@ Encryption adds the two encodings over GF(q)^m:
 
 so decrypt(k, encrypt(k, x)) = decode(encode(x)) for every key, which is the
 structural condition tying the cryptosystem to its underlying source code.
-Construction verifies that condition exhaustively at desk scale and by
-sampling above it.
+Both methods take one (key, word) pair or a batch.  Construction verifies
+the condition on seeded random pairs, and at desk scale on every pair by
+the key-image sweep that the structural suite shares.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import UniversalCode
+from .codec import UniversalCode, _as_symbols, _radix
 from .galois import AffineMap, affine_apply
 from .probability import all_sequences
 
 __all__ = [
     "Cryptosystem",
-    "encrypt",
-    "decrypt",
     "check_structural_properties",
     "StructuralReport",
 ]
@@ -71,20 +70,20 @@ class Cryptosystem:
                 )
 
     def encrypt(self, k, x) -> np.ndarray:
-        k = np.asarray(k, dtype=np.int64)
-        x = np.asarray(x, dtype=np.int64)
-        if k.shape != (self.n,) or x.shape != (self.n,):
-            raise ValueError("key and plaintext must both have length n")
-        return (affine_apply(self.keymap, k) + self.code.encode(x)) % self.q
+        """keymap(k) + encode(x) mod q.
+
+        ``k`` and ``x`` are each one length-n word or a (B, n) batch; a
+        single key or plaintext is paired with every row of the other.
+        """
+        return (self.key_image(k) + self.code.encode(x)) % self.q
 
     def decrypt(self, k, c) -> np.ndarray:
-        c = np.asarray(c, dtype=np.int64)
-        if c.shape != (self.m,):
-            raise ValueError(f"ciphertext shape {c.shape} != ({self.m},)")
-        return self.code.decode((c - affine_apply(self.keymap, k)) % self.q)
+        """decode(c - keymap(k)); ``c`` is one length-m word or a (B, m) batch."""
+        c = _as_symbols(c, self.m, self.q, "ciphertext")
+        return self.code.decode((c - self.key_image(k)) % self.q)
 
     def key_image(self, k) -> np.ndarray:
-        """keymap(k), the m-symbol masked key."""
+        """keymap(k), the m-symbol masked key (one key or a batch)."""
         return affine_apply(self.keymap, k)
 
     def to_json(self) -> dict:
@@ -99,56 +98,57 @@ class Cryptosystem:
         )
 
 
-def encrypt(sys: Cryptosystem, k, x) -> np.ndarray:
-    return sys.encrypt(k, x)
+def _key_image_sweep(sys: Cryptosystem, keys: np.ndarray, seqs: np.ndarray):
+    """Yield (k, encrypt(k, seqs), decrypt(k, encrypt(k, seqs))) for one
+    representative k per distinct keymap(k) among the rows of ``keys``.
 
+    The representative of an image is the first row of ``keys`` that maps
+    to it; images are visited in order of that first occurrence.
 
-def decrypt(sys: Cryptosystem, k, c) -> np.ndarray:
-    return sys.decrypt(k, c)
-
-
-def _index_digits(value: int, width: int, q: int) -> np.ndarray:
-    out = np.empty(width, dtype=np.int64)
-    for i in range(width - 1, -1, -1):
-        out[i] = value % q
-        value //= q
-    return out
+    Exactness.  encrypt(k, x) = keymap(k) + encode(x) and decrypt(k, c) =
+    decode(c - keymap(k)) read k only through keymap(k), so keys with the
+    same image have the same tables, and a per-key predicate on them holds
+    for all or none.  Let k* be the first row of ``keys`` that fails one.
+    The representative of keymap(k*) is the first row with that image and
+    fails too, so it is k*; every image visited earlier has a representative
+    before k*, which passes.  So the first failing representative is the
+    witness k* of the loop over all of ``keys``, found in at most q^m steps.
+    An override that reads k otherwise is for the seeded probe of
+    ``_condition_check`` to catch.
+    """
+    radix = _radix(sys.m, sys.q)
+    _, first = np.unique(sys.key_image(keys) @ radix, return_index=True)
+    for i in np.sort(first):
+        k = keys[i]
+        cipher = sys.encrypt(k, seqs)
+        yield k, cipher, sys.decrypt(k, cipher)
 
 
 def _condition_check(sys, level, sample_pairs, seed):
     """Verify decrypt(k, encrypt(k, x)) == decode(encode(x)) over (k, x).
 
-    A seeded sample always goes through the public encrypt/decrypt methods;
-    the exhaustive sweep then covers every pair with the same arithmetic
-    tabulated through encode/decode (method calls on q^{2n} pairs would not
-    finish at desk scale).
+    A seeded batch of random pairs goes through encrypt/decrypt in one call
+    each; it catches overrides that read the key beyond its image.  At the
+    exhaustive level the key-image sweep then covers every pair, with the
+    first failing key and plaintext in lexicographic order as witness.
     """
-    n, m, q = sys.n, sys.m, sys.q
+    n, q = sys.n, sys.q
     rng = np.random.default_rng(seed)
     n_probe = min(sample_pairs, 256) if level == "exhaustive" else sample_pairs
     keys = rng.integers(0, q, size=(n_probe, n))
     xs = rng.integers(0, q, size=(n_probe, n))
-    for k, x in zip(keys, xs):
-        want = sys.code.decode(sys.code.encode(x))
-        got = sys.decrypt(k, sys.encrypt(k, x))
-        if not np.array_equal(want, got):
-            return False, (k.tolist(), x.tolist())
+    want = sys.code.decode(sys.code.encode(xs))
+    got = sys.decrypt(keys, sys.encrypt(keys, xs))
+    bad = np.flatnonzero(np.any(got != want, axis=1))
+    if bad.size:
+        return False, (keys[bad[0]].tolist(), xs[bad[0]].tolist())
     if level == "sampled":
         return True, None
 
     seqs = all_sequences(n, q)
-    radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    radix_n = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    enc_digits = np.stack([sys.code.encode(x) for x in seqs])
-    dec_lex = np.array(
-        [int(sys.code.decode(_index_digits(c, m, q)) @ radix_n) for c in range(q**m)],
-        dtype=np.int64,
-    )
-    want = dec_lex[enc_digits @ radix_m]
-    for k in seqs:
-        kdig = affine_apply(sys.keymap, k)
-        got = dec_lex[(((enc_digits + kdig) % q - kdig) % q) @ radix_m]
-        bad = np.flatnonzero(got != want)
+    want = sys.code.decode(sys.code.encode(seqs))
+    for k, _, back in _key_image_sweep(sys, seqs, seqs):
+        bad = np.flatnonzero(np.any(back != want, axis=1))
         if bad.size:
             return False, (k.tolist(), seqs[bad[0]].tolist())
     return True, None
@@ -191,23 +191,13 @@ def check_structural_properties(
 
     All keys are checked when q**(2n) fits under ``max_exhaustive_pairs``;
     otherwise a seeded sample of keys is used and the report says so.
+    ``_key_image_sweep`` gives each check the first failing checked key.
     """
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
-    total_x = q**n
 
-    # Tabulate encode over X^n and decode over X^m through the public
-    # methods once; per-key checks below are vectorized on these tables.
     seqs = all_sequences(n, q)
-    radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    radix_n = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    enc_digits = np.stack([sys.code.encode(x) for x in seqs])
-    dec_lex = np.array(
-        [int(sys.code.decode(_index_digits(c, m, q)) @ radix_n) for c in range(q**m)],
-        dtype=np.int64,
-    )
-    in_d = dec_lex[enc_digits @ radix_m] == np.arange(total_x)
-
+    in_d = np.all(sys.code.decode(sys.code.encode(seqs)) == seqs, axis=1)
     d_count = int(in_d.sum())
     report.record(
         "decoding_set_size",
@@ -223,19 +213,16 @@ def check_structural_properties(
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, q, size=(sample_keys, n))
 
+    radix_m = _radix(m, q)
     d_indices = np.flatnonzero(in_d)
     inj_ok, inj_witness = True, None
     surj_ok, surj_witness = True, None
     dset_ok, dset_witness = True, None
-    base_mask = in_d
-    for k in keys:
-        kdig = sys.key_image(k)
-        cipher_digits = (enc_digits + kdig) % q
-        cipher_idx = cipher_digits @ radix_m
+    for k, cipher, back in _key_image_sweep(sys, keys, seqs):
+        cipher_idx = cipher @ radix_m
         if inj_ok:
             on_d = cipher_idx[d_indices]
-            uniq, first = np.unique(on_d, return_index=True)
-            if uniq.size != d_indices.size:
+            if np.unique(on_d).size != d_indices.size:
                 inj_ok = False
                 dup = np.flatnonzero(np.bincount(on_d, minlength=q**m) > 1)[0]
                 pair = d_indices[np.flatnonzero(on_d == dup)[:2]]
@@ -248,11 +235,9 @@ def check_structural_properties(
             surj_ok = False
             missing = sorted(set(range(q**m)) - set(cipher_idx.tolist()))
             surj_witness = {"key": k.tolist(), "missing_codewords": missing[:4]}
-        # decrypt(k, .) applied to each ciphertext, as decode-table lookups
-        back_idx = ((cipher_digits - kdig) % q) @ radix_m
-        ok_mask = dec_lex[back_idx] == np.arange(total_x)
-        if dset_ok and not np.array_equal(ok_mask, base_mask):
-            diff = int(np.flatnonzero(ok_mask != base_mask)[0])
+        ok_mask = np.all(back == seqs, axis=1)
+        if dset_ok and not np.array_equal(ok_mask, in_d):
+            diff = int(np.flatnonzero(ok_mask != in_d)[0])
             dset_ok = False
             dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
     report.record("injective_on_D", inj_ok, inj_witness)

@@ -35,11 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import SideChannel, key_equivocation
+from .codec import _radix
 from .crypto import Cryptosystem
+from .galois import affine_apply
 from .probability import (
     ChannelMatrix,
     Pmf,
     ProductDistribution,
+    TableCapError,
     _xlogx,
     all_sequences,
 )
@@ -98,7 +101,7 @@ class GammaKernel:
         """sub[c, t] = index of the digitwise difference c - t (mod q)."""
         if self._sub is None:
             digits = all_sequences(self.m, self.q)
-            radix = self.q ** np.arange(self.m - 1, -1, -1, dtype=np.int64)
+            radix = _radix(self.m, self.q)
             diff = (digits[:, None, :] - digits[None, :, :]) % self.q
             self._sub = diff @ radix
         return self._sub
@@ -132,11 +135,6 @@ class GammaKernel:
         return out
 
 
-def _source_tables(sys: Cryptosystem, cap: int):
-    images, in_d, _ = sys.code.full_tables(cap=cap)
-    return images, in_d
-
-
 def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
     """Joint table over (masked key image, adversary message)."""
     p_kz = np.asarray(p_kz, dtype=np.float64)
@@ -157,12 +155,12 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
             per_symbol[:, encoder.cells[z]] += p_kz[:, z]
         n_msgs = encoder.message_count
         if q**m * n_msgs > cap or q**n > cap:
-            raise ValueError(
+            raise TableCapError(
                 f"q^m * |M_A| = {q ** m * n_msgs} exceeds table cap {cap}; "
                 "use a smaller block or coarser quantizer"
             )
         digits = all_sequences(m, q)
-        radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        radix_m = _radix(m, q)
         state = np.zeros((q**m, 1))
         state[int(sys.keymap.offset @ radix_m)] = 1.0
         for t in range(n):
@@ -178,7 +176,7 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
     if encoder.kind == "table":
         zsym = p_kz.shape[1]
         if q**n * zsym**n > cap:
-            raise ValueError(
+            raise TableCapError(
                 f"q^n * |Z|^n = {q ** n * zsym ** n} exceeds table cap {cap}"
             )
         zseqs = all_sequences(n, zsym)
@@ -191,9 +189,8 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
     else:
         raise TypeError(f"unknown encoder kind {encoder.kind!r}")
 
-    radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    kimg = (kseqs @ sys.keymap.matrix + sys.keymap.offset) % q
-    kimg_idx = kimg @ radix_m
+    radix_m = _radix(m, q)
+    kimg_idx = affine_apply(sys.keymap, kseqs) @ radix_m
     g_joint = np.zeros((q**m, joint_km.shape[1]))
     np.add.at(g_joint, kimg_idx, joint_km)
     return g_joint
@@ -206,12 +203,15 @@ def build_gamma_kernel(
     scalar adversaries, full (k, z) enumeration for table adversaries)."""
     q, n, m = sys.q, sys.n, sys.m
     if q**n * q**m > table_cap:
-        raise ValueError("q^n * q^m exceeds the table cap; reduce n")
+        raise TableCapError(
+            f"q^n * q^m = {q}^{n + m} exceeds the table cap "
+            f"2^{math.log2(table_cap):g}; reduce n"
+        )
     g_joint = _key_image_message_joint(sys, encoder, p_kz, table_cap)
     p_message = g_joint.sum(axis=0)
     keep = np.flatnonzero(p_message > 0)
     posterior = (g_joint[:, keep] / p_message[keep]).T
-    images, in_d = _source_tables(sys, table_cap)
+    images, in_d, _ = sys.code.full_tables(cap=table_cap)
     return GammaKernel(
         q=q,
         n=n,
@@ -260,6 +260,21 @@ def _zq_transform(a: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
     return a
 
 
+def _zq_convolve(rows: np.ndarray, v: np.ndarray, q: int, m: int) -> np.ndarray:
+    """Cyclic convolution over Z_q^m of each row of ``rows`` with ``v``.
+
+    Index t stands for the digits t_j of t = sum_j t_j q^(m-1-j).  The
+    Fourier transform of Z_q^m turns the convolution into a product and
+    factorizes into the q-point DFT along each of the m digit axes.
+    """
+    dft = _dft_matrix(q)
+    shape = (-1,) + (q,) * m
+    spectrum = _zq_transform(rows.reshape(shape), dft, m) * _zq_transform(
+        v.reshape(shape), dft, m
+    )
+    return np.real(_zq_transform(spectrum, dft.conj(), m)).reshape(len(rows), -1) / q**m
+
+
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """Entropy in nats of each row of a 2-D table."""
     return -_xlogx(rows).sum(axis=1)
@@ -277,11 +292,9 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
         H(C | X, M_A = a)  = H(U + T | U, M_A = a) = H(post_a),
 
     and I(C; X | M_A) = sum_a p(a) [H(post_a * p_img) - H(post_a)], where *
-    is cyclic convolution over Z_q^m.  The Fourier transform of Z_q^m turns
-    the convolution into a product; it factorizes into the q-point DFT along
-    each of the m digit axes (index t = sum_j t_j q^(m-1-j)), so one radix-q
-    transform serves all messages at once.  There is no precondition beyond
-    the additive form of the kernel.
+    is cyclic convolution over Z_q^m, evaluated for all messages at once by
+    one radix-q Fourier transform (``_zq_convolve``).  There is no
+    precondition beyond the additive form of the kernel.
 
     A message whose posterior is constant contributes exactly zero (its
     convolution is the same constant) and is skipped, so a kernel with no
@@ -293,14 +306,7 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
     live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
     if live.size == 0:
         return 0.0
-    q, m = kernel.q, kernel.m
-    dft = _dft_matrix(q)
-    shape = (-1,) + (q,) * m
-    spectrum = _zq_transform(post[live].reshape(shape), dft, m) * _zq_transform(
-        p_img.reshape(shape), dft, m
-    )
-    mix = np.real(_zq_transform(spectrum, dft.conj(), m)).reshape(live.size, -1)
-    mix /= kernel.image_count
+    mix = _zq_convolve(post[live], p_img, kernel.q, kernel.m)
     gain = _row_entropies(mix) - _row_entropies(post[live])
     return float(kernel.p_message[live] @ gain)
 
@@ -455,6 +461,19 @@ class KernelCheckReport:
     uniform_witness: tuple | None
 
 
+# Messages per batch of the kernel checks, which bounds the size of their
+# (messages, q^m) convolution arrays.
+_CHECK_CHUNK = 256
+
+
+def _worst_entry(err: np.ndarray, lo: int) -> tuple:
+    """Largest entry of a (message, ciphertext) block starting at message
+    ``lo``, and its (ciphertext, message); the first message, then the first
+    ciphertext, wins a tie."""
+    a, c = np.unravel_index(err.argmax(), err.shape)
+    return float(err[a, c]), (int(c), lo + int(a))
+
+
 def structural_checks(
     kernel: GammaKernel, in_decoding_set=None, tol: float = 1e-10
 ) -> KernelCheckReport:
@@ -465,29 +484,28 @@ def structural_checks(
     (b) A uniform plaintext on the decoding set makes the ciphertext uniform
         on X^m and independent of the message.
 
-    Witnesses are (ciphertext index, message position) of the worst entry.
+    Witnesses are (ciphertext index, message position) of the worst entry:
+    the first message, then the first ciphertext, of the largest error.
+    The sums over D are convolutions, sum_t post_a(c - t) n_D(t) with n_D(t)
+    the number of D-members of image t, evaluated by ``_zq_convolve``.
     """
     in_d = kernel.in_decoding_set if in_decoding_set is None else in_decoding_set
     img_counts = np.bincount(
         kernel.image_of[np.flatnonzero(in_d)], minlength=kernel.image_count
     ).astype(np.float64)
     d_size = img_counts.sum()
-    sub = kernel.sub_index()
+    target = 1.0 / kernel.image_count
     worst_a = worst_u = 0.0
     wit_a = wit_u = None
-    target = 1.0 / kernel.image_count
-    for a in range(kernel.message_count):
-        table = kernel.key_image_posterior[a][sub]  # [c, t]
-        sums = table @ img_counts
-        err = np.abs(sums - 1.0)
-        c = int(err.argmax())
-        if err[c] > worst_a:
-            worst_a, wit_a = float(err[c]), (c, a)
-        dist = sums / d_size
-        err_u = np.abs(dist - target)
-        c = int(err_u.argmax())
-        if err_u[c] > worst_u:
-            worst_u, wit_u = float(err_u[c]), (c, a)
+    post = kernel.key_image_posterior
+    for lo in range(0, kernel.message_count, _CHECK_CHUNK):
+        sums = _zq_convolve(post[lo : lo + _CHECK_CHUNK], img_counts, kernel.q, kernel.m)
+        val, wit = _worst_entry(np.abs(sums - 1.0), lo)
+        if val > worst_a:
+            worst_a, wit_a = val, wit
+        val, wit = _worst_entry(np.abs(sums / d_size - target), lo)
+        if val > worst_u:
+            worst_u, wit_u = val, wit
     rows_ok = worst_a <= tol
     unif_ok = worst_u <= tol
     return KernelCheckReport(
@@ -542,8 +560,13 @@ class LeakageReport:
 
 
 def _fmt(v) -> str:
+    """The package's one CSV value format (floats to 12 significant digits)."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, str):
+        return v
     return format(float(v), ".12g")
 
 

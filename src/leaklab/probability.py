@@ -25,7 +25,14 @@ SUM_TOL = 1e-12
 # must stay in streaming / per-type form.
 MATERIALIZE_CAP = 2**24
 
+
+class TableCapError(ValueError):
+    """A table would exceed its size cap; the run is refused before it
+    allocates (the CLI reports it as a config error)."""
+
+
 __all__ = [
+    "TableCapError",
     "Pmf",
     "ChannelMatrix",
     "JointPmf",
@@ -288,7 +295,7 @@ def all_sequences(n: int, q: int, cap: int = MATERIALIZE_CAP) -> np.ndarray:
     """All sequences of X^n in lexicographic order, shape (q**n, n)."""
     total = q**n
     if total * n > cap:
-        raise ValueError(f"q**n * n = {total * n} exceeds cap {cap}")
+        raise TableCapError(f"q**n * n = {total * n} exceeds cap {cap}")
     idx = np.arange(total)
     out = np.empty((total, n), dtype=np.int64)
     for t in range(n - 1, -1, -1):

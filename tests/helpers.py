@@ -2,7 +2,166 @@
 
 import numpy as np
 
-from leaklab.leakage import _plaintext_vector, channel_capacity
+from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
+from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
+from leaklab.probability import all_sequences, type_of
+
+
+def _lex(word, q):
+    out = 0
+    for s in word:
+        out = out * q + int(s)
+    return out
+
+
+def _word(index, width, q):
+    out = np.empty(width, dtype=np.int64)
+    for i in range(width - 1, -1, -1):
+        out[i] = index % q
+        index //= q
+    return out
+
+
+def rank_oracle(code, x):
+    """Canonical rank of one sequence by the scalar type-class ranking: the
+    offset of its class in ``code.type_order`` plus ``TypeClass.rank``."""
+    if code.order == "lexicographic":
+        return _lex(x, code.q)
+    counts = type_of(x, code.q).counts
+    pos = [t.counts for t in code.type_order].index(counts)
+    return code.offsets[pos] + code.type_order[pos].rank(x)
+
+
+def unrank_oracle(code, rank):
+    """Inverse of :func:`rank_oracle`, through ``TypeClass.unrank``."""
+    if code.order == "lexicographic":
+        return _word(rank, code.n, code.q)
+    pos = max(i for i, off in enumerate(code.offsets) if off <= rank)
+    return code.type_order[pos].unrank(rank - code.offsets[pos])
+
+
+def encode_oracle(code, x):
+    """encode(x): the rank clamped to the last member of D, as m symbols."""
+    return _word(min(rank_oracle(code, x), code.decoding_set_size - 1), code.m, code.q)
+
+
+def decode_oracle(code, c):
+    """decode(c): the sequence whose rank is the codeword's index."""
+    return unrank_oracle(code, _lex(c, code.q))
+
+
+def condition_oracle(sys):
+    """First (k, x), keys then plaintexts in lexicographic order, with
+    decrypt(k, encrypt(k, x)) != decode(encode(x)), by a loop over all q^n
+    keys; None when the condition holds everywhere."""
+    seqs = all_sequences(sys.n, sys.q)
+    want = sys.code.decode(sys.code.encode(seqs))
+    for k in seqs:
+        bad = np.flatnonzero(np.any(sys.decrypt(k, sys.encrypt(k, seqs)) != want, axis=1))
+        if bad.size:
+            return k.tolist(), seqs[bad[0]].tolist()
+    return None
+
+
+def structural_properties_oracle(
+    sys, *, max_exhaustive_pairs=EXHAUSTIVE_PAIR_CAP, sample_keys=64, seed=0
+):
+    """``check_structural_properties`` as a loop over every checked key on
+    tables built by one scalar encode per sequence and one scalar decode
+    per codeword."""
+    n, m, q = sys.n, sys.m, sys.q
+    report = StructuralReport()
+    total_x = q**n
+    seqs = all_sequences(n, q)
+    radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    radix_n = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    enc_digits = np.stack([sys.code.encode(x) for x in seqs])
+    dec_lex = np.array(
+        [int(sys.code.decode(c) @ radix_n) for c in all_sequences(m, q)],
+        dtype=np.int64,
+    )
+    in_d = dec_lex[enc_digits @ radix_m] == np.arange(total_x)
+    d_count = int(in_d.sum())
+    report.record(
+        "decoding_set_size",
+        d_count == q**m,
+        None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
+    )
+    exhaustive = q ** (2 * n) <= max_exhaustive_pairs
+    report.mode = "exhaustive" if exhaustive else "sampled"
+    if exhaustive:
+        keys = seqs
+    else:
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, q, size=(sample_keys, n))
+    d_indices = np.flatnonzero(in_d)
+    inj_ok, inj_witness = True, None
+    surj_ok, surj_witness = True, None
+    dset_ok, dset_witness = True, None
+    for k in keys:
+        cipher_digits = sys.encrypt(k, seqs)
+        cipher_idx = cipher_digits @ radix_m
+        if inj_ok:
+            on_d = cipher_idx[d_indices]
+            if np.unique(on_d).size != d_indices.size:
+                inj_ok = False
+                dup = np.flatnonzero(np.bincount(on_d, minlength=q**m) > 1)[0]
+                pair = d_indices[np.flatnonzero(on_d == dup)[:2]]
+                inj_witness = {
+                    "key": k.tolist(),
+                    "x": seqs[pair[0]].tolist(),
+                    "y": seqs[pair[1]].tolist(),
+                }
+        if surj_ok and np.unique(cipher_idx).size != q**m:
+            surj_ok = False
+            missing = sorted(set(range(q**m)) - set(cipher_idx.tolist()))
+            surj_witness = {"key": k.tolist(), "missing_codewords": missing[:4]}
+        back = sys.decrypt(k, cipher_digits) @ radix_n
+        ok_mask = back == np.arange(total_x)
+        if dset_ok and not np.array_equal(ok_mask, in_d):
+            diff = int(np.flatnonzero(ok_mask != in_d)[0])
+            dset_ok = False
+            dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
+    report.record("injective_on_D", inj_ok, inj_witness)
+    report.record("surjective", surj_ok, surj_witness)
+    report.record("key_independent_D", dset_ok, dset_witness)
+    return report
+
+
+def kernel_checks_oracle(kern, in_decoding_set=None, tol=1e-10):
+    """``structural_checks`` as a per-message loop over explicit
+    [ciphertext, image] tables."""
+    in_d = kern.in_decoding_set if in_decoding_set is None else in_decoding_set
+    img_counts = np.bincount(
+        kern.image_of[np.flatnonzero(in_d)], minlength=kern.image_count
+    ).astype(np.float64)
+    d_size = img_counts.sum()
+    sub = kern.sub_index()
+    worst_a = worst_u = 0.0
+    wit_a = wit_u = None
+    target = 1.0 / kern.image_count
+    for a in range(kern.message_count):
+        table = kern.key_image_posterior[a][sub]  # [c, t]
+        sums = table @ img_counts
+        err = np.abs(sums - 1.0)
+        c = int(err.argmax())
+        if err[c] > worst_a:
+            worst_a, wit_a = float(err[c]), (c, a)
+        err_u = np.abs(sums / d_size - target)
+        c = int(err_u.argmax())
+        if err_u[c] > worst_u:
+            worst_u, wit_u = float(err_u[c]), (c, a)
+    rows_ok = worst_a <= tol
+    unif_ok = worst_u <= tol
+    return KernelCheckReport(
+        passed=rows_ok and unif_ok,
+        row_sums_ok=rows_ok,
+        row_sum_max_error=worst_a,
+        row_sum_witness=None if rows_ok else wit_a,
+        uniform_ok=unif_ok,
+        uniform_max_error=worst_u,
+        uniform_witness=None if unif_ok else wit_u,
+    )
 
 
 def capacity_oracle(kern, inputs=None, tol=1e-10):

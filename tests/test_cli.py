@@ -86,6 +86,17 @@ def test_config_errors_exit_2(tmp_path):
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
+    # q=2, n=16, m=11: the kernel tables would hold q^n * q^m = 2^27 entries
+    cfg = write_config(tmp_path, n_list=[16], adversary={"kind": "scalar", "cells": None})
+    out = tmp_path / "o"
+    assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "q^n * q^m = 2^27" in err and "table cap 2^26" in err
+    assert not (out / "leakage.csv").exists()
+
+
 def test_simulate_schema_and_lossless_regime(tmp_path, capsys):
     cfg = write_config(tmp_path, R=0.8, n_list=[3, 4])  # R > ln 2: lossless
     out = tmp_path / "o"

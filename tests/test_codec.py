@@ -13,6 +13,8 @@ from leaklab.codec import (
 )
 from leaklab.probability import Pmf, all_sequences, entropy, product_distribution
 
+from helpers import decode_oracle, encode_oracle, rank_oracle, unrank_oracle
+
 LN2 = math.log(2)
 
 
@@ -130,6 +132,7 @@ def test_decoding_set_is_type_monotone():
 
 
 def test_full_tables_match_per_sequence_codec():
+    # the tables against the scalar TypeClass.rank/unrank ranking
     for n, q, R in [(6, 2, 0.45), (4, 3, 0.9), (10, 2, 0.5)]:
         code = build_universal_code(n, R, q)
         images, in_d, order = code.full_tables()
@@ -138,12 +141,58 @@ def test_full_tables_match_per_sequence_codec():
         rng = np.random.default_rng(0)
         idx = rng.choice(len(seqs), size=min(200, len(seqs)), replace=False)
         for i in idx:
-            assert images[i] == int(code.encode(seqs[i]) @ radix)
-            assert in_d[i] == code.in_decoding_set(seqs[i])
+            assert images[i] == int(encode_oracle(code, seqs[i]) @ radix)
+            assert in_d[i] == (rank_oracle(code, seqs[i]) < code.decoding_set_size)
         # order maps rank -> lex index
         for r in rng.choice(code.decoding_set_size, size=20):
             lex = int(order[r])
-            assert np.array_equal(code.sequence_at(int(r)), seqs[lex])
+            assert np.array_equal(unrank_oracle(code, int(r)), seqs[lex])
+        # built once, cached, and read-only
+        assert code.full_tables() is code.full_tables()
+        assert not images.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_universal_code(8, 0.5, 2),
+        build_universal_code(10, 0.5, 2),
+        build_universal_code(5, 0.8, 3),
+        UniversalCode.identity(5, 2),
+    ],
+    ids=["q2n8", "q2n10", "q3n5", "identity"],
+)
+def test_batch_and_scalar_codec_match_rank_oracle(code):
+    # every sequence and every codeword, as one batch and one at a time
+    seqs = all_sequences(code.n, code.q)
+    want = np.stack([encode_oracle(code, x) for x in seqs])
+    assert np.array_equal(code.encode(seqs), want)
+    assert all(np.array_equal(code.encode(x), w) for x, w in zip(seqs, want))
+    words = all_sequences(code.m, code.q)
+    want = np.stack([decode_oracle(code, c) for c in words])
+    assert np.array_equal(code.decode(words), want)
+    assert all(np.array_equal(code.decode(c), w) for c, w in zip(words, want))
+    in_d = np.array([rank_oracle(code, x) < code.decoding_set_size for x in seqs])
+    assert np.array_equal(code.in_decoding_set(seqs), in_d)
+
+
+def test_codec_rejects_bad_batches():
+    code = build_universal_code(6, 0.5, 2)  # m = 4
+    for bad in (
+        np.zeros((3, 5), dtype=int),  # wrong width
+        np.zeros((3, 7), dtype=int),
+        np.full((3, 6), 2),  # symbol outside [0, q)
+        -np.ones((3, 6), dtype=int),
+        np.zeros((2, 3, 6), dtype=int),  # neither one word nor a batch
+        np.zeros((), dtype=int),
+    ):
+        with pytest.raises(ValueError):
+            code.encode(bad)
+        with pytest.raises(ValueError):
+            code.in_decoding_set(bad)
+    for bad in (np.zeros((3, 3), dtype=int), np.full((3, 4), 2), np.zeros((2, 3, 4), dtype=int)):
+        with pytest.raises(ValueError):
+            code.decode(bad)
 
 
 def test_pe_non_increasing_in_n_above_entropy():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from leaklab.codec import UniversalCode, build_universal_code
-from leaklab.crypto import Cryptosystem, check_structural_properties, decrypt, encrypt
+from leaklab.crypto import Cryptosystem, _condition_check, check_structural_properties
 from leaklab.galois import AffineMap, FieldSpec, matrix_rank, random_affine
 from leaklab.probability import all_sequences
+
+from helpers import condition_oracle, structural_properties_oracle
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -32,8 +34,8 @@ def test_one_time_pad_is_xor():
     sys = Cryptosystem(UniversalCode.identity(4, 2), identity_keymap(4, F2))
     k = np.array([1, 0, 1, 1])
     x = np.array([0, 0, 1, 1])
-    assert np.array_equal(encrypt(sys, k, x), (k + x) % 2)
-    assert np.array_equal(decrypt(sys, k, encrypt(sys, k, x)), x)
+    assert np.array_equal(sys.encrypt(k, x), (k + x) % 2)
+    assert np.array_equal(sys.decrypt(k, sys.encrypt(k, x)), x)
 
 
 def test_zero_keymap_reduces_to_source_code():
@@ -134,10 +136,11 @@ class _CorruptedDecoder(UniversalCode):
     """Decoder with two outputs swapped: shrinks the enumerated decoding set."""
 
     def decode(self, c):
-        r = self._lex_index(np.asarray(c, dtype=np.int64))
-        if r in (0, 1):
-            r = 1 - r
-        return self.sequence_at(r)
+        # codewords 0 and 1 are 0...00 and 0...01: flip the last symbol there
+        c = np.array(c, dtype=np.int64)
+        swap = ~np.any(c[..., :-1], axis=-1) & np.isin(c[..., -1], (0, 1))
+        c[..., -1] = np.where(swap, 1 - c[..., -1], c[..., -1])
+        return super().decode(c)
 
 
 def test_structural_checks_catch_corrupted_decoder():
@@ -169,9 +172,9 @@ def test_condition_violation_detected_at_construction():
     class _KeyDependent(Cryptosystem):
         def decrypt(self, k, c):
             out = super().decrypt(k, c)
-            return (out + int(k[0])) % 2
+            return (out + np.asarray(k)[..., :1]) % 2
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="structural condition violated"):
         _KeyDependent(code, keymap)
 
 
@@ -181,3 +184,102 @@ def test_json_round_trip():
     k = np.array([0, 1, 1, 0, 1])
     x = np.array([1, 1, 0, 0, 1])
     assert np.array_equal(back.encrypt(k, x), sys.encrypt(k, x))
+
+
+class _ImageDependent(Cryptosystem):
+    """encrypt zeroes the last ciphertext symbol, and decrypt flips the first
+    plaintext symbol, for the keys of one key image only.  Both read the key
+    only through its image, so the key-image sweep is exact for them."""
+
+    bad_image = None
+    corrupt = ("encrypt", "decrypt")
+
+    def _hit(self, k):
+        return np.all(self.key_image(k) == self.bad_image, axis=-1)
+
+    def encrypt(self, k, x):
+        out = super().encrypt(k, x)
+        if "encrypt" in self.corrupt:
+            out[..., -1] = np.where(self._hit(k), 0, out[..., -1])
+        return out
+
+    def decrypt(self, k, c):
+        out = super().decrypt(k, c)
+        if "decrypt" in self.corrupt:
+            out[..., 0] = np.where(self._hit(k), (out[..., 0] + 1) % self.q, out[..., 0])
+        return out
+
+
+def _image_dependent(q, n, R, seed, key_index, corrupt):
+    code = build_universal_code(n, R, q)
+    keymap = random_affine(n, code.m, FieldSpec(q), seed=seed)
+    sys = _ImageDependent(code, keymap, validation="none")
+    sys.bad_image = sys.key_image(all_sequences(n, q)[key_index])
+    sys.corrupt = corrupt
+    return sys
+
+
+def _sweep_fixtures():
+    yield make_system(6, 0.45, 2, seed=11)
+    yield make_system(4, 0.8, 3, seed=13)
+    yield Cryptosystem(UniversalCode.identity(3, 2), identity_keymap(3, F2))
+    yield Cryptosystem(UniversalCode.identity(4, 2), zero_keymap(4, 4, F2))
+    yield Cryptosystem(_CorruptedDecoder(5, 2, 2), random_affine(5, 2, F2, seed=0))
+    yield Cryptosystem(_CorruptedDecoder(4, 3, 3), random_affine(4, 3, F3, seed=2))
+    yield _image_dependent(2, 6, 0.45, 3, 37, ("encrypt", "decrypt"))
+    yield _image_dependent(2, 6, 0.45, 4, 21, ("encrypt",))
+    yield _image_dependent(3, 4, 0.8, 5, 50, ("decrypt",))
+
+
+def test_key_image_sweep_matches_full_key_loop():
+    # the structural suite and the exhaustive condition check sweep one key
+    # per key image; a loop over every key gives the same reports, witnesses
+    # included, on valid systems and on mutated ones
+    failing = set()
+    for sys in _sweep_fixtures():
+        for opts in ({}, {"max_exhaustive_pairs": 2**6, "sample_keys": 40, "seed": 3}):
+            rep = check_structural_properties(sys, **opts)
+            assert rep == structural_properties_oracle(sys, **opts)
+            failing.update(name for name, _ in rep.failures)
+        ok, witness = _condition_check(sys, "exhaustive", 0, 0)
+        assert witness == condition_oracle(sys)
+        assert ok == (witness is None)
+        if not ok:
+            failing.add("condition")
+    # the fixtures exercise every check's failure path
+    assert failing == {
+        "decoding_set_size", "injective_on_D", "surjective", "key_independent_D",
+        "condition",
+    }
+
+
+def test_batch_encrypt_decrypt_match_single_pairs():
+    sys = make_system(6, 0.45, 2, seed=9)
+    rng = np.random.default_rng(4)
+    ks = rng.integers(0, 2, size=(50, 6))
+    xs = rng.integers(0, 2, size=(50, 6))
+    cs = sys.encrypt(ks, xs)
+    assert cs.shape == (50, sys.m)
+    assert np.array_equal(cs, np.stack([sys.encrypt(k, x) for k, x in zip(ks, xs)]))
+    back = sys.decrypt(ks, cs)
+    assert np.array_equal(back, np.stack([sys.decrypt(k, c) for k, c in zip(ks, cs)]))
+    # one key against a batch of plaintexts, and the reverse
+    assert np.array_equal(sys.encrypt(ks[0], xs), np.stack([sys.encrypt(ks[0], x) for x in xs]))
+    assert np.array_equal(sys.encrypt(ks, xs[0]), np.stack([sys.encrypt(k, xs[0]) for k in ks]))
+
+
+def test_batch_encrypt_decrypt_reject_bad_input():
+    sys = make_system(4, 0.6, 2)
+    k = np.zeros((3, 4), dtype=int)
+    with pytest.raises(ValueError):
+        sys.encrypt(k, np.zeros((3, 5), dtype=int))  # plaintext width
+    with pytest.raises(ValueError):
+        sys.encrypt(np.zeros((3, 3), dtype=int), np.zeros((3, 4), dtype=int))  # key width
+    with pytest.raises(ValueError):
+        sys.encrypt(k, np.full((3, 4), 2))  # plaintext symbol outside GF(2)
+    with pytest.raises(ValueError):
+        sys.decrypt(k, np.zeros((3, 4), dtype=int))  # ciphertext width (m = 3)
+    with pytest.raises(ValueError):
+        sys.decrypt(k, np.array([[0, 0, 2]] * 3))  # ciphertext symbol outside GF(2)
+    with pytest.raises(ValueError):
+        sys.decrypt(k, np.zeros((1, 3, 3), dtype=int))  # not one word or a batch

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import capacity_oracle, delta_mi_oracle
+from helpers import capacity_oracle, delta_mi_oracle, kernel_checks_oracle
 from helpers import simplex_grid_capacity as grid_capacity_oracle
 from leaklab.adversary import scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
@@ -462,6 +462,37 @@ def test_structural_checks_catch_corrupted_kernel():
     assert rep.row_sum_witness is not None
     c, a = rep.row_sum_witness
     assert a == 0  # the perturbed message column is identified
+
+
+def test_structural_checks_match_per_message_loop():
+    # valid kernels: both pass; a decoding set with one member removed and
+    # random posteriors: the row sums 1 - post_a(c - t0) have one clear
+    # worst entry, and both find it at the same (ciphertext, message)
+    rng = np.random.default_rng(5)
+    ternary = ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    for q, n, R, p_kz in [
+        (2, 6, 0.5, bsc_joint(0.1)),
+        (2, 9, 0.5, bsc_joint(0.1)),  # 512 messages: more than one chunk
+        (3, 4, 0.8, joint_from_channel(Pmf.uniform(3), ternary)),
+    ]:
+        code = build_universal_code(n, R, q)
+        sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=n))
+        enc = scalar_quantizer_encoder(list(range(q)), n)
+        kern = build_gamma_kernel(sys, enc, p_kz)
+        got, want = structural_checks(kern), kernel_checks_oracle(kern)
+        assert got.passed and want.passed
+        assert got.row_sum_max_error <= 1e-12 and got.uniform_max_error <= 1e-12
+        post = rng.dirichlet(np.ones(kern.image_count), size=kern.message_count)
+        noisy = replace(kern, key_image_posterior=post)
+        in_d = kern.in_decoding_set.copy()
+        in_d[np.flatnonzero(in_d)[3]] = False
+        got = structural_checks(noisy, in_d)
+        want = kernel_checks_oracle(noisy, in_d)
+        assert not got.passed and not want.passed
+        assert got.row_sum_witness == want.row_sum_witness
+        assert got.uniform_witness == want.uniform_witness
+        assert abs(got.row_sum_max_error - want.row_sum_max_error) <= 1e-12
+        assert abs(got.uniform_max_error - want.uniform_max_error) <= 1e-12
 
 
 def test_leakage_decays_inside_secure_region():
