@@ -1,8 +1,10 @@
-"""Side channel and rate-limited helper encoders for the eavesdropper.
+"""Rate-limited helper encoders for the eavesdropper.
 
-The side channel is a memoryless noisy map from the key alphabet to an
-observation alphabet Z; the adversary compresses the n-symbol observation
-into a message of rate at most R_A nats per symbol.
+The side channel is given by one object, the single-symbol joint law
+p_KZ(k, z) of a key symbol and its noisy observation; the key and the
+observation sequences are i.i.d. draws from it.  The adversary compresses
+the n-symbol observation into a message M_A of rate at most R_A nats per
+symbol.
 
 Two encoder families are supported at desk scale:
 
@@ -10,6 +12,11 @@ Two encoder families are supported at desk scale:
   the exact product-form analysis H(K^n | M_A) = n * H(K | f(Z)) available
   at any block length;
 * explicit tables Z^n -> messages, exact by enumeration for small n.
+
+Both reach p_KZ through ``adversary_joint``: the (key, cell) fold of a
+quantizer, or the (key sequence, message) enumeration of a table.  The
+leakage kernel folds the same joint into its masked-key law, and
+``joint_equivocation`` turns it into H(K^n | M_A).
 
 A scalar quantizer of rate ln|cells| is a valid rate-R_A helper whenever
 ln|cells| <= R_A, but it need not attain the information-theoretic optimum
@@ -24,51 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import (
-    ChannelMatrix,
-    Pmf,
+    DEFAULT_TABLE_CAP,
+    TableCapError,
     all_sequences,
     conditional_entropy,
-    joint_from_channel,
 )
 
 __all__ = [
-    "SideChannel",
     "ScalarQuantizerEncoder",
     "TableEncoder",
-    "sample_side_channel",
     "scalar_quantizer_encoder",
     "best_scalar_quantizer",
+    "adversary_joint",
+    "joint_equivocation",
     "key_equivocation",
     "set_partitions",
 ]
-
-
-@dataclass(frozen=True)
-class SideChannel:
-    """Memoryless channel W from the key alphabet to observations Z."""
-
-    W: ChannelMatrix
-
-    @property
-    def key_size(self) -> int:
-        return self.W.in_size
-
-    @property
-    def obs_size(self) -> int:
-        return self.W.out_size
-
-    def joint_with(self, p_K) -> np.ndarray:
-        """Single-symbol joint p(k, z)."""
-        return joint_from_channel(p_K, self.W)
-
-
-def sample_side_channel(sc: SideChannel, k_seq, seed) -> np.ndarray:
-    """One memoryless use of W per key symbol; deterministic given seed."""
-    k_seq = np.asarray(k_seq, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(sc.W.rows, axis=1)
-    u = rng.random(k_seq.shape[0])
-    return (cum[k_seq] < u[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -106,13 +84,6 @@ class ScalarQuantizerEncoder:
         out = 0
         for z in z_seq:
             out = out * self.num_cells + self.cells[int(z)]
-        return out
-
-    def symbol_channel(self, W: ChannelMatrix) -> np.ndarray:
-        """Per-symbol transition p(cell | k) induced through W."""
-        out = np.zeros((W.in_size, self.num_cells))
-        for z, c in enumerate(self.cells):
-            out[:, c] += W.rows[:, z]
         return out
 
 
@@ -182,8 +153,88 @@ def set_partitions(n_items: int, max_blocks: int):
     yield from rec([], 0)
 
 
+def _check_joint(p_kz) -> np.ndarray:
+    p_kz = np.asarray(p_kz, dtype=np.float64)
+    if p_kz.ndim != 2 or p_kz.size == 0:
+        raise ValueError(f"p_KZ must be a non-empty 2-D table, got shape {p_kz.shape}")
+    if p_kz.min() < 0 or abs(p_kz.sum() - 1.0) > 1e-9:
+        raise ValueError("p_KZ is not a distribution")
+    return p_kz
+
+
+def _cell_joint(p_kz, cells) -> np.ndarray:
+    """The per-symbol (key, cell) joint p(k, c) = sum over f(z) = c of p_KZ(k, z).
+
+    ``cells[z]`` is the cell label of observation z.  This is the one fold
+    of p_KZ through a scalar quantizer: the best-scalar search, the scalar
+    key equivocation and the leakage kernel's product fold all read it.
+    """
+    out = np.zeros((p_kz.shape[0], max(cells) + 1))
+    for z, c in enumerate(cells):
+        out[:, c] += p_kz[:, z]
+    return out
+
+
+def adversary_joint(enc, p_kz, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+    """The (key, message) law that ``enc`` induces from p_KZ.
+
+    For a scalar quantizer it is the per-symbol (key, cell) joint
+    (``_cell_joint``); the block law is its n-fold product.  For a table
+    encoder it is the (key sequence, message) joint, rows in lexicographic
+    order of the key sequence, by enumeration of every (k^n, z^n) pair:
+    p(k^n, a) = sum over z^n with table[z^n] = a of prod_t p_KZ(k_t, z_t).
+    That enumeration has q^n * |Z|^n entries and is refused above ``cap``.
+    """
+    p_kz = _check_joint(p_kz)
+    if enc.kind == "scalar":
+        if len(enc.cells) != p_kz.shape[1]:
+            raise ValueError(
+                f"quantizer covers {len(enc.cells)} observations, |Z| = {p_kz.shape[1]}"
+            )
+        return _cell_joint(p_kz, enc.cells)
+    if enc.kind != "table":
+        raise TypeError(f"unknown encoder kind {enc.kind!r}")
+    q, zsym = p_kz.shape
+    n = enc.n
+    if zsym != enc.obs_size:
+        raise ValueError(f"table encoder reads |Z| = {enc.obs_size}, p_KZ has {zsym}")
+    if q**n * zsym**n > cap:
+        raise TableCapError(f"q^n * |Z|^n = {q ** n * zsym ** n} exceeds table cap {cap}")
+    kseqs = all_sequences(n, q)
+    zseqs = all_sequences(n, zsym)
+    joint_kz = np.ones((kseqs.shape[0], zseqs.shape[0]))
+    for t in range(n):
+        joint_kz *= p_kz[kseqs[:, t][:, None], zseqs[None, :, t]]
+    joint_km = np.zeros((kseqs.shape[0], enc.message_count))
+    np.add.at(joint_km.T, enc.table, joint_kz.T)
+    return joint_km
+
+
+def joint_equivocation(enc, joint) -> float:
+    """H(K^n | M_A) in nats from ``joint = adversary_joint(enc, p_kz)``.
+
+    A table joint is the block law itself, so this is H(K^n | M_A) directly.
+    For a scalar quantizer, M_A = (f(Z_1), ..., f(Z_n)) and the pairs
+    (K_t, f(Z_t)) are i.i.d. with the per-symbol law ``joint``, so
+
+        H(K^n | M_A) = H(K^n, M_A) - H(M_A)
+                     = n H(K, f(Z)) - n H(f(Z)) = n H(K | f(Z)).
+    """
+    h = conditional_entropy(joint, given=1)
+    return enc.n * h if enc.kind == "scalar" else h
+
+
+def key_equivocation(enc, p_kz) -> float:
+    """Exact H(K^n | M_A) in nats for the side channel p_KZ.
+
+    Scalar encoders factor per symbol; table encoders are enumerated over
+    (k-sequence, z-sequence) space, so keep n small there.
+    """
+    return joint_equivocation(enc, adversary_joint(enc, p_kz))
+
+
 def best_scalar_quantizer(
-    sc: SideChannel, p_K, R_A: float, n: int, *, max_obs: int = 12
+    p_kz, R_A: float, n: int, *, max_obs: int = 12
 ) -> ScalarQuantizerEncoder:
     """Exhaustive search for the partition of Z minimizing H(K | f(Z)).
 
@@ -191,50 +242,16 @@ def best_scalar_quantizer(
     the lexicographically smallest restricted-growth encoding.  Refuses
     |Z| beyond ``max_obs`` (the partition count explodes).
     """
-    z = sc.obs_size
+    p_kz = _check_joint(p_kz)
+    z = p_kz.shape[1]
     if z > max_obs:
         raise ValueError(f"|Z| = {z} exceeds exhaustive-search cap {max_obs}")
     budget = max(1, int(math.floor(math.exp(R_A) + 1e-9)))
-    joint = sc.joint_with(p_K)  # p(k, z)
     best = None
     best_h = math.inf
     for part in set_partitions(z, budget):
-        cells = max(part) + 1
-        grouped = np.zeros((joint.shape[0], cells))
-        for zi, c in enumerate(part):
-            grouped[:, c] += joint[:, zi]
-        h = conditional_entropy(grouped, given=1)
+        h = conditional_entropy(_cell_joint(p_kz, part), given=1)
         if h < best_h - 1e-15:
             best_h = h
             best = part
     return ScalarQuantizerEncoder(best, n)
-
-
-def key_equivocation(enc, p_K, sc: SideChannel) -> float:
-    """Exact H(K^n | M_A) in nats.
-
-    Scalar encoders factor per symbol; table encoders are enumerated over
-    (k-sequence, z-sequence) space, so keep n small there.
-    """
-    p = p_K if isinstance(p_K, Pmf) else Pmf(p_K)
-    if enc.kind == "scalar":
-        V = enc.symbol_channel(sc.W)
-        joint = p.probs[:, None] * V
-        return enc.n * conditional_entropy(joint, given=1)
-    if enc.kind == "table":
-        n = enc.n
-        q = p.size
-        zsize = sc.obs_size
-        kseqs = all_sequences(n, q)
-        zseqs = all_sequences(n, zsize)
-        pk = np.ones(kseqs.shape[0])
-        for t in range(n):
-            pk *= p.probs[kseqs[:, t]]
-        pz_given_k = np.ones((kseqs.shape[0], zseqs.shape[0]))
-        for t in range(n):
-            pz_given_k *= sc.W.rows[kseqs[:, t][:, None], zseqs[None, :, t]]
-        msgs = enc.table
-        joint_km = np.zeros((kseqs.shape[0], enc.message_count))
-        np.add.at(joint_km.T, msgs, (pk[:, None] * pz_given_k).T)
-        return conditional_entropy(joint_km, given=1)
-    raise TypeError(f"unknown encoder kind {enc.kind!r}")

@@ -222,9 +222,6 @@ class AkwBoundary:
         """Membership in the (closed) helper region."""
         return R_A >= -band and R >= self.envelope(R_A) - band
 
-    def in_complement_closure(self, R_A: float, R: float, band: float = 1e-9) -> bool:
-        return R <= self.envelope(R_A) + band
-
     def membership(self, R_A: float, R: float, band: float = 1e-9) -> str:
         """Classify against the helper region: inside / outside / boundary-band."""
         gap = R - self.envelope(R_A)

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +62,9 @@ CONFIG_KEYS = {
     "exponents", "exponent_grid", "rate_grid",
 }
 NESTED_CONFIG_KEYS = {
+    "source": {"alphabet", "probs"},
+    "key": {"alphabet", "probs"},
+    "W": {"rows"},
     "seeds": {"keymap", "replay"},
     "exponent_grid": {
         "mu_points", "alpha_points", "lambda_points", "lambda_max",
@@ -180,9 +182,7 @@ class Experiment:
                         labels[int(z)] = ci
             enc = adversary.scalar_quantizer_encoder(labels, n)
         elif kind == "best_scalar":
-            enc = adversary.best_scalar_quantizer(
-                adversary.SideChannel(self.W), self.p_k, self.R_A, n
-            )
+            enc = adversary.best_scalar_quantizer(self.p_kz, self.R_A, n)
         elif kind == "table":
             enc = adversary.TableEncoder(
                 np.asarray(self.adversary_cfg["table"], dtype=np.int64),
@@ -238,11 +238,17 @@ def _write_manifest(out_dir: Path, command: str, config_path, cfg_exp, outputs):
     _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _pool_map(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+def _codes(exp: Experiment):
+    """(n, code) for each block length of the config, in order.  A block
+    length where the rate gives no code (m = 0) is skipped with a notice on
+    stderr, the same way in every subcommand that builds codes."""
+    for n in exp.n_list:
+        try:
+            code = exp.build_code(n)
+        except ValueError as e:
+            print(f"notice: skipping n={n}: {e}", file=sys.stderr)
+            continue
+        yield n, code
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +256,27 @@ def _pool_map(fn, items, jobs):
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(exp: Experiment, out_dir, jobs: int, config_path) -> int:
-    """Run every structural suite; non-zero exit on any violation."""
+def cmd_verify(exp: Experiment, out_dir, config_path) -> int:
+    """Run every structural suite; non-zero exit on any violation.
+
+    The kernel is built before the crypto suite runs, so a block length
+    whose kernel exceeds the table cap is refused before any check."""
     failures = 0
-    for n in exp.n_list:
-        try:
-            code = exp.build_code(n)
-        except ValueError as e:
-            print(f"notice: skipping n={n}: {e}", file=sys.stderr)
-            continue
+    for n, code in _codes(exp):
         try:
             sys_n = exp.build_system(code)
         except AssertionError as e:
             print(f"FAIL construction (n={n}): {e}")
             failures += 1
             continue
+        enc = exp.build_encoder(n)
+        kern = leakage.build_gamma_kernel(sys_n, enc, exp.p_kz)
         rep = crypto.check_structural_properties(sys_n)
         for name, entry in rep.checks.items():
             status = "PASS" if entry["ok"] else "FAIL"
             extra = "" if entry["ok"] else f" witness={entry['witness']}"
             print(f"{status} crypto.{name} (n={n}, mode={rep.mode}){extra}")
         failures += len(rep.failures)
-        enc = exp.build_encoder(n)
-        kern = leakage.build_gamma_kernel(sys_n, enc, exp.p_kz)
         kchk = leakage.structural_checks(kern)
         for name, ok, err, wit in (
             ("row_sum_identity", kchk.row_sums_ok, kchk.row_sum_max_error, kchk.row_sum_witness),
@@ -287,12 +291,32 @@ def cmd_verify(exp: Experiment, out_dir, jobs: int, config_path) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _simulate_row(exp: Experiment, n: int, fvals):
-    try:
-        code = exp.build_code(n)
-    except ValueError as e:
-        print(f"notice: skipping n={n}: {e}", file=sys.stderr)
-        return None
+def _replay_draws(rng, p_x, p_k, samples: int, n: int):
+    """Plaintext and key blocks of the Monte Carlo replay, (samples, n) each.
+
+    Equal, draw for draw, to the per-sample loop
+
+        for i in range(samples):
+            xs[i] = rng.choice(q, size=n, p=p_x)
+            ks[i] = rng.choice(q, size=n, p=p_k)
+
+    ``Generator.choice`` with ``p`` and replacement normalizes
+    cdf = cumsum(p) / cdf[-1], draws u = rng.random(n) and returns
+    searchsorted(cdf, u, side="right"); it takes nothing else from the
+    stream.  The loop therefore reads the stream as consecutive blocks of n
+    doubles, alternately for x_i and k_i, which is rng.random((samples, 2,
+    n)) in C order: [i, 0] is the block of x_i and [i, 1] that of k_i.
+    """
+    u = rng.random((samples, 2, n))
+    out = []
+    for probs, block in ((p_x, u[:, 0]), (p_k, u[:, 1])):
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        out.append(np.searchsorted(cdf, block, side="right"))
+    return out
+
+
+def _simulate_row(exp: Experiment, n: int, code, fvals):
     sys_n = exp.build_system(code)
     enc = exp.build_encoder(n)
     pe = codec.error_probability_exact(code, exp.p_x)
@@ -300,14 +324,9 @@ def _simulate_row(exp: Experiment, n: int, fvals):
     rep = leakage.leakage_report(
         sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
     )
-    # seeded transmission replay through the real encrypt/decrypt path: the
-    # draws alternate plaintext and key per sample, as the seeds fix them
+    # seeded transmission replay through the real encrypt/decrypt path
     rng = np.random.default_rng(np.random.SeedSequence([exp.replay_seed, n]))
-    xs = np.empty((exp.mc_samples, n), dtype=np.int64)
-    ks = np.empty_like(xs)
-    for i in range(exp.mc_samples):
-        xs[i] = rng.choice(exp.q, size=n, p=exp.p_x.probs)
-        ks[i] = rng.choice(exp.q, size=n, p=exp.p_k.probs)
+    xs, ks = _replay_draws(rng, exp.p_x.probs, exp.p_k.probs, exp.mc_samples, n)
     back = sys_n.decrypt(ks, sys_n.encrypt(ks, xs))
     pe_mc = np.count_nonzero(np.any(back != xs, axis=1)) / exp.mc_samples
     return [
@@ -336,14 +355,13 @@ SIMULATE_HEADER = (
 )
 
 
-def cmd_simulate(exp: Experiment, out_dir, jobs: int, config_path) -> int:
+def cmd_simulate(exp: Experiment, out_dir, config_path) -> int:
     if exp.exponents:
         calc = analysis.ExponentCalculator(exp.p_kz, exp.grid)
         fvals = (calc.F(exp.R_A, exp.R).value, calc.F_lower(exp.R_A, exp.R).value)
     else:
         fvals = (math.nan, math.nan)
-    rows = _pool_map(lambda n: _simulate_row(exp, n, fvals), exp.n_list, jobs)
-    rows = [r for r in rows if r is not None]
+    rows = [_simulate_row(exp, n, code, fvals) for n, code in _codes(exp)]
     rows.sort(key=lambda r: r[0])
     text = SIMULATE_HEADER + "\n" + "".join(_csv_line(r) + "\n" for r in rows)
     path = _write_text(out_dir, "simulate.csv", text)
@@ -352,9 +370,10 @@ def cmd_simulate(exp: Experiment, out_dir, jobs: int, config_path) -> int:
     return EXIT_OK
 
 
-def cmd_leakage(exp: Experiment, out_dir, jobs: int, config_path) -> int:
-    def one(n):
-        sys_n = exp.build_system(exp.build_code(n))
+def cmd_leakage(exp: Experiment, out_dir, config_path) -> int:
+    reps = []
+    for n, code in _codes(exp):
+        sys_n = exp.build_system(code)
         enc = exp.build_encoder(n)
         rep = leakage.leakage_report(
             sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
@@ -364,9 +383,7 @@ def cmd_leakage(exp: Experiment, out_dir, jobs: int, config_path) -> int:
             f"n={n}: adversary rate {rep.diagnostics['adversary_rate']:.6f} nats "
             f"(budget R_A={exp.R_A:.6f}, slack {gap:.6f})"
         )
-        return rep
-
-    reps = _pool_map(one, exp.n_list, jobs)
+        reps.append(rep)
     reps.sort(key=lambda r: r.n)
     text = leakage.LeakageReport.CSV_HEADER + "\n" + "".join(
         r.csv_row() + "\n" for r in reps
@@ -385,9 +402,9 @@ plot "region_points.dat" using 1:2 with linespoints title "boundary (I(Z;U), H(K
 """
 
 
-def cmd_region(exp: Experiment, out_dir, jobs: int, config_path) -> int:
+def cmd_region(exp: Experiment, out_dir, config_path) -> int:
     mus = np.linspace(0.0, 1.0, exp.mu_points)
-    results = _pool_map(lambda mu: analysis.r_mu(exp.p_kz, float(mu)), list(mus), jobs)
+    results = [analysis.r_mu(exp.p_kz, float(mu)) for mu in mus]
     rows = sorted(((r.mu, r.value, r.i_zu, r.h_kgu) for r in results))
     csv_text = "mu,R_mu\n" + "".join(_csv_line(r[:2]) + "\n" for r in rows)
     dat_text = "# RA R\n" + "".join(
@@ -410,7 +427,7 @@ splot "exponent.csv" using 1:2:3 every ::1 with lines title "F"
 """
 
 
-def cmd_exponent(exp: Experiment, out_dir, jobs: int, config_path) -> int:
+def cmd_exponent(exp: Experiment, out_dir, config_path) -> int:
     boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0, 1, exp.mu_points))
     calc = analysis.ExponentCalculator(exp.p_kz, exp.grid)
     ras = exp.rate_grid_ra or list(np.linspace(0.0, boundary.h_k, 5))
@@ -433,10 +450,9 @@ def cmd_exponent(exp: Experiment, out_dir, jobs: int, config_path) -> int:
     return EXIT_OK
 
 
-def cmd_build_code(exp: Experiment, out_dir, jobs: int, config_path) -> int:
+def cmd_build_code(exp: Experiment, out_dir, config_path) -> int:
     outputs = []
-    for n in exp.n_list:
-        code = exp.build_code(n)
+    for n, code in _codes(exp):
         doc = code.to_json()
         doc["rate"] = code.rate
         doc["rate_window_ok"] = code.rate_window_ok(exp.R)
@@ -470,7 +486,6 @@ def main(argv=None) -> int:
         "--tol", type=float, default=None,
         help="tolerance echoed in leakage outputs (no leakage value depends on it)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads")
     args = parser.parse_args(argv)
 
     try:
@@ -478,17 +493,17 @@ def main(argv=None) -> int:
         exp = Experiment(cfg, seed_override=args.seed, tol_override=args.tol)
         out_dir = Path(args.out)
         if args.command == "verify":
-            return cmd_verify(exp, out_dir, args.jobs, args.config)
+            return cmd_verify(exp, out_dir, args.config)
         if args.command == "simulate":
-            return cmd_simulate(exp, out_dir, args.jobs, args.config)
+            return cmd_simulate(exp, out_dir, args.config)
         if args.command == "leakage":
-            return cmd_leakage(exp, out_dir, args.jobs, args.config)
+            return cmd_leakage(exp, out_dir, args.config)
         if args.command == "region":
-            return cmd_region(exp, out_dir, args.jobs, args.config)
+            return cmd_region(exp, out_dir, args.config)
         if args.command == "exponent":
-            return cmd_exponent(exp, out_dir, args.jobs, args.config)
+            return cmd_exponent(exp, out_dir, args.config)
         if args.command == "build-code":
-            return cmd_build_code(exp, out_dir, args.jobs, args.config)
+            return cmd_build_code(exp, out_dir, args.config)
     except (ConfigError, prob.TableCapError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,9 @@
 """Exact arithmetic and small linear algebra over a prime field GF(q).
 
-Everything here is integer-exact: scalars are Python ints in ``[0, q)``,
-vectors and matrices are numpy integer arrays reduced mod q.  Only prime
-moduli are supported; non-prime q is rejected at construction rather than
-silently falling back to ring arithmetic.
+Everything here is integer-exact: vectors and matrices are numpy integer
+arrays reduced mod q.  Only prime moduli are supported; non-prime q is
+rejected at construction rather than silently falling back to ring
+arithmetic.
 
 The row-vector convention is used throughout: an affine map sends a length-n
 vector k to ``k @ A + b`` (mod q) with A of shape (n, m), so outputs live in
@@ -19,11 +19,6 @@ import numpy as np
 __all__ = [
     "FieldSpec",
     "AffineMap",
-    "field_add",
-    "field_sub",
-    "field_mul",
-    "field_inv",
-    "field_vec",
     "affine_apply",
     "random_affine",
     "matrix_rank",
@@ -56,43 +51,6 @@ class FieldSpec:
         if not _is_prime(q):
             raise ValueError(f"field modulus must be prime and >= 2, got {self.q}")
         object.__setattr__(self, "q", q)
-
-
-def _check_scalar(a: int, spec: FieldSpec, name: str = "operand") -> int:
-    a = int(a)
-    if not 0 <= a < spec.q:
-        raise ValueError(f"{name} {a} outside [0, {spec.q})")
-    return a
-
-
-def field_add(a: int, b: int, spec: FieldSpec) -> int:
-    return (_check_scalar(a, spec) + _check_scalar(b, spec)) % spec.q
-
-
-def field_sub(a: int, b: int, spec: FieldSpec) -> int:
-    return (_check_scalar(a, spec) - _check_scalar(b, spec)) % spec.q
-
-
-def field_mul(a: int, b: int, spec: FieldSpec) -> int:
-    return (_check_scalar(a, spec) * _check_scalar(b, spec)) % spec.q
-
-
-def field_inv(a: int, spec: FieldSpec) -> int:
-    """Multiplicative inverse via Fermat; 0 has none."""
-    a = _check_scalar(a, spec)
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(q)")
-    return pow(a, spec.q - 2, spec.q)
-
-
-def field_vec(elems, spec: FieldSpec) -> np.ndarray:
-    """Validate a sequence of residues and return it as an int64 array."""
-    v = np.asarray(elems, dtype=np.int64)
-    if v.ndim != 1:
-        raise ValueError(f"field vector must be 1-D, got shape {v.shape}")
-    if v.size and (v.min() < 0 or v.max() >= spec.q):
-        raise ValueError(f"vector entries outside [0, {spec.q})")
-    return v
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
   m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
   set (the channel x -> (C, M_A) is symmetric);
 * closed-form lower / upper bounds through the key equivocations
-  H(K^n | M_A) and H(keymap(K^n) | M_A).
+  H(K^n | M_A) and H(keymap(K^n) | M_A), both read off the kernel, which
+  holds the one (key, message) law that p_KZ and the adversary induce.
 
 ``channel_capacity`` (the Blahut-Arimoto iteration) and
 ``GammaKernel.channel_rows`` stay as the slow path the tests check the
@@ -34,12 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import SideChannel, key_equivocation
+from . import adversary
 from .codec import _radix
 from .crypto import Cryptosystem
 from .galois import affine_apply
 from .probability import (
-    ChannelMatrix,
+    DEFAULT_TABLE_CAP,
     Pmf,
     ProductDistribution,
     TableCapError,
@@ -63,9 +64,6 @@ __all__ = [
     "leakage_report",
 ]
 
-# Hard ceiling on any dense table built here (entries, not bytes).
-DEFAULT_TABLE_CAP = 2**26
-
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -76,7 +74,8 @@ class GammaKernel:
     ``key_image_posterior[a, t] = Pr[keymap(K^n) = t | M_A = a]`` carries all
     randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
     on demand.  Messages of probability zero are dropped (their original
-    indices remain in ``message_ids``).
+    indices remain in ``message_ids``).  ``key_equivocation`` is
+    H(K^n | M_A) in nats, taken from the same (key, message) law.
     """
 
     q: int
@@ -87,6 +86,7 @@ class GammaKernel:
     image_of: np.ndarray
     in_decoding_set: np.ndarray
     message_ids: np.ndarray
+    key_equivocation: float
     _sub: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -136,64 +136,37 @@ class GammaKernel:
 
 
 def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
-    """Joint table over (masked key image, adversary message)."""
-    p_kz = np.asarray(p_kz, dtype=np.float64)
+    """Joint table over (masked key image, adversary message), and
+    H(K^n | M_A), both from the one law ``adversary.adversary_joint``."""
     q, n, m = sys.q, sys.n, sys.m
-    if p_kz.shape[0] != q:
+    if np.shape(p_kz)[0] != q:
         raise ValueError("p_KZ key alphabet does not match the system")
-    if abs(p_kz.sum() - 1.0) > 1e-9:
-        raise ValueError("p_KZ does not sum to 1")
     if encoder.n != n:
         raise ValueError(f"adversary block length {encoder.n} != system n {n}")
-
-    if encoder.kind == "scalar":
-        # the (masked key, message) joint factorizes per coordinate: fold
-        # the per-symbol joint into a running table over (image, prefix)
-        zsym = p_kz.shape[1]
-        per_symbol = np.zeros((q, encoder.num_cells))
-        for z in range(zsym):
-            per_symbol[:, encoder.cells[z]] += p_kz[:, z]
-        n_msgs = encoder.message_count
-        if q**m * n_msgs > cap or q**n > cap:
-            raise TableCapError(
-                f"q^m * |M_A| = {q ** m * n_msgs} exceeds table cap {cap}; "
-                "use a smaller block or coarser quantizer"
-            )
-        digits = all_sequences(m, q)
-        radix_m = _radix(m, q)
-        state = np.zeros((q**m, 1))
-        state[int(sys.keymap.offset @ radix_m)] = 1.0
-        for t in range(n):
-            shifts = (np.arange(q)[:, None] * sys.keymap.matrix[t][None, :]) % q
-            perm = ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix_m
-            gathered = state[perm]  # (q, q^m, prefix)
-            state = np.einsum("ksp,ka->spa", gathered, per_symbol).reshape(
-                q**m, -1
-            )
-        return state
-
-    kseqs = all_sequences(n, q)
-    if encoder.kind == "table":
-        zsym = p_kz.shape[1]
-        if q**n * zsym**n > cap:
-            raise TableCapError(
-                f"q^n * |Z|^n = {q ** n * zsym ** n} exceeds table cap {cap}"
-            )
-        zseqs = all_sequences(n, zsym)
-        joint_kz = np.ones((kseqs.shape[0], zseqs.shape[0]))
-        for t in range(n):
-            joint_kz *= p_kz[kseqs[:, t][:, None], zseqs[None, :, t]]
-        n_msgs = encoder.message_count
-        joint_km = np.zeros((kseqs.shape[0], n_msgs))
-        np.add.at(joint_km.T, encoder.table, joint_kz.T)
-    else:
-        raise TypeError(f"unknown encoder kind {encoder.kind!r}")
-
+    if encoder.kind == "scalar" and q**m * encoder.message_count > cap:
+        raise TableCapError(
+            f"q^m * |M_A| = {q ** m * encoder.message_count} exceeds table cap "
+            f"{cap}; use a smaller block or coarser quantizer"
+        )
+    joint = adversary.adversary_joint(encoder, p_kz, cap)
+    h_key = adversary.joint_equivocation(encoder, joint)
     radix_m = _radix(m, q)
-    kimg_idx = affine_apply(sys.keymap, kseqs) @ radix_m
-    g_joint = np.zeros((q**m, joint_km.shape[1]))
-    np.add.at(g_joint, kimg_idx, joint_km)
-    return g_joint
+    if encoder.kind == "table":
+        kimg_idx = affine_apply(sys.keymap, all_sequences(n, q)) @ radix_m
+        g_joint = np.zeros((q**m, joint.shape[1]))
+        np.add.at(g_joint, kimg_idx, joint)
+        return g_joint, h_key
+    # the (masked key, message) joint factorizes per coordinate: fold the
+    # per-symbol (key, cell) joint into a running table over (image, prefix)
+    digits = all_sequences(m, q)
+    state = np.zeros((q**m, 1))
+    state[int(sys.keymap.offset @ radix_m)] = 1.0
+    for t in range(n):
+        shifts = (np.arange(q)[:, None] * sys.keymap.matrix[t][None, :]) % q
+        perm = ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix_m
+        gathered = state[perm]  # (q, q^m, prefix)
+        state = np.einsum("ksp,ka->spa", gathered, joint).reshape(q**m, -1)
+    return state, h_key
 
 
 def build_gamma_kernel(
@@ -207,7 +180,7 @@ def build_gamma_kernel(
             f"q^n * q^m = {q}^{n + m} exceeds the table cap "
             f"2^{math.log2(table_cap):g}; reduce n"
         )
-    g_joint = _key_image_message_joint(sys, encoder, p_kz, table_cap)
+    g_joint, h_key = _key_image_message_joint(sys, encoder, p_kz, table_cap)
     p_message = g_joint.sum(axis=0)
     keep = np.flatnonzero(p_message > 0)
     posterior = (g_joint[:, keep] / p_message[keep]).T
@@ -221,6 +194,7 @@ def build_gamma_kernel(
         image_of=images,
         in_decoding_set=in_d,
         message_ids=keep,
+        key_equivocation=h_key,
     )
 
 
@@ -373,10 +347,14 @@ class DeltaMaxResult:
     input_distribution: np.ndarray  # over X^n, lexicographic
 
 
-def _masked_key_leakage(kernel: GammaKernel) -> float:
-    """m ln q - H(keymap(K^n) | M_A), floored at zero against rounding."""
-    h_img = float(kernel.p_message @ _row_entropies(kernel.key_image_posterior))
-    return max(0.0, kernel.m * math.log(kernel.q) - h_img)
+def _masked_key_equivocation(kernel: GammaKernel) -> float:
+    """H(keymap(K^n) | M_A) in nats."""
+    return float(kernel.p_message @ _row_entropies(kernel.key_image_posterior))
+
+
+def _leakage_below(kernel: GammaKernel, equivocation: float) -> float:
+    """m ln q minus a key equivocation, floored at zero against rounding."""
+    return max(0.0, kernel.m * math.log(kernel.q) - equivocation)
 
 
 def delta_max_mi(kernel: GammaKernel) -> DeltaMaxResult:
@@ -413,39 +391,26 @@ def delta_max_mi(kernel: GammaKernel) -> DeltaMaxResult:
         )
     x_dist = np.zeros(kernel.q**kernel.n)
     x_dist[lex] = 1.0 / kernel.image_count
-    return DeltaMaxResult(value=_masked_key_leakage(kernel), input_distribution=x_dist)
+    value = _leakage_below(kernel, _masked_key_equivocation(kernel))
+    return DeltaMaxResult(value=value, input_distribution=x_dist)
 
 
-def _side_channel_from_joint(p_kz) -> tuple:
-    p_kz = np.asarray(p_kz, dtype=np.float64)
-    p_k = p_kz.sum(axis=1)
-    rows = np.empty_like(p_kz)
-    for k in range(p_kz.shape[0]):
-        if p_k[k] > 0:
-            rows[k] = p_kz[k] / p_k[k]
-        else:
-            rows[k] = 1.0 / p_kz.shape[1]
-    return Pmf(p_k, renormalize=True), SideChannel(ChannelMatrix(rows))
+def delta_max_lower_bound(kernel: GammaKernel) -> float:
+    """m ln q - H(K^n | M_A), floored at zero (always <= delta_max_mi).
+
+    keymap(K^n) is a function of K^n, so H(keymap(K^n) | M_A) <=
+    H(K^n | M_A), and this is at most ``delta_max_upper_bound``.
+    """
+    return _leakage_below(kernel, kernel.key_equivocation)
 
 
-def delta_max_lower_bound(sys: Cryptosystem, encoder, p_kz) -> float:
-    """m ln q - H(K^n | M_A), floored at zero (always <= delta_max_mi)."""
-    p_k, sc = _side_channel_from_joint(p_kz)
-    h = key_equivocation(encoder, p_k, sc)
-    return max(0.0, sys.m * math.log(sys.q) - h)
-
-
-def delta_max_upper_bound(
-    sys: Cryptosystem, encoder, p_kz, *, kernel: GammaKernel | None = None
-) -> float:
-    """m ln q - H(keymap(K^n) | M_A), valid for the additive construction.
+def delta_max_upper_bound(kernel: GammaKernel) -> float:
+    """m ln q - H(keymap(K^n) | M_A), floored at zero.
 
     For the additive construction this is also the exact worst case (see
     ``delta_max_mi``, which computes the same number).
     """
-    if kernel is None:
-        kernel = build_gamma_kernel(sys, encoder, p_kz)
-    return _masked_key_leakage(kernel)
+    return _leakage_below(kernel, _masked_key_equivocation(kernel))
 
 
 @dataclass
@@ -590,8 +555,8 @@ def leakage_report(
         R=R,
         delta_mi=delta_mi(kernel, p_x),
         delta_max=delta_max_mi(kernel).value,
-        lower_bound=delta_max_lower_bound(sys, encoder, p_kz),
-        upper_bound=delta_max_upper_bound(sys, encoder, p_kz, kernel=kernel),
+        lower_bound=delta_max_lower_bound(kernel),
+        upper_bound=delta_max_upper_bound(kernel),
         tol=tol,
         diagnostics={"adversary_rate": encoder.rate},
     )

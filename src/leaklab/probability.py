@@ -25,6 +25,10 @@ SUM_TOL = 1e-12
 # must stay in streaming / per-type form.
 MATERIALIZE_CAP = 2**24
 
+# Hard ceiling on the dense (key, message) tables of the adversary and the
+# leakage kernel (entries, not bytes).
+DEFAULT_TABLE_CAP = 2**26
+
 
 class TableCapError(ValueError):
     """A table would exceed its size cap; the run is refused before it
@@ -35,7 +39,6 @@ __all__ = [
     "TableCapError",
     "Pmf",
     "ChannelMatrix",
-    "JointPmf",
     "ProductDistribution",
     "TypeClass",
     "entropy",
@@ -46,8 +49,6 @@ __all__ = [
     "enumerate_types",
     "type_of",
     "multinomial",
-    "sample",
-    "spawn_seeds",
     "all_sequences",
     "joint_from_channel",
     "pmf_from_json",
@@ -58,8 +59,6 @@ __all__ = [
 def _as_prob_array(p) -> np.ndarray:
     if isinstance(p, Pmf):
         return p.probs
-    if isinstance(p, JointPmf):
-        return p.table
     return np.asarray(p, dtype=np.float64)
 
 
@@ -157,29 +156,6 @@ class ChannelMatrix:
 
     def __repr__(self):
         return f"ChannelMatrix({self.rows.tolist()})"
-
-
-class JointPmf:
-    """Joint distribution over a product alphabet, stored as an ndarray."""
-
-    def __init__(self, table, *, renormalize: bool = False):
-        a = np.array(table, dtype=np.float64)
-        if a.ndim < 1:
-            raise ValueError("joint table must have at least one axis")
-        flat = _validate_probs(a.reshape(-1), renormalize, "joint pmf")
-        a = flat.reshape(a.shape)
-        a.setflags(write=False)
-        self.table = a
-
-    @property
-    def shape(self):
-        return self.table.shape
-
-    def marginal(self, axis) -> np.ndarray:
-        """Marginal onto the given axis (or tuple of axes)."""
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        drop = tuple(i for i in range(self.table.ndim) if i not in axes)
-        return self.table.sum(axis=drop)
 
 
 def joint_from_channel(p_in, channel) -> np.ndarray:
@@ -435,37 +411,6 @@ def type_of(seq, alphabet_size: int) -> TypeClass:
     seq = np.asarray(seq, dtype=np.int64)
     counts = np.bincount(seq, minlength=alphabet_size)
     return TypeClass(tuple(int(c) for c in counts))
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-# ---------------------------------------------------------------------------
-
-
-def spawn_seeds(root_seed, count: int) -> list:
-    """Independent child seed sequences for parallel tasks."""
-    return np.random.SeedSequence(root_seed).spawn(count)
-
-
-def sample(obj, *, seed, size: int | None = None, given=None) -> np.ndarray:
-    """Draw from a Pmf (i.i.d. letters) or a ChannelMatrix (per-symbol).
-
-    For a channel, ``given`` is the input sequence and the output has the
-    same length.  Deterministic given the seed.
-    """
-    rng = np.random.default_rng(seed)
-    if isinstance(obj, Pmf):
-        k = 1 if size is None else int(size)
-        out = rng.choice(obj.size, size=k, p=obj.probs)
-        return out if size is not None else out[0]
-    if isinstance(obj, ChannelMatrix):
-        if given is None:
-            raise ValueError("channel sampling needs an input sequence")
-        inputs = np.asarray(given, dtype=np.int64)
-        cum = np.cumsum(obj.rows, axis=1)
-        u = rng.random(inputs.shape[0])
-        return (cum[inputs] < u[:, None]).sum(axis=1)
-    raise TypeError(f"cannot sample from {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------

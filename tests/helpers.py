@@ -1,5 +1,8 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
+import itertools
+import math
+
 import numpy as np
 
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
@@ -169,6 +172,28 @@ def capacity_oracle(kern, inputs=None, tol=1e-10):
     (ciphertext, message) rows of ``kern``, restricted to ``inputs`` (image
     indices) when given: the slow path behind ``delta_max_mi``."""
     return channel_capacity(kern.channel_rows(inputs), tol=tol)
+
+
+def lower_bound_oracle(sys, enc, p_kz):
+    """m ln q - H(K^n | M_A), floored at zero, by a loop over every
+    (k^n, z^n) pair: p(k^n, z^n) = prod_t p_KZ(k_t, z_t), and the message is
+    ``enc.apply(z^n)``."""
+    q, z_size = p_kz.shape
+    joint = {}
+    for k in itertools.product(range(q), repeat=sys.n):
+        for z in itertools.product(range(z_size), repeat=sys.n):
+            pr = math.prod(p_kz[kt, zt] for kt, zt in zip(k, z))
+            key = (k, enc.apply(z))
+            joint[key] = joint.get(key, 0.0) + pr
+    p_msg = {}
+    for (_, a), pr in joint.items():
+        p_msg[a] = p_msg.get(a, 0.0) + pr
+
+    def neg_entropy(probs):
+        return sum(pr * math.log(pr) for pr in probs if pr > 0)
+
+    h = neg_entropy(p_msg.values()) - neg_entropy(joint.values())
+    return max(0.0, sys.m * math.log(q) - h)
 
 
 def delta_mi_oracle(kern, p_x):

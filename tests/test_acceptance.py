@@ -134,8 +134,8 @@ def test_criterion_3_sandwich_bounds():
             p_kz = joint_from_channel(p_k, W)
             kern = build_gamma_kernel(sys, enc, p_kz)
             val = delta_max_mi(kern).value
-            lb = delta_max_lower_bound(sys, enc, p_kz)
-            ub = delta_max_upper_bound(sys, enc, p_kz, kernel=kern)
+            lb = delta_max_lower_bound(kern)
+            ub = delta_max_upper_bound(kern)
             assert abs(val - capacity_oracle(kern).value) <= 1e-9, (q, n, R)
             assert lb - 1e-6 <= val, (q, n, R, lb, val)
             assert val <= ub + 1e-6, (q, n, R, val, ub)

@@ -6,42 +6,26 @@ import pytest
 
 from leaklab.adversary import (
     ScalarQuantizerEncoder,
-    SideChannel,
     TableEncoder,
     best_scalar_quantizer,
     key_equivocation,
-    sample_side_channel,
     scalar_quantizer_encoder,
     set_partitions,
 )
-from leaklab.probability import ChannelMatrix, Pmf, all_sequences, conditional_entropy
+from leaklab.probability import (
+    ChannelMatrix,
+    Pmf,
+    all_sequences,
+    conditional_entropy,
+    joint_from_channel,
+)
 
 H01 = 0.3250829733914482  # binary entropy of 0.1, nats
 LN2 = math.log(2)
 
 
-def bsc_side(p):
-    return SideChannel(ChannelMatrix.bsc(p))
-
-
-def test_noiseless_leak_copies_key():
-    sc = SideChannel(ChannelMatrix.identity(2))
-    k = np.array([0, 1, 1, 0, 1])
-    assert np.array_equal(sample_side_channel(sc, k, seed=0), k)
-
-
-def test_constant_channel_is_useless():
-    sc = SideChannel(ChannelMatrix([[1.0, 0.0], [1.0, 0.0]]))
-    k = np.array([0, 1, 1, 0])
-    assert np.array_equal(sample_side_channel(sc, k, seed=1), np.zeros(4))
-
-
-def test_bsc_flip_rate_monte_carlo():
-    sc = bsc_side(0.1)
-    rng = np.random.default_rng(5)
-    k = rng.integers(0, 2, 100000)
-    z = sample_side_channel(sc, k, seed=6)
-    assert 0.09 < np.mean(z != k) < 0.11
+def bsc_joint(p, p_k=None):
+    return joint_from_channel(p_k or Pmf.uniform(2), ChannelMatrix.bsc(p))
 
 
 def test_scalar_encoder_rate_accounting():
@@ -61,36 +45,31 @@ def test_scalar_encoder_label_canonicalization():
 
 
 def test_constant_quantizer_no_information():
-    p_k = Pmf.uniform(2)
-    sc = bsc_side(0.1)
     enc = scalar_quantizer_encoder([0, 0], n=6)
-    assert abs(key_equivocation(enc, p_k, sc) - 6 * LN2) < 1e-12
+    assert abs(key_equivocation(enc, bsc_joint(0.1)) - 6 * LN2) < 1e-12
 
 
 def test_identity_quantizer_identity_channel_full_leak():
-    p_k = Pmf.uniform(2)
-    sc = SideChannel(ChannelMatrix.identity(2))
+    p_kz = joint_from_channel(Pmf.uniform(2), ChannelMatrix.identity(2))
     enc = scalar_quantizer_encoder([0, 1], n=5)
-    assert abs(key_equivocation(enc, p_k, sc)) < 1e-12
+    assert abs(key_equivocation(enc, p_kz)) < 1e-12
 
 
 def test_identity_quantizer_bsc_closed_form():
     # per-symbol equivocation is the binary entropy of the crossover
-    p_k = Pmf.uniform(2)
     enc = scalar_quantizer_encoder([0, 1], n=8)
-    got = key_equivocation(enc, p_k, bsc_side(0.1))
+    got = key_equivocation(enc, bsc_joint(0.1))
     assert abs(got - 8 * H01) < 1e-12
 
 
 def test_table_encoder_matches_scalar_product_form():
     n = 3
-    sc = bsc_side(0.2)
-    p_k = Pmf([0.6, 0.4])
+    p_kz = bsc_joint(0.2, Pmf([0.6, 0.4]))
     scal = scalar_quantizer_encoder([0, 1], n=n)
     # same encoder expressed as an explicit table over Z^3
     table = np.array([scal.apply(z) for z in all_sequences(n, 2)])
     tab = TableEncoder(table, n=n, obs_size=2)
-    assert abs(key_equivocation(tab, p_k, sc) - key_equivocation(scal, p_k, sc)) < 1e-12
+    assert abs(key_equivocation(tab, p_kz) - key_equivocation(scal, p_kz)) < 1e-12
 
 
 def test_set_partitions_count():
@@ -101,15 +80,15 @@ def test_set_partitions_count():
 
 
 def test_best_quantizer_identity_when_budget_allows():
-    sc = bsc_side(0.1)
-    enc = best_scalar_quantizer(sc, Pmf.uniform(2), R_A=math.log(2), n=4)
+    p_kz = bsc_joint(0.1)
+    enc = best_scalar_quantizer(p_kz, R_A=math.log(2), n=4)
     assert enc.num_cells == 2
-    got = key_equivocation(enc, Pmf.uniform(2), sc)
+    got = key_equivocation(enc, p_kz)
     assert abs(got - 4 * H01) < 1e-12  # reaches H(K|Z) per symbol
 
 
 def test_best_quantizer_zero_budget_is_constant():
-    enc = best_scalar_quantizer(bsc_side(0.1), Pmf.uniform(2), R_A=0.0, n=3)
+    enc = best_scalar_quantizer(bsc_joint(0.1), R_A=0.0, n=3)
     assert enc.num_cells == 1
 
 
@@ -117,9 +96,7 @@ def test_best_quantizer_matches_brute_force():
     # |Z| = 4 synthetic channel, budget two cells: check against all
     # 7 two-cell partitions by direct conditional-entropy evaluation
     rows = [[0.55, 0.25, 0.15, 0.05], [0.05, 0.2, 0.3, 0.45]]
-    sc = SideChannel(ChannelMatrix(rows))
-    p_k = Pmf([0.5, 0.5])
-    joint = sc.joint_with(p_k)
+    joint = joint_from_channel(Pmf([0.5, 0.5]), ChannelMatrix(rows))
 
     def h_given_partition(labels):
         cells = max(labels) + 1
@@ -131,29 +108,27 @@ def test_best_quantizer_matches_brute_force():
     brute = min(
         h_given_partition(p) for p in set_partitions(4, 2) if max(p) == 1
     )
-    enc = best_scalar_quantizer(sc, p_k, R_A=LN2, n=1)
+    enc = best_scalar_quantizer(joint, R_A=LN2, n=1)
     assert abs(h_given_partition(list(enc.cells)) - brute) < 1e-12
 
 
 def test_best_quantizer_refuses_large_alphabets():
     rows = np.full((2, 13), 1.0 / 13)
     with pytest.raises(ValueError):
-        best_scalar_quantizer(SideChannel(ChannelMatrix(rows)), Pmf.uniform(2), 1.0, 1)
+        best_scalar_quantizer(joint_from_channel(Pmf.uniform(2), rows), 1.0, 1)
 
 
 def test_data_processing_bound():
     # H(K^n | M_A) >= n H(K|Z) for every quantizer
-    sc = bsc_side(0.15)
-    p_k = Pmf([0.7, 0.3])
-    joint = sc.joint_with(p_k)
+    joint = bsc_joint(0.15, Pmf([0.7, 0.3]))
     h_kz = conditional_entropy(joint, given=1)
     for labels in ([0, 0], [0, 1]):
         enc = scalar_quantizer_encoder(labels, n=5)
-        assert key_equivocation(enc, p_k, sc) >= 5 * h_kz - 1e-12
+        assert key_equivocation(enc, joint) >= 5 * h_kz - 1e-12
     # and for a (non-product) table encoder at small n
     rng = np.random.default_rng(0)
     tab = TableEncoder(rng.integers(0, 3, size=8), n=3, obs_size=2)
-    assert key_equivocation(tab, p_k, sc) >= 3 * h_kz - 1e-12
+    assert key_equivocation(tab, joint) >= 3 * h_kz - 1e-12
 
 
 def test_refinement_monotonicity():
@@ -161,9 +136,7 @@ def test_refinement_monotonicity():
     rng = np.random.default_rng(2)
     rows = rng.random((3, 5))
     rows /= rows.sum(axis=1, keepdims=True)
-    sc = SideChannel(ChannelMatrix(rows))
-    p_k = Pmf([0.3, 0.45, 0.25])
-    joint = sc.joint_with(p_k)
+    joint = joint_from_channel(Pmf([0.3, 0.45, 0.25]), ChannelMatrix(rows))
 
     def h_of(labels):
         cells = max(labels) + 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(leaklab.__file__).resolve().parents[1]
@@ -81,6 +81,9 @@ def test_config_errors_exit_2(tmp_path):
         {"rate_grid": {"Ra": [0.1]}},
         {"adversary": {"kind": "scalar", "cell": [[0], [1]]}},
         {"seeds": [7, 11]},
+        {"source": {"probz": [0.89, 0.11], "probs": [0.89, 0.11]}},
+        {"key": {"alphabet": 2, "probs": [0.5, 0.5], "alphabt": 2}},
+        {"W": {"rows": [[0.9, 0.1], [0.1, 0.9]], "colz": 2}},
     ):
         bad = write_config(tmp_path, **nested)
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -95,6 +98,15 @@ def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: ")
     assert "q^n * q^m = 2^27" in err and "table cap 2^26" in err
     assert not (out / "leakage.csv").exists()
+
+
+def test_verify_refuses_table_cap_before_crypto_suite(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_list=[4, 16], adversary={"kind": "scalar", "cells": None})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "PASS crypto.decoding_set_size (n=4" in captured.out
+    assert "n=16" not in captured.out
+    assert "q^n * q^m = 2^27" in captured.err
 
 
 def test_simulate_schema_and_lossless_regime(tmp_path, capsys):
@@ -119,6 +131,39 @@ def test_simulate_skips_infeasible_block_lengths(tmp_path, capsys):
     lines = (out / "simulate.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("6,")
     assert "skipping n=1" in capsys.readouterr().err
+
+
+def test_leakage_and_build_code_skip_infeasible_block_lengths(tmp_path, capsys):
+    cfg = write_config(tmp_path, R=0.5, n_list=[1, 4])  # n=1 gives m=0
+    out = tmp_path / "o"
+    assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = (out / "leakage.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("4,")
+    assert "skipping n=1" in capsys.readouterr().err
+    assert main(["build-code", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "skipping n=1" in capsys.readouterr().err
+    assert (out / "code_n4.json").exists() and not (out / "code_n1.json").exists()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_replay_draws_match_per_sample_choice(q):
+    # the batched replay reads the generator's stream exactly as the loop of
+    # rng.choice calls it replaces
+    rng = np.random.default_rng(0)
+    for n in (1, 4, 6, 11):
+        p_x = rng.dirichlet(np.ones(q))
+        p_k = rng.dirichlet(np.ones(q))
+        for seed in range(5):
+            loop = np.random.default_rng(np.random.SeedSequence([seed, n]))
+            xs = np.empty((300, n), dtype=np.int64)
+            ks = np.empty_like(xs)
+            for i in range(300):
+                xs[i] = loop.choice(q, size=n, p=p_x)
+                ks[i] = loop.choice(q, size=n, p=p_k)
+            batch = np.random.default_rng(np.random.SeedSequence([seed, n]))
+            got_x, got_k = _replay_draws(batch, p_x, p_k, 300, n)
+            assert np.array_equal(got_x, xs) and np.array_equal(got_k, ks)
+            assert batch.random() == loop.random()
 
 
 def test_region_output(tmp_path, capsys):
@@ -188,8 +233,8 @@ def test_repeated_runs_bit_identical(tmp_path):
     main(["simulate", "--config", str(cfg), "--out", str(out1)])
     main(["simulate", "--config", str(cfg), "--out", str(out2)])
     assert (out1 / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
-    main(["region", "--config", str(cfg), "--out", str(out1), "--jobs", "1"])
-    main(["region", "--config", str(cfg), "--out", str(out2), "--jobs", "3"])
+    main(["region", "--config", str(cfg), "--out", str(out1)])
+    main(["region", "--config", str(cfg), "--out", str(out2)])
     assert (out1 / "region.csv").read_bytes() == (out2 / "region.csv").read_bytes()
 
 

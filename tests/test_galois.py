@@ -5,11 +5,6 @@ from leaklab.galois import (
     AffineMap,
     FieldSpec,
     affine_apply,
-    field_add,
-    field_inv,
-    field_mul,
-    field_sub,
-    field_vec,
     matrix_rank,
     random_affine,
 )
@@ -19,31 +14,18 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 
 
-def test_scalar_ops_basics():
-    assert field_add(1, 1, F2) == 0
-    assert field_sub(0, 2, F3) == 1
-    assert field_mul(2, 2, F3) == 1
-
-
-def test_inverse_matches_brute_force():
-    # oracle: exhaustive search for x with 4x = 1 mod 5
-    brute = [x for x in range(5) if (4 * x) % 5 == 1]
-    assert brute == [4]
-    assert field_inv(4, F5) == 4
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        field_inv(0, F5)
-
-
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_field_axioms_exhaustive(q):
+    # in the map arithmetic, x -> x + a is a bijection of GF(q) for every a,
+    # x -> a x is one exactly when a != 0, and [[a]] has rank 1 exactly then
     spec = FieldSpec(q)
+    x = np.arange(q)[:, None]
     for a in range(q):
-        assert field_add(a, field_sub(0, a, spec), spec) == 0
-        if a != 0:
-            assert field_mul(a, field_inv(a, spec), spec) == 1
+        shifted = affine_apply(AffineMap([[1]], [a], spec), x)
+        assert np.array_equal(np.sort(shifted[:, 0]), np.arange(q))
+        scaled = affine_apply(AffineMap([[a]], [0], spec), x)
+        assert (np.unique(scaled).size == q) == (a != 0)
+        assert matrix_rank([[a]], q) == (1 if a else 0)
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 6, 9, 15])
@@ -54,9 +36,9 @@ def test_non_prime_modulus_rejected(q):
 
 def test_operand_range_checked():
     with pytest.raises(ValueError):
-        field_add(2, 1, F2)
+        affine_apply(AffineMap([[1]], [0], F2), [2])
     with pytest.raises(ValueError):
-        field_vec([0, 3], F3)
+        affine_apply(AffineMap([[1], [1]], [0], F3), [[0, 1], [0, 3]])
 
 
 def test_affine_apply_examples():

@@ -4,9 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import capacity_oracle, delta_mi_oracle, kernel_checks_oracle
+from helpers import (
+    capacity_oracle,
+    delta_mi_oracle,
+    kernel_checks_oracle,
+    lower_bound_oracle,
+)
 from helpers import simplex_grid_capacity as grid_capacity_oracle
-from leaklab.adversary import scalar_quantizer_encoder
+from leaklab import adversary
+from leaklab.adversary import TableEncoder, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem
 from leaklab.galois import AffineMap, FieldSpec, random_affine
@@ -341,7 +347,7 @@ def test_delta_max_requires_decoding_set_onto_images():
 def test_lower_bound_floors_at_zero():
     sys = otp_system(4)
     enc = scalar_quantizer_encoder([0], 4)
-    assert delta_max_lower_bound(sys, enc, no_side_info()) == 0.0
+    assert delta_max_lower_bound(build_gamma_kernel(sys, enc, no_side_info())) == 0.0
 
 
 def test_lower_bound_full_leak():
@@ -349,9 +355,8 @@ def test_lower_bound_full_leak():
     code = build_universal_code(n, 0.5, 2)
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=3))
     enc = scalar_quantizer_encoder([0, 1], n)
-    assert delta_max_lower_bound(sys, enc, full_leak_joint()) == pytest.approx(
-        code.m * LN2, abs=1e-12
-    )
+    kern = build_gamma_kernel(sys, enc, full_leak_joint())
+    assert delta_max_lower_bound(kern) == pytest.approx(code.m * LN2, abs=1e-12)
 
 
 def test_lower_bound_closed_form_bsc():
@@ -360,14 +365,66 @@ def test_lower_bound_closed_form_bsc():
     assert code.m == 5
     sys = Cryptosystem(code, random_affine(8, 5, FieldSpec(2), seed=6))
     enc = scalar_quantizer_encoder([0, 1], 8)
-    got = delta_max_lower_bound(sys, enc, bsc_joint(0.1))
+    got = delta_max_lower_bound(build_gamma_kernel(sys, enc, bsc_joint(0.1)))
     assert got == pytest.approx(0.8650721156681409, abs=1e-12)
+
+
+def test_lower_bound_matches_pairwise_oracle():
+    # non-uniform keys and side channels that leak enough for a positive
+    # bound; scalar and table adversaries, q = 2 and q = 3
+    rng = np.random.default_rng(11)
+    ternary = ChannelMatrix(
+        [[0.85, 0.05, 0.05, 0.05], [0.05, 0.85, 0.05, 0.05], [0.05, 0.05, 0.45, 0.45]]
+    )
+    cases = [
+        (2, 6, 0.6, bsc_joint(0.1, Pmf([0.7, 0.3])), scalar_quantizer_encoder([0, 1], 6)),
+        (
+            3, 3, 0.8, joint_from_channel(Pmf([0.5, 0.3, 0.2]), ternary),
+            scalar_quantizer_encoder([0, 1, 2, 2], 3),
+        ),
+        (
+            2, 4, 0.6,
+            joint_from_channel(
+                Pmf([0.7, 0.3]), ChannelMatrix([[0.9, 0.05, 0.05], [0.05, 0.15, 0.8]])
+            ),
+            TableEncoder(rng.integers(0, 6, size=81), n=4, obs_size=3),
+        ),
+        (
+            3, 3, 0.8, joint_from_channel(Pmf([0.5, 0.3, 0.2]), ternary),
+            TableEncoder(np.arange(64) % 17, n=3, obs_size=4),
+        ),
+    ]
+    for q, n, R, p_kz, enc in cases:
+        code = build_universal_code(n, R, q)
+        sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=n))
+        got = delta_max_lower_bound(build_gamma_kernel(sys, enc, p_kz))
+        want = lower_bound_oracle(sys, enc, p_kz)
+        assert want > 0, (q, n, enc.kind)  # not floored
+        assert abs(got - want) <= 1e-12, (q, n, enc.kind, got, want)
+
+
+def test_leakage_report_enumerates_table_adversary_once(monkeypatch):
+    calls = []
+    enumerate_joint = adversary.adversary_joint
+
+    def counted(enc, *args, **kwargs):
+        calls.append(enc.kind)
+        return enumerate_joint(enc, *args, **kwargs)
+
+    monkeypatch.setattr(adversary, "adversary_joint", counted)
+    code = build_universal_code(4, 0.5, 2)
+    sys = Cryptosystem(code, random_affine(4, code.m, FieldSpec(2), seed=8))
+    enc = TableEncoder(np.arange(16) % 3, n=4, obs_size=2)
+    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11), R_A=0.5, R=0.5)
+    assert calls == ["table"]
+    assert rep.lower_bound <= rep.delta_max == rep.upper_bound
 
 
 def test_upper_bound_zero_forces_perfect_secrecy():
     sys = otp_system(4)
     enc = scalar_quantizer_encoder([0], 4)
-    assert delta_max_upper_bound(sys, enc, no_side_info()) == pytest.approx(0.0, abs=1e-12)
+    kern = build_gamma_kernel(sys, enc, no_side_info())
+    assert delta_max_upper_bound(kern) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upper_bound_zero_keymap():
@@ -376,7 +433,7 @@ def test_upper_bound_zero_keymap():
     keymap = AffineMap(np.zeros((n, m), dtype=int), np.zeros(m, dtype=int), FieldSpec(2))
     sys = Cryptosystem(code, keymap)
     enc = scalar_quantizer_encoder([0], n)
-    got = delta_max_upper_bound(sys, enc, no_side_info())
+    got = delta_max_upper_bound(build_gamma_kernel(sys, enc, no_side_info()))
     assert got == pytest.approx(m * LN2, abs=1e-12)
 
 
@@ -394,8 +451,8 @@ def sandwich_case(q, n, R, seed):
     sys = Cryptosystem(code, keymap)
     kern = build_gamma_kernel(sys, enc, p_kz)
     dmax = delta_max_mi(kern)
-    lb = delta_max_lower_bound(sys, enc, p_kz)
-    ub = delta_max_upper_bound(sys, enc, p_kz, kernel=kern)
+    lb = delta_max_lower_bound(kern)
+    ub = delta_max_upper_bound(kern)
     return lb, dmax.value, ub, kern
 
 
@@ -530,7 +587,7 @@ def test_leakage_grows_inside_helper_region():
         kern = build_gamma_kernel(sys, enc, p_kz)
         vals.append(delta_max_mi(kern).value)
         assert abs(vals[-1] - capacity_oracle(kern).value) <= 1e-9
-        lb = delta_max_lower_bound(sys, enc, p_kz)
+        lb = delta_max_lower_bound(kern)
         assert vals[-1] >= lb - 1e-9
     assert vals[0] < vals[1] < vals[2]
 

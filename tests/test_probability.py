@@ -18,8 +18,6 @@ from leaklab.probability import (
     mutual_information,
     pmf_from_json,
     product_distribution,
-    sample,
-    spawn_seeds,
     type_of,
 )
 
@@ -151,38 +149,6 @@ def test_type_probability_partition():
 def test_entropy_key_is_permutation_invariant():
     assert TypeClass((1, 15)).entropy() == TypeClass((15, 1)).entropy()
     assert TypeClass((2, 3, 5)).entropy() == TypeClass((5, 2, 3)).entropy()
-
-
-def test_sample_degenerate_pmf():
-    p = Pmf([0.0, 1.0, 0.0])
-    draws = sample(p, seed=0, size=100)
-    assert np.all(draws == 1)
-
-
-def test_sample_noiseless_channel():
-    bsc0 = ChannelMatrix.bsc(0.0)
-    x = np.array([0, 1, 1, 0, 1])
-    assert np.array_equal(sample(bsc0, seed=1, given=x), x)
-
-
-def test_sample_bsc_flip_rate():
-    bsc = ChannelMatrix.bsc(0.1)
-    rng = np.random.default_rng(3)
-    x = rng.integers(0, 2, 100000)
-    z = sample(bsc, seed=4, given=x)
-    flip = float(np.mean(z != x))
-    assert 0.09 < flip < 0.11
-
-
-def test_sample_deterministic_given_seed():
-    p = Pmf([0.3, 0.7])
-    assert np.array_equal(sample(p, seed=5, size=50), sample(p, seed=5, size=50))
-
-
-def test_spawn_seeds_distinct_streams():
-    children = spawn_seeds(7, 3)
-    draws = [np.random.default_rng(c).random(4) for c in children]
-    assert not np.allclose(draws[0], draws[1])
 
 
 def test_json_round_trip():

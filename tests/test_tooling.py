@@ -23,3 +23,15 @@ def test_tracer_targets_resolve(monkeypatch):
             assert hasattr(owner, attr), f"{name}: leaklab.{path} does not exist"
             owner = getattr(owner, attr)
         assert callable(owner), f"{name}: leaklab.{path} is not callable"
+
+
+def test_all_exports_resolve():
+    # every name a leaklab module exports must exist, so deleting an API
+    # leaves no stale __all__ entry behind
+    package = Path(importlib.import_module("leaklab").__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert "leakage" in modules
+    for name in modules:
+        module = importlib.import_module(f"leaklab.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"leaklab.{name}.__all__ names missing {attr!r}"
