@@ -103,45 +103,82 @@ def _logsumexp(a, axis=None):
     return out
 
 
+def _log(x):
+    """ln max(x, tiny), into a new array."""
+    out = np.maximum(x, _TINY)
+    return np.log(out, out=out)
+
+
+def _k_sums(cond_k_given_u, pk_given_z, power):
+    """S(u, z) = sum_k p(k|z) c(k|u)**power for a batch of (B, u, k) laws c,
+    as one (B*u, k) @ (k, z) product."""
+    b, u, k = cond_k_given_u.shape
+    tilted = _log(cond_k_given_u).reshape(b * u, k)
+    tilted *= power
+    np.exp(tilted, out=tilted)
+    return (tilted @ pk_given_z.T).reshape(b, u, -1)
+
+
 def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
-    """Lower-exponent integrand, batched over test channels U|Z."""
+    """Lower-exponent integrand, batched over test channels U|Z.
+
+    With p(u,z,k) = p(u,z) p(k|z) and
+    w~ = mu ln(p(z|u)/p(z)) - (1-mu) ln p(k|u), the weight factors as
+    exp(-lam w~) = (p(z|u)/p(z))**(-lam mu) * p(k|u)**(lam (1-mu)), and only
+    the second factor involves k, so
+
+        omega~ = -ln sum_{u,z} p(u,z) (p(z|u)/p(z))**(-lam mu)
+                          * sum_k p(k|z) p(k|u)**(lam (1-mu)).
+
+    The (u, z) factor is exponentiated from its logarithm and cells with
+    p(u,z) = 0 are dropped, as the masked (u, z, k) log-sum-exp of
+    :func:`omega_tilde` drops them; k with p(k|z) = 0 vanish in the k-sum.
+    """
     d = _psh_quantities(channel, p_z, pk_given_z)
-    # joint (B, u, z, k) = p(u, z) * p(k | z)
-    joint = (
-        np.transpose(d["p_uz"], (0, 2, 1))[:, :, :, None]
-        * pk_given_z[None, None, :, :]
-    )
-    log_pzgu = np.log(np.maximum(d["p_zgu"], _TINY))
-    log_pkgu = np.log(np.maximum(d["p_kgu"], _TINY))
-    w = mu * (log_pzgu - np.log(p_z)[None, None, :])[:, :, :, None] + (1.0 - mu) * (
-        -log_pkgu[:, :, None, :]
-    )
-    logterm = np.where(
-        joint > 0, np.log(np.maximum(joint, _TINY)) - lam * w, -np.inf
-    )
-    return -_logsumexp(logterm.reshape(logterm.shape[0], -1), axis=1)
-
-
-def _q_quantities(q_u, q_zgu, pk_given_z):
-    joint = q_u[:, :, None, None] * q_zgu[:, :, :, None] * pk_given_z[None, None, :, :]
-    q_z = np.einsum("bu,buz->bz", q_u, q_zgu)
-    q_kgu = q_zgu @ pk_given_z
-    return joint, q_z, q_kgu
+    p_uz = np.transpose(d["p_uz"], (0, 2, 1))  # (B, u, z)
+    log_uz = _log(d["p_zgu"])
+    log_uz -= np.log(p_z)
+    log_uz *= -lam * mu
+    log_uz += _log(p_uz)
+    log_uz[p_uz <= 0] = -np.inf
+    terms = np.exp(log_uz, out=log_uz)
+    terms *= _k_sums(d["p_kgu"], pk_given_z, lam * (1.0 - mu))
+    return -np.log(terms.sum(axis=(1, 2)))
 
 
 def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
-    """Upper-exponent integrand, batched over (U marginal, Z|U channel)."""
-    joint, q_z, q_kgu = _q_quantities(q_u, q_zgu, pk_given_z)
-    log_pz = np.log(p_z)
-    log_qz = np.log(np.maximum(q_z, _TINY))
-    log_qzgu = np.log(np.maximum(q_zgu, _TINY))
-    log_qkgu = np.log(np.maximum(q_kgu, _TINY))
-    w = (1.0 - alpha) * (log_qz - log_pz)[:, None, :, None] + alpha * (
-        mu * (log_qzgu - log_pz[None, None, :])[:, :, :, None]
-        + (1.0 - mu) * (-log_qkgu[:, :, None, :])
-    )
-    logterm = np.where(joint > 0, np.log(np.maximum(joint, _TINY)) - w, -np.inf)
-    return -_logsumexp(logterm.reshape(logterm.shape[0], -1), axis=1)
+    """Upper-exponent integrand, batched over (U marginal, Z|U channel).
+
+    With q(u,z,k) = q(u) q(z|u) p(k|z), q(z) = sum_u q(u) q(z|u),
+    q(k|u) = sum_z q(z|u) p(k|z) and
+    w = (1-alpha) ln(q(z)/p(z)) + alpha [mu ln(q(z|u)/p(z)) - (1-mu) ln q(k|u)],
+    collecting the powers of each factor in q(u,z,k) exp(-w) gives
+
+        omega = -ln sum_{u,z} q(u) q(z|u)**(1 - alpha mu)
+                        * p(z)**(1 - alpha + alpha mu) q(z)**(-(1 - alpha))
+                        * sum_k p(k|z) q(k|u)**(alpha (1-mu)).
+
+    The (u, z) factor is exponentiated from its logarithm, as
+    ln(q(u) q(z|u)) - alpha mu ln q(z|u) - [(1-alpha) ln q(z)
+    - (1 - alpha + alpha mu) ln p(z)], and cells with q(u) q(z|u) = 0 are
+    dropped, as the masked (u, z, k) log-sum-exp of :func:`omega` drops
+    them; k with p(k|z) = 0 vanish in the k-sum.
+    """
+    b, u, z = q_zgu.shape
+    q_z = np.einsum("bu,buz->bz", q_u, q_zgu)
+    q_kgu = (q_zgu.reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
+    mass = q_u[:, :, None] * q_zgu
+    log_uz = _log(q_zgu)
+    log_uz *= -alpha * mu
+    log_uz += _log(mass)
+    z_part = _log(q_z)
+    z_part *= 1.0 - alpha
+    z_part -= (1.0 - alpha + alpha * mu) * np.log(p_z)
+    log_uz -= z_part[:, None, :]
+    log_uz[mass <= 0] = -np.inf
+    terms = np.exp(log_uz, out=log_uz)
+    terms *= _k_sums(q_kgu, pk_given_z, alpha * (1.0 - mu))
+    return -np.log(terms.reshape(b, -1).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

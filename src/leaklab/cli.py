@@ -136,6 +136,8 @@ class Experiment:
             raise ConfigError(str(e)) from e
         if not self.n_list:
             raise ConfigError("n_list must be non-empty")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ConfigError(f"R must be a positive finite rate, got {self.R}")
         if self.p_x.size != self.q or self.p_k.size != self.q:
             raise ConfigError("source/key alphabet must match q")
         if self.W.in_size != self.q:

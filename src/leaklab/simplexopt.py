@@ -13,6 +13,12 @@ Two engines:
   a 2-column block is one free number in [0, 1]);
 * batched multi-start Adam on row-softmax logits with forward-difference
   gradients, used for everything else.
+
+Both engines batch every solver step into one objective call: the mesh of a
+zoom round, one golden-section step of every basin, or every bumped copy of
+every Adam start.  Each objective passed to :func:`minimize_blocks` is
+row-independent bit for bit, so the batching changes which call carries a
+point but not its value.
 """
 
 from __future__ import annotations
@@ -52,10 +58,16 @@ def _blocks_from_free(x: np.ndarray, shapes) -> list:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_polish(f1, x, width, sweeps=2, tol=1e-7):
-    """Cyclic per-coordinate golden-section around x; f1 takes one point."""
+def _golden_polish(x, width, sweeps=2, tol=1e-7):
+    """Cyclic per-coordinate golden-section around x, as a coroutine.
+
+    It yields each batch of points it needs, as an (r, dim) array, is sent
+    their r objective values as a list, and returns ``(x, f(x))``.  The
+    bracket arithmetic is scalar, so the search is the same whichever
+    batch carries its points.
+    """
     x = x.copy()
-    fx = f1(x)
+    (fx,) = yield x[None, :]
     for _ in range(sweeps):
         for d in range(x.shape[0]):
             a = max(0.0, x[d] - width)
@@ -64,29 +76,53 @@ def _golden_polish(f1, x, width, sweeps=2, tol=1e-7):
             e = a + _GOLDEN * (b - a)
             xc = x.copy()
             xc[d] = c
-            fc = f1(xc)
             xe = x.copy()
             xe[d] = e
-            fe = f1(xe)
+            fc, fe = yield np.stack([xc, xe])
             while b - a > tol:
                 if fc <= fe:
                     b, e, fe = e, c, fc
                     c = b - _GOLDEN * (b - a)
                     xc[d] = c
-                    fc = f1(xc)
+                    (fc,) = yield xc[None, :]
                 else:
                     a, c, fc = c, e, fe
                     e = a + _GOLDEN * (b - a)
                     xe[d] = e
-                    fe = f1(xe)
+                    (fe,) = yield xe[None, :]
             mid = 0.5 * (a + b)
             xm = x.copy()
             xm[d] = mid
-            fm = f1(xm)
+            (fm,) = yield xm[None, :]
             if fm < fx:
                 x, fx = xm, fm
         width /= 4.0
     return x, fx
+
+
+def _lockstep(f, shapes, searches) -> list:
+    """Run point-requesting coroutines together and return their results.
+
+    Each round stacks the points that every unfinished search asks for into
+    one objective call; a search whose bracket has closed drops out.  Every
+    objective here is row-independent bit for bit (a row's value does not
+    depend on the other rows of its batch), so each search sees exactly the
+    values that one call per point would give it.
+    """
+    results = [None] * len(searches)
+    asks = {i: next(s) for i, s in enumerate(searches)}
+    while asks:
+        pts = np.concatenate(list(asks.values()))
+        vals = np.asarray(f(_blocks_from_free(pts, shapes)), dtype=np.float64).tolist()
+        pos = 0
+        for i, ask in list(asks.items()):
+            try:
+                asks[i] = searches[i].send(vals[pos : pos + len(ask)])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            pos += len(ask)
+    return results
 
 
 def _dense_scan(f, shapes, opts: SolverOptions, n_basins: int = 3):
@@ -94,7 +130,9 @@ def _dense_scan(f, shapes, opts: SolverOptions, n_basins: int = 3):
 
     The objectives here can carry several local minima whose depths at grid
     resolution do not predict their depths at full resolution, so a single
-    zoom path is not trusted with the global answer.
+    zoom path is not trusted with the global answer.  Each basin zooms with
+    meshes of its own; the golden-section polishes of all basins then run in
+    lockstep, one objective call per golden step.
     """
     dim = sum(r for r, _ in shapes)
     pts = opts.dense_points
@@ -111,10 +149,7 @@ def _dense_scan(f, shapes, opts: SolverOptions, n_basins: int = 3):
         if len(seeds) == n_basins:
             break
 
-    def f1(x):
-        return float(f(_blocks_from_free(x[None, :], shapes))[0])
-
-    best_x, best_val = None, np.inf
+    polishes = []
     for seed_x in seeds:
         x, v = seed_x, np.inf
         lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
@@ -132,7 +167,10 @@ def _dense_scan(f, shapes, opts: SolverOptions, n_basins: int = 3):
             step = (hi - lo).max() / (pts - 1)
             lo = np.clip(x - 2.5 * step, 0.0, 1.0)
             hi = np.clip(x + 2.5 * step, 0.0, 1.0)
-        x, v = _golden_polish(f1, x, width=2.5 * step)
+        polishes.append(_golden_polish(x, width=2.5 * step))
+
+    best_x, best_val = None, np.inf
+    for x, v in _lockstep(f, shapes, polishes):
         if v < best_val:
             best_val, best_x = v, x
     blocks = _blocks_from_free(best_x[None, :], shapes)
@@ -182,35 +220,42 @@ def _initial_logits(shapes, opts: SolverOptions, extra_starts) -> np.ndarray:
 
 
 def _multistart_adam(f, shapes, opts: SolverOptions, extra_starts):
+    """Batched Adam on row-softmax logits with forward-difference gradients.
+
+    Each iteration makes two objective calls: one for the dim bumped copies
+    of every start, stacked into a (dim * starts, dim) batch, and one for
+    the stepped logits, whose values are the next iteration's base.  The
+    objectives are row-independent bit for bit, so this gives the values of
+    one call per bumped coordinate.
+    """
     theta = _initial_logits(shapes, opts, extra_starts)
     batch, dim = theta.shape
 
     def eval_theta(t):
         return np.asarray(f(_blocks_from_logits(t, shapes)), dtype=np.float64)
 
-    vals = eval_theta(theta)
-    best_vals = vals.copy()
+    base = eval_theta(theta)
+    best_vals = base.copy()
     best_theta = theta.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     h = 1e-6
     lr = opts.lr
+    diag = np.arange(dim)
     for it in range(1, opts.iters + 1):
-        base = eval_theta(theta)
-        grad = np.empty_like(theta)
-        for d in range(dim):
-            bumped = theta.copy()
-            bumped[:, d] += h
-            grad[:, d] = (eval_theta(bumped) - base) / h
+        bumped = np.repeat(theta[None], dim, axis=0)  # (dim, batch, dim)
+        bumped[diag, :, diag] += h
+        bumped_vals = eval_theta(bumped.reshape(dim * batch, dim)).reshape(dim, batch)
+        grad = ((bumped_vals - base) / h).T
         m = 0.9 * m + 0.1 * grad
         v = 0.999 * v + 0.001 * grad**2
         mhat = m / (1 - 0.9**it)
         vhat = v / (1 - 0.999**it)
         theta = theta - lr * mhat / (np.sqrt(vhat) + 1e-10)
         lr *= 0.985
-        cur = eval_theta(theta)
-        improved = cur < best_vals
-        best_vals[improved] = cur[improved]
+        base = eval_theta(theta)
+        improved = base < best_vals
+        best_vals[improved] = base[improved]
         best_theta[improved] = theta[improved]
     i = int(np.argmin(best_vals))
     blocks = _blocks_from_logits(best_theta[i : i + 1], shapes)
@@ -221,7 +266,9 @@ def minimize_blocks(f, shapes, *, opts: SolverOptions = None, extra_starts=None)
     """Minimize a batched objective over a product of stochastic blocks.
 
     ``f`` receives a list of arrays (one per shape, with a leading batch
-    axis) and returns a batch of objective values.  Returns
+    axis) and returns a batch of objective values.  It must be
+    row-independent bit for bit: a row's value may not depend on the other
+    rows of its batch, because the engines stack points freely.  Returns
     ``(best_value, best_blocks, per_start_values)``; the last entry is the
     dispersion diagnostic (dense scans report a single value).
     """

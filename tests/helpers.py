@@ -8,6 +8,7 @@ import numpy as np
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
+from leaklab.simplexopt import _GOLDEN, _blocks_from_free, _blocks_from_logits, _initial_logits
 
 
 def _lex(word, q):
@@ -255,3 +256,126 @@ def simplex_grid_capacity(kern, rounds=4, pts=21):
         lo = np.clip(best_p[:-1] - 2.5 * step, 0.0, 1.0)
         hi = np.clip(best_p[:-1] + 2.5 * step, 0.0, 1.0)
     return best
+
+
+def golden_polish_oracle(f1, x, width, sweeps=2, tol=1e-7):
+    """Cyclic per-coordinate golden-section around x, one point per call of
+    ``f1``: the sequential polish behind the lockstep one."""
+    x = x.copy()
+    fx = f1(x)
+    for _ in range(sweeps):
+        for d in range(x.shape[0]):
+            a = max(0.0, x[d] - width)
+            b = min(1.0, x[d] + width)
+            c = b - _GOLDEN * (b - a)
+            e = a + _GOLDEN * (b - a)
+            xc = x.copy()
+            xc[d] = c
+            fc = f1(xc)
+            xe = x.copy()
+            xe[d] = e
+            fe = f1(xe)
+            while b - a > tol:
+                if fc <= fe:
+                    b, e, fe = e, c, fc
+                    c = b - _GOLDEN * (b - a)
+                    xc[d] = c
+                    fc = f1(xc)
+                else:
+                    a, c, fc = c, e, fe
+                    e = a + _GOLDEN * (b - a)
+                    xe[d] = e
+                    fe = f1(xe)
+            mid = 0.5 * (a + b)
+            xm = x.copy()
+            xm[d] = mid
+            fm = f1(xm)
+            if fm < fx:
+                x, fx = xm, fm
+        width /= 4.0
+    return x, fx
+
+
+def dense_scan_oracle(f, shapes, opts, n_basins=3):
+    """``simplexopt._dense_scan`` with each basin zoomed and polished in turn,
+    one objective call per golden-section point."""
+    dim = sum(r for r, _ in shapes)
+    pts = opts.dense_points
+    axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    vals = np.asarray(f(_blocks_from_free(mesh, shapes)), dtype=np.float64)
+    order = np.argsort(vals)
+    step0 = 1.0 / (pts - 1)
+    seeds = []
+    for i in order:
+        x = mesh[i]
+        if all(np.max(np.abs(x - s)) > 3.0 * step0 for s in seeds):
+            seeds.append(x)
+        if len(seeds) == n_basins:
+            break
+
+    def f1(x):
+        return float(f(_blocks_from_free(x[None, :], shapes))[0])
+
+    best_x, best_val = None, np.inf
+    for seed_x in seeds:
+        x, v = seed_x, np.inf
+        lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
+        hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
+        step = step0
+        for _ in range(opts.dense_rounds - 1):
+            local_axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
+            local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1)
+            local = local.reshape(-1, dim)
+            lv = np.asarray(f(_blocks_from_free(local, shapes)), dtype=np.float64)
+            j = int(np.argmin(lv))
+            if lv[j] < v:
+                v = float(lv[j])
+                x = local[j]
+            step = (hi - lo).max() / (pts - 1)
+            lo = np.clip(x - 2.5 * step, 0.0, 1.0)
+            hi = np.clip(x + 2.5 * step, 0.0, 1.0)
+        x, v = golden_polish_oracle(f1, x, width=2.5 * step)
+        if v < best_val:
+            best_val, best_x = v, x
+    blocks = _blocks_from_free(best_x[None, :], shapes)
+    return best_val, [b[0] for b in blocks], np.array([best_val])
+
+
+def multistart_adam_oracle(f, shapes, opts, extra_starts=None):
+    """``simplexopt._multistart_adam`` with dim + 2 objective calls per
+    iteration: the base values, one call per bumped coordinate, and the
+    post-step values."""
+    theta = _initial_logits(shapes, opts, extra_starts)
+    batch, dim = theta.shape
+
+    def eval_theta(t):
+        return np.asarray(f(_blocks_from_logits(t, shapes)), dtype=np.float64)
+
+    vals = eval_theta(theta)
+    best_vals = vals.copy()
+    best_theta = theta.copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    h = 1e-6
+    lr = opts.lr
+    for it in range(1, opts.iters + 1):
+        base = eval_theta(theta)
+        grad = np.empty_like(theta)
+        for d in range(dim):
+            bumped = theta.copy()
+            bumped[:, d] += h
+            grad[:, d] = (eval_theta(bumped) - base) / h
+        m = 0.9 * m + 0.1 * grad
+        v = 0.999 * v + 0.001 * grad**2
+        mhat = m / (1 - 0.9**it)
+        vhat = v / (1 - 0.999**it)
+        theta = theta - lr * mhat / (np.sqrt(vhat) + 1e-10)
+        lr *= 0.985
+        cur = eval_theta(theta)
+        improved = cur < best_vals
+        best_vals[improved] = cur[improved]
+        best_theta[improved] = theta[improved]
+    i = int(np.argmin(best_vals))
+    blocks = _blocks_from_logits(best_theta[i : i + 1], shapes)
+    return float(best_vals[i]), [b[0] for b in blocks], best_vals

@@ -238,6 +238,23 @@ def test_omega_tilde_lambda_zero():
     assert omega_tilde(joint, 0.5, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+TINY_Z_KZ = np.array([[0.45, 0.05, 0.5e-150], [0.05, 0.45, 0.5e-150]])
+TERNARY_KEY_KZ = joint_from_channel(
+    Pmf([0.5, 0.3, 0.2]), ChannelMatrix([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.3, 0.6]])
+)
+
+
+def _batched_vs_public(p_kz, ch, q_u, q_zgu, mu, alpha, lam, tol):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+    got_t = analysis._omega_tilde_batch(ch[None], p_z, pkgz, mu, lam)[0]
+    want_t = omega_tilde(psh_joint(ch, p_kz), mu, lam)
+    assert abs(got_t - want_t) < tol, (mu, lam, got_t, want_t)
+    got_o = analysis._omega_batch(q_u[None], q_zgu[None], p_z, pkgz, mu, alpha)[0]
+    joint_q = q_u[:, None, None] * q_zgu[:, :, None] * pkgz[None, :, :]
+    want_o = omega(joint_q, p_z, mu, alpha)
+    assert abs(got_o - want_o) < tol, (mu, alpha, got_o, want_o)
+
+
 @pytest.mark.parametrize(
     "p_kz",
     [
@@ -245,27 +262,56 @@ def test_omega_tilde_lambda_zero():
         joint_from_channel(
             Pmf([0.6, 0.4]), ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         ),
+        TINY_Z_KZ,  # an observation of mass 1e-150
+        TERNARY_KEY_KZ,  # a q = 3 key
     ],
 )
 def test_batched_integrands_match_public_evaluations(p_kz):
-    # the batched solver objectives must agree with the single-evaluation
-    # forms (which are themselves pinned to hand-expanded sums)
+    # the batched solver objectives (factored k-sums) must agree with the
+    # single-evaluation forms (log-sum-exp over (u, z, k), themselves pinned
+    # to hand-expanded sums)
     rng = np.random.default_rng(11)
     p_z, pkgz, q, zs = analysis._prep(p_kz)
     for _ in range(8):
         u = int(rng.integers(2, 4))
         mu, alpha, lam = rng.random(), rng.random(), 2.0 * rng.random()
-        ch = rng.dirichlet(np.ones(u), size=(1, zs))
-        got_t = analysis._omega_tilde_batch(ch, p_z, pkgz, mu, lam)[0]
-        joint_p = psh_joint(ch[0], p_kz)
-        want_t = omega_tilde(joint_p, mu, lam)
-        assert abs(got_t - want_t) < 1e-11, (u, mu, lam)
-        q_u = rng.dirichlet(np.ones(u), size=1)
-        q_zgu = rng.dirichlet(np.ones(zs), size=(1, u))
-        got_o = analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, alpha)[0]
-        joint_q = q_u[0][:, None, None] * q_zgu[0][:, :, None] * pkgz[None, :, :]
-        want_o = omega(joint_q, p_z, mu, alpha)
-        assert abs(got_o - want_o) < 1e-11, (u, mu, alpha)
+        ch = rng.dirichlet(np.ones(u), size=zs)
+        q_u = rng.dirichlet(np.ones(u))
+        q_zgu = rng.dirichlet(np.ones(zs), size=u)
+        _batched_vs_public(p_kz, ch, q_u, q_zgu, mu, alpha, lam, 1e-12)
+    # boundary channels with exact 0 and 1 entries, and boundary tilts:
+    # alpha, mu in {0, 1} and lam * mu = 1
+    u = 2
+    ch_rand = rng.dirichlet(np.ones(u), size=zs)
+    ch_corner = np.zeros((zs, u))
+    ch_corner[np.arange(zs), np.arange(zs) % u] = 1.0  # U a function of Z
+    ch_const = np.zeros((zs, u))
+    ch_const[:, 0] = 1.0  # U constant: one letter unused
+    ch_mixed = ch_rand.copy()
+    ch_mixed[0] = [0.0, 1.0]
+    qzgu_corner = np.zeros((u, zs))
+    qzgu_corner[0, 0] = 1.0  # q(z|u=0) a point mass
+    qzgu_corner[1] = rng.dirichlet(np.ones(zs))
+    qzgu_gap = rng.dirichlet(np.ones(zs), size=u)
+    qzgu_gap[:, -1] = 0.0  # q(z) = 0 on the last observation
+    qzgu_gap /= qzgu_gap.sum(axis=1, keepdims=True)
+    channels = [
+        (ch_rand, np.array([0.3, 0.7]), rng.dirichlet(np.ones(zs), size=u)),
+        (ch_corner, np.array([1.0, 0.0]), qzgu_corner),
+        (ch_const, np.array([0.0, 1.0]), qzgu_gap),
+        (ch_mixed, np.array([0.5, 0.5]), qzgu_corner),
+    ]
+    tilts = [
+        (0.0, 0.0, 0.7),
+        (0.0, 1.0, 1.0),
+        (1.0, 0.0, 1.0),  # lam * mu = 1
+        (1.0, 1.0, 0.4),
+        (0.5, 1.0, 2.0),  # lam * mu = 1
+        (0.25, 0.5, 4.0),  # lam * mu = 1
+    ]
+    for ch, q_u, q_zgu in channels:
+        for mu, alpha, lam in tilts:
+            _batched_vs_public(p_kz, ch, q_u, q_zgu, mu, alpha, lam, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tight), "--out", str(tmp_path)]) == EXIT_CONFIG
     typo = write_config(tmp_path, monte_carlo_sample=100)  # misspelt key
     assert main(["simulate", "--config", str(typo), "--out", str(tmp_path)]) == EXIT_CONFIG
+    for rate in (0.0, -0.1, float("nan")):  # no code has a rate R <= 0
+        bad = write_config(tmp_path, R=rate)
+        for cmd in ("simulate", "leakage"):
+            assert main([cmd, "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
     for nested in (
         {"seeds": {"keymap": 7, "replpay": 11}},
         {"exponent_grid": {"lamda_points": 8}},
@@ -251,6 +256,63 @@ def test_golden_region_csv(tmp_path):
     out = tmp_path / "o"
     main(["region", "--config", str(cfg), "--out", str(out)])
     assert (out / "region.csv").read_bytes() == (GOLDEN / "region.csv").read_bytes()
+
+
+# The exponent-surface and ternary-region configs of the benchmark; their
+# goldens pin the solver engines (dense scan, and multistart Adam for |Z| = 3).
+EXPONENT_CONFIG = {
+    **{k: v for k, v in BASE_CONFIG.items() if k not in ("seeds", "monte_carlo_samples")},
+    "adversary": {"kind": "scalar", "cells": None},
+    "n_list": [4],
+    "exponents": True,
+    "mu_points": 9,
+    "exponent_grid": {
+        "mu_points": 3, "alpha_points": 3, "lambda_points": 5,
+        "refine_rounds": 1, "refine_points": 3,
+    },
+    "rate_grid": {"RA": [0.0, 0.3], "R": [0.1, 0.3, 0.5]},
+}
+TERNARY_REGION_CONFIG = {
+    "q": 3,
+    "source": {"probs": [0.7, 0.2, 0.1]},
+    "key": {"probs": [0.4, 0.35, 0.25]},
+    "W": {"rows": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]},
+    "adversary": {"kind": "scalar", "cells": None},
+    "n_list": [4],
+    "R": 0.8,
+    "R_A": 1.1,
+    "gamma": 0.05,
+    "tol": 1e-7,
+    "exponents": False,
+    "mu_points": 5,
+}
+
+
+def _run_config(tmp_path, cmd, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_golden_region_ternary_csv(tmp_path):
+    out = _run_config(tmp_path, "region", TERNARY_REGION_CONFIG)
+    want = (GOLDEN / "region_ternary.csv").read_bytes()
+    assert (out / "region.csv").read_bytes() == want
+
+
+def test_golden_exponent_csv(tmp_path):
+    out = _run_config(tmp_path, "exponent", EXPONENT_CONFIG)
+    got = (out / "exponent.csv").read_text().splitlines()
+    want = (GOLDEN / "exponent.csv").read_text().splitlines()
+    assert got[0] == want[0] == "RA,R,F,F_lower,member"
+    assert len(got) == len(want) == 7
+    for g, w in zip(got[1:], want[1:]):
+        g, w = g.split(","), w.split(",")
+        assert (g[0], g[1], g[4]) == (w[0], w[1], w[4])
+        for col in (2, 3):
+            assert abs(float(g[col]) - float(w[col])) <= 1e-10, (g, w)
 
 
 def test_golden_simulate_csv(tmp_path):
