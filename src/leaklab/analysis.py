@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import entropy
-from .simplexopt import SolverOptions, minimize_blocks
+from .simplexopt import SolverOptions, _sum_rows, minimize_blocks
 
 __all__ = [
     "RMuResult",
@@ -66,33 +66,56 @@ def _prep(p_kz):
     return p_z_s, pk_given_z, p.shape[0], supp.size
 
 
+def _sum_axis1(a):
+    """``np.sum(a, axis=1)`` of a C-contiguous (B, n, m) array, as whole
+    adds: NumPy reduces the middle axis left to right from 0.0.  Longer axes
+    fall back to ``np.sum`` (for m = 1 that axis is contiguous and NumPy
+    sums it pairwise)."""
+    if not 0 < a.shape[1] < 8:
+        return a.sum(axis=1)
+    total = a[:, 0] + 0.0
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def _psh_quantities(channel, p_z, pk_given_z):
     """Derived laws of a batch of test channels U|Z.
 
-    ``channel``: (B, zs, u).  Returns dict of batched arrays.
+    ``channel``: (B, zs, u).  Returns dict of batched arrays.  p(z|u) is a
+    (B, u, z) view of a C-ordered (B, z, u) array, and p(k|u) is one
+    (B*u, z) @ (z, k) product.
     """
     ch = np.asarray(channel, dtype=np.float64)
+    b, z, u = ch.shape
     p_uz = p_z[None, :, None] * ch  # (B, z, u)
-    p_u = p_uz.sum(axis=1)  # (B, u)
+    p_u = _sum_axis1(p_uz)  # (B, u)
     safe_pu = np.maximum(p_u, _TINY)
-    p_zgu = np.transpose(p_uz, (0, 2, 1)) / safe_pu[:, :, None]  # (B, u, z)
-    p_kgu = p_zgu @ pk_given_z  # (B, u, k)
+    p_zgu = np.transpose(p_uz / safe_pu[:, None, :], (0, 2, 1))  # (B, u, z)
+    p_kgu = (np.ascontiguousarray(p_zgu).reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
     return {"p_uz": p_uz, "p_u": p_u, "p_zgu": p_zgu, "p_kgu": p_kgu}
 
 
 def _psh_objective_terms(channel, p_z, pk_given_z):
-    """(I(Z;U), H(K|U)) for a batch of test channels."""
+    """(I(Z;U), H(K|U)) for a batch of test channels.
+
+    The (z, u) and (u, k) sums are ``np.sum(..., axis=(1, 2))`` of
+    C-ordered arrays, written as last-axis sums of their (B, -1) views.
+    """
     d = _psh_quantities(channel, p_z, pk_given_z)
     ch = np.asarray(channel, dtype=np.float64)
-    ratio = np.where(
-        ch > 0, np.log(np.maximum(ch, _TINY)) - np.log(np.maximum(d["p_u"], _TINY))[:, None, :], 0.0
-    )
-    i_zu = np.sum(d["p_uz"] * ratio, axis=(1, 2))
+    b = ch.shape[0]
+    ratio = _log(ch)  # ln p(u|z) - ln p(u), 0 where p(u|z) = 0
+    ratio -= _log(d["p_u"])[:, None, :]
+    ratio[~(ch > 0)] = 0.0
+    ratio *= d["p_uz"]
+    i_zu = _sum_rows(ratio.reshape(b, -1))
     pk = d["p_kgu"]
-    h_kgu = -np.sum(
-        d["p_u"][:, :, None] * np.where(pk > 0, pk * np.log(np.maximum(pk, _TINY)), 0.0),
-        axis=(1, 2),
-    )
+    plogp = _log(pk)  # p(u) p(k|u) ln p(k|u), 0 where p(k|u) = 0
+    plogp *= pk
+    plogp[~(pk > 0)] = 0.0
+    plogp *= d["p_u"][:, :, None]
+    h_kgu = -_sum_rows(plogp.reshape(b, -1))
     return i_zu, h_kgu
 
 
@@ -109,14 +132,20 @@ def _log(x):
     return np.log(out, out=out)
 
 
+def _per_row(x, ndim):
+    """A scalar, or an array of one parameter per row or of a single shared
+    one, shaped to broadcast against a (B, ...) array of ``ndim`` axes."""
+    return np.reshape(x, (-1,) + (1,) * (ndim - 1))
+
+
 def _k_sums(cond_k_given_u, pk_given_z, power):
     """S(u, z) = sum_k p(k|z) c(k|u)**power for a batch of (B, u, k) laws c,
-    as one (B*u, k) @ (k, z) product."""
+    as one (B*u, k) @ (k, z) product; ``power`` is a scalar or one per row."""
     b, u, k = cond_k_given_u.shape
-    tilted = _log(cond_k_given_u).reshape(b * u, k)
-    tilted *= power
+    tilted = _log(cond_k_given_u)
+    tilted *= _per_row(power, 3)
     np.exp(tilted, out=tilted)
-    return (tilted @ pk_given_z.T).reshape(b, u, -1)
+    return (tilted.reshape(b * u, k) @ pk_given_z.T).reshape(b, u, -1)
 
 
 def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
@@ -133,17 +162,24 @@ def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
     The (u, z) factor is exponentiated from its logarithm and cells with
     p(u,z) = 0 are dropped, as the masked (u, z, k) log-sum-exp of
     :func:`omega_tilde` drops them; k with p(k|z) = 0 vanish in the k-sum.
+    ``mu`` and ``lam`` are scalars, or arrays of one value per row or of a
+    single value; each row goes through the same operations in the same
+    order either way.
     """
+    mu = np.asarray(mu, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     d = _psh_quantities(channel, p_z, pk_given_z)
     p_uz = np.transpose(d["p_uz"], (0, 2, 1))  # (B, u, z)
     log_uz = _log(d["p_zgu"])
     log_uz -= np.log(p_z)
-    log_uz *= -lam * mu
+    log_uz *= _per_row(-lam * mu, 3)
     log_uz += _log(p_uz)
     log_uz[p_uz <= 0] = -np.inf
     terms = np.exp(log_uz, out=log_uz)
     terms *= _k_sums(d["p_kgu"], pk_given_z, lam * (1.0 - mu))
-    return -np.log(terms.sum(axis=(1, 2)))
+    # the (u, z) sum runs in the memory order of p(z|u), z-major, as
+    # np.sum(terms, axis=(1, 2)) reduces it
+    return -np.log(_sum_rows(np.transpose(terms, (0, 2, 1)).reshape(len(terms), -1)))
 
 
 def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
@@ -162,23 +198,27 @@ def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     ln(q(u) q(z|u)) - alpha mu ln q(z|u) - [(1-alpha) ln q(z)
     - (1 - alpha + alpha mu) ln p(z)], and cells with q(u) q(z|u) = 0 are
     dropped, as the masked (u, z, k) log-sum-exp of :func:`omega` drops
-    them; k with p(k|z) = 0 vanish in the k-sum.
+    them; k with p(k|z) = 0 vanish in the k-sum.  ``mu`` and ``alpha`` are
+    scalars, or arrays of one value per row or of a single value; each row
+    goes through the same operations in the same order either way.
     """
+    mu = np.asarray(mu, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
     b, u, z = q_zgu.shape
     q_z = np.einsum("bu,buz->bz", q_u, q_zgu)
     q_kgu = (q_zgu.reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
     mass = q_u[:, :, None] * q_zgu
     log_uz = _log(q_zgu)
-    log_uz *= -alpha * mu
+    log_uz *= _per_row(-alpha * mu, 3)
     log_uz += _log(mass)
     z_part = _log(q_z)
-    z_part *= 1.0 - alpha
-    z_part -= (1.0 - alpha + alpha * mu) * np.log(p_z)
+    z_part *= _per_row(1.0 - alpha, 2)
+    z_part -= _per_row(1.0 - alpha + alpha * mu, 2) * np.log(p_z)
     log_uz -= z_part[:, None, :]
     log_uz[mass <= 0] = -np.inf
     terms = np.exp(log_uz, out=log_uz)
     terms *= _k_sums(q_kgu, pk_given_z, alpha * (1.0 - mu))
-    return -np.log(terms.reshape(b, -1).sum(axis=1))
+    return -np.log(_sum_rows(terms.reshape(b, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +238,40 @@ class RMuResult:
     dispersion: float
 
 
-def r_mu(p_kz, mu: float, *, u_size: int | None = None, opts: SolverOptions = None) -> RMuResult:
-    """Numerically minimize the mu-weighted helper objective over U|Z."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = None) -> list:
+    """The levels of every mu in ``mus``, solved in one many-problem call."""
+    mus = [float(mu) for mu in mus]
+    for mu in mus:
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError(f"mu must be in [0, 1], got {mu}")
     p_z, pk_given_z, q, zs = _prep(p_kz)
     u = u_size or min(zs, q)
 
-    def f(blocks):
+    def f(blocks, rows):
         i_zu, h_kgu = _psh_objective_terms(blocks[0], p_z, pk_given_z)
+        mu = rows[:, 0]
         return mu * i_zu + (1.0 - mu) * h_kgu
 
-    val, blocks, finals = minimize_blocks(f, [(zs, u)], opts=opts)
-    ch = blocks[0][None, :, :]
-    i_zu, h_kgu = _psh_objective_terms(ch, p_z, pk_given_z)
-    return RMuResult(
-        mu=mu,
-        value=val,
-        i_zu=float(i_zu[0]),
-        h_kgu=float(h_kgu[0]),
-        channel=blocks[0],
-        dispersion=float(np.ptp(finals)),
-    )
+    solved = minimize_blocks(f, [(zs, u)], opts=opts, params=np.array(mus).reshape(-1, 1))
+    out = []
+    for mu, (val, blocks, finals) in zip(mus, solved):
+        i_zu, h_kgu = _psh_objective_terms(blocks[0][None, :, :], p_z, pk_given_z)
+        out.append(
+            RMuResult(
+                mu=mu,
+                value=val,
+                i_zu=float(i_zu[0]),
+                h_kgu=float(h_kgu[0]),
+                channel=blocks[0],
+                dispersion=float(np.ptp(finals)),
+            )
+        )
+    return out
+
+
+def r_mu(p_kz, mu: float, *, u_size: int | None = None, opts: SolverOptions = None) -> RMuResult:
+    """Numerically minimize the mu-weighted helper objective over U|Z."""
+    return _r_mu_levels(p_kz, [mu], u_size=u_size, opts=opts)[0]
 
 
 @dataclass
@@ -273,13 +325,12 @@ def akw_boundary(
     p_kz, mu_grid=None, *, u_size: int | None = None, opts: SolverOptions = None
 ) -> AkwBoundary:
     """Sweep mu over [0, 1]; each level yields one half-plane and the
-    touching (I(Z;U), H(K|U)) point of the achieving channel."""
+    touching (I(Z;U), H(K|U)) point of the achieving channel.  All levels
+    are solved in one many-problem call of the minimizer."""
     if mu_grid is None:
         mu_grid = np.linspace(0.0, 1.0, 33)
-    pts = []
-    for mu in np.asarray(mu_grid, dtype=np.float64):
-        res = r_mu(p_kz, float(mu), u_size=u_size, opts=opts)
-        pts.append(BoundaryPoint(mu=float(mu), r_mu=res.value, R_A=res.i_zu, R=res.h_kgu))
+    levels = _r_mu_levels(p_kz, np.asarray(mu_grid, dtype=np.float64), u_size=u_size, opts=opts)
+    pts = [BoundaryPoint(mu=r.mu, r_mu=r.value, R_A=r.i_zu, R=r.h_kgu) for r in levels]
     p = np.asarray(p_kz, dtype=np.float64)
     return AkwBoundary(points=pts, h_k=entropy(p.sum(axis=1)))
 
@@ -378,6 +429,19 @@ class ExponentGrid:
     refine_rounds: int = 2
     refine_points: int = 5
 
+    def __post_init__(self):
+        for name, least in (
+            ("mu_points", 1),
+            ("alpha_points", 1),
+            ("lambda_points", 2),
+            ("refine_rounds", 0),
+            ("refine_points", 2),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
+
     def mu_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.mu_points)
 
@@ -428,6 +492,8 @@ class ExponentCalculator:
 
     The inner objectives do not depend on (R_A, R); F and F_lower for any
     number of rate points share one table of minima over the tilt grids.
+    Each scan of F and F_lower fills all of its uncached cells in one
+    many-problem solve before it reads them.
     """
 
     def __init__(
@@ -453,21 +519,63 @@ class ExponentCalculator:
     def _key(a: float, b: float) -> tuple:
         return (round(float(a), 12), round(float(b), 12))
 
+    def _solve_omega(self, cells) -> list:
+        """Minima of the two-parameter integrand at (mu, alpha) cells, in one
+        many-problem solve over the free (U, Z|U) pair."""
+
+        def f(blocks, rows):
+            q_u = blocks[0][:, 0, :]
+            return _omega_batch(q_u, blocks[1], self._pz, self._pkgz, rows[:, 0], rows[:, 1])
+
+        shapes = [(1, self._u), (self._u, self._zs)]
+        return [r[0] for r in minimize_blocks(f, shapes, opts=self.opts, params=cells)]
+
+    def _solve_omega_tilde(self, cells) -> list:
+        """Minima of the one-parameter integrand at (mu, lam) cells, in one
+        many-problem solve over test channels U|Z."""
+
+        def f(blocks, rows):
+            return _omega_tilde_batch(blocks[0], self._pz, self._pkgz, rows[:, 0], rows[:, 1])
+
+        shapes = [(self._zs, self._u)]
+        return [r[0] for r in minimize_blocks(f, shapes, opts=self.opts, params=cells)]
+
+    def _omega_key(self, mu: float, alpha: float):
+        """Cache key of an omega_min cell; None where no solve is needed."""
+        return None if alpha == 0.0 else self._key(mu, alpha)
+
+    def _omega_tilde_key(self, mu: float, lam: float):
+        """Cache key of an omega_tilde_min cell; None where no solve is
+        needed."""
+        if lam == 0.0 or (lam * mu > 1.0 + 1e-12 and self._zs >= 2):
+            return None
+        return self._key(mu, lam)
+
+    def _fill(self, cache, key_of, solve, mus, seconds) -> None:
+        """Fill every uncached cell of the grid mus x seconds in one solve.
+
+        A cell is solved at the unrounded values of its key's first
+        occurrence in the (mu outer, second inner) loop of the scans, so the
+        cache holds exactly what lookups one cell at a time in that order
+        would store.
+        """
+        todo = {}
+        for mu in mus:
+            for s in seconds:
+                mu, s = float(mu), float(s)
+                key = key_of(mu, s)
+                if key is not None and key not in cache and key not in todo:
+                    todo[key] = (mu, s)
+        if todo:
+            cache.update(zip(todo, solve(list(todo.values()))))
+
     def omega_min(self, mu: float, alpha: float) -> float:
         """min over the free (U, Z|U) pair of the two-parameter integrand."""
-        if alpha == 0.0:
+        key = self._omega_key(mu, alpha)
+        if key is None:
             return 0.0
-        key = self._key(mu, alpha)
         if key not in self._omega_cache:
-
-            def f(blocks):
-                q_u = blocks[0][:, 0, :]
-                return _omega_batch(q_u, blocks[1], self._pz, self._pkgz, mu, alpha)
-
-            val, blocks, _ = minimize_blocks(
-                f, [(1, self._u), (self._u, self._zs)], opts=self.opts
-            )
-            self._omega_cache[key] = val
+            self._omega_cache[key] = self._solve_omega([(mu, alpha)])[0]
         return self._omega_cache[key]
 
     def omega_tilde_min(self, mu: float, lam: float) -> float:
@@ -479,27 +587,23 @@ class ExponentCalculator:
         never achieve the supremum defining the lower exponent (which is
         >= 0 through lam = 0), so they are reported as -inf directly.
         """
-        if lam == 0.0:
-            return 0.0
-        if lam * mu > 1.0 + 1e-12 and self._zs >= 2:
-            return -math.inf
-        key = self._key(mu, lam)
+        key = self._omega_tilde_key(mu, lam)
+        if key is None:
+            return 0.0 if lam == 0.0 else -math.inf
         if key not in self._omega_tilde_cache:
-
-            def f(blocks):
-                return _omega_tilde_batch(blocks[0], self._pz, self._pkgz, mu, lam)
-
-            val, blocks, _ = minimize_blocks(f, [(self._zs, self._u)], opts=self.opts)
-            self._omega_tilde_cache[key] = val
+            self._omega_tilde_cache[key] = self._solve_omega_tilde([(mu, lam)])[0]
         return self._omega_tilde_cache[key]
 
     # -- outer suprema -------------------------------------------------------
 
-    def _sup(self, mus, seconds, inner, objective):
+    def _sup(self, mus, alphas, objective):
+        """Best objective(omega_min, mu, alpha) over the grid mus x alphas,
+        whose uncached cells are filled in one solve first."""
+        self._fill(self._omega_cache, self._omega_key, self._solve_omega, mus, alphas)
         best = (-math.inf, 0.0, 0.0)
         for mu in mus:
-            for s in seconds:
-                v = objective(inner(float(mu), float(s)), float(mu), float(s))
+            for s in alphas:
+                v = objective(self.omega_min(float(mu), float(s)), float(mu), float(s))
                 if v > best[0]:
                     best = (v, float(mu), float(s))
         return best
@@ -512,13 +616,13 @@ class ExponentCalculator:
 
         mus = self.grid.mu_grid()
         alphas = self.grid.alpha_grid()
-        val, mu, alpha = self._sup(mus, alphas, self.omega_min, obj)
+        val, mu, alpha = self._sup(mus, alphas, obj)
         dmu = mus[1] - mus[0] if len(mus) > 1 else 0.5
         da = alphas[1] - alphas[0] if len(alphas) > 1 else 0.5
         for _ in range(self.grid.refine_rounds):
             mus = np.clip(np.linspace(mu - dmu, mu + dmu, self.grid.refine_points), 0, 1)
             alphas = np.clip(np.linspace(alpha - da, alpha + da, self.grid.refine_points), 0, 1)
-            cand = self._sup(mus, alphas, self.omega_min, obj)
+            cand = self._sup(mus, alphas, obj)
             if cand[0] > val:
                 val, mu, alpha = cand
             dmu /= self.grid.refine_points - 1
@@ -534,6 +638,9 @@ class ExponentCalculator:
         witness = [-math.inf, 0.0, 0.0]  # ratio, mu, lam
 
         def scan(mus, lams):
+            self._fill(
+                self._omega_tilde_cache, self._omega_tilde_key, self._solve_omega_tilde, mus, lams
+            )
             best = (-math.inf, 0.0, 0.0)
             for mu in mus:
                 for lam in lams:

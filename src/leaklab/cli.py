@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -136,6 +137,10 @@ class Experiment:
             raise ConfigError(str(e)) from e
         if not self.n_list:
             raise ConfigError("n_list must be non-empty")
+        if self.mu_points < 1:
+            raise ConfigError(f"mu_points must be at least 1, got {self.mu_points}")
+        if self.mc_samples < 1:
+            raise ConfigError(f"monte_carlo_samples must be at least 1, got {self.mc_samples}")
         if not (math.isfinite(self.R) and self.R > 0):
             raise ConfigError(f"R must be a positive finite rate, got {self.R}")
         if self.p_x.size != self.q or self.p_k.size != self.q:
@@ -235,6 +240,8 @@ def _write_manifest(out_dir: Path, command: str, config_path, cfg_exp, outputs):
         "seeds": {"keymap": cfg_exp.keymap_seed, "replay": cfg_exp.replay_seed},
         "tol": cfg_exp.tol,
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "outputs": sorted(str(p.name) for p in outputs),
     }
     _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -405,9 +412,8 @@ plot "region_points.dat" using 1:2 with linespoints title "boundary (I(Z;U), H(K
 
 
 def cmd_region(exp: Experiment, out_dir, config_path) -> int:
-    mus = np.linspace(0.0, 1.0, exp.mu_points)
-    results = [analysis.r_mu(exp.p_kz, float(mu)) for mu in mus]
-    rows = sorted(((r.mu, r.value, r.i_zu, r.h_kgu) for r in results))
+    boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0.0, 1.0, exp.mu_points))
+    rows = sorted(((p.mu, p.r_mu, p.R_A, p.R) for p in boundary.points))
     csv_text = "mu,R_mu\n" + "".join(_csv_line(r[:2]) + "\n" for r in rows)
     dat_text = "# RA R\n" + "".join(
         f"{_fmt(r[2])} {_fmt(r[3])}\n" for r in rows

@@ -8,7 +8,8 @@ encoder surjective.  The decoder inverts the bijection, so decoding succeeds
 exactly on D.
 
 X^n is ranked once, by the cached tables of ``UniversalCode.full_tables``;
-``encode`` and ``decode`` are lookups on them, for one word or a batch.
+``encode`` and ``decode`` are lookups on them, and on cached digit tables of
+X^n and X^m, for one word or a batch.
 
 Because D is type-aligned (whole classes plus at most one partial boundary
 class), the exact error probability is a short sum over type classes, with
@@ -64,11 +65,6 @@ def _as_symbols(a, width: int, q: int, what: str) -> np.ndarray:
     return a
 
 
-def _from_index(index: np.ndarray, width: int, q: int) -> np.ndarray:
-    """Base-q digits of lexicographic indices: the inverse of ``@ _radix``."""
-    return (index[..., None] // _radix(width, q)) % q
-
-
 @dataclass
 class UniversalCode:
     """The pair (encode, decode) with its decoding set descriptor.
@@ -85,6 +81,7 @@ class UniversalCode:
     type_order: list = field(init=False, repr=False)
     offsets: list = field(init=False, repr=False)
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _digits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n):
@@ -130,17 +127,21 @@ class UniversalCode:
         ``type_order``, lexicographic inside a class).  The tables are built
         on the first call, cached on the code and returned read-only.  The
         test suite checks them against the scalar ``TypeClass.rank`` path.
+
+        The same call caches the digit tables of ``encode`` and ``decode``:
+        all of X^n and all of X^m in lexicographic order, so that row i holds
+        the base-q digits of index i and a word is one gather.
         """
         total = self.q**self.n
         if total > cap:
             raise TableCapError(f"q**n = {total} exceeds cap {cap}")
         if self._tables is not None:
             return self._tables
+        seqs = all_sequences(self.n, self.q, cap=cap * self.n)
         if self.order == "lexicographic":
             idx = np.arange(total, dtype=np.int64)
             tables = (idx, np.ones(total, dtype=bool), idx)
         else:
-            seqs = all_sequences(self.n, self.q, cap=cap * self.n)
             counts = np.stack([(seqs == a).sum(axis=1) for a in range(self.q)], axis=1)
             radix = (self.n + 1) ** np.arange(self.q, dtype=np.int64)
             keys = counts @ radix
@@ -154,9 +155,11 @@ class UniversalCode:
             ranks[order] = np.arange(total)
             images = np.minimum(ranks, self.decoding_set_size - 1)
             tables = (images, ranks < self.decoding_set_size, order)
-        for t in tables:
+        words = all_sequences(self.m, self.q, cap=cap * self.m)
+        for t in tables + (seqs, words):
             t.setflags(write=False)
         self._tables = tables
+        self._digits = (seqs, words)
         return tables
 
     def _sequence_index(self, x) -> np.ndarray:
@@ -168,14 +171,14 @@ class UniversalCode:
         """phi: X^n -> X^m (surjective; bijective when restricted to D), for
         one sequence, shape (n,), or a batch, shape (B, n)."""
         images, _, _ = self.full_tables()
-        return _from_index(images[self._sequence_index(x)], self.m, self.q)
+        return np.take(self._digits[1], images[self._sequence_index(x)], axis=0)
 
     def decode(self, c) -> np.ndarray:
         """psi: X^m -> X^n, the inverse of encode on the decoding set, for
         one codeword, shape (m,), or a batch; a codeword's index is its rank."""
         _, _, order = self.full_tables()
         ranks = _as_symbols(c, self.m, self.q, "codeword") @ _radix(self.m, self.q)
-        return _from_index(order[ranks], self.n, self.q)
+        return np.take(self._digits[0], order[ranks], axis=0)
 
     def in_decoding_set(self, x):
         """Whether x (one sequence or each row of a batch) lies in D."""

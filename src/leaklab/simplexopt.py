@@ -14,16 +14,20 @@ Two engines:
 * batched multi-start Adam on row-softmax logits with forward-difference
   gradients, used for everything else.
 
-Both engines batch every solver step into one objective call: the mesh of a
-zoom round, one golden-section step of every basin, or every bumped copy of
-every Adam start.  Each objective passed to :func:`minimize_blocks` is
-row-independent bit for bit, so the batching changes which call carries a
-point but not its value.
+One call of :func:`minimize_blocks` can solve many problems that differ only
+in a row of parameters.  The dense engine runs the scans of all of them
+through one queue of objective calls of at most ``CHUNK_ROWS`` rows: meshes
+go through in chunks, and the zoom and golden-section steps of many basins
+and problems share calls.  Adam stacks every bumped copy of every start of
+one problem into one call, and runs the problems one after another.  Each
+objective passed to :func:`minimize_blocks` is row-independent bit for bit,
+so the batching changes which call carries a point but not its value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,9 @@ import numpy as np
 __all__ = ["SolverOptions", "minimize_blocks"]
 
 DENSE_MAX_DIM = 3
+# Rows per objective call of the dense engine; larger fresh temporaries cost
+# more in page faults than in arithmetic.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,21 @@ def _blocks_from_free(x: np.ndarray, shapes) -> list:
         assert cols == 2
         p0 = x[..., pos : pos + rows]
         pos += rows
-        blocks.append(np.stack([p0, 1.0 - p0], axis=-1))
+        block = np.empty(p0.shape + (2,))
+        block[..., 0] = p0
+        np.subtract(1.0, p0, out=block[..., 1])
+        blocks.append(block)
     return blocks
+
+
+def _mesh(axes) -> np.ndarray:
+    """Every combination of the axis values, the last axis varying fastest,
+    as a (points, len(axes)) array (``np.meshgrid`` with "ij" indexing)."""
+    dim = len(axes)
+    out = np.empty([len(a) for a in axes] + [dim])
+    for i, a in enumerate(axes):
+        out[..., i] = a.reshape([-1 if j == i else 1 for j in range(dim)])
+    return out.reshape(-1, dim)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -100,87 +120,206 @@ def _golden_polish(x, width, sweeps=2, tol=1e-7):
     return x, fx
 
 
-def _lockstep(f, shapes, searches) -> list:
-    """Run point-requesting coroutines together and return their results.
+def _lockstep(f, shapes, searches, params=None) -> list:
+    """Run the point-asking coroutines of many problems and return their
+    results.
 
-    Each round stacks the points that every unfinished search asks for into
-    one objective call; a search whose bracket has closed drops out.  Every
-    objective here is row-independent bit for bit (a row's value does not
-    depend on the other rows of its batch), so each search sees exactly the
-    values that one call per point would give it.
+    Each search yields an (r, dim) array of free points, is sent their r
+    values, and returns its result.  All asks join one queue of rows, which
+    is evaluated in calls of ``CHUNK_ROWS`` rows: a call is made as soon as
+    that many rows wait, and the rows left over are evaluated in one call
+    when every search waits.  So an ask larger than a chunk goes through in
+    chunk-sized calls, and the small asks of many searches share one call.
+    A search whose ask has been answered runs next (depth first), so only a
+    few searches hold a large ask at any time.
+
+    With ``params`` (one row of problem parameters per search) every call is
+    ``f(blocks, rows)``, where ``rows[r]`` is the parameter row of the
+    search that asked for point r, or ``rows`` is that one row, shape
+    (1, k), when a single search asked for every point of the call; without
+    ``params`` the call is ``f(blocks)``.
+    Every objective here is row-independent bit for bit (a row's value does
+    not depend on the other rows of its call), so each search sees exactly
+    the values that one call per point would give it.
     """
     results = [None] * len(searches)
-    asks = {i: next(s) for i, s in enumerate(searches)}
-    while asks:
-        pts = np.concatenate(list(asks.values()))
-        vals = np.asarray(f(_blocks_from_free(pts, shapes)), dtype=np.float64).tolist()
-        pos = 0
-        for i, ask in list(asks.items()):
+    runnable = [(i, None) for i in reversed(range(len(searches)))]
+    queue = deque()  # [search, ask, first unsent row, values so far]
+    waiting = 0
+    while runnable or waiting:
+        if runnable and waiting < CHUNK_ROWS:
+            i, vals = runnable.pop()
             try:
-                asks[i] = searches[i].send(vals[pos : pos + len(ask)])
+                ask = searches[i].send(vals)
             except StopIteration as done:
                 results[i] = done.value
-                del asks[i]
-            pos += len(ask)
+                continue
+            queue.append([i, ask, 0, []])
+            waiting += len(ask)
+            continue
+        size = min(waiting, CHUNK_ROWS)
+        waiting -= size
+        pieces = []
+        while size:
+            entry = queue[0]
+            start = entry[2]
+            stop = min(len(entry[1]), start + size)
+            pieces.append((entry, start, stop))
+            size -= stop - start
+            entry[2] = stop
+            if stop == len(entry[1]):
+                queue.popleft()
+        blocks = _blocks_from_free(
+            np.concatenate([e[1][a:b] for e, a, b in pieces]), shapes
+        )
+        if params is None:
+            vals = f(blocks)
+        elif len(pieces) == 1:
+            vals = f(blocks, params[pieces[0][0][0]][None, :])
+        else:
+            owners = [e[0] for e, _, _ in pieces]
+            rows = np.repeat(params[owners], [b - a for _, a, b in pieces], axis=0)
+            vals = f(blocks, rows)
+        vals = np.asarray(vals, dtype=np.float64)
+        pos = 0
+        answered = []
+        for entry, start, stop in pieces:
+            entry[3].append(vals[pos : pos + stop - start])
+            pos += stop - start
+            if stop == len(entry[1]):
+                got = entry[3]
+                answered.append((entry[0], got[0] if len(got) == 1 else np.concatenate(got)))
+        runnable.extend(reversed(answered))
     return results
 
 
-def _dense_scan(f, shapes, opts: SolverOptions, n_basins: int = 3):
-    """Global mesh scan, then independent zooms on the best few basins.
+def _zoom(x, step0, pts, rounds):
+    """Nested zoom meshes around a seed point, as a coroutine; returns the
+    best point found and the last mesh step."""
+    dim = x.shape[0]
+    v = np.inf
+    lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
+    hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
+    step = step0
+    for _ in range(rounds - 1):
+        local = _mesh([np.linspace(lo[i], hi[i], pts) for i in range(dim)])
+        lv = yield local
+        j = int(np.argmin(lv))
+        if lv[j] < v:
+            v = float(lv[j])
+            x = local[j]
+        step = (hi - lo).max() / (pts - 1)
+        lo = np.clip(x - 2.5 * step, 0.0, 1.0)
+        hi = np.clip(x + 2.5 * step, 0.0, 1.0)
+    return x.copy(), step
 
-    The objectives here can carry several local minima whose depths at grid
-    resolution do not predict their depths at full resolution, so a single
-    zoom path is not trusted with the global answer.  Each basin zooms with
-    meshes of its own; the golden-section polishes of all basins then run in
-    lockstep, one objective call per golden step.
-    """
-    dim = sum(r for r, _ in shapes)
-    pts = opts.dense_points
-    axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    vals = np.asarray(f(_blocks_from_free(mesh, shapes)), dtype=np.float64)
-    order = np.argsort(vals)
-    step0 = 1.0 / (pts - 1)
+
+def _seed_search(mesh, step0, n_basins):
+    """One problem's global mesh scan, as a coroutine for :func:`_lockstep`;
+    returns its best mesh points at least 3 mesh steps apart, in value
+    order, as the seeds of its basins."""
     seeds = []
-    for i in order:
+    for i in np.argsort((yield mesh)):
         x = mesh[i]
         if all(np.max(np.abs(x - s)) > 3.0 * step0 for s in seeds):
             seeds.append(x)
         if len(seeds) == n_basins:
             break
+    return seeds
 
-    polishes = []
-    for seed_x in seeds:
-        x, v = seed_x, np.inf
-        lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
-        hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
-        step = step0
-        for _ in range(opts.dense_rounds - 1):
-            local_axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
-            local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1)
-            local = local.reshape(-1, dim)
-            lv = np.asarray(f(_blocks_from_free(local, shapes)), dtype=np.float64)
-            j = int(np.argmin(lv))
-            if lv[j] < v:
-                v = float(lv[j])
-                x = local[j]
-            step = (hi - lo).max() / (pts - 1)
-            lo = np.clip(x - 2.5 * step, 0.0, 1.0)
-            hi = np.clip(x + 2.5 * step, 0.0, 1.0)
-        polishes.append(_golden_polish(x, width=2.5 * step))
 
-    best_x, best_val = None, np.inf
-    for x, v in _lockstep(f, shapes, polishes):
-        if v < best_val:
-            best_val, best_x = v, x
-    blocks = _blocks_from_free(best_x[None, :], shapes)
-    return best_val, [b[0] for b in blocks], np.array([best_val])
+def _basin_search(x, step0, pts, rounds):
+    """Zoom meshes around one seed, then a golden-section polish, as a
+    coroutine for :func:`_lockstep`; returns ``(x, f(x))``.  The meshes are
+    dropped before the polish, so a search that waits on its small asks
+    holds little."""
+    x, step = yield from _zoom(x, step0, pts, rounds)
+    return (yield from _golden_polish(x, width=2.5 * step))
+
+
+def _dense_scan(f, shapes, opts: SolverOptions, params, n_basins: int = 3) -> list:
+    """Global mesh scan, then independent zooms on the best few basins, for
+    every problem; one result per problem.
+
+    The objectives here can carry several local minima whose depths at grid
+    resolution do not predict their depths at full resolution, so a single
+    zoom path is not trusted with the global answer.  The global scans of
+    all problems run through one :func:`_lockstep` queue, then the zooms and
+    polishes of all their basins through another.
+    """
+    free = sum(r for r, _ in shapes)
+    pts = opts.dense_points
+    step0 = 1.0 / (pts - 1)
+    mesh = _mesh([np.linspace(0.0, 1.0, pts)] * free)
+    n_problems = 1 if params is None else len(params)
+    seeds = _lockstep(
+        f, shapes, [_seed_search(mesh, step0, n_basins) for _ in range(n_problems)], params
+    )
+    owners = [i for i, found in enumerate(seeds) for _ in found]
+    basins = _lockstep(
+        f,
+        shapes,
+        [_basin_search(x, step0, pts, opts.dense_rounds) for found in seeds for x in found],
+        None if params is None else params[owners],
+    )
+    best = [(np.inf, None)] * n_problems
+    for owner, (x, v) in zip(owners, basins):
+        if v < best[owner][0]:
+            best[owner] = (v, x)
+    results = []
+    for v, x in best:
+        blocks = _blocks_from_free(x[None, :], shapes)
+        results.append((float(v), [b[0] for b in blocks], np.array([v])))
+    return results
+
+
+def _sum_rows(a):
+    """``np.sum(a, axis=-1)`` of a C-contiguous array, unrolled into whole
+    column adds.
+
+    NumPy reduces a contiguous axis of n <= 128 entries from 0.0: left to
+    right when n < 8, and otherwise by pairwise summation, with eight
+    partial sums r_j of every eighth entry combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the remainder
+    added left to right.  The same adds in the same order give the same
+    bits, without NumPy's per-row reduction overhead, which dominates on
+    short rows; each level of the pairwise tree is one add of strided
+    column views.
+    """
+    n = a.shape[-1]
+    if not 0 < n <= 128:
+        return a.sum(axis=-1)
+    if n < 8:
+        total = a[..., 0] + 0.0
+        for j in range(1, n):
+            total += a[..., j]
+        return total
+    full = n - n % 8
+    r = a[..., :8]
+    for i in range(8, full, 8):
+        r = r + a[..., i : i + 8]
+    r = r[..., 0::2] + r[..., 1::2]
+    r = r[..., 0::2] + r[..., 1::2]
+    total = r[..., 0] + r[..., 1]
+    for j in range(full, n):
+        total += a[..., j]
+    total += 0.0
+    return total
+
+
+def _max_rows(a):
+    """``np.max(a, axis=-1)``, unrolled into whole-column maxima (the
+    maximum does not depend on the order)."""
+    total = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = np.maximum(total, a[..., j])
+    return total
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _max_rows(logits)[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _sum_rows(e)[..., None]
 
 
 def _blocks_from_logits(theta: np.ndarray, shapes) -> list:
@@ -262,7 +401,9 @@ def _multistart_adam(f, shapes, opts: SolverOptions, extra_starts):
     return float(best_vals[i]), [b[0] for b in blocks], best_vals
 
 
-def minimize_blocks(f, shapes, *, opts: SolverOptions = None, extra_starts=None):
+def minimize_blocks(
+    f, shapes, *, opts: SolverOptions = None, extra_starts=None, params=None
+):
     """Minimize a batched objective over a product of stochastic blocks.
 
     ``f`` receives a list of arrays (one per shape, with a leading batch
@@ -271,10 +412,36 @@ def minimize_blocks(f, shapes, *, opts: SolverOptions = None, extra_starts=None)
     rows of its batch, because the engines stack points freely.  Returns
     ``(best_value, best_blocks, per_start_values)``; the last entry is the
     dispersion diagnostic (dense scans report a single value).
+
+    With ``params``, a (P, k) array of P problems' parameter rows, ``f``
+    receives ``(blocks, rows)``, where ``rows`` holds the parameter row of
+    each point's problem, or is one (1, k) row shared by every point of the
+    call; the result is the list of the P problems' results, each equal to
+    a solve of that problem alone.
     """
     opts = opts or SolverOptions()
     shapes = [tuple(s) for s in shapes]
+    if params is not None:
+        params = np.asarray(params, dtype=np.float64)
+        if params.ndim != 2:
+            raise ValueError(f"params must be a (problems, k) array, got shape {params.shape}")
     free = sum(r * (c - 1) for r, c in shapes)
     if all(c == 2 for _, c in shapes) and free <= DENSE_MAX_DIM:
-        return _dense_scan(f, shapes, opts)
-    return _multistart_adam(f, shapes, opts, extra_starts)
+        results = _dense_scan(f, shapes, opts, params)
+    elif params is None:
+        results = [_multistart_adam(f, shapes, opts, extra_starts)]
+    else:
+        results = [
+            _multistart_adam(_with_row(f, row), shapes, opts, extra_starts)
+            for row in params
+        ]
+    return results if params is not None else results[0]
+
+
+def _with_row(f, row):
+    """``f`` with every point's parameters set to ``row``."""
+
+    def g(blocks):
+        return f(blocks, row[None, :])
+
+    return g

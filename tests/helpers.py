@@ -8,7 +8,9 @@ import numpy as np
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
-from leaklab.simplexopt import _GOLDEN, _blocks_from_free, _blocks_from_logits, _initial_logits
+from leaklab.simplexopt import _GOLDEN, _blocks_from_free, _initial_logits
+
+TINY = np.finfo(np.float64).tiny
 
 
 def _lex(word, q):
@@ -297,8 +299,9 @@ def golden_polish_oracle(f1, x, width, sweeps=2, tol=1e-7):
 
 
 def dense_scan_oracle(f, shapes, opts, n_basins=3):
-    """``simplexopt._dense_scan`` with each basin zoomed and polished in turn,
-    one objective call per golden-section point."""
+    """One problem's dense scan (``simplexopt._dense_search``) with the
+    whole mesh in one call and each basin zoomed and polished in turn, one
+    objective call per golden-section point."""
     dim = sum(r for r, _ in shapes)
     pts = opts.dense_points
     axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
@@ -342,15 +345,107 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
     return best_val, [b[0] for b in blocks], np.array([best_val])
 
 
+def softmax_oracle(logits):
+    """Row softmax with NumPy's own max and sum reductions."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def blocks_from_logits_oracle(theta, shapes):
+    """``simplexopt._blocks_from_logits`` on ``softmax_oracle``."""
+    blocks = []
+    pos = 0
+    for rows, cols in shapes:
+        size = rows * cols
+        block = theta[..., pos : pos + size].reshape(theta.shape[:-1] + (rows, cols))
+        pos += size
+        blocks.append(softmax_oracle(block))
+    return blocks
+
+
+def psh_quantities_oracle(channel, p_z, pk_given_z):
+    """(p(z,u), p(u), p(z|u), p(k|u)) of a batch of test channels U|Z, as
+    NumPy lays them out and reduces them without help: the reference for
+    the unrolled and re-laid-out ``analysis._psh_quantities``."""
+    ch = np.asarray(channel, dtype=np.float64)
+    p_uz = p_z[None, :, None] * ch  # (B, z, u)
+    p_u = p_uz.sum(axis=1)
+    p_zgu = np.transpose(p_uz, (0, 2, 1)) / np.maximum(p_u, TINY)[:, :, None]
+    return p_uz, p_u, p_zgu, p_zgu @ pk_given_z
+
+
+def psh_objective_terms_oracle(channel, p_z, pk_given_z):
+    """(I(Z;U), H(K|U)) of a batch of test channels U|Z with NumPy's own
+    sum reductions, which ``analysis._psh_objective_terms`` unrolls."""
+    ch = np.asarray(channel, dtype=np.float64)
+    p_uz, p_u, _, p_kgu = psh_quantities_oracle(ch, p_z, pk_given_z)
+    ratio = np.where(
+        ch > 0, np.log(np.maximum(ch, TINY)) - np.log(np.maximum(p_u, TINY))[:, None, :], 0.0
+    )
+    i_zu = np.sum(p_uz * ratio, axis=(1, 2))
+    plogp = np.where(p_kgu > 0, p_kgu * np.log(np.maximum(p_kgu, TINY)), 0.0)
+    h_kgu = -np.sum(p_u[:, :, None] * plogp, axis=(1, 2))
+    return i_zu, h_kgu
+
+
+def _log_oracle(x):
+    out = np.maximum(x, TINY)
+    return np.log(out, out=out)
+
+
+def _k_sums_oracle(cond_k_given_u, pk_given_z, power):
+    b, u, k = cond_k_given_u.shape
+    tilted = _log_oracle(cond_k_given_u).reshape(b * u, k)
+    tilted *= power
+    np.exp(tilted, out=tilted)
+    return (tilted @ pk_given_z.T).reshape(b, u, -1)
+
+
+def omega_tilde_batch_oracle(channel, p_z, pk_given_z, mu, lam):
+    """``analysis._omega_tilde_batch`` for scalar (mu, lam) with NumPy's own
+    layouts, batched matmul and reductions."""
+    _, _, p_zgu, p_kgu = psh_quantities_oracle(channel, p_z, pk_given_z)
+    p_uz = np.transpose(p_z[None, :, None] * np.asarray(channel, dtype=np.float64), (0, 2, 1))
+    log_uz = _log_oracle(p_zgu)
+    log_uz -= np.log(p_z)
+    log_uz *= -lam * mu
+    log_uz += _log_oracle(p_uz)
+    log_uz[p_uz <= 0] = -np.inf
+    terms = np.exp(log_uz, out=log_uz)
+    terms *= _k_sums_oracle(p_kgu, pk_given_z, lam * (1.0 - mu))
+    return -np.log(terms.sum(axis=(1, 2)))
+
+
+def omega_batch_oracle(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
+    """``analysis._omega_batch`` for scalar (mu, alpha) with NumPy's own
+    reductions."""
+    b, u, z = q_zgu.shape
+    q_z = np.einsum("bu,buz->bz", q_u, q_zgu)
+    q_kgu = (q_zgu.reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
+    mass = q_u[:, :, None] * q_zgu
+    log_uz = _log_oracle(q_zgu)
+    log_uz *= -alpha * mu
+    log_uz += _log_oracle(mass)
+    z_part = _log_oracle(q_z)
+    z_part *= 1.0 - alpha
+    z_part -= (1.0 - alpha + alpha * mu) * np.log(p_z)
+    log_uz -= z_part[:, None, :]
+    log_uz[mass <= 0] = -np.inf
+    terms = np.exp(log_uz, out=log_uz)
+    terms *= _k_sums_oracle(q_kgu, pk_given_z, alpha * (1.0 - mu))
+    return -np.log(terms.reshape(b, -1).sum(axis=1))
+
+
 def multistart_adam_oracle(f, shapes, opts, extra_starts=None):
     """``simplexopt._multistart_adam`` with dim + 2 objective calls per
-    iteration: the base values, one call per bumped coordinate, and the
-    post-step values."""
+    iteration (the base values, one call per bumped coordinate, and the
+    post-step values), on ``softmax_oracle``."""
     theta = _initial_logits(shapes, opts, extra_starts)
     batch, dim = theta.shape
 
     def eval_theta(t):
-        return np.asarray(f(_blocks_from_logits(t, shapes)), dtype=np.float64)
+        return np.asarray(f(blocks_from_logits_oracle(t, shapes)), dtype=np.float64)
 
     vals = eval_theta(theta)
     best_vals = vals.copy()
@@ -377,5 +472,5 @@ def multistart_adam_oracle(f, shapes, opts, extra_starts=None):
         best_vals[improved] = cur[improved]
         best_theta[improved] = theta[improved]
     i = int(np.argmin(best_vals))
-    blocks = _blocks_from_logits(best_theta[i : i + 1], shapes)
+    blocks = blocks_from_logits_oracle(best_theta[i : i + 1], shapes)
     return float(best_vals[i]), [b[0] for b in blocks], best_vals

@@ -400,3 +400,47 @@ def test_region_membership_secure_band():
     # on the helper boundary
     edge = region_membership((0.0, bd.envelope(0.0)), p_x, BSC_KZ, boundary=bd)
     assert edge.label == "boundary-band"
+
+
+def _cells_seen(calc):
+    """Record every (mu, second) value pair whose cache key ``calc`` forms."""
+    seen = []
+    key = calc._key
+
+    def recording_key(a, b):
+        seen.append((float(a), float(b)))
+        return key(a, b)
+
+    calc._key = recording_key
+    return seen
+
+
+def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
+    # Steps of 1/6 and 1/18 make the refine grids revisit cells at values
+    # such as 0.33333333333333337 whose rounded keys collide with cached
+    # 0.3333333333333333, and the lambda ladder is never 12-digit round, so
+    # a fill at the wrong one of two colliding values, or at the rounded key
+    # itself, would move minima.
+    grid = ExponentGrid(
+        mu_points=7, alpha_points=7, lambda_points=6, refine_rounds=2, refine_points=4
+    )
+    opts = SolverOptions(dense_points=9)  # 42 coarse omega meshes of 729 rows span chunks
+    rates = [(0.0, 0.1), (0.3, 0.5), (0.2, 0.3)]
+    filled = ExponentCalculator(BSC_KZ, grid, opts=opts)
+    seen = _cells_seen(filled)
+    got = [(filled.F(ra, r), filled.F_lower(ra, r)) for ra, r in rates]
+
+    lazy = ExponentCalculator(BSC_KZ, grid, opts=opts)
+    monkeypatch.setattr(lazy, "_fill", lambda *args: None)  # one solve per lookup
+    want = [(lazy.F(ra, r), lazy.F_lower(ra, r)) for ra, r in rates]
+
+    assert got == want
+    for cache in ("_omega_cache", "_omega_tilde_cache"):
+        mine, theirs = getattr(filled, cache), getattr(lazy, cache)
+        assert list(mine) == sorted(mine, key=list(theirs).index)  # same cells
+        assert {k: v.hex() for k, v in mine.items()} == {k: v.hex() for k, v in theirs.items()}
+    by_key = {}
+    for cell in seen:
+        by_key.setdefault(ExponentCalculator._key(*cell), set()).add(cell)
+    assert any(len(cells) > 1 for cells in by_key.values())
+    assert any(cell != key for key, cells in by_key.items() for cell in cells)

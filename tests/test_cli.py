@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,23 @@ def test_config_errors_exit_2(tmp_path):
     ):
         bad = write_config(tmp_path, **nested)
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+    # out-of-range grid and sampling values (each exited 0 with degenerate
+    # grids or divide-by-zero warnings, or 1 with a traceback)
+    for cmd, bad_values in (
+        ("exponent", {"exponent_grid": {"refine_points": 1}}),
+        ("exponent", {"exponent_grid": {"alpha_points": 0}}),
+        ("exponent", {"exponent_grid": {"mu_points": 0}}),
+        ("exponent", {"exponent_grid": {"lambda_points": 0}}),
+        ("exponent", {"exponent_grid": {"lambda_points": 1}}),
+        ("exponent", {"exponent_grid": {"lambda_max": -1}}),
+        ("region", {"mu_points": 0}),
+        ("exponent", {"mu_points": 0}),
+        ("simulate", {"monte_carlo_samples": -5}),
+    ):
+        bad = write_config(tmp_path, **bad_values)
+        out = tmp_path / "bad-values"
+        assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG, bad_values
+        assert not out.exists()
 
 
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
@@ -230,6 +248,9 @@ def test_manifest_written(tmp_path):
     assert manifest["seeds"] == {"keymap": 7, "replay": 11}
     assert "region.csv" in manifest["outputs"]
     assert len(manifest["config_sha256"]) == 64
+    assert manifest["version"] == leaklab.__version__
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def test_repeated_runs_bit_identical(tmp_path):
@@ -241,6 +262,7 @@ def test_repeated_runs_bit_identical(tmp_path):
     main(["region", "--config", str(cfg), "--out", str(out1)])
     main(["region", "--config", str(cfg), "--out", str(out2)])
     assert (out1 / "region.csv").read_bytes() == (out2 / "region.csv").read_bytes()
+    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
 def test_seed_override_changes_output(tmp_path):

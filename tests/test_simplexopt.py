@@ -1,14 +1,25 @@
 """The batched solver engines against their sequential oracles.
 
-The fused Adam and the lockstep dense scan are exact re-batchings of the
-sequential loops in ``helpers``: they rest on every production objective
-being row-independent bit for bit, which the batch-invariance tests check.
+The fused Adam and the many-problem dense scan are exact re-batchings of
+the sequential loops in ``helpers``: they rest on every production objective
+being row-independent bit for bit, which the batch-invariance tests check,
+and on the unrolled short reductions adding in NumPy's own order.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import dense_scan_oracle, golden_polish_oracle, multistart_adam_oracle
+from helpers import (
+    dense_scan_oracle,
+    golden_polish_oracle,
+    multistart_adam_oracle,
+    omega_batch_oracle,
+    omega_tilde_batch_oracle,
+    psh_objective_terms_oracle,
+    softmax_oracle,
+)
 from leaklab import analysis, simplexopt
 from leaklab.probability import ChannelMatrix, Pmf, joint_from_channel
 from leaklab.simplexopt import SolverOptions, minimize_blocks
@@ -29,6 +40,17 @@ def psh_objective(p_kz, mu):
 
     def f(blocks):
         i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
+        return mu * i_zu + (1.0 - mu) * h_kgu
+
+    return f
+
+
+def psh_objective_oracle(p_kz, mu):
+    """The r_mu objective on NumPy's own sum reductions."""
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks):
+        i_zu, h_kgu = psh_objective_terms_oracle(blocks[0], p_z, pkgz)
         return mu * i_zu + (1.0 - mu) * h_kgu
 
     return f
@@ -59,9 +81,9 @@ def omega_tilde_objective(p_kz, mu, lam):
 def counting(f):
     calls = []
 
-    def g(blocks):
+    def g(blocks, *rows):
         calls.append(blocks[0].shape[0])
-        return f(blocks)
+        return f(blocks, *rows)
 
     return g, calls
 
@@ -215,3 +237,219 @@ def test_objectives_are_batch_invariant(p_kz):
     q_u = rng.dirichlet(np.ones(u), size=576)
     q_u[::11] = np.eye(u)[0]
     _assert_row_independent(om, [q_u, _channels(rng, 576, u, zs)])
+
+
+# ---------------------------------------------------------------------------
+# unrolled short reductions
+# ---------------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _rows_with_specials(rng, shape):
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    a[0] = -0.0  # NumPy's sum starts from 0.0, so this row sums to +0.0
+    a[1] = 0.0
+    a[2, ..., 0] = np.inf
+    a[3, ..., -1] = np.nan
+    a[4] = -a[5]
+    return a
+
+
+def test_unrolled_reductions_match_numpy():
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        a = _rows_with_specials(rng, (67, n))
+        assert_same_bits(simplexopt._sum_rows(a), a.sum(axis=-1))
+        assert_same_bits(simplexopt._max_rows(a), a.max(axis=-1))
+    for n in range(1, 10):
+        for m in range(1, 5):
+            a = _rows_with_specials(rng, (67, n, m))
+            assert_same_bits(analysis._sum_axis1(a), a.sum(axis=1))
+            assert_same_bits(simplexopt._sum_rows(a.reshape(67, -1)), a.sum(axis=(1, 2)))
+    logits = rng.normal(scale=4.0, size=(50, 3, 3))
+    assert_same_bits(simplexopt._softmax(logits), softmax_oracle(logits))
+
+
+@pytest.mark.parametrize("p_kz", [BSC_KZ, BINARY_TO_TERNARY_KZ, TERNARY_KZ])
+@pytest.mark.parametrize("batch", [1, 5, 700])
+def test_integrands_match_numpy_reduction_oracles(p_kz, batch):
+    # the unrolled sums follow the memory order NumPy's reductions took,
+    # including the z-major layout of p(z|u) in omega~, and p(k|u) is one
+    # flat matrix product where the oracle stacks one per row
+    rng = np.random.default_rng(17 + batch)
+    p_z, pkgz, q, zs = analysis._prep(p_kz)
+    u = min(zs, q)
+    ch = _channels(rng, batch, zs, u)
+    q_u = rng.dirichlet(np.ones(u), size=batch)
+    q_u[::11] = np.eye(u)[0]
+    q_zgu = _channels(rng, batch, u, zs)
+    for got, want in zip(
+        analysis._psh_objective_terms(ch, p_z, pkgz), psh_objective_terms_oracle(ch, p_z, pkgz)
+    ):
+        assert_same_bits(got, want)
+    for mu, second in [(0.35, 0.8), (0.0, 1.0), (1.0, 0.5), (0.6, 1.0 / 0.6)]:
+        assert_same_bits(
+            analysis._omega_tilde_batch(ch, p_z, pkgz, mu, second),
+            omega_tilde_batch_oracle(ch, p_z, pkgz, mu, second),
+        )
+        alpha = min(second, 1.0)
+        assert_same_bits(
+            analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, alpha),
+            omega_batch_oracle(q_u, q_zgu, p_z, pkgz, mu, alpha),
+        )
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.25, 1.0])
+def test_unrolled_adam_matches_reduction_oracle(mu):
+    # production: unrolled softmax and psh terms, 2 calls per iteration, the
+    # per-row parameter path of one many-problem solve; oracle: NumPy's own
+    # reductions and dim + 2 calls per iteration
+    opts = SolverOptions(n_starts=24, iters=80)
+    level = analysis._r_mu_levels(TERNARY_KZ, [mu], opts=opts)[0]
+    want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts)
+    assert level.value == want[0]
+    assert np.array_equal(level.channel, want[1][0])
+
+
+# ---------------------------------------------------------------------------
+# many problems in one dense solve
+# ---------------------------------------------------------------------------
+
+
+def omega_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        return analysis._omega_batch(blocks[0][:, 0, :], blocks[1], p_z, pkgz, rows[:, 0], rows[:, 1])
+
+    return f
+
+
+def omega_tilde_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        return analysis._omega_tilde_batch(blocks[0], p_z, pkgz, rows[:, 0], rows[:, 1])
+
+    return f
+
+
+def psh_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
+        return rows[:, 0] * i_zu + (1.0 - rows[:, 0]) * h_kgu
+
+    return f
+
+
+def test_many_problem_omega_matches_per_problem_oracle():
+    # every 33^3 mesh spans chunk boundaries; the last chunk of a mesh is
+    # shared with the next problem's rows
+    cells = [(0.3, 0.8), (0.0, 0.5), (1.0, 1.0), (0.6, 0.2)]
+    opts = SolverOptions()
+    g, calls = counting(omega_rows_objective(BSC_KZ))
+    got = minimize_blocks(g, [(1, 2), (2, 2)], opts=opts, params=cells)
+    assert max(calls) == simplexopt.CHUNK_ROWS
+    for cell, res in zip(cells, got):
+        assert_same_result(res, dense_scan_oracle(omega_objective(BSC_KZ, *cell), [(1, 2), (2, 2)], opts))
+
+
+def test_many_problem_omega_tilde_packs_meshes_across_chunks():
+    cells = [(0.5, 1.5), (0.1, 0.3), (0.9, 0.7), (0.0, 4.0), (1.0, 0.05), (0.3, 2.0)]
+    opts = SolverOptions()
+    g, calls = counting(omega_tilde_rows_objective(BSC_KZ))
+    got = minimize_blocks(g, [(2, 2)], opts=opts, params=cells)
+    # the 33^2 global meshes of the first problems fill the first call, and
+    # the fourth mesh is split between it and the next call
+    assert simplexopt.CHUNK_ROWS % 33**2 != 0
+    assert calls[0] == simplexopt.CHUNK_ROWS
+    assert max(calls) == simplexopt.CHUNK_ROWS
+    for cell, res in zip(cells, got):
+        assert_same_result(res, dense_scan_oracle(omega_tilde_objective(BSC_KZ, *cell), [(2, 2)], opts))
+
+
+def test_many_problem_r_mu_matches_per_problem_oracle():
+    # mu = 0 is the clipped corner basin
+    mus = [0.4, 0.0, 1.0, 0.75]
+    opts = SolverOptions()
+    got = minimize_blocks(
+        psh_rows_objective(BSC_KZ), [(2, 2)], opts=opts, params=np.array(mus)[:, None]
+    )
+    for mu, res in zip(mus, got):
+        assert_same_result(res, dense_scan_oracle(psh_objective(BSC_KZ, mu), [(2, 2)], opts))
+    assert np.min(got[1][1][0]) < 1e-6
+    levels = analysis._r_mu_levels(BSC_KZ, mus, opts=opts)
+    assert [lv.value for lv in levels] == [res[0] for res in got]
+
+
+def test_many_problem_memory_does_not_grow_with_problems():
+    # a search that waits on its small polish asks has dropped its meshes,
+    # and searches run depth first, so six omega problems peak well below
+    # six times one problem's memory
+    f = omega_rows_objective(BSC_KZ)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (1, 6):
+            tracemalloc.reset_peak()
+            minimize_blocks(f, [(1, 2), (2, 2)], params=[(0.5, 0.1 * (k + 1)) for k in range(n)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_params_must_be_one_row_per_problem():
+    with pytest.raises(ValueError):
+        minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], params=[0.1, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# per-row parameters in the integrands
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p_kz", [BSC_KZ, BINARY_TO_TERNARY_KZ, TERNARY_KZ])
+def test_per_row_parameters_match_scalar_integrands(p_kz):
+    rng = np.random.default_rng(13)
+    p_z, pkgz, q, zs = analysis._prep(p_kz)
+    u = min(zs, q)
+    b = 96
+    ch = _channels(rng, b, zs, u)
+    q_u = rng.dirichlet(np.ones(u), size=b)
+    q_u[::11] = np.eye(u)[0]
+    q_zgu = _channels(rng, b, u, zs)
+    mu = rng.random(b)
+    mu[::5], mu[1::5] = 0.0, 1.0
+    alpha = rng.random(b)
+    alpha[2::7], alpha[3::7] = 0.0, 1.0
+    lam = 3.0 * rng.random(b)
+    lam[4::9] = 1.0 / np.maximum(mu[4::9], 0.25)  # lam * mu = 1 where mu >= 0.25
+    tilde = analysis._omega_tilde_batch(ch, p_z, pkgz, mu, lam)
+    om = analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, alpha)
+    for i in range(b):
+        one = slice(i, i + 1)
+        assert_same_bits(
+            tilde[one], analysis._omega_tilde_batch(ch[one], p_z, pkgz, float(mu[i]), float(lam[i]))
+        )
+        assert_same_bits(
+            om[one],
+            analysis._omega_batch(q_u[one], q_zgu[one], p_z, pkgz, float(mu[i]), float(alpha[i])),
+        )
+    # one row shared by the whole call, as the dense engine passes it
+    assert_same_bits(
+        analysis._omega_tilde_batch(ch, p_z, pkgz, mu[:1], lam[:1]),
+        analysis._omega_tilde_batch(ch, p_z, pkgz, float(mu[0]), float(lam[0])),
+    )
+    assert_same_bits(
+        analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu[:1], alpha[:1]),
+        analysis._omega_batch(q_u, q_zgu, p_z, pkgz, float(mu[0]), float(alpha[0])),
+    )
