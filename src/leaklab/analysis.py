@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import _check_joint
 from .probability import entropy
 from .simplexopt import SolverOptions, _sum_rows, minimize_blocks
 
@@ -33,11 +34,6 @@ __all__ = [
     "MembershipResult",
     "r_mu",
     "akw_boundary",
-    "omega",
-    "omega_tilde",
-    "mu_weighted_information",
-    "exponent_F",
-    "exponent_F_lower",
     "region_membership",
 ]
 
@@ -54,11 +50,7 @@ def _prep(p_kz):
 
     Returns (p_z on support, posterior K|Z on support, q, |Z| support size).
     """
-    p = np.asarray(p_kz, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("p_KZ must be a 2-D joint table")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p_KZ is not a distribution")
+    p = _check_joint(p_kz)
     p_z = p.sum(axis=0)
     supp = np.flatnonzero(p_z > 0)
     p_z_s = p_z[supp]
@@ -119,13 +111,6 @@ def _psh_objective_terms(channel, p_z, pk_given_z):
     return i_zu, h_kgu
 
 
-def _logsumexp(a, axis=None):
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
-
-
 def _log(x):
     """ln max(x, tiny), into a new array."""
     out = np.maximum(x, _TINY)
@@ -160,8 +145,9 @@ def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
                           * sum_k p(k|z) p(k|u)**(lam (1-mu)).
 
     The (u, z) factor is exponentiated from its logarithm and cells with
-    p(u,z) = 0 are dropped, as the masked (u, z, k) log-sum-exp of
-    :func:`omega_tilde` drops them; k with p(k|z) = 0 vanish in the k-sum.
+    p(u,z) = 0 are dropped, as the masked (u, z, k) log-sum-exp of the
+    single-evaluation oracle in ``tests/helpers.py`` drops them; k with
+    p(k|z) = 0 vanish in the k-sum.
     ``mu`` and ``lam`` are scalars, or arrays of one value per row or of a
     single value; each row goes through the same operations in the same
     order either way.
@@ -197,10 +183,11 @@ def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     The (u, z) factor is exponentiated from its logarithm, as
     ln(q(u) q(z|u)) - alpha mu ln q(z|u) - [(1-alpha) ln q(z)
     - (1 - alpha + alpha mu) ln p(z)], and cells with q(u) q(z|u) = 0 are
-    dropped, as the masked (u, z, k) log-sum-exp of :func:`omega` drops
-    them; k with p(k|z) = 0 vanish in the k-sum.  ``mu`` and ``alpha`` are
-    scalars, or arrays of one value per row or of a single value; each row
-    goes through the same operations in the same order either way.
+    dropped, as the masked (u, z, k) log-sum-exp of the single-evaluation
+    oracle in ``tests/helpers.py`` drops them; k with p(k|z) = 0 vanish in
+    the k-sum.  ``mu`` and ``alpha`` are scalars, or arrays of one value per
+    row or of a single value; each row goes through the same operations in
+    the same order either way.
     """
     mu = np.asarray(mu, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -252,7 +239,7 @@ def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = 
         mu = rows[:, 0]
         return mu * i_zu + (1.0 - mu) * h_kgu
 
-    solved = minimize_blocks(f, [(zs, u)], opts=opts, params=np.array(mus).reshape(-1, 1))
+    solved = minimize_blocks(f, [(zs, u)], np.array(mus).reshape(-1, 1), opts=opts)
     out = []
     for mu, (val, blocks, finals) in zip(mus, solved):
         i_zu, h_kgu = _psh_objective_terms(blocks[0][None, :, :], p_z, pk_given_z)
@@ -321,96 +308,16 @@ class AkwBoundary:
         return "boundary-band"
 
 
-def akw_boundary(
-    p_kz, mu_grid=None, *, u_size: int | None = None, opts: SolverOptions = None
-) -> AkwBoundary:
+def akw_boundary(p_kz, mu_grid=None) -> AkwBoundary:
     """Sweep mu over [0, 1]; each level yields one half-plane and the
     touching (I(Z;U), H(K|U)) point of the achieving channel.  All levels
     are solved in one many-problem call of the minimizer."""
     if mu_grid is None:
         mu_grid = np.linspace(0.0, 1.0, 33)
-    levels = _r_mu_levels(p_kz, np.asarray(mu_grid, dtype=np.float64), u_size=u_size, opts=opts)
+    levels = _r_mu_levels(p_kz, np.asarray(mu_grid, dtype=np.float64))
     pts = [BoundaryPoint(mu=r.mu, r_mu=r.value, R_A=r.i_zu, R=r.h_kgu) for r in levels]
     p = np.asarray(p_kz, dtype=np.float64)
     return AkwBoundary(points=pts, h_k=entropy(p.sum(axis=1)))
-
-
-# ---------------------------------------------------------------------------
-# The tilted integrands (public single evaluations)
-# ---------------------------------------------------------------------------
-
-
-def _joint_split(q_uzk):
-    j = np.asarray(q_uzk, dtype=np.float64)
-    if j.ndim != 3:
-        raise ValueError("joint must have axes (U, Z, K)")
-    if j.min() < 0 or abs(j.sum() - 1.0) > 1e-9:
-        raise ValueError("joint is not a distribution")
-    q_u = j.sum(axis=(1, 2))
-    q_z = j.sum(axis=(0, 2))
-    safe_u = np.maximum(q_u, _TINY)
-    q_zgu = j.sum(axis=2) / safe_u[:, None]
-    q_kgu = j.sum(axis=1) / safe_u[:, None]
-    return j, q_u, q_z, q_zgu, q_kgu
-
-
-def omega(q_uzk, p_z, mu: float, alpha: float, *, log_space: bool = True) -> float:
-    """-ln E_q[exp(-w)] for the two-parameter tilted weight w(z, k | u).
-
-    ``p_z`` is the reference observation marginal; if the joint puts mass on
-    observations outside its support the sentinel +inf is returned.
-    """
-    joint, q_u, q_z, q_zgu, q_kgu = _joint_split(q_uzk)
-    p_z = np.asarray(p_z, dtype=np.float64)
-    if np.any((q_z > 0) & (p_z <= 0)):
-        return math.inf
-    log_pz = np.log(np.maximum(p_z, _TINY))
-    w = (1.0 - alpha) * (np.log(np.maximum(q_z, _TINY)) - log_pz)[None, :, None] + alpha * (
-        mu * (np.log(np.maximum(q_zgu, _TINY)) - log_pz[None, :])[:, :, None]
-        + (1.0 - mu) * (-np.log(np.maximum(q_kgu, _TINY)))[:, None, :]
-    )
-    mask = joint > 0
-    if log_space:
-        logterm = np.where(mask, np.log(np.maximum(joint, _TINY)) - w, -np.inf)
-        return float(-_logsumexp(logterm.reshape(-1), axis=0))
-    return float(-math.log(np.sum(np.where(mask, joint * np.exp(-w), 0.0))))
-
-
-def omega_tilde(p_uzk, mu: float, lam: float, *, log_space: bool = True) -> float:
-    """-ln E_p[exp(-lam * w~)] with the one-parameter weight w~(z, k | u).
-
-    The observation marginal of the joint itself is the reference here (test
-    channels never move it).
-    """
-    joint, p_u, p_z, p_zgu, p_kgu = _joint_split(p_uzk)
-    log_pz = np.log(np.maximum(p_z, _TINY))
-    w = mu * (np.log(np.maximum(p_zgu, _TINY)) - log_pz[None, :])[:, :, None] + (
-        1.0 - mu
-    ) * (-np.log(np.maximum(p_kgu, _TINY)))[:, None, :]
-    mask = joint > 0
-    if log_space:
-        logterm = np.where(mask, np.log(np.maximum(joint, _TINY)) - lam * w, -np.inf)
-        return float(-_logsumexp(logterm.reshape(-1), axis=0))
-    return float(-math.log(np.sum(np.where(mask, joint * np.exp(-lam * w), 0.0))))
-
-
-def mu_weighted_information(p_uzk, mu: float) -> float:
-    """mu * I(U;Z) + (1-mu) * H(K|U): the small-tilt slope of omega_tilde."""
-    joint, p_u, p_z, p_zgu, p_kgu = _joint_split(p_uzk)
-    p_uz = joint.sum(axis=2)
-    ratio = np.where(
-        p_uz > 0,
-        np.log(np.maximum(p_zgu, _TINY)) - np.log(np.maximum(p_z, _TINY))[None, :],
-        0.0,
-    )
-    i_uz = float(np.sum(p_uz * ratio))
-    h = float(
-        -np.sum(
-            p_u[:, None]
-            * np.where(p_kgu > 0, p_kgu * np.log(np.maximum(p_kgu, _TINY)), 0.0)
-        )
-    )
-    return mu * i_uz + (1.0 - mu) * h
 
 
 # ---------------------------------------------------------------------------
@@ -492,53 +399,38 @@ class ExponentCalculator:
 
     The inner objectives do not depend on (R_A, R); F and F_lower for any
     number of rate points share one table of minima over the tilt grids.
-    Each scan of F and F_lower fills all of its uncached cells in one
-    many-problem solve before it reads them.
+    Every cell is solved by :meth:`_fill`: each scan of F and F_lower fills
+    all of its uncached cells in one many-problem solve before it reads
+    them, and a lookup that misses fills its one cell.
     """
 
-    def __init__(
-        self,
-        p_kz,
-        grid: ExponentGrid | None = None,
-        *,
-        u_size: int | None = None,
-        opts: SolverOptions = None,
-    ):
+    def __init__(self, p_kz, grid: ExponentGrid | None = None, *, opts: SolverOptions = None):
         self.p_kz = np.asarray(p_kz, dtype=np.float64)
         self.grid = grid or ExponentGrid()
         self.opts = opts
         p_z, pk_given_z, q, zs = _prep(self.p_kz)
-        self._pz = p_z
-        self._pkgz = pk_given_z
         self._zs = zs
-        self._u = u_size or min(zs, q)
+        u = min(zs, q)
+
+        def omega(blocks, rows):
+            q_u = blocks[0][:, 0, :]
+            return _omega_batch(q_u, blocks[1], p_z, pk_given_z, rows[:, 0], rows[:, 1])
+
+        def omega_tilde(blocks, rows):
+            return _omega_tilde_batch(blocks[0], p_z, pk_given_z, rows[:, 0], rows[:, 1])
+
         self._omega_cache: dict = {}
         self._omega_tilde_cache: dict = {}
+        # each table: (cache, key of a cell, objective, solver block shapes);
+        # omega runs over the free (U, Z|U) pair, omega~ over test channels U|Z
+        self._omega = (self._omega_cache, self._omega_key, omega, [(1, u), (u, zs)])
+        self._omega_tilde = (
+            self._omega_tilde_cache, self._omega_tilde_key, omega_tilde, [(zs, u)]
+        )
 
     @staticmethod
     def _key(a: float, b: float) -> tuple:
         return (round(float(a), 12), round(float(b), 12))
-
-    def _solve_omega(self, cells) -> list:
-        """Minima of the two-parameter integrand at (mu, alpha) cells, in one
-        many-problem solve over the free (U, Z|U) pair."""
-
-        def f(blocks, rows):
-            q_u = blocks[0][:, 0, :]
-            return _omega_batch(q_u, blocks[1], self._pz, self._pkgz, rows[:, 0], rows[:, 1])
-
-        shapes = [(1, self._u), (self._u, self._zs)]
-        return [r[0] for r in minimize_blocks(f, shapes, opts=self.opts, params=cells)]
-
-    def _solve_omega_tilde(self, cells) -> list:
-        """Minima of the one-parameter integrand at (mu, lam) cells, in one
-        many-problem solve over test channels U|Z."""
-
-        def f(blocks, rows):
-            return _omega_tilde_batch(blocks[0], self._pz, self._pkgz, rows[:, 0], rows[:, 1])
-
-        shapes = [(self._zs, self._u)]
-        return [r[0] for r in minimize_blocks(f, shapes, opts=self.opts, params=cells)]
 
     def _omega_key(self, mu: float, alpha: float):
         """Cache key of an omega_min cell; None where no solve is needed."""
@@ -551,14 +443,16 @@ class ExponentCalculator:
             return None
         return self._key(mu, lam)
 
-    def _fill(self, cache, key_of, solve, mus, seconds) -> None:
-        """Fill every uncached cell of the grid mus x seconds in one solve.
+    def _fill(self, table, mus, seconds) -> None:
+        """Solve every uncached cell of ``table`` on the grid mus x seconds
+        in one many-problem solve.
 
         A cell is solved at the unrounded values of its key's first
         occurrence in the (mu outer, second inner) loop of the scans, so the
         cache holds exactly what lookups one cell at a time in that order
         would store.
         """
+        cache, key_of, f, shapes = table
         todo = {}
         for mu in mus:
             for s in seconds:
@@ -567,15 +461,15 @@ class ExponentCalculator:
                 if key is not None and key not in cache and key not in todo:
                     todo[key] = (mu, s)
         if todo:
-            cache.update(zip(todo, solve(list(todo.values()))))
+            solved = minimize_blocks(f, shapes, list(todo.values()), opts=self.opts)
+            cache.update(zip(todo, (r[0] for r in solved)))
 
     def omega_min(self, mu: float, alpha: float) -> float:
         """min over the free (U, Z|U) pair of the two-parameter integrand."""
         key = self._omega_key(mu, alpha)
         if key is None:
             return 0.0
-        if key not in self._omega_cache:
-            self._omega_cache[key] = self._solve_omega([(mu, alpha)])[0]
+        self._fill(self._omega, [mu], [alpha])
         return self._omega_cache[key]
 
     def omega_tilde_min(self, mu: float, lam: float) -> float:
@@ -590,22 +484,22 @@ class ExponentCalculator:
         key = self._omega_tilde_key(mu, lam)
         if key is None:
             return 0.0 if lam == 0.0 else -math.inf
-        if key not in self._omega_tilde_cache:
-            self._omega_tilde_cache[key] = self._solve_omega_tilde([(mu, lam)])[0]
+        self._fill(self._omega_tilde, [mu], [lam])
         return self._omega_tilde_cache[key]
 
     # -- outer suprema -------------------------------------------------------
 
-    def _sup(self, mus, alphas, objective):
-        """Best objective(omega_min, mu, alpha) over the grid mus x alphas,
-        whose uncached cells are filled in one solve first."""
-        self._fill(self._omega_cache, self._omega_key, self._solve_omega, mus, alphas)
+    def _sup(self, table, lookup, mus, seconds, objective):
+        """Best objective(lookup(mu, s), mu, s) over the grid mus x seconds,
+        whose uncached cells of ``table`` are filled in one solve first."""
+        self._fill(table, mus, seconds)
         best = (-math.inf, 0.0, 0.0)
         for mu in mus:
-            for s in alphas:
-                v = objective(self.omega_min(float(mu), float(s)), float(mu), float(s))
+            for s in seconds:
+                mu, s = float(mu), float(s)
+                v = objective(lookup(mu, s), mu, s)
                 if v > best[0]:
-                    best = (v, float(mu), float(s))
+                    best = (v, mu, s)
         return best
 
     def F(self, R_A: float, R: float) -> FResult:
@@ -616,13 +510,13 @@ class ExponentCalculator:
 
         mus = self.grid.mu_grid()
         alphas = self.grid.alpha_grid()
-        val, mu, alpha = self._sup(mus, alphas, obj)
+        val, mu, alpha = self._sup(self._omega, self.omega_min, mus, alphas, obj)
         dmu = mus[1] - mus[0] if len(mus) > 1 else 0.5
         da = alphas[1] - alphas[0] if len(alphas) > 1 else 0.5
         for _ in range(self.grid.refine_rounds):
             mus = np.clip(np.linspace(mu - dmu, mu + dmu, self.grid.refine_points), 0, 1)
             alphas = np.clip(np.linspace(alpha - da, alpha + da, self.grid.refine_points), 0, 1)
-            cand = self._sup(mus, alphas, obj)
+            cand = self._sup(self._omega, self.omega_min, mus, alphas, obj)
             if cand[0] > val:
                 val, mu, alpha = cand
             dmu /= self.grid.refine_points - 1
@@ -631,38 +525,26 @@ class ExponentCalculator:
 
     def F_lower(self, R_A: float, R: float) -> FLowerResult:
         """sup over mu in [0,1], lam in [0, lambda_max] of the lower exponent."""
-
-        def obj(om, mu, lam):
-            return (om - lam * (mu * R_A + (1 - mu) * R)) / (2.0 + lam * (5.0 - mu))
-
         witness = [-math.inf, 0.0, 0.0]  # ratio, mu, lam
 
-        def scan(mus, lams):
-            self._fill(
-                self._omega_tilde_cache, self._omega_tilde_key, self._solve_omega_tilde, mus, lams
-            )
-            best = (-math.inf, 0.0, 0.0)
-            for mu in mus:
-                for lam in lams:
-                    v = obj(self.omega_tilde_min(float(mu), float(lam)), mu, lam)
-                    if v > best[0]:
-                        best = (v, float(mu), float(lam))
-                    if lam > 0:
-                        ratio = v * (2.0 + lam * (5.0 - mu)) / lam
-                        if ratio > witness[0]:
-                            witness[:] = [ratio, float(mu), float(lam)]
-            return best
+        def obj(om, mu, lam):
+            v = (om - lam * (mu * R_A + (1 - mu) * R)) / (2.0 + lam * (5.0 - mu))
+            if lam > 0:
+                ratio = v * (2.0 + lam * (5.0 - mu)) / lam
+                if ratio > witness[0]:
+                    witness[:] = [ratio, mu, lam]
+            return v
 
         mus = self.grid.mu_grid()
         lams = self.grid.lambda_grid()
-        val, mu, lam = scan(mus, lams)
+        val, mu, lam = self._sup(self._omega_tilde, self.omega_tilde_min, mus, lams, obj)
         dmu = mus[1] - mus[0] if len(mus) > 1 else 0.5
         for _ in range(self.grid.refine_rounds):
             mus_r = np.clip(np.linspace(mu - dmu, mu + dmu, self.grid.refine_points), 0, 1)
             lam_lo = lam / 2 if lam > 0 else 0.0
             lam_hi = min(lam * 2 if lam > 0 else lams[1], self.grid.lambda_max)
             lams_r = np.linspace(lam_lo, lam_hi, self.grid.refine_points)
-            cand = scan(mus_r, lams_r)
+            cand = self._sup(self._omega_tilde, self.omega_tilde_min, mus_r, lams_r, obj)
             if cand[0] > val:
                 val, mu, lam = cand
             dmu /= self.grid.refine_points - 1
@@ -674,30 +556,6 @@ class ExponentCalculator:
             witness_lam=witness[2],
             witness_ratio=witness[0],
         )
-
-
-def exponent_F(
-    R_A: float,
-    R: float,
-    p_kz,
-    grid: ExponentGrid | None = None,
-    *,
-    calculator: ExponentCalculator | None = None,
-) -> FResult:
-    calc = calculator or ExponentCalculator(p_kz, grid)
-    return calc.F(R_A, R)
-
-
-def exponent_F_lower(
-    R_A: float,
-    R: float,
-    p_kz,
-    grid: ExponentGrid | None = None,
-    *,
-    calculator: ExponentCalculator | None = None,
-) -> FLowerResult:
-    calc = calculator or ExponentCalculator(p_kz, grid)
-    return calc.F_lower(R_A, R)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +578,6 @@ def region_membership(
     *,
     band: float = 1e-6,
     boundary: AkwBoundary | None = None,
-    u_size: int | None = None,
-    opts: SolverOptions = None,
 ) -> MembershipResult:
     """Classify a rate point against {R >= H(X)} and the helper region.
 
@@ -731,7 +587,7 @@ def region_membership(
     """
     R_A, R = float(point[0]), float(point[1])
     if boundary is None:
-        boundary = akw_boundary(p_kz, u_size=u_size, opts=opts)
+        boundary = akw_boundary(p_kz)
     h_x = entropy(np.asarray(p_x, dtype=np.float64) if not hasattr(p_x, "probs") else p_x.probs)
     gap = R - boundary.envelope(R_A)  # > 0: strictly above the helper boundary
     rel_ok = R >= h_x - band

@@ -84,10 +84,21 @@ def _check_keys(obj, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _require(cfg, key):
+def _require(cfg, key, where="config"):
     if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
+        raise ConfigError(f"{where} is missing required key {key!r}")
     return cfg[key]
+
+
+def _cell_labels(cells, z_size: int) -> list:
+    """The cell of each observation 0..z_size-1, which ``cells`` must
+    partition; None is the finest quantizer."""
+    if cells is None:
+        return list(range(z_size))
+    if sorted(int(z) for cell in cells for z in cell) != list(range(z_size)):
+        raise ConfigError(f"adversary cells {cells} do not partition observations 0..{z_size - 1}")
+    labels = {int(z): ci for ci, cell in enumerate(cells) for z in cell}
+    return [labels[z] for z in range(z_size)]
 
 
 class Experiment:
@@ -118,7 +129,12 @@ class Experiment:
             self.mc_samples = int(cfg.get("monte_carlo_samples", 2000))
             self.code_kind = cfg.get("code", "universal")
             self.mutation = cfg.get("mutation")
-            self.adversary_cfg = cfg.get("adversary", {"kind": "scalar", "cells": None})
+            adv = cfg.get("adversary", {})
+            self.adversary_kind = adv.get("kind", "scalar")
+            self.cell_labels = _cell_labels(adv.get("cells"), self.W.out_size)
+            self.table = None
+            if self.adversary_kind == "table":
+                self.table = np.asarray(_require(adv, "table", "adversary"), dtype=np.int64)
             self.mu_points = int(cfg.get("mu_points", 33))
             self.exponents = bool(cfg.get("exponents", True))
             g = cfg.get("exponent_grid", {})
@@ -143,10 +159,26 @@ class Experiment:
             raise ConfigError(f"monte_carlo_samples must be at least 1, got {self.mc_samples}")
         if not (math.isfinite(self.R) and self.R > 0):
             raise ConfigError(f"R must be a positive finite rate, got {self.R}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+        seeds = (self.keymap_seed, self.replay_seed)
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got keymap/replay {seeds}")
+        if self.table is not None and (
+            self.table.ndim != 1
+            or np.any(self.table < 0)
+            or any(self.table.size != self.W.out_size**n for n in self.n_list)
+        ):
+            raise ConfigError(
+                f"adversary table must hold |Z|^n non-negative message ids for each n in "
+                f"{self.n_list}, got shape {self.table.shape}"
+            )
         if self.p_x.size != self.q or self.p_k.size != self.q:
             raise ConfigError("source/key alphabet must match q")
         if self.W.in_size != self.q:
             raise ConfigError("side channel input alphabet must match q")
+        if self.adversary_kind not in ("scalar", "best_scalar", "table"):
+            raise ConfigError(f"unknown adversary kind {self.adversary_kind!r}")
         if self.mutation not in (None, "decoder"):
             raise ConfigError(f"unknown mutation fixture {self.mutation!r}")
 
@@ -177,27 +209,12 @@ class Experiment:
         return crypto.Cryptosystem(code, keymap)
 
     def build_encoder(self, n: int):
-        kind = self.adversary_cfg.get("kind", "scalar")
-        if kind == "scalar":
-            cells = self.adversary_cfg.get("cells")
-            if cells is None:
-                labels = list(range(self.W.out_size))  # finest quantizer
-            else:
-                labels = [0] * self.W.out_size
-                for ci, cell in enumerate(cells):
-                    for z in cell:
-                        labels[int(z)] = ci
-            enc = adversary.scalar_quantizer_encoder(labels, n)
-        elif kind == "best_scalar":
+        if self.adversary_kind == "scalar":
+            enc = adversary.scalar_quantizer_encoder(self.cell_labels, n)
+        elif self.adversary_kind == "best_scalar":
             enc = adversary.best_scalar_quantizer(self.p_kz, self.R_A, n)
-        elif kind == "table":
-            enc = adversary.TableEncoder(
-                np.asarray(self.adversary_cfg["table"], dtype=np.int64),
-                n,
-                self.W.out_size,
-            )
         else:
-            raise ConfigError(f"unknown adversary kind {kind!r}")
+            enc = adversary.TableEncoder(self.table, n, self.W.out_size)
         if enc.rate > self.R_A + 1e-12:
             raise ConfigError(
                 f"adversary rate {enc.rate:.6f} exceeds the budget R_A = {self.R_A}"

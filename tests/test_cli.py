@@ -110,6 +110,29 @@ def test_config_errors_exit_2(tmp_path):
         out = tmp_path / "bad-values"
         assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG, bad_values
         assert not out.exists()
+    # adversary, gamma and seed typos: cells must partition the observations
+    # 0..|Z|-1 and a table must have |Z|^n entries (at the parent these
+    # exited 1 with an IndexError, KeyError, ValueError or traceback, or 0
+    # with a silently re-labelled quantizer or NaN gamma)
+    for bad_values in (
+        {"adversary": {"kind": "scalar", "cells": [[0], [5]]}},  # z = 5, |Z| = 2
+        {"adversary": {"kind": "scalar", "cells": [[0], [-1]]}},  # z = -1
+        {"adversary": {"kind": "scalar", "cells": [[0]]}},  # z = 1 in no cell
+        {"adversary": {"kind": "scalar", "cells": [[0, 1], [1]]}},  # z = 1 twice
+        {"adversary": {"kind": "table"}, "n_list": [4]},
+        {"adversary": {"kind": "table", "table": [0, 1] * 4}, "n_list": [4]},  # 8 != 2^4
+        {"adversary": {"kind": "table", "table": [0, -1] * 8}, "n_list": [4]},
+        {"gamma": 0.0},
+        {"gamma": -0.05},
+        {"gamma": float("nan")},
+        {"seeds": {"keymap": -1, "replay": 11}},
+        {"adversary": {"kind": "scalr", "cells": [[0], [1]]}},  # exited 0 from region
+    ):
+        bad = write_config(tmp_path, **bad_values)
+        out = tmp_path / "bad-values"
+        for cmd in ("simulate", "leakage", "region"):
+            assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG, bad_values
+        assert not out.exists()
 
 
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):

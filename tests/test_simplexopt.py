@@ -78,6 +78,53 @@ def omega_tilde_objective(p_kz, mu, lam):
     return f
 
 
+def omega_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        return analysis._omega_batch(blocks[0][:, 0, :], blocks[1], p_z, pkgz, rows[:, 0], rows[:, 1])
+
+    return f
+
+
+def omega_tilde_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        return analysis._omega_tilde_batch(blocks[0], p_z, pkgz, rows[:, 0], rows[:, 1])
+
+    return f
+
+
+def psh_rows_objective(p_kz):
+    p_z, pkgz, _, _ = analysis._prep(p_kz)
+
+    def f(blocks, rows):
+        i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
+        return rows[:, 0] * i_zu + (1.0 - rows[:, 0]) * h_kgu
+
+    return f
+
+
+# kind -> (one problem's objective f(blocks) at fixed parameters, as the
+# sequential oracles call it; the objective f(blocks, rows) of parameter
+# rows, as minimize_blocks calls it)
+OBJECTIVES = {
+    "psh": (psh_objective, psh_rows_objective),
+    "omega": (omega_objective, omega_rows_objective),
+    "omega_tilde": (omega_tilde_objective, omega_tilde_rows_objective),
+}
+
+
+def fixed_objective(kind, p_kz, row):
+    return OBJECTIVES[kind][0](p_kz, *row)
+
+
+def solve_one(kind, p_kz, row, shapes, opts=None):
+    """One problem as a many-problem call with a single parameter row."""
+    return minimize_blocks(OBJECTIVES[kind][1](p_kz), shapes, [row], opts=opts)[0]
+
+
 def counting(f):
     calls = []
 
@@ -102,29 +149,31 @@ def assert_same_result(got, want):
 
 
 @pytest.mark.parametrize(
-    "f, shapes, opts",
+    "kind, p_kz, row, shapes, opts",
     [
         # the ternary r_mu sweep of the region workload, at default options
-        (psh_objective(TERNARY_KZ, 0.25), [(3, 3)], SolverOptions()),
+        ("psh", TERNARY_KZ, (0.25,), [(3, 3)], SolverOptions()),
         # omega with a 3-column Z|U block
         (
-            omega_objective(BINARY_TO_TERNARY_KZ, 0.4, 0.7),
+            "omega",
+            BINARY_TO_TERNARY_KZ,
+            (0.4, 0.7),
             [(1, 2), (2, 3)],
             SolverOptions(n_starts=24, iters=60, seed=3),
         ),
     ],
     ids=["ternary-r_mu", "omega-3col"],
 )
-def test_fused_adam_matches_sequential_oracle(f, shapes, opts):
-    got = minimize_blocks(f, shapes, opts=opts)
-    want = multistart_adam_oracle(f, shapes, opts)
+def test_fused_adam_matches_sequential_oracle(kind, p_kz, row, shapes, opts):
+    got = solve_one(kind, p_kz, row, shapes, opts)
+    want = multistart_adam_oracle(fixed_objective(kind, p_kz, row), shapes, opts)
     assert_same_result(got, want)
 
 
 def test_adam_makes_two_calls_per_iteration():
     opts = SolverOptions(n_starts=10, iters=17)
-    f, calls = counting(psh_objective(TERNARY_KZ, 0.5))
-    minimize_blocks(f, [(3, 3)], opts=opts)
+    f, calls = counting(psh_rows_objective(TERNARY_KZ))
+    minimize_blocks(f, [(3, 3)], [(0.5,)], opts=opts)
     assert len(calls) == 1 + 2 * opts.iters
     dim = 3 * 3
     assert calls == [10] + [dim * 10, 10] * opts.iters
@@ -136,27 +185,27 @@ def test_adam_makes_two_calls_per_iteration():
 
 
 @pytest.mark.parametrize(
-    "f, shapes",
+    "kind, row, shapes",
     [
-        (omega_objective(BSC_KZ, 0.3, 0.8), [(1, 2), (2, 2)]),
-        (omega_tilde_objective(BSC_KZ, 0.5, 1.5), [(2, 2)]),
-        (psh_objective(BSC_KZ, 0.4), [(2, 2)]),
+        ("omega", (0.3, 0.8), [(1, 2), (2, 2)]),
+        ("omega_tilde", (0.5, 1.5), [(2, 2)]),
+        ("psh", (0.4,), [(2, 2)]),
         # mu = 0: the optimum U = Z is a corner, so the winning basin's
         # golden brackets are clipped at 0 or 1
-        (psh_objective(BSC_KZ, 0.0), [(2, 2)]),
+        ("psh", (0.0,), [(2, 2)]),
     ],
     ids=["omega", "omega_tilde", "r_mu", "r_mu-corner"],
 )
-def test_lockstep_dense_scan_matches_sequential_oracle(f, shapes):
+def test_lockstep_dense_scan_matches_sequential_oracle(kind, row, shapes):
     opts = SolverOptions()
-    got = minimize_blocks(f, shapes, opts=opts)
-    want = dense_scan_oracle(f, shapes, opts)
+    got = solve_one(kind, BSC_KZ, row, shapes, opts)
+    want = dense_scan_oracle(fixed_objective(kind, BSC_KZ, row), shapes, opts)
     assert_same_result(got, want)
 
 
 def test_corner_basin_is_clipped():
     # the r_mu-corner case above does polish on the simplex boundary
-    _, blocks, _ = minimize_blocks(psh_objective(BSC_KZ, 0.0), [(2, 2)])
+    _, blocks, _ = solve_one("psh", BSC_KZ, (0.0,), [(2, 2)])
     assert np.min(blocks[0]) < 1e-6
 
 
@@ -180,9 +229,10 @@ def test_lockstep_polish_with_unequal_loop_lengths():
         )
         lengths.append(len(calls))
     assert len(set(lengths)) > 1
-    g, calls = counting(f)
+    g, calls = counting(omega_tilde_rows_objective(BSC_KZ))
+    params = np.array([(0.3, 0.9)] * len(starts))
     got = simplexopt._lockstep(
-        g, shapes, [simplexopt._golden_polish(x, width) for x in starts]
+        g, shapes, [simplexopt._golden_polish(x, width) for x in starts], params
     )
     for (gx, gv), (wx, wv) in zip(got, want):
         assert gv == wv and np.array_equal(gx, wx)
@@ -322,41 +372,13 @@ def test_unrolled_adam_matches_reduction_oracle(mu):
 # ---------------------------------------------------------------------------
 
 
-def omega_rows_objective(p_kz):
-    p_z, pkgz, _, _ = analysis._prep(p_kz)
-
-    def f(blocks, rows):
-        return analysis._omega_batch(blocks[0][:, 0, :], blocks[1], p_z, pkgz, rows[:, 0], rows[:, 1])
-
-    return f
-
-
-def omega_tilde_rows_objective(p_kz):
-    p_z, pkgz, _, _ = analysis._prep(p_kz)
-
-    def f(blocks, rows):
-        return analysis._omega_tilde_batch(blocks[0], p_z, pkgz, rows[:, 0], rows[:, 1])
-
-    return f
-
-
-def psh_rows_objective(p_kz):
-    p_z, pkgz, _, _ = analysis._prep(p_kz)
-
-    def f(blocks, rows):
-        i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
-        return rows[:, 0] * i_zu + (1.0 - rows[:, 0]) * h_kgu
-
-    return f
-
-
 def test_many_problem_omega_matches_per_problem_oracle():
     # every 33^3 mesh spans chunk boundaries; the last chunk of a mesh is
     # shared with the next problem's rows
     cells = [(0.3, 0.8), (0.0, 0.5), (1.0, 1.0), (0.6, 0.2)]
     opts = SolverOptions()
     g, calls = counting(omega_rows_objective(BSC_KZ))
-    got = minimize_blocks(g, [(1, 2), (2, 2)], opts=opts, params=cells)
+    got = minimize_blocks(g, [(1, 2), (2, 2)], cells, opts=opts)
     assert max(calls) == simplexopt.CHUNK_ROWS
     for cell, res in zip(cells, got):
         assert_same_result(res, dense_scan_oracle(omega_objective(BSC_KZ, *cell), [(1, 2), (2, 2)], opts))
@@ -366,7 +388,7 @@ def test_many_problem_omega_tilde_packs_meshes_across_chunks():
     cells = [(0.5, 1.5), (0.1, 0.3), (0.9, 0.7), (0.0, 4.0), (1.0, 0.05), (0.3, 2.0)]
     opts = SolverOptions()
     g, calls = counting(omega_tilde_rows_objective(BSC_KZ))
-    got = minimize_blocks(g, [(2, 2)], opts=opts, params=cells)
+    got = minimize_blocks(g, [(2, 2)], cells, opts=opts)
     # the 33^2 global meshes of the first problems fill the first call, and
     # the fourth mesh is split between it and the next call
     assert simplexopt.CHUNK_ROWS % 33**2 != 0
@@ -380,9 +402,7 @@ def test_many_problem_r_mu_matches_per_problem_oracle():
     # mu = 0 is the clipped corner basin
     mus = [0.4, 0.0, 1.0, 0.75]
     opts = SolverOptions()
-    got = minimize_blocks(
-        psh_rows_objective(BSC_KZ), [(2, 2)], opts=opts, params=np.array(mus)[:, None]
-    )
+    got = minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], np.array(mus)[:, None], opts=opts)
     for mu, res in zip(mus, got):
         assert_same_result(res, dense_scan_oracle(psh_objective(BSC_KZ, mu), [(2, 2)], opts))
     assert np.min(got[1][1][0]) < 1e-6
@@ -400,7 +420,7 @@ def test_many_problem_memory_does_not_grow_with_problems():
     try:
         for n in (1, 6):
             tracemalloc.reset_peak()
-            minimize_blocks(f, [(1, 2), (2, 2)], params=[(0.5, 0.1 * (k + 1)) for k in range(n)])
+            minimize_blocks(f, [(1, 2), (2, 2)], [(0.5, 0.1 * (k + 1)) for k in range(n)])
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -409,7 +429,7 @@ def test_many_problem_memory_does_not_grow_with_problems():
 
 def test_params_must_be_one_row_per_problem():
     with pytest.raises(ValueError):
-        minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], params=[0.1, 0.2])
+        minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
