@@ -58,56 +58,48 @@ def _prep(p_kz):
     return p_z_s, pk_given_z, p.shape[0], supp.size
 
 
-def _sum_axis1(a):
-    """``np.sum(a, axis=1)`` of a C-contiguous (B, n, m) array, as whole
-    adds: NumPy reduces the middle axis left to right from 0.0.  Longer axes
-    fall back to ``np.sum`` (for m = 1 that axis is contiguous and NumPy
-    sums it pairwise)."""
-    if not 0 < a.shape[1] < 8:
-        return a.sum(axis=1)
-    total = a[:, 0] + 0.0
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
 def _psh_quantities(channel, p_z, pk_given_z):
-    """Derived laws of a batch of test channels U|Z.
+    """Derived laws of a batch of test channels U|Z, batch last.
 
-    ``channel``: (B, zs, u).  Returns dict of batched arrays.  p(z|u) is a
-    (B, u, z) view of a C-ordered (B, z, u) array, and p(k|u) is one
-    (B*u, z) @ (z, k) product.
+    ``channel``: (z, u, B).  Returns a dict of p(z,u) and p(z|u), both
+    (z, u, B), p(u), (u, B), and p(k|u), (k, u, B), which is one
+    (k, z) @ (z, u*B) product.
     """
-    ch = np.asarray(channel, dtype=np.float64)
-    b, z, u = ch.shape
-    p_uz = p_z[None, :, None] * ch  # (B, z, u)
-    p_u = _sum_axis1(p_uz)  # (B, u)
-    safe_pu = np.maximum(p_u, _TINY)
-    p_zgu = np.transpose(p_uz / safe_pu[:, None, :], (0, 2, 1))  # (B, u, z)
-    p_kgu = (np.ascontiguousarray(p_zgu).reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
+    z, u, b = channel.shape
+    p_uz = p_z[:, None, None] * channel
+    if u == 1 or z < 8:
+        p_u = _sum_rows(p_uz)
+    else:
+        # NumPy adds the z axis of a (B, z, u) array left to right unless
+        # u = 1 makes it the contiguous axis
+        p_u = p_uz[0] + 0.0
+        for row in p_uz[1:]:
+            p_u += row
+    p_zgu = p_uz / np.maximum(p_u, _TINY)
+    p_kgu = (pk_given_z.T @ p_zgu.reshape(z, -1)).reshape(-1, u, b)
     return {"p_uz": p_uz, "p_u": p_u, "p_zgu": p_zgu, "p_kgu": p_kgu}
 
 
 def _psh_objective_terms(channel, p_z, pk_given_z):
-    """(I(Z;U), H(K|U)) for a batch of test channels.
+    """(I(Z;U), H(K|U)) for a batch of test channels, (z, u, B).
 
-    The (z, u) and (u, k) sums are ``np.sum(..., axis=(1, 2))`` of
-    C-ordered arrays, written as last-axis sums of their (B, -1) views.
+    The (z, u) sum runs z-major and the (u, k) sum u-major, the orders in
+    which ``np.sum(..., axis=(1, 2))`` reduces the batch-first (B, z, u)
+    and (B, u, k) arrays.
     """
     d = _psh_quantities(channel, p_z, pk_given_z)
-    ch = np.asarray(channel, dtype=np.float64)
-    b = ch.shape[0]
-    ratio = _log(ch)  # ln p(u|z) - ln p(u), 0 where p(u|z) = 0
-    ratio -= _log(d["p_u"])[:, None, :]
-    ratio[~(ch > 0)] = 0.0
+    z, u, b = channel.shape
+    ratio = _log(channel)  # ln p(u|z) - ln p(u), 0 where p(u|z) = 0
+    ratio -= _log(d["p_u"])
+    np.copyto(ratio, 0.0, where=~(channel > 0))
     ratio *= d["p_uz"]
-    i_zu = _sum_rows(ratio.reshape(b, -1))
+    i_zu = _sum_rows(ratio.reshape(z * u, b))
     pk = d["p_kgu"]
     plogp = _log(pk)  # p(u) p(k|u) ln p(k|u), 0 where p(k|u) = 0
     plogp *= pk
-    plogp[~(pk > 0)] = 0.0
-    plogp *= d["p_u"][:, :, None]
-    h_kgu = -_sum_rows(plogp.reshape(b, -1))
+    np.copyto(plogp, 0.0, where=~(pk > 0))
+    plogp *= d["p_u"]
+    h_kgu = -_sum_rows([row[j] for j in range(u) for row in plogp])
     return i_zu, h_kgu
 
 
@@ -117,24 +109,19 @@ def _log(x):
     return np.log(out, out=out)
 
 
-def _per_row(x, ndim):
-    """A scalar, or an array of one parameter per row or of a single shared
-    one, shaped to broadcast against a (B, ...) array of ``ndim`` axes."""
-    return np.reshape(x, (-1,) + (1,) * (ndim - 1))
-
-
 def _k_sums(cond_k_given_u, pk_given_z, power):
-    """S(u, z) = sum_k p(k|z) c(k|u)**power for a batch of (B, u, k) laws c,
-    as one (B*u, k) @ (k, z) product; ``power`` is a scalar or one per row."""
-    b, u, k = cond_k_given_u.shape
+    """S(z, u) = sum_k p(k|z) c(k|u)**power for a batch of laws c, (k, u, B),
+    as one (z, k) @ (k, u*B) product, shaped (z, u, B); ``power`` is a
+    scalar or one per batch entry."""
+    k, u, b = cond_k_given_u.shape
     tilted = _log(cond_k_given_u)
-    tilted *= _per_row(power, 3)
+    tilted *= power
     np.exp(tilted, out=tilted)
-    return (tilted.reshape(b * u, k) @ pk_given_z.T).reshape(b, u, -1)
+    return (pk_given_z @ tilted.reshape(k, -1)).reshape(-1, u, b)
 
 
 def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
-    """Lower-exponent integrand, batched over test channels U|Z.
+    """Lower-exponent integrand, batched over test channels U|Z, (z, u, B).
 
     With p(u,z,k) = p(u,z) p(k|z) and
     w~ = mu ln(p(z|u)/p(z)) - (1-mu) ln p(k|u), the weight factors as
@@ -147,29 +134,28 @@ def _omega_tilde_batch(channel, p_z, pk_given_z, mu, lam):
     The (u, z) factor is exponentiated from its logarithm and cells with
     p(u,z) = 0 are dropped, as the masked (u, z, k) log-sum-exp of the
     single-evaluation oracle in ``tests/helpers.py`` drops them; k with
-    p(k|z) = 0 vanish in the k-sum.
-    ``mu`` and ``lam`` are scalars, or arrays of one value per row or of a
-    single value; each row goes through the same operations in the same
-    order either way.
+    p(k|z) = 0 vanish in the k-sum.  The (u, z) sum runs z-major.
+    ``mu`` and ``lam`` are scalars, or arrays of one value per batch entry
+    or of a single value; each entry goes through the same operations in
+    the same order either way.
     """
     mu = np.asarray(mu, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     d = _psh_quantities(channel, p_z, pk_given_z)
-    p_uz = np.transpose(d["p_uz"], (0, 2, 1))  # (B, u, z)
+    z, u, b = channel.shape
     log_uz = _log(d["p_zgu"])
-    log_uz -= np.log(p_z)
-    log_uz *= _per_row(-lam * mu, 3)
-    log_uz += _log(p_uz)
-    log_uz[p_uz <= 0] = -np.inf
+    log_uz -= np.log(p_z)[:, None, None]
+    log_uz *= -lam * mu
+    log_uz += _log(d["p_uz"])
+    np.copyto(log_uz, -np.inf, where=d["p_uz"] <= 0)
     terms = np.exp(log_uz, out=log_uz)
     terms *= _k_sums(d["p_kgu"], pk_given_z, lam * (1.0 - mu))
-    # the (u, z) sum runs in the memory order of p(z|u), z-major, as
-    # np.sum(terms, axis=(1, 2)) reduces it
-    return -np.log(_sum_rows(np.transpose(terms, (0, 2, 1)).reshape(len(terms), -1)))
+    return -np.log(_sum_rows(terms.reshape(z * u, b)))
 
 
 def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
-    """Upper-exponent integrand, batched over (U marginal, Z|U channel).
+    """Upper-exponent integrand, batched over (U marginal, Z|U channel),
+    shaped (u, B) and (u, z, B).
 
     With q(u,z,k) = q(u) q(z|u) p(k|z), q(z) = sum_u q(u) q(z|u),
     q(k|u) = sum_z q(z|u) p(k|z) and
@@ -185,27 +171,33 @@ def _omega_batch(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     - (1 - alpha + alpha mu) ln p(z)], and cells with q(u) q(z|u) = 0 are
     dropped, as the masked (u, z, k) log-sum-exp of the single-evaluation
     oracle in ``tests/helpers.py`` drops them; k with p(k|z) = 0 vanish in
-    the k-sum.  ``mu`` and ``alpha`` are scalars, or arrays of one value per
-    row or of a single value; each row goes through the same operations in
-    the same order either way.
+    the k-sum.  The cells are laid out (z, u, B), as the q(k|u) product
+    needs them, and summed u-major.  q(z) adds the products q(u) q(z|u) left
+    to right over u, as ``np.einsum("bu,buz->bz")`` does.  ``mu`` and
+    ``alpha`` are scalars, or arrays of one value per batch entry or of a
+    single value; each entry goes through the same operations in the same
+    order either way.
     """
     mu = np.asarray(mu, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    b, u, z = q_zgu.shape
-    q_z = np.einsum("bu,buz->bz", q_u, q_zgu)
-    q_kgu = (q_zgu.reshape(b * u, z) @ pk_given_z).reshape(b, u, -1)
-    mass = q_u[:, :, None] * q_zgu
-    log_uz = _log(q_zgu)
-    log_uz *= _per_row(-alpha * mu, 3)
+    u, z, b = q_zgu.shape
+    q_z = q_u[0] * q_zgu[0]
+    for j in range(1, u):
+        q_z += q_u[j] * q_zgu[j]
+    q_zu = q_zgu.transpose(1, 0, 2).copy()  # (z, u, B)
+    q_kgu = (pk_given_z.T @ q_zu.reshape(z, -1)).reshape(-1, u, b)
+    mass = q_u * q_zu
+    log_uz = _log(q_zu)
+    log_uz *= -alpha * mu
     log_uz += _log(mass)
     z_part = _log(q_z)
-    z_part *= _per_row(1.0 - alpha, 2)
-    z_part -= _per_row(1.0 - alpha + alpha * mu, 2) * np.log(p_z)
-    log_uz -= z_part[:, None, :]
-    log_uz[mass <= 0] = -np.inf
+    z_part *= 1.0 - alpha
+    z_part -= (1.0 - alpha + alpha * mu) * np.log(p_z)[:, None]
+    log_uz -= z_part[:, None]
+    np.copyto(log_uz, -np.inf, where=mass <= 0)
     terms = np.exp(log_uz, out=log_uz)
     terms *= _k_sums(q_kgu, pk_given_z, alpha * (1.0 - mu))
-    return -np.log(_sum_rows(terms.reshape(b, -1)))
+    return -np.log(_sum_rows([row[j] for j in range(u) for row in terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +227,14 @@ def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = 
     u = u_size or min(zs, q)
 
     def f(blocks, rows):
-        i_zu, h_kgu = _psh_objective_terms(blocks[0], p_z, pk_given_z)
+        i_zu, h_kgu = _psh_objective_terms(blocks[0].transpose(1, 2, 0), p_z, pk_given_z)
         mu = rows[:, 0]
         return mu * i_zu + (1.0 - mu) * h_kgu
 
     solved = minimize_blocks(f, [(zs, u)], np.array(mus).reshape(-1, 1), opts=opts)
     out = []
     for mu, (val, blocks, finals) in zip(mus, solved):
-        i_zu, h_kgu = _psh_objective_terms(blocks[0][None, :, :], p_z, pk_given_z)
+        i_zu, h_kgu = _psh_objective_terms(blocks[0][:, :, None], p_z, pk_given_z)
         out.append(
             RMuResult(
                 mu=mu,
@@ -412,12 +404,16 @@ class ExponentCalculator:
         self._zs = zs
         u = min(zs, q)
 
+        # the solver's blocks are batch-last arrays seen through
+        # batch-first views; moving the axis back is a view again
         def omega(blocks, rows):
-            q_u = blocks[0][:, 0, :]
-            return _omega_batch(q_u, blocks[1], p_z, pk_given_z, rows[:, 0], rows[:, 1])
+            q_u = blocks[0].transpose(1, 2, 0)[0]
+            q_zgu = blocks[1].transpose(1, 2, 0)
+            return _omega_batch(q_u, q_zgu, p_z, pk_given_z, rows[:, 0], rows[:, 1])
 
         def omega_tilde(blocks, rows):
-            return _omega_tilde_batch(blocks[0], p_z, pk_given_z, rows[:, 0], rows[:, 1])
+            ch = blocks[0].transpose(1, 2, 0)
+            return _omega_tilde_batch(ch, p_z, pk_given_z, rows[:, 0], rows[:, 1])
 
         self._omega_cache: dict = {}
         self._omega_tilde_cache: dict = {}

@@ -90,14 +90,34 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
+def _integer(value, name: str) -> int:
+    """A config integer: a JSON integer, or a number with an integral
+    value.  Booleans, strings and fractional numbers are refused rather
+    than truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _rate(value, name: str) -> float:
+    """A config rate: a finite, non-negative number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)
+
+
 def _cell_labels(cells, z_size: int) -> list:
     """The cell of each observation 0..z_size-1, which ``cells`` must
     partition; None is the finest quantizer."""
     if cells is None:
         return list(range(z_size))
-    if sorted(int(z) for cell in cells for z in cell) != list(range(z_size)):
+    cells = [[_integer(z, "adversary cell entry") for z in cell] for cell in cells]
+    if sorted(z for cell in cells for z in cell) != list(range(z_size)):
         raise ConfigError(f"adversary cells {cells} do not partition observations 0..{z_size - 1}")
-    labels = {int(z): ci for ci, cell in enumerate(cells) for z in cell}
+    labels = {z: ci for ci, cell in enumerate(cells) for z in cell}
     return [labels[z] for z in range(z_size)]
 
 
@@ -110,23 +130,23 @@ class Experiment:
             if name in cfg:
                 _check_keys(cfg[name], allowed, name)
         try:
-            self.q = int(_require(cfg, "q"))
+            self.q = _integer(_require(cfg, "q"), "q")
             self.spec = galois.FieldSpec(self.q)
             self.p_x = prob.pmf_from_json(_require(cfg, "source"))
             self.p_k = prob.pmf_from_json(_require(cfg, "key"))
             self.W = prob.channel_from_json(_require(cfg, "W"))
-            self.n_list = [int(n) for n in _require(cfg, "n_list")]
+            self.n_list = [_integer(n, "n_list entry") for n in _require(cfg, "n_list")]
             self.R = float(_require(cfg, "R"))
-            self.R_A = float(cfg.get("R_A", math.log(self.W.out_size)))
+            self.R_A = _rate(cfg.get("R_A", math.log(self.W.out_size)), "R_A")
             self.gamma = float(cfg.get("gamma", 0.05))
             seeds = cfg.get("seeds", {})
-            self.keymap_seed = int(seeds.get("keymap", 0))
-            self.replay_seed = int(seeds.get("replay", 1))
+            self.keymap_seed = _integer(seeds.get("keymap", 0), "seeds.keymap")
+            self.replay_seed = _integer(seeds.get("replay", 1), "seeds.replay")
             if seed_override is not None:
                 self.keymap_seed = int(seed_override)
                 self.replay_seed = int(seed_override) + 1
             self.tol = float(tol_override if tol_override is not None else cfg.get("tol", 1e-7))
-            self.mc_samples = int(cfg.get("monte_carlo_samples", 2000))
+            self.mc_samples = _integer(cfg.get("monte_carlo_samples", 2000), "monte_carlo_samples")
             self.code_kind = cfg.get("code", "universal")
             self.mutation = cfg.get("mutation")
             adv = cfg.get("adversary", {})
@@ -134,21 +154,28 @@ class Experiment:
             self.cell_labels = _cell_labels(adv.get("cells"), self.W.out_size)
             self.table = None
             if self.adversary_kind == "table":
-                self.table = np.asarray(_require(adv, "table", "adversary"), dtype=np.int64)
-            self.mu_points = int(cfg.get("mu_points", 33))
-            self.exponents = bool(cfg.get("exponents", True))
+                table = np.asarray(_require(adv, "table", "adversary"))
+                if table.dtype.kind not in "iu" and not (
+                    table.dtype.kind == "f" and np.all(np.isfinite(table) & (table % 1 == 0))
+                ):
+                    raise ConfigError("adversary table must hold integer message ids")
+                self.table = table.astype(np.int64)
+            self.mu_points = _integer(cfg.get("mu_points", 33), "mu_points")
+            self.exponents = cfg.get("exponents", True)
+            if not isinstance(self.exponents, bool):
+                raise ConfigError(f"exponents must be true or false, got {self.exponents!r}")
             g = cfg.get("exponent_grid", {})
-            self.grid = analysis.ExponentGrid(
-                mu_points=int(g.get("mu_points", 21)),
-                alpha_points=int(g.get("alpha_points", 21)),
-                lambda_points=int(g.get("lambda_points", 40)),
-                lambda_max=float(g.get("lambda_max", 5.0)),
-                refine_rounds=int(g.get("refine_rounds", 2)),
-                refine_points=int(g.get("refine_points", 5)),
-            )
+            counts = {
+                name: _integer(g.get(name, default), f"exponent_grid.{name}")
+                for name, default in (
+                    ("mu_points", 21), ("alpha_points", 21), ("lambda_points", 40),
+                    ("refine_rounds", 2), ("refine_points", 5),
+                )
+            }
+            self.grid = analysis.ExponentGrid(lambda_max=float(g.get("lambda_max", 5.0)), **counts)
             rg = cfg.get("rate_grid", {})
-            self.rate_grid_ra = [float(v) for v in rg.get("RA", [])]
-            self.rate_grid_r = [float(v) for v in rg.get("R", [])]
+            self.rate_grid_ra = [_rate(v, "rate_grid.RA entry") for v in rg.get("RA", [])]
+            self.rate_grid_r = [_rate(v, "rate_grid.R entry") for v in rg.get("R", [])]
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         if not self.n_list:
@@ -248,6 +275,17 @@ def _write_text(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS NumPy was built with.  The exponent
+    outputs rest on its matrix-product summation order, so a run records
+    it next to the Python and NumPy versions."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a NumPy without the dict mode
+        return {"name": "unknown", "version": "unknown"}
+    return {"name": info.get("name", "unknown"), "version": info.get("version", "unknown")}
+
+
 def _write_manifest(out_dir: Path, command: str, config_path, cfg_exp, outputs):
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     manifest = {
@@ -259,6 +297,7 @@ def _write_manifest(out_dir: Path, command: str, config_path, cfg_exp, outputs):
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas(),
         "outputs": sorted(str(p.name) for p in outputs),
     }
     _write_text(out_dir, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

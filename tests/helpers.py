@@ -8,7 +8,7 @@ import numpy as np
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
-from leaklab.simplexopt import _GOLDEN, _blocks_from_free, _initial_logits
+from leaklab.simplexopt import _GOLDEN, _initial_logits
 
 TINY = np.finfo(np.float64).tiny
 
@@ -298,6 +298,19 @@ def golden_polish_oracle(f1, x, width, sweeps=2, tol=1e-7):
     return x, fx
 
 
+def blocks_from_free_oracle(x, shapes):
+    """Free parameters in [0, 1], one point per row, -> 2-column blocks with
+    the batch first: ``simplexopt._blocks_from_free`` in its batch-first
+    form."""
+    blocks = []
+    pos = 0
+    for rows, _ in shapes:
+        p0 = x[..., pos : pos + rows]
+        pos += rows
+        blocks.append(np.stack([p0, 1.0 - p0], axis=-1))
+    return blocks
+
+
 def dense_scan_oracle(f, shapes, opts, n_basins=3):
     """One problem's dense scan (``simplexopt._dense_scan``) with the
     whole mesh in one call and each basin zoomed and polished in turn, one
@@ -306,7 +319,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
     pts = opts.dense_points
     axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    vals = np.asarray(f(_blocks_from_free(mesh, shapes)), dtype=np.float64)
+    vals = np.asarray(f(blocks_from_free_oracle(mesh, shapes)), dtype=np.float64)
     order = np.argsort(vals)
     step0 = 1.0 / (pts - 1)
     seeds = []
@@ -318,7 +331,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
             break
 
     def f1(x):
-        return float(f(_blocks_from_free(x[None, :], shapes))[0])
+        return float(f(blocks_from_free_oracle(x[None, :], shapes))[0])
 
     best_x, best_val = None, np.inf
     for seed_x in seeds:
@@ -330,7 +343,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
             local_axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
             local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1)
             local = local.reshape(-1, dim)
-            lv = np.asarray(f(_blocks_from_free(local, shapes)), dtype=np.float64)
+            lv = np.asarray(f(blocks_from_free_oracle(local, shapes)), dtype=np.float64)
             j = int(np.argmin(lv))
             if lv[j] < v:
                 v = float(lv[j])
@@ -341,7 +354,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
         x, v = golden_polish_oracle(f1, x, width=2.5 * step)
         if v < best_val:
             best_val, best_x = v, x
-    blocks = _blocks_from_free(best_x[None, :], shapes)
+    blocks = blocks_from_free_oracle(best_x[None, :], shapes)
     return best_val, [b[0] for b in blocks], np.array([best_val])
 
 
@@ -394,7 +407,9 @@ def _log_oracle(x):
     return np.log(out, out=out)
 
 
-def _k_sums_oracle(cond_k_given_u, pk_given_z, power):
+def k_sums_oracle(cond_k_given_u, pk_given_z, power):
+    """``analysis._k_sums`` for a scalar power on (B, u, k) laws, as one
+    flat (B*u, k) @ (k, z) product."""
     b, u, k = cond_k_given_u.shape
     tilted = _log_oracle(cond_k_given_u).reshape(b * u, k)
     tilted *= power
@@ -413,7 +428,7 @@ def omega_tilde_batch_oracle(channel, p_z, pk_given_z, mu, lam):
     log_uz += _log_oracle(p_uz)
     log_uz[p_uz <= 0] = -np.inf
     terms = np.exp(log_uz, out=log_uz)
-    terms *= _k_sums_oracle(p_kgu, pk_given_z, lam * (1.0 - mu))
+    terms *= k_sums_oracle(p_kgu, pk_given_z, lam * (1.0 - mu))
     return -np.log(terms.sum(axis=(1, 2)))
 
 
@@ -433,15 +448,15 @@ def omega_batch_oracle(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     log_uz -= z_part[:, None, :]
     log_uz[mass <= 0] = -np.inf
     terms = np.exp(log_uz, out=log_uz)
-    terms *= _k_sums_oracle(q_kgu, pk_given_z, alpha * (1.0 - mu))
+    terms *= k_sums_oracle(q_kgu, pk_given_z, alpha * (1.0 - mu))
     return -np.log(terms.reshape(b, -1).sum(axis=1))
 
 
 def multistart_adam_oracle(f, shapes, opts):
-    """``simplexopt._multistart_adam`` with dim + 2 objective calls per
-    iteration (the base values, one call per bumped coordinate, and the
-    post-step values), on ``softmax_oracle``."""
-    theta = _initial_logits(shapes, opts)
+    """``simplexopt._multistart_adam`` for one problem, batch first, with
+    dim + 2 objective calls per iteration (the base values, one call per
+    bumped coordinate, and the post-step values), on ``softmax_oracle``."""
+    theta = np.ascontiguousarray(_initial_logits(shapes, opts).T)
     batch, dim = theta.shape
 
     def eval_theta(t):

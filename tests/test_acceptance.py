@@ -197,7 +197,7 @@ def test_criterion_6_region_endpoints():
         rng = np.random.default_rng(0)
         ch = rng.dirichlet([1, 1], size=(1000000, 2))
         p_z, pkgz, _, _ = analysis._prep(BSC_KZ)
-        _, h_kgu = analysis._psh_objective_terms(ch, p_z, pkgz)
+        _, h_kgu = analysis._psh_objective_terms(np.moveaxis(ch, 0, -1), p_z, pkgz)
         oracle = float(h_kgu.min())
         # random search cannot beat the solver; boundary optima keep it
         # a few 1e-4 above the truth at this sample size

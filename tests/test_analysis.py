@@ -50,7 +50,7 @@ def test_r_mu_midpoint_against_random_search():
     rng = np.random.default_rng(0)
     ch = rng.dirichlet([1, 1], size=(1000000, 2))
     p_z, pkgz, _, _ = analysis._prep(BSC_KZ)
-    i_zu, h_kgu = analysis._psh_objective_terms(ch, p_z, pkgz)
+    i_zu, h_kgu = analysis._psh_objective_terms(np.moveaxis(ch, 0, -1), p_z, pkgz)
     oracle = float((0.5 * i_zu + 0.5 * h_kgu).min())
     assert res.value <= oracle + 1e-9
     assert oracle - res.value < 1e-5
@@ -73,7 +73,7 @@ def test_r_mu_ternary_alphabet_descent_path():
     rng = np.random.default_rng(1)
     ch = rng.dirichlet([1, 1, 1], size=(200000, 3))
     p_z, pkgz, _, _ = analysis._prep(p_kz)
-    i_zu, h_kgu = analysis._psh_objective_terms(ch, p_z, pkgz)
+    i_zu, h_kgu = analysis._psh_objective_terms(np.moveaxis(ch, 0, -1), p_z, pkgz)
     oracle = float((0.5 * i_zu + 0.5 * h_kgu).min())
     assert res.value <= oracle + 1e-6
     assert oracle - res.value < 1e-3
@@ -242,10 +242,10 @@ TERNARY_KEY_KZ = joint_from_channel(
 
 def _batched_vs_public(p_kz, ch, q_u, q_zgu, mu, alpha, lam, tol):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
-    got_t = analysis._omega_tilde_batch(ch[None], p_z, pkgz, mu, lam)[0]
+    got_t = analysis._omega_tilde_batch(ch[:, :, None], p_z, pkgz, mu, lam)[0]
     want_t = omega_tilde(psh_joint(ch, p_kz), mu, lam)
     assert abs(got_t - want_t) < tol, (mu, lam, got_t, want_t)
-    got_o = analysis._omega_batch(q_u[None], q_zgu[None], p_z, pkgz, mu, alpha)[0]
+    got_o = analysis._omega_batch(q_u[:, None], q_zgu[:, :, None], p_z, pkgz, mu, alpha)[0]
     joint_q = q_u[:, None, None] * q_zgu[:, :, None] * pkgz[None, :, :]
     want_o = omega(joint_q, p_z, mu, alpha)
     assert abs(got_o - want_o) < tol, (mu, alpha, got_o, want_o)

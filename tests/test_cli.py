@@ -127,12 +127,35 @@ def test_config_errors_exit_2(tmp_path):
         {"gamma": float("nan")},
         {"seeds": {"keymap": -1, "replay": 11}},
         {"adversary": {"kind": "scalr", "cells": [[0], [1]]}},  # exited 0 from region
+        # integer keys given fractions or booleans (at the parent each was
+        # truncated by int() and exited 0: n_list [4.7] ran n = 4)
+        {"n_list": [4.7]},
+        {"mu_points": 2.9},
+        {"monte_carlo_samples": 50.5},
+        {"exponent_grid": {"refine_points": 3.5}},
+        {"seeds": {"keymap": 1.5, "replay": 11}},
+        {"mu_points": True},
+        {"q": 2.5},
+        {"adversary": {"kind": "scalar", "cells": [[0], [1.5]]}},
+        {"adversary": {"kind": "table", "table": [0, 1.5] * 8}, "n_list": [4]},
+        # exponents must be a boolean ("false" turned exponents on), R_A
+        # finite and >= 0 (NaN turned off the budget check), and every rate
+        # grid entry finite and >= 0; each exited 0 at the parent
+        {"exponents": "false"},
+        {"R_A": float("nan")},
+        {"R_A": -0.1},
+        {"rate_grid": {"R": [float("nan")]}},
+        {"rate_grid": {"RA": [-1]}},
+        {"rate_grid": {"RA": [float("inf")]}},
     ):
         bad = write_config(tmp_path, **bad_values)
         out = tmp_path / "bad-values"
         for cmd in ("simulate", "leakage", "region"):
             assert main([cmd, "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG, bad_values
         assert not out.exists()
+    # an integral number is an integer
+    ok = write_config(tmp_path, n_list=[4.0], mu_points=5.0)
+    assert main(["region", "--config", str(ok), "--out", str(tmp_path / "ok")]) == EXIT_OK
 
 
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
@@ -274,6 +297,8 @@ def test_manifest_written(tmp_path):
     assert manifest["version"] == leaklab.__version__
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
 
 
 def test_repeated_runs_bit_identical(tmp_path):

@@ -1,9 +1,10 @@
 """The batched solver engines against their sequential oracles.
 
-The fused Adam and the many-problem dense scan are exact re-batchings of
-the sequential loops in ``helpers``: they rest on every production objective
+The many-problem Adam and dense scan are exact re-batchings of the
+sequential loops in ``helpers``: they rest on every production objective
 being row-independent bit for bit, which the batch-invariance tests check,
-and on the unrolled short reductions adding in NumPy's own order.
+and on the batch-last kernels giving the bits of their batch-first,
+NumPy-reduced oracles, which the oracle tests check.
 """
 
 import tracemalloc
@@ -12,12 +13,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    blocks_from_free_oracle,
+    blocks_from_logits_oracle,
     dense_scan_oracle,
     golden_polish_oracle,
+    k_sums_oracle,
     multistart_adam_oracle,
     omega_batch_oracle,
     omega_tilde_batch_oracle,
     psh_objective_terms_oracle,
+    psh_quantities_oracle,
     softmax_oracle,
 )
 from leaklab import analysis, simplexopt
@@ -34,12 +39,17 @@ BINARY_TO_TERNARY_KZ = joint_from_channel(
 )
 
 
+def last(a):
+    """A batch-first array as the batch-last view the kernels take."""
+    return np.moveaxis(a, 0, -1)
+
+
 def psh_objective(p_kz, mu):
     """The r_mu objective over test channels U|Z, as ``r_mu`` builds it."""
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks):
-        i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
+        i_zu, h_kgu = analysis._psh_objective_terms(last(blocks[0]), p_z, pkgz)
         return mu * i_zu + (1.0 - mu) * h_kgu
 
     return f
@@ -62,7 +72,7 @@ def omega_objective(p_kz, mu, alpha):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks):
-        return analysis._omega_batch(blocks[0][:, 0, :], blocks[1], p_z, pkgz, mu, alpha)
+        return analysis._omega_batch(last(blocks[0])[0], last(blocks[1]), p_z, pkgz, mu, alpha)
 
     return f
 
@@ -73,7 +83,7 @@ def omega_tilde_objective(p_kz, mu, lam):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks):
-        return analysis._omega_tilde_batch(blocks[0], p_z, pkgz, mu, lam)
+        return analysis._omega_tilde_batch(last(blocks[0]), p_z, pkgz, mu, lam)
 
     return f
 
@@ -82,7 +92,8 @@ def omega_rows_objective(p_kz):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks, rows):
-        return analysis._omega_batch(blocks[0][:, 0, :], blocks[1], p_z, pkgz, rows[:, 0], rows[:, 1])
+        q_u, q_zgu = last(blocks[0])[0], last(blocks[1])
+        return analysis._omega_batch(q_u, q_zgu, p_z, pkgz, rows[:, 0], rows[:, 1])
 
     return f
 
@@ -91,7 +102,7 @@ def omega_tilde_rows_objective(p_kz):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks, rows):
-        return analysis._omega_tilde_batch(blocks[0], p_z, pkgz, rows[:, 0], rows[:, 1])
+        return analysis._omega_tilde_batch(last(blocks[0]), p_z, pkgz, rows[:, 0], rows[:, 1])
 
     return f
 
@@ -100,7 +111,7 @@ def psh_rows_objective(p_kz):
     p_z, pkgz, _, _ = analysis._prep(p_kz)
 
     def f(blocks, rows):
-        i_zu, h_kgu = analysis._psh_objective_terms(blocks[0], p_z, pkgz)
+        i_zu, h_kgu = analysis._psh_objective_terms(last(blocks[0]), p_z, pkgz)
         return rows[:, 0] * i_zu + (1.0 - rows[:, 0]) * h_kgu
 
     return f
@@ -222,7 +233,7 @@ def test_lockstep_polish_with_unequal_loop_lengths():
         single, calls = counting(f)
         want.append(
             golden_polish_oracle(
-                lambda p: float(single(simplexopt._blocks_from_free(p[None, :], shapes))[0]),
+                lambda p: float(single(blocks_from_free_oracle(p[None, :], shapes))[0]),
                 x,
                 width,
             )
@@ -272,14 +283,14 @@ def test_objectives_are_batch_invariant(p_kz):
     mu = 0.35
 
     def psh(ch):
-        i_zu, h_kgu = analysis._psh_objective_terms(ch, p_z, pkgz)
+        i_zu, h_kgu = analysis._psh_objective_terms(last(ch), p_z, pkgz)
         return mu * i_zu + (1.0 - mu) * h_kgu
 
     def tilde(ch):
-        return analysis._omega_tilde_batch(ch, p_z, pkgz, mu, 0.8)
+        return analysis._omega_tilde_batch(last(ch), p_z, pkgz, mu, 0.8)
 
     def om(q_u, q_zgu):
-        return analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, 0.6)
+        return analysis._omega_batch(last(q_u), last(q_zgu), p_z, pkgz, mu, 0.6)
 
     ch = _channels(rng, 576, zs, u)
     _assert_row_independent(psh, [ch])
@@ -290,7 +301,7 @@ def test_objectives_are_batch_invariant(p_kz):
 
 
 # ---------------------------------------------------------------------------
-# unrolled short reductions
+# batch-last kernels against their batch-first oracles
 # ---------------------------------------------------------------------------
 
 
@@ -312,47 +323,138 @@ def _rows_with_specials(rng, shape):
 
 
 def test_unrolled_reductions_match_numpy():
+    # the row sums follow NumPy's contiguous-axis order: left to right below
+    # 8 terms, pairwise from 8, split in halves above 128
     rng = np.random.default_rng(5)
-    for n in range(1, 41):
+    for n in list(range(1, 41)) + [127, 128, 129, 136, 200, 257, 300]:
         a = _rows_with_specials(rng, (67, n))
-        assert_same_bits(simplexopt._sum_rows(a), a.sum(axis=-1))
-        assert_same_bits(simplexopt._max_rows(a), a.max(axis=-1))
+        assert_same_bits(simplexopt._sum_rows(a.T), a.sum(axis=-1))
+        assert_same_bits(simplexopt._sum_rows(list(a.T)), a.sum(axis=-1))
+        assert_same_bits(simplexopt._max_rows(a.T), a.max(axis=-1))
     for n in range(1, 10):
         for m in range(1, 5):
             a = _rows_with_specials(rng, (67, n, m))
-            assert_same_bits(analysis._sum_axis1(a), a.sum(axis=1))
-            assert_same_bits(simplexopt._sum_rows(a.reshape(67, -1)), a.sum(axis=(1, 2)))
+            assert_same_bits(simplexopt._sum_rows(a.reshape(67, -1).T), a.sum(axis=(1, 2)))
     logits = rng.normal(scale=4.0, size=(50, 3, 3))
-    assert_same_bits(simplexopt._softmax(logits), softmax_oracle(logits))
+    got = simplexopt._softmax(np.ascontiguousarray(last(logits)))
+    assert_same_bits(np.moveaxis(got, -1, 0), softmax_oracle(logits))
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+@pytest.mark.parametrize("z", [1, 2, 3, 7, 8, 10])
+def test_channel_laws_match_numpy_reduction_oracle(z, u):
+    # p(u) sums the z axis as NumPy sums the middle axis of a (B, z, u)
+    # array: left to right, or pairwise from 8 terms when u = 1 makes it
+    # the contiguous axis.  p(k|u) is checked against the flat
+    # (B*u, z) @ (z, k) product, since the oracle's stacked product takes a
+    # matrix-vector path with other bits when u = 1 and z >= 4.
+    rng = np.random.default_rng(10 * z + u)
+    p_z = rng.dirichlet(np.ones(z))
+    pkgz = rng.dirichlet(np.ones(2), size=z)
+    ch = _channels(rng, 300, z, u)
+    got = analysis._psh_quantities(np.ascontiguousarray(last(ch)), p_z, pkgz)
+    p_uz, p_u, p_zgu, p_kgu = psh_quantities_oracle(ch, p_z, pkgz)
+    assert_same_bits(np.moveaxis(got["p_uz"], -1, 0), p_uz)
+    assert_same_bits(got["p_u"].T, p_u)
+    assert_same_bits(np.transpose(got["p_zgu"], (2, 1, 0)), p_zgu)
+    flat = (np.ascontiguousarray(p_zgu).reshape(-1, z) @ pkgz).reshape(p_kgu.shape)
+    assert_same_bits(np.transpose(got["p_kgu"], (2, 1, 0)), flat)
+
+
+def _logit_rows(rng, batch, dim):
+    """Logits with large entries, -inf entries, and rows that are all -inf
+    (their softmax is NaN)."""
+    theta = rng.normal(scale=4.0, size=(batch, dim))
+    theta[::3, 1] = 40.0
+    theta[::13, 0] = -np.inf
+    theta[::17, :3] = -np.inf
+    return theta
 
 
 @pytest.mark.parametrize("p_kz", [BSC_KZ, BINARY_TO_TERNARY_KZ, TERNARY_KZ])
-@pytest.mark.parametrize("batch", [1, 5, 700])
+@pytest.mark.parametrize("batch", [1, 5, 700, simplexopt.CHUNK_ROWS, simplexopt.CHUNK_ROWS + 1])
 def test_integrands_match_numpy_reduction_oracles(p_kz, batch):
-    # the unrolled sums follow the memory order NumPy's reductions took,
-    # including the z-major layout of p(z|u) in omega~, and p(k|u) is one
-    # flat matrix product where the oracle stacks one per row
+    # every batch-last kernel, fed contiguous batch-last arrays as the
+    # solver stores them, against its batch-first oracle: the unrolled sums
+    # follow the memory order NumPy's reductions took (z-major for p(z|u)
+    # in omega~), p(k|u) and the k-sums are transposed flat matrix products
+    # where the oracle stacks one per row, and q(z) adds left to right
+    # where the oracle calls einsum
     rng = np.random.default_rng(17 + batch)
     p_z, pkgz, q, zs = analysis._prep(p_kz)
     u = min(zs, q)
+
+    def bl(a):
+        return np.ascontiguousarray(last(a))
+
+    free = rng.random((batch, 3))
+    free[::4, 0], free[1::4, 1] = 0.0, 1.0
+    shapes = [(1, 2), (2, 2)]
+    for got, want in zip(simplexopt._blocks_from_free(bl(free), shapes), blocks_from_free_oracle(free, shapes)):
+        assert_same_bits(np.moveaxis(got, -1, 0), want)
+    shapes = [(1, u), (u, zs)]
+    theta = _logit_rows(rng, batch, u + u * zs)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in the all -inf rows
+        pairs = zip(simplexopt._blocks_from_logits(bl(theta), shapes), blocks_from_logits_oracle(theta, shapes))
+        for got, want in pairs:
+            assert_same_bits(np.moveaxis(got, -1, 0), want)
+
     ch = _channels(rng, batch, zs, u)
     q_u = rng.dirichlet(np.ones(u), size=batch)
     q_u[::11] = np.eye(u)[0]
     q_zgu = _channels(rng, batch, u, zs)
+    got = analysis._psh_quantities(bl(ch), p_z, pkgz)
+    want = psh_quantities_oracle(ch, p_z, pkgz)
+    assert_same_bits(np.transpose(got["p_kgu"], (2, 1, 0)), want[3])
     for got, want in zip(
-        analysis._psh_objective_terms(ch, p_z, pkgz), psh_objective_terms_oracle(ch, p_z, pkgz)
+        analysis._psh_objective_terms(bl(ch), p_z, pkgz), psh_objective_terms_oracle(ch, p_z, pkgz)
     ):
         assert_same_bits(got, want)
-    for mu, second in [(0.35, 0.8), (0.0, 1.0), (1.0, 0.5), (0.6, 1.0 / 0.6)]:
+    cond = _channels(rng, batch, u, q)
+    for power in (0.0, 0.4, 1.0, 2.5):
+        got = analysis._k_sums(np.ascontiguousarray(np.transpose(cond, (2, 1, 0))), pkgz, power)
+        assert_same_bits(np.transpose(got, (2, 1, 0)), k_sums_oracle(cond, pkgz, power))
+    # lam * mu = 1 exactly at (0.5, 2.0)
+    for mu, second in [(0.35, 0.8), (0.0, 1.0), (1.0, 0.5), (0.5, 2.0), (0.6, 1.0 / 0.6)]:
         assert_same_bits(
-            analysis._omega_tilde_batch(ch, p_z, pkgz, mu, second),
+            analysis._omega_tilde_batch(bl(ch), p_z, pkgz, mu, second),
             omega_tilde_batch_oracle(ch, p_z, pkgz, mu, second),
         )
         alpha = min(second, 1.0)
         assert_same_bits(
-            analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, alpha),
+            analysis._omega_batch(bl(q_u), bl(q_zgu), p_z, pkgz, mu, alpha),
             omega_batch_oracle(q_u, q_zgu, p_z, pkgz, mu, alpha),
         )
+
+
+def test_blas_and_einsum_orders_are_pinned():
+    # The exponents' bits rest on two facts about this NumPy and its BLAS,
+    # at the shapes production uses: the transposed product M.T @ X over a
+    # (z, u*B) array gives the bits of the batch-first (B*u, z) @ M, and
+    # einsum adds q(u) q(z|u) left to right over u.  A BLAS or NumPy whose
+    # kernels order these sums differently fails here, not as silently
+    # moved goldens.
+    rng = np.random.default_rng(23)
+    for z in (2, 3):
+        for k in (2, 3):
+            for u in (2, 3):
+                for b in (1, 5, 64, 700, simplexopt.CHUNK_ROWS, simplexopt.CHUNK_ROWS + 1):
+                    m = rng.dirichlet(np.ones(k), size=z)  # a (z, k) law p(k|z)
+                    m[0] = np.eye(k)[0]
+                    x = _channels(rng, b, u, z)  # (B, u, z) laws, exact 0/1 rows
+                    got = m.T @ np.ascontiguousarray(np.transpose(x, (2, 1, 0))).reshape(z, -1)
+                    want = (x.reshape(b * u, z) @ m).reshape(b, u, k)
+                    assert_same_bits(np.transpose(got.reshape(k, u, b), (2, 1, 0)), want)
+                    y = rng.random((b, u, k))
+                    got = m @ np.ascontiguousarray(np.transpose(y, (2, 1, 0))).reshape(k, -1)
+                    want = (y.reshape(b * u, k) @ m.T).reshape(b, u, z)
+                    assert_same_bits(np.transpose(got.reshape(z, u, b), (2, 1, 0)), want)
+                    q_u = rng.dirichlet(np.ones(u), size=b)
+                    q_u[::11] = np.eye(u)[0]
+                    got = q_u[:, 0, None] * x[:, 0]
+                    for j in range(1, u):
+                        got = got + q_u[:, j, None] * x[:, j]
+                    assert_same_bits(got, np.einsum("bu,buz->bz", q_u, x))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.25, 1.0])
@@ -365,6 +467,27 @@ def test_unrolled_adam_matches_reduction_oracle(mu):
     want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts)
     assert level.value == want[0]
     assert np.array_equal(level.channel, want[1][0])
+
+
+@pytest.mark.parametrize("mus", [[0.0, 0.25, 1.0], list(np.linspace(0.0, 1.0, 33))], ids=["P3", "P33"])
+def test_lockstep_adam_matches_per_problem_oracle(mus):
+    # the Adam searches of all problems share one queue of calls: at P = 3
+    # each iteration's bumped rows of every problem go in one call, and at
+    # P = 33 the 33 * 216 bumped rows are split across 4096-row chunks,
+    # mixed with other problems' step rows; each problem still follows its
+    # own sequential path bit for bit
+    opts = SolverOptions(n_starts=24, iters=30)
+    dim = 3 * 3
+    g, calls = counting(psh_rows_objective(TERNARY_KZ))
+    got = minimize_blocks(g, [(3, 3)], np.array(mus)[:, None], opts=opts)
+    for mu, res in zip(mus, got):
+        assert_same_result(res, multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts))
+    assert sum(calls) == len(mus) * 24 * (1 + opts.iters * (dim + 1))
+    if len(mus) == 3:
+        assert calls == [3 * 24] + [3 * dim * 24, 3 * 24] * opts.iters
+    else:
+        assert max(calls) == simplexopt.CHUNK_ROWS
+        assert len(calls) < 2 * opts.iters * len(mus) // 4
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +576,18 @@ def test_per_row_parameters_match_scalar_integrands(p_kz):
     alpha[2::7], alpha[3::7] = 0.0, 1.0
     lam = 3.0 * rng.random(b)
     lam[4::9] = 1.0 / np.maximum(mu[4::9], 0.25)  # lam * mu = 1 where mu >= 0.25
-    tilde = analysis._omega_tilde_batch(ch, p_z, pkgz, mu, lam)
-    om = analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu, alpha)
+    def tilde(ch, mu, lam):
+        return analysis._omega_tilde_batch(last(ch), p_z, pkgz, mu, lam)
+
+    def om(q_u, q_zgu, mu, alpha):
+        return analysis._omega_batch(last(q_u), last(q_zgu), p_z, pkgz, mu, alpha)
+
+    all_tilde = tilde(ch, mu, lam)
+    all_om = om(q_u, q_zgu, mu, alpha)
     for i in range(b):
         one = slice(i, i + 1)
-        assert_same_bits(
-            tilde[one], analysis._omega_tilde_batch(ch[one], p_z, pkgz, float(mu[i]), float(lam[i]))
-        )
-        assert_same_bits(
-            om[one],
-            analysis._omega_batch(q_u[one], q_zgu[one], p_z, pkgz, float(mu[i]), float(alpha[i])),
-        )
+        assert_same_bits(all_tilde[one], tilde(ch[one], float(mu[i]), float(lam[i])))
+        assert_same_bits(all_om[one], om(q_u[one], q_zgu[one], float(mu[i]), float(alpha[i])))
     # one row shared by the whole call, as the dense engine passes it
-    assert_same_bits(
-        analysis._omega_tilde_batch(ch, p_z, pkgz, mu[:1], lam[:1]),
-        analysis._omega_tilde_batch(ch, p_z, pkgz, float(mu[0]), float(lam[0])),
-    )
-    assert_same_bits(
-        analysis._omega_batch(q_u, q_zgu, p_z, pkgz, mu[:1], alpha[:1]),
-        analysis._omega_batch(q_u, q_zgu, p_z, pkgz, float(mu[0]), float(alpha[0])),
-    )
+    assert_same_bits(tilde(ch, mu[:1], lam[:1]), tilde(ch, float(mu[0]), float(lam[0])))
+    assert_same_bits(om(q_u, q_zgu, mu[:1], alpha[:1]), om(q_u, q_zgu, float(mu[0]), float(alpha[0])))

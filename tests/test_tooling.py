@@ -53,27 +53,54 @@ names = ("adversary", "analysis", "cli", "codec", "crypto", "galois", "leakage",
 modules = {name: importlib.import_module("leaklab." + name) for name in names}
 tracer = tracer_module.Tracer()
 tracer.install(modules)
-prob = modules["probability"]
-p_kz = prob.joint_from_channel(prob.Pmf.uniform(2), prob.ChannelMatrix.bsc(0.1))
-modules["analysis"].r_mu(p_kz, 0.4, opts=modules["simplexopt"].SolverOptions(dense_points=5))
-print(json.dumps(tracer.metrics()))
+analysis, prob, simplexopt = modules["analysis"], modules["probability"], modules["simplexopt"]
+traced_minimize = analysis.minimize_blocks
+received = []  # the number of values each objective call returned
+
+
+def counting_minimize(f, shapes, params, **kwargs):
+    def counted(blocks, rows):
+        values = f(blocks, rows)
+        received.append(len(values))
+        return values
+
+    return traced_minimize(counted, shapes, params, **kwargs)
+
+
+analysis.minimize_blocks = counting_minimize
+if sys.argv[2] == "dense":
+    p_kz = prob.joint_from_channel(prob.Pmf.uniform(2), prob.ChannelMatrix.bsc(0.1))
+    analysis.r_mu(p_kz, 0.4, opts=simplexopt.SolverOptions(dense_points=5))
+else:
+    # three ternary levels in one many-problem Adam solve
+    w = prob.ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    p_kz = prob.joint_from_channel(prob.Pmf([0.4, 0.35, 0.25]), w)
+    opts = simplexopt.SolverOptions(n_starts=8, iters=5)
+    analysis._r_mu_levels(p_kz, [0.0, 0.25, 1.0], opts=opts)
+print(json.dumps({"metrics": tracer.metrics(), "received": received}))
 """
 
 
 def test_tracer_hooks_the_minimizer():
     # the tracer rewraps the objective passed to simplexopt.minimize_blocks
-    # as its first argument; a signature change would otherwise show only
-    # in a traced benchmark run.  Installing patches the package, so it runs
-    # in a child process.
+    # as its first argument and counts the points of each call; a signature
+    # or layout change would otherwise show only in a traced benchmark run.
+    # Installing patches the package, so each case runs in a child process.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", TRACED_SOLVE, str(TRACER)],
-        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    metrics = json.loads(proc.stdout)
-    assert metrics["simplexopt.objective.points"] > 0
-    assert metrics["simplexopt.objective.calls"] > 0
-    assert metrics["simplexopt.dense.calls"] == 1
-    assert metrics["simplexopt.adam.calls"] == 0
+    for case, dense_calls, adam_calls in (("dense", 1, 0), ("adam", 0, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", TRACED_SOLVE, str(TRACER), case],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        metrics, received = out["metrics"], out["received"]
+        assert received, case
+        assert metrics["simplexopt.objective.points"] == sum(received), case
+        assert metrics["simplexopt.objective.calls"] == len(received), case
+        assert metrics["simplexopt.dense.calls"] == dense_calls, case
+        assert metrics["simplexopt.adam.calls"] == adam_calls, case
+    # Adam for 3 problems of 8 starts and 5 iterations: a 24-row base call,
+    # then per iteration one call of 3 * 9 * 8 bumped rows and one of 24
+    assert received == [24] + [216, 24] * 5
