@@ -100,13 +100,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _rate(value, name: str) -> float:
-    """A config rate: a finite, non-negative number."""
+def _number(value, name: str) -> float:
+    """A config number: a JSON integer or float, not a boolean or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
     return float(value)
+
+
+def _rate(value, name: str) -> float:
+    """A config rate: a finite, non-negative number."""
+    rate = _number(value, name)
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+    return rate
 
 
 def _cell_labels(cells, z_size: int) -> list:
@@ -136,16 +142,17 @@ class Experiment:
             self.p_k = prob.pmf_from_json(_require(cfg, "key"))
             self.W = prob.channel_from_json(_require(cfg, "W"))
             self.n_list = [_integer(n, "n_list entry") for n in _require(cfg, "n_list")]
-            self.R = float(_require(cfg, "R"))
+            self.R = _number(_require(cfg, "R"), "R")
             self.R_A = _rate(cfg.get("R_A", math.log(self.W.out_size)), "R_A")
-            self.gamma = float(cfg.get("gamma", 0.05))
+            self.gamma = _number(cfg.get("gamma", 0.05), "gamma")
             seeds = cfg.get("seeds", {})
             self.keymap_seed = _integer(seeds.get("keymap", 0), "seeds.keymap")
             self.replay_seed = _integer(seeds.get("replay", 1), "seeds.replay")
             if seed_override is not None:
                 self.keymap_seed = int(seed_override)
                 self.replay_seed = int(seed_override) + 1
-            self.tol = float(tol_override if tol_override is not None else cfg.get("tol", 1e-7))
+            tol = tol_override if tol_override is not None else cfg.get("tol", 1e-7)
+            self.tol = _number(tol, "tol")
             self.mc_samples = _integer(cfg.get("monte_carlo_samples", 2000), "monte_carlo_samples")
             self.code_kind = cfg.get("code", "universal")
             self.mutation = cfg.get("mutation")
@@ -155,9 +162,12 @@ class Experiment:
             self.table = None
             if self.adversary_kind == "table":
                 table = np.asarray(_require(adv, "table", "adversary"))
-                if table.dtype.kind not in "iu" and not (
-                    table.dtype.kind == "f" and np.all(np.isfinite(table) & (table % 1 == 0))
-                ):
+                integral = table.dtype.kind in "iu" or (
+                    table.dtype.kind == "f"
+                    and np.all(np.isfinite(table))
+                    and np.array_equal(table, np.trunc(table))
+                )
+                if not integral:
                     raise ConfigError("adversary table must hold integer message ids")
                 self.table = table.astype(np.int64)
             self.mu_points = _integer(cfg.get("mu_points", 33), "mu_points")
@@ -172,7 +182,8 @@ class Experiment:
                     ("refine_rounds", 2), ("refine_points", 5),
                 )
             }
-            self.grid = analysis.ExponentGrid(lambda_max=float(g.get("lambda_max", 5.0)), **counts)
+            lambda_max = _number(g.get("lambda_max", 5.0), "exponent_grid.lambda_max")
+            self.grid = analysis.ExponentGrid(lambda_max=lambda_max, **counts)
             rg = cfg.get("rate_grid", {})
             self.rate_grid_ra = [_rate(v, "rate_grid.RA entry") for v in rg.get("RA", [])]
             self.rate_grid_r = [_rate(v, "rate_grid.R entry") for v in rg.get("R", [])]

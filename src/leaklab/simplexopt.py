@@ -221,7 +221,7 @@ def _lockstep(f, shapes, searches, params, to_blocks=_blocks_from_free) -> list:
     """
     results = [None] * len(searches)
     runnable = [(i, None) for i in reversed(range(len(searches)))]
-    queue = deque()  # [search, ask, its points, first unsent point, values so far]
+    queue = deque()  # [search, ask, first unsent point, values so far]
     waiting = 0
     while runnable or waiting:
         if runnable and waiting < CHUNK_ROWS:
@@ -231,7 +231,7 @@ def _lockstep(f, shapes, searches, params, to_blocks=_blocks_from_free) -> list:
             except StopIteration as done:
                 results[i] = done.value
                 continue
-            queue.append([i, ask, ask.shape[1], 0, []])
+            queue.append([i, ask, 0, []])
             waiting += ask.shape[1]
             continue
         size = min(waiting, CHUNK_ROWS)
@@ -239,15 +239,14 @@ def _lockstep(f, shapes, searches, params, to_blocks=_blocks_from_free) -> list:
         pieces = []
         while size:
             entry = queue[0]
-            start = entry[3]
-            stop = min(entry[2], start + size)
+            start = entry[2]
+            stop = min(entry[1].shape[1], start + size)
             pieces.append((entry, start, stop))
             size -= stop - start
-            entry[3] = stop
-            if stop == entry[2]:
+            entry[2] = stop
+            if stop == entry[1].shape[1]:
                 queue.popleft()
-        asks = [e[1] if b - a == e[2] else e[1][:, a:b] for e, a, b in pieces]
-        points = asks[0] if len(asks) == 1 else np.concatenate(asks, axis=1)
+        points = np.concatenate([e[1][:, a:b] for e, a, b in pieces], axis=1)
         blocks = [b.transpose(2, 0, 1) for b in to_blocks(points, shapes)]
         if len(pieces) == 1:
             vals = f(blocks, params[pieces[0][0][0]][None, :])
@@ -259,14 +258,11 @@ def _lockstep(f, shapes, searches, params, to_blocks=_blocks_from_free) -> list:
         pos = 0
         answered = []
         for entry, start, stop in pieces:
-            got = vals[pos : pos + stop - start]
+            entry[3].append(vals[pos : pos + stop - start])
             pos += stop - start
-            if start == 0 and stop == entry[2]:
-                answered.append((entry[0], got))
-                continue
-            entry[4].append(got)
-            if stop == entry[2]:
-                answered.append((entry[0], np.concatenate(entry[4])))
+            if stop == entry[1].shape[1]:
+                got = entry[3]
+                answered.append((entry[0], got[0] if len(got) == 1 else np.concatenate(got)))
         runnable.extend(reversed(answered))
     return results
 

@@ -358,6 +358,10 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
     return best_val, [b[0] for b in blocks], np.array([best_val])
 
 
+# The kernel oracles below work batch first, on (B, ...) arrays, with NumPy's
+# own reductions and products; the solver kernels they check work batch last.
+
+
 def softmax_oracle(logits):
     """Row softmax with NumPy's own max and sum reductions."""
     z = logits - logits.max(axis=-1, keepdims=True)

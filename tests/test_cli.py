@@ -127,8 +127,8 @@ def test_config_errors_exit_2(tmp_path):
         {"gamma": float("nan")},
         {"seeds": {"keymap": -1, "replay": 11}},
         {"adversary": {"kind": "scalr", "cells": [[0], [1]]}},  # exited 0 from region
-        # integer keys given fractions or booleans (at the parent each was
-        # truncated by int() and exited 0: n_list [4.7] ran n = 4)
+        # integer keys given fractions or booleans, which int() would
+        # truncate silently (n_list [4.7] would run n = 4)
         {"n_list": [4.7]},
         {"mu_points": 2.9},
         {"monte_carlo_samples": 50.5},
@@ -138,15 +138,19 @@ def test_config_errors_exit_2(tmp_path):
         {"q": 2.5},
         {"adversary": {"kind": "scalar", "cells": [[0], [1.5]]}},
         {"adversary": {"kind": "table", "table": [0, 1.5] * 8}, "n_list": [4]},
-        # exponents must be a boolean ("false" turned exponents on), R_A
-        # finite and >= 0 (NaN turned off the budget check), and every rate
-        # grid entry finite and >= 0; each exited 0 at the parent
+        # exponents must be a boolean (bool("false") is True), R_A finite
+        # and >= 0 (a NaN budget passes every rate check), and every rate
+        # grid entry finite and >= 0
         {"exponents": "false"},
         {"R_A": float("nan")},
         {"R_A": -0.1},
         {"rate_grid": {"R": [float("nan")]}},
         {"rate_grid": {"RA": [-1]}},
         {"rate_grid": {"RA": [float("inf")]}},
+        # numbers given as strings
+        {"R": "0.5"},
+        {"gamma": "0.05"},
+        {"exponent_grid": {"lambda_max": "5"}},
     ):
         bad = write_config(tmp_path, **bad_values)
         out = tmp_path / "bad-values"

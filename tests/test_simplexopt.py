@@ -390,14 +390,15 @@ def test_integrands_match_numpy_reduction_oracles(p_kz, batch):
     free = rng.random((batch, 3))
     free[::4, 0], free[1::4, 1] = 0.0, 1.0
     shapes = [(1, 2), (2, 2)]
-    for got, want in zip(simplexopt._blocks_from_free(bl(free), shapes), blocks_from_free_oracle(free, shapes)):
-        assert_same_bits(np.moveaxis(got, -1, 0), want)
+    got = simplexopt._blocks_from_free(bl(free), shapes)
+    for got_block, want in zip(got, blocks_from_free_oracle(free, shapes)):
+        assert_same_bits(np.moveaxis(got_block, -1, 0), want)
     shapes = [(1, u), (u, zs)]
     theta = _logit_rows(rng, batch, u + u * zs)
     with np.errstate(invalid="ignore"):  # -inf - -inf in the all -inf rows
-        pairs = zip(simplexopt._blocks_from_logits(bl(theta), shapes), blocks_from_logits_oracle(theta, shapes))
-        for got, want in pairs:
-            assert_same_bits(np.moveaxis(got, -1, 0), want)
+        got = simplexopt._blocks_from_logits(bl(theta), shapes)
+        for got_block, want in zip(got, blocks_from_logits_oracle(theta, shapes)):
+            assert_same_bits(np.moveaxis(got_block, -1, 0), want)
 
     ch = _channels(rng, batch, zs, u)
     q_u = rng.dirichlet(np.ones(u), size=batch)
@@ -469,7 +470,9 @@ def test_unrolled_adam_matches_reduction_oracle(mu):
     assert np.array_equal(level.channel, want[1][0])
 
 
-@pytest.mark.parametrize("mus", [[0.0, 0.25, 1.0], list(np.linspace(0.0, 1.0, 33))], ids=["P3", "P33"])
+@pytest.mark.parametrize(
+    "mus", [[0.0, 0.25, 1.0], list(np.linspace(0.0, 1.0, 33))], ids=["P3", "P33"]
+)
 def test_lockstep_adam_matches_per_problem_oracle(mus):
     # the Adam searches of all problems share one queue of calls: at P = 3
     # each iteration's bumped rows of every problem go in one call, and at
@@ -481,7 +484,8 @@ def test_lockstep_adam_matches_per_problem_oracle(mus):
     g, calls = counting(psh_rows_objective(TERNARY_KZ))
     got = minimize_blocks(g, [(3, 3)], np.array(mus)[:, None], opts=opts)
     for mu, res in zip(mus, got):
-        assert_same_result(res, multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts))
+        want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts)
+        assert_same_result(res, want)
     assert sum(calls) == len(mus) * 24 * (1 + opts.iters * (dim + 1))
     if len(mus) == 3:
         assert calls == [3 * 24] + [3 * dim * 24, 3 * 24] * opts.iters
@@ -590,4 +594,6 @@ def test_per_row_parameters_match_scalar_integrands(p_kz):
         assert_same_bits(all_om[one], om(q_u[one], q_zgu[one], float(mu[i]), float(alpha[i])))
     # one row shared by the whole call, as the dense engine passes it
     assert_same_bits(tilde(ch, mu[:1], lam[:1]), tilde(ch, float(mu[0]), float(lam[0])))
-    assert_same_bits(om(q_u, q_zgu, mu[:1], alpha[:1]), om(q_u, q_zgu, float(mu[0]), float(alpha[0])))
+    assert_same_bits(
+        om(q_u, q_zgu, mu[:1], alpha[:1]), om(q_u, q_zgu, float(mu[0]), float(alpha[0]))
+    )
