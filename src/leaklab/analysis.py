@@ -349,8 +349,10 @@ class ExponentGrid:
 
     def lambda_grid(self) -> np.ndarray:
         """Zero plus a geometric ladder; the small-tilt end carries the
-        positivity witnesses, the large end the suprema."""
-        tail = np.geomspace(1e-4, self.lambda_max, self.lambda_points - 1)
+        positivity witnesses, the large end the suprema.  The ladder starts
+        at 1e-4, or at lambda_max if that is smaller, so every tilt lies in
+        [0, lambda_max]."""
+        tail = np.geomspace(min(1e-4, self.lambda_max), self.lambda_max, self.lambda_points - 1)
         return np.concatenate([[0.0], tail])
 
 

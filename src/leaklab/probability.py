@@ -418,9 +418,18 @@ def type_of(seq, alphabet_size: int) -> TypeClass:
 # ---------------------------------------------------------------------------
 
 
+def _json_numbers(values, name: str) -> list:
+    """``values`` if every entry is a JSON number, not a boolean or a
+    string (which ``np.asarray`` would convert silently)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must hold numbers, got {v!r}")
+    return values
+
+
 def pmf_from_json(doc: dict) -> Pmf:
     """Parse ``{"alphabet": q, "probs": [...]}``."""
-    probs = doc["probs"]
+    probs = _json_numbers(doc["probs"], "probs")
     q = doc.get("alphabet", len(probs))
     if len(probs) != q:
         raise ValueError(f"declared alphabet {q} != len(probs) {len(probs)}")
@@ -429,4 +438,4 @@ def pmf_from_json(doc: dict) -> Pmf:
 
 def channel_from_json(doc: dict) -> ChannelMatrix:
     """Parse ``{"rows": [[...], ...]}``."""
-    return ChannelMatrix(doc["rows"])
+    return ChannelMatrix([_json_numbers(row, "channel rows") for row in doc["rows"]])

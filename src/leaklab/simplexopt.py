@@ -15,12 +15,13 @@ Two engines:
   gradients, used for everything else.
 
 One call of :func:`minimize_blocks` solves many problems that differ only in
-a row of parameters.  Both engines run the searches of all of them through
-one queue of objective calls of at most ``CHUNK_ROWS`` rows: meshes go
-through in chunks, and the zoom, golden-section and Adam steps of many
-basins and problems share calls.  Each objective passed to
-:func:`minimize_blocks` is row-independent bit for bit, so the batching
-changes which call carries a point but not its value.
+a row of parameters, in phases over arrays that span all of them: the global
+meshes, each zoom round and the golden-section polish of the dense engine,
+and each Adam step.  A phase hands its points to one stream evaluator,
+:func:`_evaluate`, which makes objective calls of at most ``CHUNK_ROWS``
+points with one parameter row per point.  Each objective is row-independent
+bit for bit, so the batching changes which call carries a point but not its
+value.
 
 Points, logits and blocks are stored with the batch axis last: a batch of
 points is a (dim, N) array and a batch of blocks a C-contiguous (rows, cols,
@@ -42,6 +43,9 @@ import numpy as np
 __all__ = ["SolverOptions", "minimize_blocks"]
 
 DENSE_MAX_DIM = 3
+DENSE_ROUNDS = 3  # the global mesh, then zoom rounds around each basin
+DENSE_BASINS = 3  # basins zoomed and polished per problem
+ADAM_LR = 0.3
 # Rows per objective call; larger fresh temporaries cost more in page faults
 # than in arithmetic.
 CHUNK_ROWS = 4096
@@ -53,8 +57,6 @@ class SolverOptions:
     iters: int = 200
     seed: int = 0
     dense_points: int = 33
-    dense_rounds: int = 3
-    lr: float = 0.3
 
 
 def _sum_rows(rows):
@@ -151,196 +153,158 @@ def _mesh(axes) -> np.ndarray:
     return out.reshape(dim, -1)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _evaluate(f, shapes, asks, params, to_blocks=_blocks_from_free):
+    """Evaluate a stream of asks; yield the values of each ask.
 
-
-def _golden_polish(x, width, sweeps=2, tol=1e-7):
-    """Cyclic per-coordinate golden-section around x, as a coroutine.
-
-    It yields each batch of points it needs, as a (dim, r) array, is sent
-    their r objective values, and returns ``(x, f(x))``.  The bracket
-    arithmetic is scalar, so the search is the same whichever batch carries
-    its points.
+    An ask is ``(owners, points)``: a (dim, n) array of points and the
+    problem of each, an index into the rows of ``params`` (one for all n
+    points, or n of them).  The points of all asks form one stream,
+    evaluated in calls ``f(blocks, rows)`` of at most ``CHUNK_ROWS`` points,
+    where ``rows[r]`` is the parameter row of point r's problem and
+    ``to_blocks(points, shapes)`` makes the blocks: free parameters for the
+    dense engine, logits for Adam.  Each ask is answered, in order, as soon
+    as its last point is evaluated.  The next ask is drawn only while fewer
+    than ``CHUNK_ROWS`` points wait, so a lazy stream of large asks holds
+    about two of them at a time.
     """
-    x = x.copy()
-    (fx,) = yield x[:, None]
-    for _ in range(sweeps):
-        for d in range(x.shape[0]):
-            a = max(0.0, x[d] - width)
-            b = min(1.0, x[d] + width)
-            c = b - _GOLDEN * (b - a)
-            e = a + _GOLDEN * (b - a)
-            xc = x.copy()
-            xc[d] = c
-            xe = x.copy()
-            xe[d] = e
-            fc, fe = yield np.stack([xc, xe], axis=1)
-            while b - a > tol:
-                if fc <= fe:
-                    b, e, fe = e, c, fc
-                    c = b - _GOLDEN * (b - a)
-                    xc[d] = c
-                    (fc,) = yield xc[:, None]
-                else:
-                    a, c, fc = c, e, fe
-                    e = a + _GOLDEN * (b - a)
-                    xe[d] = e
-                    (fe,) = yield xe[:, None]
-            mid = 0.5 * (a + b)
-            xm = x.copy()
-            xm[d] = mid
-            (fm,) = yield xm[:, None]
-            if fm < fx:
-                x, fx = xm, fm
-        width /= 4.0
-    return x, fx
-
-
-def _lockstep(f, shapes, searches, params, to_blocks=_blocks_from_free) -> list:
-    """Run the point-asking coroutines of many problems and return their
-    results.
-
-    Each search yields a (dim, r) array of points, is sent their r values,
-    and returns its result.  ``to_blocks(points, shapes)`` turns points into
-    blocks: free parameters for the dense engine, logits for Adam.  All asks
-    join one queue of points, which is evaluated in calls of ``CHUNK_ROWS``
-    points: a call is made as soon as that many points wait, and the points
-    left over are evaluated in one call when every search waits.  So an ask
-    larger than a chunk goes through in chunk-sized calls, and the small
-    asks of many searches share one call.  A search whose ask has been
-    answered runs next (depth first), so only a few searches hold a large
-    ask at any time.
-
-    ``params`` holds one row of problem parameters per search.  Every call
-    is ``f(blocks, rows)``, where ``rows[r]`` is the parameter row of the
-    search that asked for point r, or ``rows`` is that one row, shape
-    (1, k), when a single search asked for every point of the call.
-    Every objective here is row-independent bit for bit (a row's value does
-    not depend on the other rows of its call), so each search sees exactly
-    the values that one call per point would give it.
-    """
-    results = [None] * len(searches)
-    runnable = [(i, None) for i in reversed(range(len(searches)))]
-    queue = deque()  # [search, ask, first unsent point, values so far]
+    asks = iter(asks)
+    queue = deque()  # [owners, points, values so far, first unevaluated point]
     waiting = 0
-    while runnable or waiting:
-        if runnable and waiting < CHUNK_ROWS:
-            i, vals = runnable.pop()
-            try:
-                ask = searches[i].send(vals)
-            except StopIteration as done:
-                results[i] = done.value
-                continue
-            queue.append([i, ask, 0, []])
-            waiting += ask.shape[1]
-            continue
+    while True:
+        while waiting < CHUNK_ROWS and (ask := next(asks, None)) is not None:
+            owners, points = ask
+            queue.append([np.broadcast_to(owners, points.shape[1:]), points, [], 0])
+            waiting += points.shape[1]
+        if not waiting:
+            return
         size = min(waiting, CHUNK_ROWS)
         waiting -= size
         pieces = []
-        while size:
-            entry = queue[0]
-            start = entry[2]
-            stop = min(entry[1].shape[1], start + size)
-            pieces.append((entry, start, stop))
-            size -= stop - start
-            entry[2] = stop
-            if stop == entry[1].shape[1]:
-                queue.popleft()
+        for entry in queue:
+            if not size:
+                break
+            stop = min(entry[1].shape[1], entry[3] + size)
+            pieces.append((entry, entry[3], stop))
+            size -= stop - entry[3]
+            entry[3] = stop
         points = np.concatenate([e[1][:, a:b] for e, a, b in pieces], axis=1)
-        blocks = [b.transpose(2, 0, 1) for b in to_blocks(points, shapes)]
-        if len(pieces) == 1:
-            vals = f(blocks, params[pieces[0][0][0]][None, :])
-        else:
-            owners = [e[0] for e, _, _ in pieces]
-            rows = np.repeat(params[owners], [b - a for _, a, b in pieces], axis=0)
-            vals = f(blocks, rows)
+        rows = params[np.concatenate([e[0][a:b] for e, a, b in pieces])]
+        vals = f([b.transpose(2, 0, 1) for b in to_blocks(points, shapes)], rows)
         vals = np.asarray(vals, dtype=np.float64)
         pos = 0
-        answered = []
         for entry, start, stop in pieces:
-            entry[3].append(vals[pos : pos + stop - start])
+            entry[2].append(vals[pos : pos + stop - start])
             pos += stop - start
-            if stop == entry[1].shape[1]:
-                got = entry[3]
-                answered.append((entry[0], got[0] if len(got) == 1 else np.concatenate(got)))
-        runnable.extend(reversed(answered))
-    return results
+        while queue and queue[0][3] == queue[0][1].shape[1]:
+            got = queue.popleft()[2]
+            yield got[0] if len(got) == 1 else np.concatenate(got)
 
 
-def _zoom(x, step0, pts, rounds):
-    """Nested zoom meshes around a seed point, as a coroutine; returns the
-    best point found and the last mesh step."""
-    dim = x.shape[0]
-    v = np.inf
-    lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
-    hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
-    step = step0
-    for _ in range(rounds - 1):
-        local = _mesh([np.linspace(lo[i], hi[i], pts) for i in range(dim)])
-        lv = yield local
-        j = int(np.argmin(lv))
-        if lv[j] < v:
-            v = float(lv[j])
-            x = local[:, j]
-        step = (hi - lo).max() / (pts - 1)
-        lo = np.clip(x - 2.5 * step, 0.0, 1.0)
-        hi = np.clip(x + 2.5 * step, 0.0, 1.0)
-    return x.copy(), step
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _seed_search(mesh, step0, n_basins):
-    """One problem's global mesh scan, as a coroutine for :func:`_lockstep`;
-    returns its best mesh points at least 3 mesh steps apart, in value
-    order, as the seeds of its basins."""
-    seeds = []
-    for i in np.argsort((yield mesh)):
-        x = mesh[:, i]
-        if all(np.max(np.abs(x - s)) > 3.0 * step0 for s in seeds):
-            seeds.append(x)
-        if len(seeds) == n_basins:
-            break
-    return seeds
+def _golden_polish(f, shapes, params, owners, x, width, sweeps=2, tol=1e-7):
+    """Cyclic per-coordinate golden-section around every column of x, a
+    (dim, B) array of basins of the problems ``owners``, with bracket
+    half-widths ``width`` (B,); returns ``(x, f(x))`` of every basin.
+
+    The brackets of all basins are arrays that step together, one ask per
+    step, and a closed bracket stops asking.  The bracket arithmetic is
+    elementwise, so each basin follows its own scalar search.
+    """
+
+    def values(who, points):
+        [vals] = _evaluate(f, shapes, [(who, points)], params)
+        return vals
+
+    def moved(d, t, cols=slice(None)):  # x[:, cols] with coordinate d set to t
+        out = x[:, cols].copy()
+        out[d] = t
+        return out
+
+    x = x.copy()
+    fx = values(owners, x)
+    for _ in range(sweeps):
+        for d in range(x.shape[0]):
+            a = np.maximum(0.0, x[d] - width)
+            b = np.minimum(1.0, x[d] + width)
+            c = b - _GOLDEN * (b - a)
+            e = a + _GOLDEN * (b - a)
+            opening = np.concatenate([moved(d, c), moved(d, e)], axis=1)
+            fc, fe = np.split(values(np.tile(owners, 2), opening), 2)
+            active = b - a > tol
+            while active.any():
+                left = active & (fc <= fe)
+                right = active & ~(fc <= fe)
+                b[left], e[left], fe[left] = e[left], c[left], fc[left]
+                c[left] = b[left] - _GOLDEN * (b[left] - a[left])
+                a[right], c[right], fc[right] = c[right], e[right], fe[right]
+                e[right] = a[right] + _GOLDEN * (b[right] - a[right])
+                got = values(owners[active], moved(d, np.where(left, c, e)[active], active))
+                fc[left] = got[left[active]]
+                fe[right] = got[right[active]]
+                active = b - a > tol
+            mid = 0.5 * (a + b)
+            fm = values(owners, moved(d, mid))
+            better = fm < fx
+            x[d, better] = mid[better]
+            fx[better] = fm[better]
+        width = width / 4.0
+    return x, fx
 
 
-def _basin_search(x, step0, pts, rounds):
-    """Zoom meshes around one seed, then a golden-section polish, as a
-    coroutine for :func:`_lockstep`; returns ``(x, f(x))``.  The meshes are
-    dropped before the polish, so a search that waits on its small asks
-    holds little."""
-    x, step = yield from _zoom(x, step0, pts, rounds)
-    return (yield from _golden_polish(x, width=2.5 * step))
-
-
-def _dense_scan(f, shapes, opts: SolverOptions, params, n_basins: int = 3) -> list:
-    """Global mesh scan, then independent zooms on the best few basins, for
+def _dense_scan(f, shapes, opts: SolverOptions, params) -> list:
+    """Global mesh scan, then zooms and a polish on the best few basins, for
     every problem; one result per problem.
 
     The objectives here can carry several local minima whose depths at grid
     resolution do not predict their depths at full resolution, so a single
-    zoom path is not trusted with the global answer.  The global scans of
-    all problems run through one :func:`_lockstep` queue, then the zooms and
-    polishes of all their basins through another.
+    zoom path is not trusted with the global answer.  Each phase is one
+    stream over all problems: the global meshes, each zoom round over all
+    basins (its local meshes built as the stream draws them), the polish.
     """
-    free = sum(r for r, _ in shapes)
+    dim = sum(r for r, _ in shapes)
     pts = opts.dense_points
     step0 = 1.0 / (pts - 1)
-    mesh = _mesh([np.linspace(0.0, 1.0, pts)] * free)
-    seeds = _lockstep(f, shapes, [_seed_search(mesh, step0, n_basins) for _ in params], params)
-    owners = [i for i, found in enumerate(seeds) for _ in found]
-    basins = _lockstep(
-        f,
-        shapes,
-        [_basin_search(x, step0, pts, opts.dense_rounds) for found in seeds for x in found],
-        params[owners],
-    )
+    mesh = _mesh([np.linspace(0.0, 1.0, pts)] * dim)
+    seeds, owners = [], []
+    meshes = ((i, mesh) for i in range(len(params)))
+    for i, vals in enumerate(_evaluate(f, shapes, meshes, params)):
+        # the best mesh points at least 3 mesh steps apart, in value order
+        found = []
+        for j in np.argsort(vals):
+            if all(np.max(np.abs(mesh[:, j] - s)) > 3.0 * step0 for s in found):
+                found.append(mesh[:, j])
+            if len(found) == DENSE_BASINS:
+                break
+        seeds += found
+        owners += [i] * len(found)
+    owners = np.array(owners)
+    x = np.stack(seeds, axis=1)
+    v, step = np.full(len(owners), np.inf), np.full(len(owners), step0)
+    for _ in range(DENSE_ROUNDS - 1):
+        lo = np.clip(x - 2.5 * step, 0.0, 1.0)
+        hi = np.clip(x + 2.5 * step, 0.0, 1.0)
+
+        def axes(j):
+            return [np.linspace(lo[i, j], hi[i, j], pts) for i in range(dim)]
+
+        local = ((owner, _mesh(axes(j))) for j, owner in enumerate(owners))
+        for j, vals in enumerate(_evaluate(f, shapes, local, params)):
+            k = int(np.argmin(vals))
+            if vals[k] < v[j]:
+                v[j] = vals[k]
+                x[:, j] = [a[i] for a, i in zip(axes(j), np.unravel_index(k, (pts,) * dim))]
+        step = (hi - lo).max(axis=0) / (pts - 1)
+    x, v = _golden_polish(f, shapes, params, owners, x, 2.5 * step)
     best = [(np.inf, None)] * len(params)
-    for owner, (x, v) in zip(owners, basins):
-        if v < best[owner][0]:
-            best[owner] = (v, x)
+    for owner, xj, vj in zip(owners, x.T, v):
+        if vj < best[owner][0]:
+            best[owner] = (vj, xj)
     results = []
-    for v, x in best:
-        blocks = _blocks_from_free(x[:, None], shapes)
-        results.append((float(v), [b[..., 0] for b in blocks], np.array([v])))
+    for vj, xj in best:
+        blocks = _blocks_from_free(xj[:, None], shapes)
+        results.append((float(vj), [b[..., 0] for b in blocks], np.array([vj])))
     return results
 
 
@@ -364,43 +328,57 @@ def _initial_logits(shapes, opts: SolverOptions) -> np.ndarray:
     return np.stack(starts, axis=1)
 
 
-def _multistart_adam(theta, opts: SolverOptions):
+def _multistart_adam(f, shapes, opts: SolverOptions, params) -> list:
     """Batched Adam on row-softmax logits with forward-difference gradients,
-    from the (dim, starts) logits ``theta``, as a coroutine for
-    :func:`_lockstep`; returns the best value of each start and the logits
-    of the best start.
+    for every problem; one result per problem.
 
-    Each iteration makes two asks: the dim bumped copies of every start, as
-    one (dim, dim * starts) batch, and the stepped logits, whose values are
-    the next iteration's base.  The objectives are row-independent bit for
-    bit and Adam's arithmetic is elementwise, so this gives the path of one
-    call per bumped coordinate, whichever calls carry the points.
+    The starts of all problems form one (dim, problems * starts) array of
+    logits, evaluated twice per iteration: first the dim bumped copies of
+    every start, one lazy ask per problem so that only a few problems'
+    bumped rows are held at a time, then the stepped logits, whose values
+    are the next iteration's base.  Adam's arithmetic is elementwise, so
+    every start follows its path in a solve of its problem alone.
     """
-    dim, starts = theta.shape
-    base = yield theta
+    start = _initial_logits(shapes, opts)
+    dim, starts = start.shape
+    theta = np.tile(start, len(params))
+    owners = np.repeat(np.arange(len(params)), starts)
+    h = 1e-6
+    diag = np.arange(dim)
+
+    def evaluate(asks):
+        return _evaluate(f, shapes, asks, params, _blocks_from_logits)
+
+    def bumped(theta):
+        for p in range(len(params)):
+            t = np.repeat(theta[:, None, p * starts : (p + 1) * starts], dim, axis=1)
+            t[diag, diag] += h  # (dim, bumped coordinate, starts)
+            yield p, t.reshape(dim, dim * starts)
+
+    [base] = evaluate([(owners, theta)])
     best_vals = base.copy()
     best_theta = theta.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    h = 1e-6
-    lr = opts.lr
-    diag = np.arange(dim)
+    lr = ADAM_LR
     for it in range(1, opts.iters + 1):
-        bumped = np.repeat(theta[:, None, :], dim, axis=1)  # (dim, bumped coordinate, starts)
-        bumped[diag, diag] += h
-        bumped_vals = (yield bumped.reshape(dim, dim * starts)).reshape(dim, starts)
-        grad = (bumped_vals - base) / h
+        grad = [vals.reshape(dim, starts) for vals in evaluate(bumped(theta))]
+        grad = (np.concatenate(grad, axis=1) - base) / h
         m = 0.9 * m + 0.1 * grad
         v = 0.999 * v + 0.001 * grad**2
-        mhat = m / (1 - 0.9**it)
-        vhat = v / (1 - 0.999**it)
-        theta = theta - lr * mhat / (np.sqrt(vhat) + 1e-10)
+        theta = theta - lr * (m / (1 - 0.9**it)) / (np.sqrt(v / (1 - 0.999**it)) + 1e-10)
         lr *= 0.985
-        base = yield theta
+        [base] = evaluate([(owners, theta)])
         improved = base < best_vals
         best_vals[improved] = base[improved]
         best_theta[:, improved] = theta[:, improved]
-    return best_vals, best_theta[:, int(np.argmin(best_vals))]
+    results = []
+    for p in range(len(params)):
+        vals = best_vals[p * starts : (p + 1) * starts]
+        x = best_theta[:, p * starts + int(np.argmin(vals)), None]
+        blocks = _blocks_from_logits(x, shapes)
+        results.append((float(vals.min()), [b[..., 0] for b in blocks], vals))
+    return results
 
 
 def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
@@ -410,13 +388,13 @@ def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
     ``params`` is a (P, k) array of the problems' parameter rows.  ``f``
     receives ``(blocks, rows)``: a list of arrays (one per shape, with a
     leading batch axis; each is a view of a C-contiguous batch-last array),
-    and the parameter row of each point's problem, or one (1, k) row shared
-    by every point of the call.  It returns a batch of objective values and
-    must be row-independent bit for bit: a row's value may not depend on the
-    other rows of its batch, because the engines stack points freely.
-    Returns one ``(best_value, best_blocks, per_start_values)`` per problem,
-    each equal to a solve of that problem alone; the last entry is the
-    dispersion diagnostic (dense scans report a single value).
+    and a (N, k) array holding the parameter row of each point's problem.
+    It returns a batch of objective values and must be row-independent bit
+    for bit: a row's value may not depend on the other rows of its batch,
+    because the engines stack points freely.  Returns one ``(best_value,
+    best_blocks, per_start_values)`` per problem, each equal to a solve of
+    that problem alone; the last entry is the dispersion diagnostic (dense
+    scans report a single value).
     """
     opts = opts or SolverOptions()
     shapes = [tuple(s) for s in shapes]
@@ -426,12 +404,4 @@ def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
     free = sum(r * (c - 1) for r, c in shapes)
     if all(c == 2 for _, c in shapes) and free <= DENSE_MAX_DIM:
         return _dense_scan(f, shapes, opts, params)
-    theta = _initial_logits(shapes, opts)
-    found = _lockstep(
-        f, shapes, [_multistart_adam(theta, opts) for _ in params], params, _blocks_from_logits
-    )
-    results = []
-    for best_vals, x in found:
-        blocks = _blocks_from_logits(x[:, None], shapes)
-        results.append((float(best_vals.min()), [b[..., 0] for b in blocks], best_vals))
-    return results
+    return _multistart_adam(f, shapes, opts, params)

@@ -8,7 +8,7 @@ import numpy as np
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
-from leaklab.simplexopt import _GOLDEN, _initial_logits
+from leaklab.simplexopt import ADAM_LR, DENSE_BASINS, DENSE_ROUNDS, _GOLDEN, _initial_logits
 
 TINY = np.finfo(np.float64).tiny
 
@@ -262,7 +262,7 @@ def simplex_grid_capacity(kern, rounds=4, pts=21):
 
 def golden_polish_oracle(f1, x, width, sweeps=2, tol=1e-7):
     """Cyclic per-coordinate golden-section around x, one point per call of
-    ``f1``: the sequential polish behind the lockstep one."""
+    ``f1``: the sequential polish behind the array one."""
     x = x.copy()
     fx = f1(x)
     for _ in range(sweeps):
@@ -311,7 +311,7 @@ def blocks_from_free_oracle(x, shapes):
     return blocks
 
 
-def dense_scan_oracle(f, shapes, opts, n_basins=3):
+def dense_scan_oracle(f, shapes, opts):
     """One problem's dense scan (``simplexopt._dense_scan``) with the
     whole mesh in one call and each basin zoomed and polished in turn, one
     objective call per golden-section point."""
@@ -327,7 +327,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
         x = mesh[i]
         if all(np.max(np.abs(x - s)) > 3.0 * step0 for s in seeds):
             seeds.append(x)
-        if len(seeds) == n_basins:
+        if len(seeds) == DENSE_BASINS:
             break
 
     def f1(x):
@@ -339,7 +339,7 @@ def dense_scan_oracle(f, shapes, opts, n_basins=3):
         lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
         hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
         step = step0
-        for _ in range(opts.dense_rounds - 1):
+        for _ in range(DENSE_ROUNDS - 1):
             local_axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
             local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1)
             local = local.reshape(-1, dim)
@@ -472,7 +472,7 @@ def multistart_adam_oracle(f, shapes, opts):
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     h = 1e-6
-    lr = opts.lr
+    lr = ADAM_LR
     for it in range(1, opts.iters + 1):
         base = eval_theta(theta)
         grad = np.empty_like(theta)

@@ -406,6 +406,18 @@ def _cells_seen(calc):
     return seen
 
 
+@pytest.mark.parametrize("lambda_max", [1e-6, 1e-5, 1e-4, 2e-4, 0.5, 5.0])
+def test_lambda_grid_stays_in_range(lambda_max):
+    # F_lower takes its supremum over lam in [0, lambda_max]; below 1e-4
+    # the geometric ladder used to start at 1e-4 all the same
+    grid = ExponentGrid(lambda_points=5, lambda_max=lambda_max).lambda_grid()
+    assert grid[0] == 0.0 and np.all(grid[1:] > 0)
+    assert max(grid) <= lambda_max
+    assert grid[-1] == lambda_max
+    if lambda_max >= 1e-4:  # unchanged: the ladder from 1e-4
+        assert np.array_equal(grid[1:], np.geomspace(1e-4, lambda_max, 4))
+
+
 def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
     # Steps of 1/6 and 1/18 make the refine grids revisit cells at values
     # such as 0.33333333333333337 whose rounded keys collide with cached

@@ -151,6 +151,14 @@ def test_config_errors_exit_2(tmp_path):
         {"R": "0.5"},
         {"gamma": "0.05"},
         {"exponent_grid": {"lambda_max": "5"}},
+        # probabilities given as strings or booleans (np.asarray converts
+        # both silently)
+        {"source": {"probs": ["0.89", "0.11"]}},
+        {"source": {"probs": [True, False]}},
+        {"key": {"probs": ["0.5", 0.5]}},
+        {"key": {"probs": [False, True]}},
+        {"W": {"rows": [[0.9, "0.1"], [0.1, 0.9]]}},
+        {"W": {"rows": [[True, False], [0.1, 0.9]]}},
     ):
         bad = write_config(tmp_path, **bad_values)
         out = tmp_path / "bad-values"

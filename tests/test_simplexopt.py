@@ -191,7 +191,7 @@ def test_adam_makes_two_calls_per_iteration():
 
 
 # ---------------------------------------------------------------------------
-# lockstep dense scan
+# many-basin dense scan
 # ---------------------------------------------------------------------------
 
 
@@ -222,8 +222,9 @@ def test_corner_basin_is_clipped():
 
 def test_lockstep_polish_with_unequal_loop_lengths():
     # one start sits on the boundary, so its golden loops are shorter; the
-    # lockstep polish still reproduces every sequential one bit for bit and
-    # makes as many calls as the longest of them
+    # brackets of all starts step together as arrays, a closed bracket stops
+    # asking, and the polish still reproduces every sequential one bit for
+    # bit and makes as many calls as the longest of them
     shapes = [(2, 2)]
     f = omega_tilde_objective(BSC_KZ, 0.3, 0.9)
     starts = [np.array([0.0, 0.7]), np.array([0.4, 0.55]), np.array([1.0, 1.0])]
@@ -242,13 +243,13 @@ def test_lockstep_polish_with_unequal_loop_lengths():
     assert len(set(lengths)) > 1
     g, calls = counting(omega_tilde_rows_objective(BSC_KZ))
     params = np.array([(0.3, 0.9)] * len(starts))
-    got = simplexopt._lockstep(
-        g, shapes, [simplexopt._golden_polish(x, width) for x in starts], params
-    )
+    x, widths = np.stack(starts, axis=1), np.full(len(starts), width)
+    x, fx = simplexopt._golden_polish(g, shapes, params, np.arange(len(starts)), x, widths)
+    got = zip(x.T, fx)
     for (gx, gv), (wx, wv) in zip(got, want):
         assert gv == wv and np.array_equal(gx, wx)
-    # the lockstep polish asks for the two opening points of each of its
-    # sweeps * dim brackets in one call, where the oracle makes two
+    # the polish asks for the two opening points of each of its sweeps * dim
+    # brackets in one call, where the oracle makes two
     n_brackets = 2 * 2
     assert len(calls) == max(lengths) - n_brackets
     assert len(calls) < sum(lengths)
@@ -474,11 +475,11 @@ def test_unrolled_adam_matches_reduction_oracle(mu):
     "mus", [[0.0, 0.25, 1.0], list(np.linspace(0.0, 1.0, 33))], ids=["P3", "P33"]
 )
 def test_lockstep_adam_matches_per_problem_oracle(mus):
-    # the Adam searches of all problems share one queue of calls: at P = 3
-    # each iteration's bumped rows of every problem go in one call, and at
+    # the starts of all problems step as one array: at P = 3 each
+    # iteration's bumped rows of every problem go in one call, and at
     # P = 33 the 33 * 216 bumped rows are split across 4096-row chunks,
-    # mixed with other problems' step rows; each problem still follows its
-    # own sequential path bit for bit
+    # with a problem's rows split between two calls; each problem still
+    # follows its own sequential path bit for bit
     opts = SolverOptions(n_starts=24, iters=30)
     dim = 3 * 3
     g, calls = counting(psh_rows_objective(TERNARY_KZ))
@@ -537,17 +538,32 @@ def test_many_problem_r_mu_matches_per_problem_oracle():
     assert [lv.value for lv in levels] == [res[0] for res in got]
 
 
-def test_many_problem_memory_does_not_grow_with_problems():
-    # a search that waits on its small polish asks has dropped its meshes,
-    # and searches run depth first, so six omega problems peak well below
-    # six times one problem's memory
-    f = omega_rows_objective(BSC_KZ)
+@pytest.mark.parametrize(
+    "f, shapes, row, opts",
+    [
+        # the local meshes of a zoom round are built as the stream draws
+        # them, and the polish holds no mesh
+        (omega_rows_objective(BSC_KZ), [(1, 2), (2, 2)], lambda k: (0.5, 0.1 * (k + 1)), None),
+        # each problem's bumped rows are a lazy ask of 9 * 9 * 1000 values,
+        # more than a chunk: six problems read 1.7 times one problem's peak
+        # here, and 2.3 times if all six asks are built at once
+        (
+            psh_rows_objective(TERNARY_KZ),
+            [(3, 3)],
+            lambda k: (0.1 * (k + 1),),
+            SolverOptions(n_starts=1000, iters=3),
+        ),
+    ],
+    ids=["dense", "adam"],
+)
+def test_many_problem_memory_does_not_grow_with_problems(f, shapes, row, opts):
+    # six problems peak well below six times one problem's memory
     peaks = []
     tracemalloc.start()
     try:
         for n in (1, 6):
             tracemalloc.reset_peak()
-            minimize_blocks(f, [(1, 2), (2, 2)], [(0.5, 0.1 * (k + 1)) for k in range(n)])
+            minimize_blocks(f, shapes, [row(k) for k in range(n)], opts=opts)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -592,7 +608,7 @@ def test_per_row_parameters_match_scalar_integrands(p_kz):
         one = slice(i, i + 1)
         assert_same_bits(all_tilde[one], tilde(ch[one], float(mu[i]), float(lam[i])))
         assert_same_bits(all_om[one], om(q_u[one], q_zgu[one], float(mu[i]), float(alpha[i])))
-    # one row shared by the whole call, as the dense engine passes it
+    # one parameter row broadcast over the whole call
     assert_same_bits(tilde(ch, mu[:1], lam[:1]), tilde(ch, float(mu[0]), float(lam[0])))
     assert_same_bits(
         om(q_u, q_zgu, mu[:1], alpha[:1]), om(q_u, q_zgu, float(mu[0]), float(alpha[0]))

@@ -69,8 +69,11 @@ def counting_minimize(f, shapes, params, **kwargs):
 
 analysis.minimize_blocks = counting_minimize
 if sys.argv[2] == "dense":
+    # three binary levels in one many-problem dense solve, whose 5 x 5
+    # global meshes share one call
     p_kz = prob.joint_from_channel(prob.Pmf.uniform(2), prob.ChannelMatrix.bsc(0.1))
-    analysis.r_mu(p_kz, 0.4, opts=simplexopt.SolverOptions(dense_points=5))
+    opts = simplexopt.SolverOptions(dense_points=5)
+    analysis._r_mu_levels(p_kz, [0.0, 0.4, 1.0], opts=opts)
 else:
     # three ternary levels in one many-problem Adam solve
     w = prob.ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
@@ -101,6 +104,8 @@ def test_tracer_hooks_the_minimizer():
         assert metrics["simplexopt.objective.calls"] == len(received), case
         assert metrics["simplexopt.dense.calls"] == dense_calls, case
         assert metrics["simplexopt.adam.calls"] == adam_calls, case
+        if case == "dense":
+            assert received[0] == 3 * 5**2  # one call spans the three problems
     # Adam for 3 problems of 8 starts and 5 iterations: a 24-row base call,
     # then per iteration one call of 3 * 9 * 8 bumped rows and one of 24
     assert received == [24] + [216, 24] * 5
