@@ -58,6 +58,22 @@ def _prep(p_kz):
     return p_z_s, pk_given_z, p.shape[0], supp.size
 
 
+def _u_sizes(zs: int, q: int) -> list:
+    """The |U| of each class an inner minimum is solved over: |Z| (the
+    support lemma: enough, see ``_r_mu_levels``) and, when it is smaller,
+    |K|.  The |K| class is a subset of the |Z| one (a channel with unused
+    U symbols), so its solution bounds the minimum too; it is kept where it
+    is lower, because the descent engine reaches optima with exact zeros,
+    such as a U symbol left unused, only in the limit of infinite logits."""
+    return [zs] if q >= zs else [zs, q]
+
+
+def _better(solves) -> list:
+    """Per problem, the lowest of several ``minimize_blocks`` results (the
+    first on ties)."""
+    return [min(res, key=lambda r: r[0]) for res in zip(*solves)]
+
+
 def _psh_quantities(channel, p_z, pk_given_z):
     """Derived laws of a batch of test channels U|Z, batch last.
 
@@ -218,20 +234,35 @@ class RMuResult:
 
 
 def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = None) -> list:
-    """The levels of every mu in ``mus``, solved in one many-problem call."""
+    """The levels of every mu in ``mus``, solved in one many-problem call.
+
+    U ranges over |Z| symbols (|Z| the size of Z's support; see
+    ``_u_sizes``) unless ``u_size`` says otherwise, and |U| = |Z| loses
+    nothing (the support lemma; Csiszar & Korner, *Information Theory*,
+    2nd ed., Lemma 15.4).
+    Proof: the objective is sum_u p(u) phi(r_u) over laws r_u = p(z|u)
+    with mean sum_u p(u) r_u = p_Z, where
+    phi(r) = mu H(p_Z) - mu H(r) + (1-mu) H(sum_z r_z p(k|z)); its minimum
+    is a boundary point of the convex hull of {(r, phi(r))} in R^|Z| (|Z|-1
+    free numbers of r, one value), and by Caratheodory's theorem in a
+    supporting hyperplane such a point is a mixture of |Z| of the points.
+    Fewer than |Z| may not do: min(|Z|, |K|) overstates R_mu for some laws
+    with |Z| > |K|.
+    """
     mus = [float(mu) for mu in mus]
     for mu in mus:
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {mu}")
     p_z, pk_given_z, q, zs = _prep(p_kz)
-    u = u_size or min(zs, q)
 
     def f(blocks, rows):
         i_zu, h_kgu = _psh_objective_terms(blocks[0].transpose(1, 2, 0), p_z, pk_given_z)
         mu = rows[:, 0]
         return mu * i_zu + (1.0 - mu) * h_kgu
 
-    solved = minimize_blocks(f, [(zs, u)], np.array(mus).reshape(-1, 1), opts=opts)
+    params = np.array(mus).reshape(-1, 1)
+    sizes = [u_size] if u_size else _u_sizes(zs, q)
+    solved = _better(minimize_blocks(f, [(zs, u)], params, opts=opts) for u in sizes)
     out = []
     for mu, (val, blocks, finals) in zip(mus, solved):
         i_zu, h_kgu = _psh_objective_terms(blocks[0][:, :, None], p_z, pk_given_z)
@@ -396,6 +427,16 @@ class ExponentCalculator:
     Every cell is solved by :meth:`_fill`: each scan of F and F_lower fills
     all of its uncached cells in one many-problem solve before it reads
     them, and a lookup that misses fills its one cell.
+
+    U ranges over |Z| symbols, |Z| the size of Z's support (see
+    ``_u_sizes``), and that loses nothing (the support lemma, as in
+    ``_r_mu_levels``).  Proof:
+    exp(-omega~) is sum_u p(u) G(r_u) over laws r_u = p(z|u) with mean p_Z,
+    and for each q_Z, exp(-omega) is sum_u q(u) G_q(r_u) over r_u = q(z|u)
+    with mean q_Z, where G and G_q take a law r on Z to one value; the
+    maximum of such a mixture is a boundary point of the convex hull of
+    {(r, G(r))} in R^|Z|, a mixture of |Z| of the points by Caratheodory's
+    theorem in a supporting hyperplane.
     """
 
     def __init__(self, p_kz, grid: ExponentGrid | None = None, *, opts: SolverOptions = None):
@@ -404,7 +445,6 @@ class ExponentCalculator:
         self.opts = opts
         p_z, pk_given_z, q, zs = _prep(self.p_kz)
         self._zs = zs
-        u = min(zs, q)
 
         # the solver's blocks are batch-last arrays seen through
         # batch-first views; moving the axis back is a view again
@@ -419,11 +459,15 @@ class ExponentCalculator:
 
         self._omega_cache: dict = {}
         self._omega_tilde_cache: dict = {}
-        # each table: (cache, key of a cell, objective, solver block shapes);
-        # omega runs over the free (U, Z|U) pair, omega~ over test channels U|Z
-        self._omega = (self._omega_cache, self._omega_key, omega, [(1, u), (u, zs)])
+        # each table: (cache, key of a cell, objective, the solver block
+        # shapes of each |U| class); omega runs over the free (U, Z|U) pair,
+        # omega~ over test channels U|Z
+        sizes = _u_sizes(zs, q)
+        self._omega = (
+            self._omega_cache, self._omega_key, omega, [[(1, u), (u, zs)] for u in sizes]
+        )
         self._omega_tilde = (
-            self._omega_tilde_cache, self._omega_tilde_key, omega_tilde, [(zs, u)]
+            self._omega_tilde_cache, self._omega_tilde_key, omega_tilde, [[(zs, u)] for u in sizes]
         )
 
     @staticmethod
@@ -450,7 +494,7 @@ class ExponentCalculator:
         cache holds exactly what lookups one cell at a time in that order
         would store.
         """
-        cache, key_of, f, shapes = table
+        cache, key_of, f, classes = table
         todo = {}
         for mu in mus:
             for s in seconds:
@@ -459,7 +503,8 @@ class ExponentCalculator:
                 if key is not None and key not in cache and key not in todo:
                     todo[key] = (mu, s)
         if todo:
-            solved = minimize_blocks(f, shapes, list(todo.values()), opts=self.opts)
+            cells = list(todo.values())
+            solved = _better(minimize_blocks(f, s, cells, opts=self.opts) for s in classes)
             cache.update(zip(todo, (r[0] for r in solved)))
 
     def omega_min(self, mu: float, alpha: float) -> float:

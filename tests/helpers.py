@@ -8,7 +8,15 @@ import numpy as np
 from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
-from leaklab.simplexopt import ADAM_LR, DENSE_BASINS, DENSE_ROUNDS, _GOLDEN, _initial_logits
+from leaklab.simplexopt import (
+    ADAM_LR,
+    DENSE_3D_ZOOM_POINTS,
+    DENSE_3D_ZOOM_ROUNDS,
+    DENSE_BASINS,
+    DENSE_ROUNDS,
+    _GOLDEN,
+    _initial_logits,
+)
 
 TINY = np.finfo(np.float64).tiny
 
@@ -311,12 +319,28 @@ def blocks_from_free_oracle(x, shapes):
     return blocks
 
 
-def dense_scan_oracle(f, shapes, opts):
+def full_zoom(opts):
+    """The zoom of ``DENSE_ROUNDS - 1`` rounds on ``dense_points`` axes at
+    any dimension: the production zoom of problems with at most 2 free
+    parameters, and the accuracy oracle of the cheaper 3-parameter one."""
+    return opts.dense_points, DENSE_ROUNDS - 1
+
+
+def dense_scan_oracle(f, shapes, opts, zoom=None):
     """One problem's dense scan (``simplexopt._dense_scan``) with the
     whole mesh in one call and each basin zoomed and polished in turn, one
-    objective call per golden-section point."""
+    objective call per golden-section point.
+
+    ``zoom`` is the (points per axis, rounds) of the zoom; by default the
+    production schedule.  ``full_zoom(opts)`` gives the full-resolution
+    zoom on ``dense_points`` axes at every dimension, the accuracy oracle of
+    the coarser 3-parameter schedule.
+    """
     dim = sum(r for r, _ in shapes)
     pts = opts.dense_points
+    if zoom is None:
+        zoom = (DENSE_3D_ZOOM_POINTS, DENSE_3D_ZOOM_ROUNDS) if dim > 2 else full_zoom(opts)
+    zoom_pts, rounds = zoom
     axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     vals = np.asarray(f(blocks_from_free_oracle(mesh, shapes)), dtype=np.float64)
@@ -339,8 +363,8 @@ def dense_scan_oracle(f, shapes, opts):
         lo = np.clip(x - 2.5 * step0, 0.0, 1.0)
         hi = np.clip(x + 2.5 * step0, 0.0, 1.0)
         step = step0
-        for _ in range(DENSE_ROUNDS - 1):
-            local_axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
+        for _ in range(rounds):
+            local_axes = [np.linspace(lo[i], hi[i], zoom_pts) for i in range(dim)]
             local = np.stack(np.meshgrid(*local_axes, indexing="ij"), axis=-1)
             local = local.reshape(-1, dim)
             lv = np.asarray(f(blocks_from_free_oracle(local, shapes)), dtype=np.float64)
@@ -348,7 +372,7 @@ def dense_scan_oracle(f, shapes, opts):
             if lv[j] < v:
                 v = float(lv[j])
                 x = local[j]
-            step = (hi - lo).max() / (pts - 1)
+            step = (hi - lo).max() / (zoom_pts - 1)
             lo = np.clip(x - 2.5 * step, 0.0, 1.0)
             hi = np.clip(x + 2.5 * step, 0.0, 1.0)
         x, v = golden_polish_oracle(f1, x, width=2.5 * step)

@@ -12,7 +12,7 @@ from leaklab.analysis import (
     r_mu,
     region_membership,
 )
-from leaklab.probability import ChannelMatrix, Pmf, joint_from_channel
+from leaklab.probability import ChannelMatrix, Pmf, entropy, joint_from_channel
 from leaklab.simplexopt import SolverOptions
 
 LN2 = math.log(2)
@@ -80,7 +80,8 @@ def test_r_mu_ternary_alphabet_descent_path():
 
 
 def test_cardinality_sensitivity():
-    # |U| <= |X| claimed sufficient: compare |U|=2 against |U|=3 on |Z|=3
+    # |U| = |Z| suffices (the support lemma) and |U| = |K| may not; on this
+    # |Z| = 3 law at mu = 0.4, |U| = |K| = 2 happens to lose less than 1e-5
     W = ChannelMatrix([[0.7, 0.2, 0.1], [0.05, 0.25, 0.7]])
     p_kz = joint_from_channel(Pmf([0.6, 0.4]), W)
     opts = SolverOptions(n_starts=24, iters=150, seed=0)
@@ -88,6 +89,27 @@ def test_cardinality_sensitivity():
     v3 = r_mu(p_kz, 0.4, u_size=3, opts=opts).value
     assert v3 <= v2 + 1e-9  # larger class can only do better
     assert v2 - v3 < 1e-5  # and should not need to
+
+
+def _laws_with_z_above_k():
+    """Six random joints p_KZ with |K| = 2 and |Z| = 3, 4, 3, 4, 3, 4."""
+    rng = np.random.default_rng(0)
+    return [rng.dirichlet(np.ones(2 * zs)).reshape(2, zs) for zs in (3, 4) * 3]
+
+
+@pytest.mark.parametrize("law", range(6))
+def test_r_mu_with_z_above_k_uses_u_equal_z(law):
+    # |U| = min(|Z|, |K|) overstates the mu = 0 level of these laws by up to
+    # 0.057 nats; with |U| = |Z| it is H(K|Z), reached by U = Z, and no
+    # level is above the |U| = |K| level
+    p_kz = _laws_with_z_above_k()[law]
+    h_k_given_z = entropy(p_kz.ravel()) - entropy(p_kz.sum(axis=0))
+    mus = [0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 2]
+    levels = analysis._r_mu_levels(p_kz, mus)
+    assert abs(levels[0].value - h_k_given_z) < 2e-5
+    small = analysis._r_mu_levels(p_kz, mus, u_size=2)
+    for full, part in zip(levels, small):
+        assert full.value <= part.value + 1e-9, (full.mu, full.value, part.value)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.2, 0.3, 0.5, 0.7, 1.0])

@@ -333,6 +333,22 @@ def test_seed_override_changes_output(tmp_path):
     assert (out1 / "simulate.csv").read_bytes() != (out2 / "simulate.csv").read_bytes()
 
 
+def test_region_with_z_above_k_reaches_h_k_given_z(tmp_path):
+    # |Z| = 4 > |K| = 2: R_0 = H(K|Z) = 0.483929 needs |U| = 4, and
+    # |U| = min(|Z|, |K|) = 2 gives 0.517913
+    cfg = write_config(
+        tmp_path,
+        W={"rows": [[0.33, 0.05, 0.6, 0.02], [0.6, 0.02, 0.08, 0.3]]},
+        adversary={"kind": "scalar", "cells": [[0], [1], [2], [3]]},
+        mu_points=3,
+    )
+    out = tmp_path / "out"
+    assert main(["region", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "region.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == 0.0
+    assert abs(float(rows[0][1]) - 0.483929) < 2e-5
+
+
 def test_golden_region_csv(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"

@@ -16,6 +16,7 @@ from helpers import (
     blocks_from_free_oracle,
     blocks_from_logits_oracle,
     dense_scan_oracle,
+    full_zoom,
     golden_polish_oracle,
     k_sums_oracle,
     multistart_adam_oracle,
@@ -212,6 +213,43 @@ def test_lockstep_dense_scan_matches_sequential_oracle(kind, row, shapes):
     got = solve_one(kind, BSC_KZ, row, shapes, opts)
     want = dense_scan_oracle(fixed_objective(kind, BSC_KZ, row), shapes, opts)
     assert_same_result(got, want)
+
+
+@pytest.mark.parametrize(
+    "kind, row, shapes, most, exact",
+    [
+        # 3 free parameters: a 33^3 global mesh (35,937 points), then 13^3
+        # zoom meshes (5 rounds x 3 basins x 2,197), then the polish; with
+        # the 33^3 zoom meshes of full_zoom it costs 251,994 points
+        ("omega", (0.3, 0.8), [(1, 2), (2, 2)], 75_000, False),
+        # 2 free parameters keep the two 33^2 zoom rounds
+        ("omega_tilde", (0.5, 1.5), [(2, 2)], 7_904, True),
+        ("psh", (0.4,), [(2, 2)], 7_912, True),
+    ],
+    ids=["omega", "omega_tilde", "r_mu"],
+)
+def test_dense_scan_work_counts(kind, row, shapes, most, exact):
+    # the objective points of one minimize_blocks call, which no timing
+    # noise moves: a regression of the zoom schedule shows here first
+    g, calls = counting(OBJECTIVES[kind][1](BSC_KZ))
+    minimize_blocks(g, shapes, [row])
+    assert sum(calls) == most if exact else sum(calls) <= most
+
+
+def test_zoom_schedule_matches_full_zoom_accuracy():
+    # the 13-point zoom of 3-parameter problems against the two 33-point
+    # rounds they ran before, on the omega cells of the exponent-surface
+    # benchmark's 3 x 3 (mu, alpha) grid and of a 5 x 5 grid (alpha = 0
+    # needs no solve); its minima may be lower, never higher beyond 1e-9
+    grids = [(np.linspace(0, 1, n), np.linspace(0, 1, n)[1:]) for n in (3, 5)]
+    cells = sorted({(mu, alpha) for mus, alphas in grids for mu in mus for alpha in alphas})
+    assert len(cells) == 20
+    shapes = [(1, 2), (2, 2)]
+    opts = SolverOptions()
+    got = minimize_blocks(omega_rows_objective(BSC_KZ), shapes, cells, opts=opts)
+    for cell, res in zip(cells, got):
+        want = dense_scan_oracle(omega_objective(BSC_KZ, *cell), shapes, opts, full_zoom(opts))
+        assert res[0] <= want[0] + 1e-9, (cell, res[0], want[0])
 
 
 def test_corner_basin_is_clipped():
