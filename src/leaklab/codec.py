@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .galois import _as_integers
 from .probability import (
     MATERIALIZE_CAP,
     Pmf,
@@ -57,7 +58,7 @@ def _radix(width: int, q: int) -> np.ndarray:
 def _as_symbols(a, width: int, q: int, what: str) -> np.ndarray:
     """Validate one word, shape (width,), or a batch, shape (B, width), of
     symbols in [0, q); ``ValueError`` on any other shape or entry."""
-    a = np.asarray(a, dtype=np.int64)
+    a = _as_integers(a, what)
     if a.ndim not in (1, 2) or a.shape[-1] != width:
         raise ValueError(f"{what} shape {a.shape} is not ({width},) or (B, {width})")
     if a.size and (a.min() < 0 or a.max() >= q):

@@ -61,6 +61,8 @@ class Cryptosystem:
             validation = "exhaustive" if pairs <= EXHAUSTIVE_PAIR_CAP else "sampled"
         if validation not in ("exhaustive", "sampled", "none"):
             raise ValueError(f"unknown validation level {validation!r}")
+        if sample_pairs < 1:
+            raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
         self.validation = validation
         if validation != "none":
             ok, witness = _condition_check(self, validation, sample_pairs, seed)
@@ -74,13 +76,22 @@ class Cryptosystem:
 
         ``k`` and ``x`` are each one length-n word or a (B, n) batch; a
         single key or plaintext is paired with every row of the other.
+        Both terms are symbols in [0, q), so their sum s lies in
+        [0, 2q - 2] and s mod q is s, or s - q when s >= q: one conditional
+        wrap, not an integer division.
         """
-        return (self.key_image(k) + self.code.encode(x)) % self.q
+        s = self.key_image(k) + self.code.encode(x)
+        return np.where(s >= self.q, s - self.q, s)
 
     def decrypt(self, k, c) -> np.ndarray:
-        """decode(c - keymap(k)); ``c`` is one length-m word or a (B, m) batch."""
+        """decode(c - keymap(k)); ``c`` is one length-m word or a (B, m) batch.
+
+        Both terms are symbols in [0, q), so their difference d lies in
+        [-(q - 1), q - 1] and d mod q is d, or d + q when d < 0.
+        """
         c = _as_symbols(c, self.m, self.q, "ciphertext")
-        return self.code.decode((c - self.key_image(k)) % self.q)
+        d = c - self.key_image(k)
+        return self.code.decode(np.where(d < 0, d + self.q, d))
 
     def key_image(self, k) -> np.ndarray:
         """keymap(k), the m-symbol masked key (one key or a batch)."""
@@ -130,7 +141,9 @@ def _condition_check(sys, level, sample_pairs, seed):
     A seeded batch of random pairs goes through encrypt/decrypt in one call
     each; it catches overrides that read the key beyond its image.  At the
     exhaustive level the key-image sweep then covers every pair, with the
-    first failing key and plaintext in lexicographic order as witness.
+    first failing key and plaintext in lexicographic order as witness.  An
+    image's whole table is compared at once; only a failing image is
+    searched row by row for its first failing plaintext.
     """
     n, q = sys.n, sys.q
     rng = np.random.default_rng(seed)
@@ -148,9 +161,9 @@ def _condition_check(sys, level, sample_pairs, seed):
     seqs = all_sequences(n, q)
     want = sys.code.decode(sys.code.encode(seqs))
     for k, _, back in _key_image_sweep(sys, seqs, seqs):
-        bad = np.flatnonzero(np.any(back != want, axis=1))
-        if bad.size:
-            return False, (k.tolist(), seqs[bad[0]].tolist())
+        if not np.array_equal(back, want):
+            bad = np.flatnonzero(np.any(back != want, axis=1))[0]
+            return False, (k.tolist(), seqs[bad].tolist())
     return True, None
 
 
@@ -193,11 +206,14 @@ def check_structural_properties(
     otherwise a seeded sample of keys is used and the report says so.
     ``_key_image_sweep`` gives each check the first failing checked key.
     """
+    if sample_keys < 1:
+        raise ValueError(f"sample_keys must be >= 1, got {sample_keys}")
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
 
     seqs = all_sequences(n, q)
-    in_d = np.all(sys.code.decode(sys.code.encode(seqs)) == seqs, axis=1)
+    want = sys.code.decode(sys.code.encode(seqs))
+    in_d = np.all(want == seqs, axis=1)
     d_count = int(in_d.sum())
     report.record(
         "decoding_set_size",
@@ -222,24 +238,30 @@ def check_structural_properties(
         cipher_idx = cipher @ radix_m
         if inj_ok:
             on_d = cipher_idx[d_indices]
-            if np.unique(on_d).size != d_indices.size:
+            hits = np.bincount(on_d, minlength=q**m)
+            if np.count_nonzero(hits) != on_d.size:
                 inj_ok = False
-                dup = np.flatnonzero(np.bincount(on_d, minlength=q**m) > 1)[0]
+                dup = np.flatnonzero(hits > 1)[0]
                 pair = d_indices[np.flatnonzero(on_d == dup)[:2]]
                 inj_witness = {
                     "key": k.tolist(),
                     "x": seqs[pair[0]].tolist(),
                     "y": seqs[pair[1]].tolist(),
                 }
-        if surj_ok and np.unique(cipher_idx).size != q**m:
-            surj_ok = False
-            missing = sorted(set(range(q**m)) - set(cipher_idx.tolist()))
-            surj_witness = {"key": k.tolist(), "missing_codewords": missing[:4]}
-        ok_mask = np.all(back == seqs, axis=1)
-        if dset_ok and not np.array_equal(ok_mask, in_d):
-            diff = int(np.flatnonzero(ok_mask != in_d)[0])
-            dset_ok = False
-            dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
+        if surj_ok:
+            hits = np.bincount(cipher_idx, minlength=q**m)
+            if np.count_nonzero(hits) != q**m:
+                surj_ok = False
+                missing = np.flatnonzero(hits[: q**m] == 0)[:4].tolist()
+                surj_witness = {"key": k.tolist(), "missing_codewords": missing}
+        # in_d is all(want == seqs), so a key with back == want has in_d as
+        # its set; only a key whose table differs needs its own mask
+        if dset_ok and not np.array_equal(back, want):
+            ok_mask = np.all(back == seqs, axis=1)
+            if not np.array_equal(ok_mask, in_d):
+                dset_ok = False
+                diff = int(np.flatnonzero(ok_mask != in_d)[0])
+                dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
     report.record("injective_on_D", inj_ok, inj_witness)
     report.record("surjective", surj_ok, surj_witness)
     report.record("key_independent_D", dset_ok, dset_witness)

@@ -62,8 +62,8 @@ class AffineMap:
     spec: FieldSpec
 
     def __post_init__(self):
-        A = np.array(self.matrix, dtype=np.int64)
-        b = np.array(self.offset, dtype=np.int64)
+        A = np.array(_as_integers(self.matrix, "matrix"))
+        b = np.array(_as_integers(self.offset, "offset"))
         if A.ndim != 2:
             raise ValueError(f"matrix must be 2-D, got shape {A.shape}")
         if b.ndim != 1 or b.shape[0] != A.shape[1]:
@@ -99,9 +99,21 @@ class AffineMap:
         return cls(doc["matrix"], doc["offset"], FieldSpec(doc["q"]))
 
 
+def _as_integers(a, what: str) -> np.ndarray:
+    """``a`` as an int64 array; ``ValueError`` if an entry is not a whole
+    number, so 1.5 is refused instead of truncated to 1.  Arrays with an
+    integer dtype are cast without an entry check."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        a = np.asarray(a, dtype=np.float64)
+        if not np.all(np.isfinite(a) & (a == np.trunc(a))):
+            raise ValueError(f"{what} entries must be whole numbers")
+    return a.astype(np.int64, copy=False)
+
+
 def affine_apply(amap: AffineMap, k) -> np.ndarray:
     """Apply the map to one vector (shape (n,)) or a batch (shape (N, n))."""
-    k = np.asarray(k, dtype=np.int64)
+    k = _as_integers(k, "input")
     if k.shape[-1] != amap.n:
         raise ValueError(f"input length {k.shape[-1]} != map input size {amap.n}")
     if k.size and (k.min() < 0 or k.max() >= amap.spec.q):

@@ -283,3 +283,105 @@ def test_batch_encrypt_decrypt_reject_bad_input():
         sys.decrypt(k, np.array([[0, 0, 2]] * 3))  # ciphertext symbol outside GF(2)
     with pytest.raises(ValueError):
         sys.decrypt(k, np.zeros((1, 3, 3), dtype=int))  # not one word or a batch
+
+
+def test_fractional_symbols_are_refused_not_truncated():
+    sys = make_system(4, 0.6, 2)
+    with pytest.raises(ValueError, match="whole numbers"):
+        sys.encrypt([0.9, 1.5, 0, 1], [0.2, 1.7, 1, 0])  # key, through affine_apply
+    with pytest.raises(ValueError, match="whole numbers"):
+        sys.encrypt([0, 1, 0, 1], [0.2, 1.7, 1, 0])  # plaintext
+    with pytest.raises(ValueError, match="whole numbers"):
+        sys.decrypt([0, 1, 0, 1], [0.5, 0, 1])  # ciphertext
+    with pytest.raises(ValueError, match="whole numbers"):
+        sys.code.decode([np.nan, 0, 1])
+    doc = sys.keymap.to_json()
+    doc["offset"][0] = 0.5
+    with pytest.raises(ValueError, match="whole numbers"):
+        AffineMap.from_json(doc)
+    # whole numbers of a float dtype are still symbols
+    k, x = [0, 1, 0, 1], [1, 1, 0, 0]
+    whole = sys.encrypt(np.array(k, float), np.array(x, float))
+    assert np.array_equal(whole, sys.encrypt(k, x))
+
+
+def test_zero_sample_sizes_are_refused():
+    code = build_universal_code(4, 0.6, 2)
+    keymap = random_affine(4, code.m, F2, seed=0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="sample_pairs"):
+            Cryptosystem(code, keymap, validation="sampled", sample_pairs=size)
+        with pytest.raises(ValueError, match="sample_keys"):
+            check_structural_properties(Cryptosystem(code, keymap), sample_keys=size)
+
+
+@pytest.mark.parametrize("q,n,R", [(2, 6, 0.45), (3, 4, 0.8), (5, 3, 1.1)])
+def test_encrypt_decrypt_match_modular_formulas(q, n, R):
+    # the conditional wraps of encrypt and decrypt against plain % q
+    sys = make_system(n, R, q, seed=q)
+    rng = np.random.default_rng(q)
+    ks = rng.integers(0, q, size=(60, n))
+    xs = rng.integers(0, q, size=(60, n))
+    cs = rng.integers(0, q, size=(60, sys.m))
+    image, encode, decode = sys.key_image, sys.code.encode, sys.code.decode
+    # one key against a batch, and the reverse
+    assert np.array_equal(sys.encrypt(ks[0], xs), (image(ks[0]) + encode(xs)) % q)
+    assert np.array_equal(sys.encrypt(ks, xs[0]), (image(ks) + encode(xs[0])) % q)
+    assert np.array_equal(sys.decrypt(ks[0], cs), decode((cs - image(ks[0])) % q))
+    assert np.array_equal(sys.decrypt(ks, cs[0]), decode((cs[0] - image(ks)) % q))
+
+
+class _Redirected(Cryptosystem):
+    """For the keys of one key image, encrypt sends one plaintext outside D
+    to the ciphertext of a plaintext inside D.  decrypt(k, encrypt(k, x))
+    then differs from decode(encode(x)) at that one pair, yet every
+    structural check holds."""
+
+    bad_image = x_out = x_in = None
+
+    def encrypt(self, k, x):
+        out = super().encrypt(k, x)
+        hit = np.all(self.key_image(k) == self.bad_image, axis=-1)
+        hit = hit & np.all(np.asarray(x) == self.x_out, axis=-1)
+        return np.where(hit[..., None], super().encrypt(k, self.x_in), out)
+
+
+def _last_visited_key(sys):
+    """The key that the key-image sweep over all of X^n visits last: the
+    first key of the image whose first occurrence comes latest."""
+    keys = all_sequences(sys.n, sys.q)
+    radix = sys.q ** np.arange(sys.m - 1, -1, -1)
+    _, first = np.unique(sys.key_image(keys) @ radix, return_index=True)
+    return keys[first.max()]
+
+
+def test_key_image_sweep_fast_paths_match_full_key_loop():
+    # failures at the last image the sweep visits, after whole-table
+    # equality has passed every earlier image; one of them differs from
+    # decode(encode(x)) only outside D, which only the condition check sees
+    seqs = all_sequences(6, 2)
+    fixtures = []
+    for corrupt in (("encrypt", "decrypt"), ("decrypt",)):
+        sys = _image_dependent(2, 6, 0.45, 3, 0, corrupt)
+        sys.bad_image = sys.key_image(_last_visited_key(sys))
+        fixtures.append(sys)
+    code = build_universal_code(6, 0.45, 2)
+    sys = _Redirected(code, random_affine(6, code.m, F2, seed=5), validation="none")
+    x_out = seqs[np.flatnonzero(~code.in_decoding_set(seqs))[-1]]
+    sys.x_out, sys.x_in = x_out, seqs[0]  # all zeros: in D, not its last member
+    sys.bad_image = sys.key_image(_last_visited_key(sys))
+    fixtures.append(sys)
+
+    for sys in fixtures:
+        last = _last_visited_key(sys).tolist()
+        for opts in ({}, {"max_exhaustive_pairs": 2**6, "sample_keys": 40, "seed": 3}):
+            rep = check_structural_properties(sys, **opts)
+            assert rep == structural_properties_oracle(sys, **opts)
+        ok, witness = _condition_check(sys, "exhaustive", 0, 0)
+        assert not ok and witness == condition_oracle(sys)
+        assert witness[0] == last
+    assert witness == (last, x_out.tolist())
+    assert check_structural_properties(fixtures[2]).passed
+    rep = check_structural_properties(fixtures[1])
+    assert [name for name, _ in rep.failures] == ["key_independent_D"]
+    assert rep.failures[0][1]["key"] == _last_visited_key(fixtures[1]).tolist()

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import leaklab
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -109,3 +111,33 @@ def test_tracer_hooks_the_minimizer():
     # Adam for 3 problems of 8 starts and 5 iterations: a 24-row base call,
     # then per iteration one call of 3 * 9 * 8 bumped rows and one of 24
     assert received == [24] + [216, 24] * 5
+
+
+STRUCTURAL_SUITE = """
+import sys
+from leaklab.codec import build_universal_code
+from leaklab.crypto import Cryptosystem, check_structural_properties
+from leaklab.galois import FieldSpec, random_affine
+code = build_universal_code(6, 0.45, 2)
+system = Cryptosystem(code, random_affine(6, code.m, FieldSpec(2), 0))
+before = "numpy.ma" in sys.modules
+report = check_structural_properties(system)
+print(before, report.passed, "numpy.ma" in sys.modules)
+"""
+
+
+def test_structural_suite_does_not_import_masked_arrays():
+    # a sort-based np.unique imports numpy.ma on its first call, about 9 ms
+    # per process; the structural suite counts with np.bincount instead
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", STRUCTURAL_SUITE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    before, passed, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("numpy.ma was imported before the structural suite ran")
+    assert passed == "True"
+    assert after == "False"
