@@ -14,6 +14,7 @@ Subcommands: ``verify``, ``simulate``, ``leakage``, ``region``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -45,180 +46,166 @@ def _csv_line(values) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_config(path) -> dict:
+def load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
 
 
-# The keys each config object may carry; any other key is a typo.
-CONFIG_KEYS = {
-    "q", "source", "key", "W", "n_list", "R", "R_A", "gamma", "seeds", "tol",
-    "monte_carlo_samples", "code", "mutation", "adversary", "mu_points",
-    "exponents", "exponent_grid", "rate_grid",
-}
-NESTED_CONFIG_KEYS = {
-    "source": {"alphabet", "probs"},
-    "key": {"alphabet", "probs"},
-    "W": {"rows"},
-    "seeds": {"keymap", "replay"},
-    "exponent_grid": {
-        "mu_points", "alpha_points", "lambda_points", "lambda_max",
-        "refine_rounds", "refine_points",
+class Number:
+    """A JSON number, not a boolean or a string.  An ``integer`` has an
+    integral value and reads as an int (4.0 is 4).  With ``least`` set, the
+    number is finite and at least ``least``, or above it if ``strict``."""
+
+    def __init__(self, least=None, *, integer=False, strict=False):
+        self.least = least
+        self.integer = integer
+        self.strict = strict
+        self.kind = "integer" if integer else "number"
+        self.range = "" if least is None else f"{'>' if strict else '>='} {least}"
+        self.range += ", finite" if self.range and not integer else ""
+        self.convert = int if integer else float
+
+    def accepts(self, v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or self.integer and v % 1 != 0:
+            return False
+        if self.least is None:
+            return True
+        return abs(v) < math.inf and (v > self.least if self.strict else v >= self.least)
+
+
+class ListOf:
+    """A JSON list, non-empty if ``nonempty``, whose entries read as
+    ``item``; ``convert`` builds the value from the entries read."""
+
+    def __init__(self, item, *, convert=list, nonempty=False):
+        self.item = item
+        self.convert = convert
+        self.kind = f"list of {item.kind}"
+        self.range = ", ".join(filter(None, ["non-empty" * nonempty, item.range]))
+        self.accepts = lambda v: isinstance(v, list) and bool(v or not nonempty)
+
+
+REQUIRED = "required"  # the default of a key that must be given
+COUNT = Number(1, integer=True)
+NATURAL = Number(0, integer=True)  # seeds, observations and message ids
+PMF = {"alphabet": (COUNT, "q"), "probs": (ListOf(Number(), convert=prob.Pmf), REQUIRED)}
+
+# Each key maps to a nested object, or to a reader and its default.  A tuple
+# is a choice among its entries.  A key whose default is null may be given
+# as null.  The defaults "q" and "ln |Z|" are worked out from other keys.
+SCHEMA = {
+    "q": (Number(2, integer=True), REQUIRED),
+    "source": PMF,
+    "key": PMF,
+    "W": {"rows": (ListOf(ListOf(Number()), convert=prob.ChannelMatrix), REQUIRED)},
+    "n_list": (ListOf(COUNT, nonempty=True), REQUIRED),
+    "R": (Number(0, strict=True), REQUIRED),
+    "R_A": (Number(0), "ln |Z|"),
+    "gamma": (Number(0, strict=True), 0.05),
+    "seeds": {"keymap": (NATURAL, 0), "replay": (NATURAL, 1)},
+    "tol": (Number(0), 1e-7),
+    "monte_carlo_samples": (COUNT, 2000),
+    "code": (("universal", "identity"), "universal"),
+    "mutation": (("decoder",), None),
+    "adversary": {
+        "kind": (("scalar", "best_scalar", "table"), "scalar"),
+        "cells": (ListOf(ListOf(NATURAL)), None),
+        "table": (ListOf(NATURAL, convert=lambda t: np.array(t, np.int64)), None),
     },
-    "rate_grid": {"RA", "R"},
-    "adversary": {"kind", "cells", "table"},
+    "mu_points": (COUNT, 33),
+    "exponents": ((True, False), True),
+    # ExponentGrid checks the ranges of its own fields
+    "exponent_grid": {
+        f.name: (Number(integer=isinstance(f.default, int)), f.default)
+        for f in dataclasses.fields(analysis.ExponentGrid)
+    },
+    "rate_grid": {"RA": (ListOf(Number(0)), []), "R": (ListOf(Number(0)), [])},
 }
 
 
-def _check_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - allowed)
+def _read(kind, value, path: str):
+    """``value`` read as ``kind``, or a ConfigError that names ``path``."""
+    if isinstance(kind, tuple):
+        if not any(type(value) is type(o) and value == o for o in kind):
+            raise ConfigError(f"{path} must be one of {list(kind)}, got {value!r}")
+        return value
+    if not isinstance(kind, dict):
+        if not kind.accepts(value):
+            bound = f" ({kind.range})" if kind.range else ""
+            raise ConfigError(f"{path} must be {kind.kind}{bound}, got {value!r}")
+        if isinstance(kind, ListOf):
+            value = [_read(kind.item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return kind.convert(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(kind))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _require(cfg, key, where="config"):
-    if key not in cfg:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return cfg[key]
-
-
-def _integer(value, name: str) -> int:
-    """A config integer: a JSON integer, or a number with an integral
-    value.  Booleans, strings and fractional numbers are refused rather
-    than truncated."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, name: str) -> float:
-    """A config number: a JSON integer or float, not a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _rate(value, name: str) -> float:
-    """A config rate: a finite, non-negative number."""
-    rate = _number(value, name)
-    if not (math.isfinite(rate) and rate >= 0):
-        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-    return rate
-
-
-def _cell_labels(cells, z_size: int) -> list:
-    """The cell of each observation 0..z_size-1, which ``cells`` must
-    partition; None is the finest quantizer."""
-    if cells is None:
-        return list(range(z_size))
-    cells = [[_integer(z, "adversary cell entry") for z in cell] for cell in cells]
-    if sorted(z for cell in cells for z in cell) != list(range(z_size)):
-        raise ConfigError(f"adversary cells {cells} do not partition observations 0..{z_size - 1}")
-    labels = {z: ci for ci, cell in enumerate(cells) for z in cell}
-    return [labels[z] for z in range(z_size)]
+        raise ConfigError(f"unknown key(s) in {path}: {', '.join(unknown)}")
+    out = {}
+    for key, entry in kind.items():
+        if isinstance(entry, dict):
+            out[key] = _read(entry, value.get(key, {}), f"{path}.{key}")
+        elif key in value and (value[key] is not None or entry[1] is not None):
+            out[key] = _read(entry[0], value[key], f"{path}.{key}")
+        elif entry[1] == REQUIRED:
+            raise ConfigError(f"{path} is missing required key {key!r}")
+        else:
+            out[key] = entry[1]
+    return out
 
 
 class Experiment:
     """Validated view of one experiment config."""
 
-    def __init__(self, cfg: dict, *, seed_override=None, tol_override=None):
-        _check_keys(cfg, CONFIG_KEYS, "config")
-        for name, allowed in NESTED_CONFIG_KEYS.items():
-            if name in cfg:
-                _check_keys(cfg[name], allowed, name)
+    def __init__(self, cfg: dict, *, seed_override=None):
         try:
-            self.q = _integer(_require(cfg, "q"), "q")
-            self.spec = galois.FieldSpec(self.q)
-            self.p_x = prob.pmf_from_json(_require(cfg, "source"))
-            self.p_k = prob.pmf_from_json(_require(cfg, "key"))
-            self.W = prob.channel_from_json(_require(cfg, "W"))
-            self.n_list = [_integer(n, "n_list entry") for n in _require(cfg, "n_list")]
-            self.R = _number(_require(cfg, "R"), "R")
-            self.R_A = _rate(cfg.get("R_A", math.log(self.W.out_size)), "R_A")
-            self.gamma = _number(cfg.get("gamma", 0.05), "gamma")
-            seeds = cfg.get("seeds", {})
-            self.keymap_seed = _integer(seeds.get("keymap", 0), "seeds.keymap")
-            self.replay_seed = _integer(seeds.get("replay", 1), "seeds.replay")
-            if seed_override is not None:
-                self.keymap_seed = int(seed_override)
-                self.replay_seed = int(seed_override) + 1
-            tol = tol_override if tol_override is not None else cfg.get("tol", 1e-7)
-            self.tol = _number(tol, "tol")
-            self.mc_samples = _integer(cfg.get("monte_carlo_samples", 2000), "monte_carlo_samples")
-            self.code_kind = cfg.get("code", "universal")
-            self.mutation = cfg.get("mutation")
-            adv = cfg.get("adversary", {})
-            self.adversary_kind = adv.get("kind", "scalar")
-            self.cell_labels = _cell_labels(adv.get("cells"), self.W.out_size)
-            self.table = None
-            if self.adversary_kind == "table":
-                table = np.asarray(_require(adv, "table", "adversary"))
-                integral = table.dtype.kind in "iu" or (
-                    table.dtype.kind == "f"
-                    and np.all(np.isfinite(table))
-                    and np.array_equal(table, np.trunc(table))
-                )
-                if not integral:
-                    raise ConfigError("adversary table must hold integer message ids")
-                self.table = table.astype(np.int64)
-            self.mu_points = _integer(cfg.get("mu_points", 33), "mu_points")
-            self.exponents = cfg.get("exponents", True)
-            if not isinstance(self.exponents, bool):
-                raise ConfigError(f"exponents must be true or false, got {self.exponents!r}")
-            g = cfg.get("exponent_grid", {})
-            counts = {
-                name: _integer(g.get(name, default), f"exponent_grid.{name}")
-                for name, default in (
-                    ("mu_points", 21), ("alpha_points", 21), ("lambda_points", 40),
-                    ("refine_rounds", 2), ("refine_points", 5),
-                )
-            }
-            lambda_max = _number(g.get("lambda_max", 5.0), "exponent_grid.lambda_max")
-            self.grid = analysis.ExponentGrid(lambda_max=lambda_max, **counts)
-            rg = cfg.get("rate_grid", {})
-            self.rate_grid_ra = [_rate(v, "rate_grid.RA entry") for v in rg.get("RA", [])]
-            self.rate_grid_r = [_rate(v, "rate_grid.R entry") for v in rg.get("R", [])]
-        except (KeyError, TypeError, ValueError) as e:
+            c = _read(SCHEMA, cfg, "config")
+            self.spec = galois.FieldSpec(c["q"])
+            self.grid = analysis.ExponentGrid(**c["exponent_grid"])
+        except (OverflowError, ValueError) as e:
             raise ConfigError(str(e)) from e
-        if not self.n_list:
-            raise ConfigError("n_list must be non-empty")
-        if self.mu_points < 1:
-            raise ConfigError(f"mu_points must be at least 1, got {self.mu_points}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"monte_carlo_samples must be at least 1, got {self.mc_samples}")
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise ConfigError(f"R must be a positive finite rate, got {self.R}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-        seeds = (self.keymap_seed, self.replay_seed)
-        if min(seeds) < 0:
-            raise ConfigError(f"seeds must be non-negative, got keymap/replay {seeds}")
-        if self.table is not None and (
-            self.table.ndim != 1
-            or np.any(self.table < 0)
-            or any(self.table.size != self.W.out_size**n for n in self.n_list)
+        self.q = c["q"]
+        self.p_x = c["source"]["probs"]
+        self.p_k = c["key"]["probs"]
+        self.W = c["W"]["rows"]
+        self.n_list = c["n_list"]
+        self.R = c["R"]
+        self.R_A = c["R_A"] if "R_A" in cfg else math.log(self.W.out_size)
+        self.gamma = c["gamma"]
+        self.keymap_seed = c["seeds"]["keymap"]
+        self.replay_seed = c["seeds"]["replay"]
+        if seed_override is not None:
+            self.keymap_seed = _read(NATURAL, seed_override, "--seed")
+            self.replay_seed = self.keymap_seed + 1
+        self.tol = c["tol"]
+        self.mc_samples = c["monte_carlo_samples"]
+        self.code_kind = c["code"]
+        self.mutation = c["mutation"]
+        self.mu_points = c["mu_points"]
+        self.exponents = c["exponents"]
+        self.rate_grid = c["rate_grid"]
+        given = {c["source"]["alphabet"], c["key"]["alphabet"]} - {"q"}  # "q": not given
+        if given | {self.p_x.size, self.p_k.size, self.W.in_size} != {self.q}:
+            raise ConfigError(f"the source, key and side channel alphabets must be q = {self.q}")
+        adv = c["adversary"]
+        self.adversary_kind = adv["kind"]
+        for key, kind in (("cells", "scalar"), ("table", "table")):
+            if adv[key] is not None and adv["kind"] != kind:
+                raise ConfigError(f"adversary {key} are read only by kind {kind!r}")
+        # the cell of each observation 0..|Z|-1, which the cells must partition
+        cells = [[z] for z in range(self.W.out_size)] if adv["cells"] is None else adv["cells"]
+        pairs = sorted((z, ci) for ci, cell in enumerate(cells) for z in cell)
+        if [z for z, _ in pairs] != list(range(self.W.out_size)):
+            raise ConfigError(f"adversary cells {cells} do not partition observations 0..|Z|-1")
+        self.cell_labels = [ci for _, ci in pairs]
+        self.table = adv["table"]
+        if self.adversary_kind == "table" and (
+            self.table is None or any(self.table.size != self.W.out_size**n for n in self.n_list)
         ):
-            raise ConfigError(
-                f"adversary table must hold |Z|^n non-negative message ids for each n in "
-                f"{self.n_list}, got shape {self.table.shape}"
-            )
-        if self.p_x.size != self.q or self.p_k.size != self.q:
-            raise ConfigError("source/key alphabet must match q")
-        if self.W.in_size != self.q:
-            raise ConfigError("side channel input alphabet must match q")
-        if self.adversary_kind not in ("scalar", "best_scalar", "table"):
-            raise ConfigError(f"unknown adversary kind {self.adversary_kind!r}")
-        if self.mutation not in (None, "decoder"):
-            raise ConfigError(f"unknown mutation fixture {self.mutation!r}")
+            raise ConfigError(f"adversary table needs |Z|^n message ids for n in {self.n_list}")
 
     @property
     def p_kz(self) -> np.ndarray:
@@ -227,10 +214,8 @@ class Experiment:
     def build_code(self, n: int):
         if self.code_kind == "identity":
             code = codec.UniversalCode.identity(n, self.q)
-        elif self.code_kind == "universal":
-            code = codec.build_universal_code(n, self.R, self.q)
         else:
-            raise ConfigError(f"unknown code kind {self.code_kind!r}")
+            code = codec.build_universal_code(n, self.R, self.q)
         if self.mutation == "decoder":
             code = _MutatedDecoderCode(code.n, code.m, code.q, code.order)
         return code
@@ -505,8 +490,8 @@ splot "exponent.csv" using 1:2:3 every ::1 with lines title "F"
 def cmd_exponent(exp: Experiment, out_dir, config_path) -> int:
     boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0, 1, exp.mu_points))
     calc = analysis.ExponentCalculator(exp.p_kz, exp.grid)
-    ras = exp.rate_grid_ra or list(np.linspace(0.0, boundary.h_k, 5))
-    rs = exp.rate_grid_r or list(np.linspace(0.0, boundary.h_k, 5))
+    ras = exp.rate_grid["RA"] or list(np.linspace(0.0, boundary.h_k, 5))
+    rs = exp.rate_grid["R"] or list(np.linspace(0.0, boundary.h_k, 5))
     rows = []
     for ra in ras:
         for r in rs:
@@ -557,15 +542,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="experiment JSON")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override seeds")
-    parser.add_argument(
-        "--tol", type=float, default=None,
-        help="tolerance echoed in leakage outputs (no leakage value depends on it)",
-    )
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        exp = Experiment(cfg, seed_override=args.seed, tol_override=args.tol)
+        exp = Experiment(cfg, seed_override=args.seed)
         out_dir = Path(args.out)
         if args.command == "verify":
             return cmd_verify(exp, out_dir, args.config)

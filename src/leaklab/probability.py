@@ -51,8 +51,6 @@ __all__ = [
     "multinomial",
     "all_sequences",
     "joint_from_channel",
-    "pmf_from_json",
-    "channel_from_json",
 ]
 
 
@@ -411,31 +409,3 @@ def type_of(seq, alphabet_size: int) -> TypeClass:
     seq = np.asarray(seq, dtype=np.int64)
     counts = np.bincount(seq, minlength=alphabet_size)
     return TypeClass(tuple(int(c) for c in counts))
-
-
-# ---------------------------------------------------------------------------
-# JSON interfaces
-# ---------------------------------------------------------------------------
-
-
-def _json_numbers(values, name: str) -> list:
-    """``values`` if every entry is a JSON number, not a boolean or a
-    string (which ``np.asarray`` would convert silently)."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{name} must hold numbers, got {v!r}")
-    return values
-
-
-def pmf_from_json(doc: dict) -> Pmf:
-    """Parse ``{"alphabet": q, "probs": [...]}``."""
-    probs = _json_numbers(doc["probs"], "probs")
-    q = doc.get("alphabet", len(probs))
-    if len(probs) != q:
-        raise ValueError(f"declared alphabet {q} != len(probs) {len(probs)}")
-    return Pmf(probs)
-
-
-def channel_from_json(doc: dict) -> ChannelMatrix:
-    """Parse ``{"rows": [[...], ...]}``."""
-    return ChannelMatrix([_json_numbers(row, "channel rows") for row in doc["rows"]])

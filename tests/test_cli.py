@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import leaklab
+from leaklab import cli
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +169,89 @@ def test_config_errors_exit_2(tmp_path):
     # an integral number is an integer
     ok = write_config(tmp_path, n_list=[4.0], mu_points=5.0)
     assert main(["region", "--config", str(ok), "--out", str(tmp_path / "ok")]) == EXIT_OK
+
+
+# one value of each JSON type; a reader refuses every type but its own
+JSON_VALUES = {
+    "string": "4", "number": 1, "boolean": True, "null": None, "list": [1], "object": {"x": 1},
+}
+
+
+def _json_type(kind) -> str:
+    if isinstance(kind, dict):
+        return "object"
+    if isinstance(kind, tuple):  # a choice
+        return "boolean" if isinstance(kind[0], bool) else "string"
+    return "list" if isinstance(kind, cli.ListOf) else "number"
+
+
+def _bad_values(kind, nullable: bool) -> list:
+    """A value of each wrong JSON type for a schema reader, then values
+    outside its range; a list reader also gets its entries' bad values."""
+    right = _json_type(kind)
+    bad = [v for t, v in JSON_VALUES.items() if t != right and not (t == "null" and nullable)]
+    if right == "string":
+        bad.append("no-such-option")
+    if isinstance(kind, cli.Number) and kind.integer:
+        bad.append(1.5)
+    if isinstance(kind, cli.Number) and kind.least is not None:
+        bad.append(kind.least if kind.strict else kind.least - 1)
+        bad += [] if kind.integer else [math.nan, math.inf]
+    if isinstance(kind, cli.ListOf):
+        bad += [[]] if kind.range.startswith("non-empty") else []
+        bad += [[v] for v in _bad_values(kind.item, nullable=False)]
+    return bad
+
+
+def _schema_cases(schema, path=()):
+    """(key path, bad value) for every key of ``schema``, nested ones too."""
+    for key, entry in schema.items():
+        kind, default = (entry, {}) if isinstance(entry, dict) else entry
+        for value in _bad_values(kind, nullable=default is None):
+            yield path + (key,), value
+        if isinstance(entry, dict):
+            yield from _schema_cases(entry, path + (key,))
+
+
+def _config_with(path, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    obj = cfg
+    for key in path[:-1]:
+        obj = obj.setdefault(key, {})
+    obj[path[-1]] = value
+    return cfg
+
+
+def test_schema_refuses_every_wrong_type_and_range(tmp_path):
+    # generated from cli.SCHEMA: each key, at every level, given a value of a
+    # wrong JSON type or out of its range exits 2 before any output is made
+    cases = [(("config",), v, v) for v in _bad_values(cli.SCHEMA, nullable=False)]
+    cases += [(p, v, _config_with(p, v)) for p, v in _schema_cases(cli.SCHEMA)]
+    # and these configs, which ran with exit 0 before the schema existed,
+    # except the alphabet mismatch, which was refused then too
+    for overrides in (
+        {"code": "universl"},
+        {"n_list": [0, 4]},
+        {"n_list": [-3, 4]},
+        {"adversary": {"kind": "scalar", "table": [0, 1]}},
+        {"adversary": {"kind": "best_scalar", "cells": [[0], [1]]}},
+        {"tol": math.nan},
+        {"tol": -1},
+        {"source": {"alphabet": 3, "probs": [0.89, 0.11]}},
+    ):
+        cases.append((tuple(overrides), overrides, {**BASE_CONFIG, **overrides}))
+    assert len(cases) > 200
+    path = tmp_path / "config.json"
+    out = tmp_path / "o"
+    for key_path, value, cfg in cases:
+        path.write_text(json.dumps(cfg))
+        for cmd in ("simulate", "leakage", "region"):
+            rc = main([cmd, "--config", str(path), "--out", str(out)])
+            assert rc == EXIT_CONFIG, (cmd, ".".join(key_path), value)
+    path.write_text(json.dumps(BASE_CONFIG))
+    negative_seed = ["region", "--config", str(path), "--out", str(out), "--seed", "-1"]
+    assert main(negative_seed) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import leaklab
+from leaklab import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(leaklab.__file__).resolve().parents[1]
 
 
@@ -141,3 +144,45 @@ def test_structural_suite_does_not_import_masked_arrays():
         pytest.skip("numpy.ma was imported before the structural suite ran")
     assert passed == "True"
     assert after == "False"
+
+
+def _schema_rows(schema, prefix=""):
+    """(key, kind, range, default) of each leaf key of a config schema, as
+    the README's key table shows them once backticks are dropped."""
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            yield from _schema_rows(entry, f"{prefix}{key}.")
+            continue
+        kind, default = entry
+        if isinstance(kind, tuple):  # a choice
+            kind_text = "boolean" if isinstance(kind[0], bool) else "string"
+            range_text = ", ".join(json.dumps(option) for option in kind)
+        else:
+            kind_text, range_text = kind.kind, kind.range
+        # a string default of a number is worked out from other keys
+        derived = isinstance(default, str) and not isinstance(kind, tuple)
+        yield prefix + key, kind_text, range_text, default if derived else json.dumps(default)
+
+
+def _readme_rows(text: str) -> list:
+    lines = text.splitlines()
+    start = lines.index("| key | kind | range | default |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        rows.append(tuple(c.strip().replace("`", "").replace("\\|", "|") for c in cells))
+    return rows
+
+
+def test_readme_key_table_matches_schema():
+    # the README lists every config key of cli.SCHEMA, in order, with its
+    # kind, range and default, and no other key
+    text = README.read_text()
+    want = list(_schema_rows(cli.SCHEMA))
+    assert len(want) == 29
+    assert _readme_rows(text) == want
+    # a copy of the README with one row dropped fails the check
+    row = next(line for line in text.splitlines() if line.startswith("| `R_A` |"))
+    assert _readme_rows(text.replace(row + "\n", "")) != want
