@@ -157,7 +157,7 @@ def _check_joint(p_kz) -> np.ndarray:
     p_kz = np.asarray(p_kz, dtype=np.float64)
     if p_kz.ndim != 2 or p_kz.size == 0:
         raise ValueError(f"p_KZ must be a non-empty 2-D table, got shape {p_kz.shape}")
-    if p_kz.min() < 0 or abs(p_kz.sum() - 1.0) > 1e-9:
+    if not np.all(np.isfinite(p_kz)) or p_kz.min() < 0 or abs(p_kz.sum() - 1.0) > 1e-9:
         raise ValueError("p_KZ is not a distribution")
     return p_kz
 

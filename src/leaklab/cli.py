@@ -138,7 +138,10 @@ def _read(kind, value, path: str):
             raise ConfigError(f"{path} must be {kind.kind}{bound}, got {value!r}")
         if isinstance(kind, ListOf):
             value = [_read(kind.item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-        return kind.convert(value)
+        try:
+            return kind.convert(value)
+        except ValueError as e:  # a Pmf or ChannelMatrix that refuses its entries
+            raise ConfigError(f"{path}: {e}") from e
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be a JSON object, got {value!r}")
     unknown = sorted(set(value) - set(kind))

@@ -163,6 +163,13 @@ class UniversalCode:
         self._digits = (seqs, words)
         return tables
 
+    def sequences(self) -> np.ndarray:
+        """All of X^n in lexicographic order, shape (q**n, n): the cached,
+        read-only digit table of ``full_tables``, under the q**n * n cap of
+        ``all_sequences``.  ``encode`` reads this very array as one gather."""
+        self.full_tables(cap=MATERIALIZE_CAP // self.n)
+        return self._digits[0]
+
     def _sequence_index(self, x) -> np.ndarray:
         return _as_symbols(x, self.n, self.q, "sequence") @ _radix(self.n, self.q)
 
@@ -170,8 +177,15 @@ class UniversalCode:
 
     def encode(self, x) -> np.ndarray:
         """phi: X^n -> X^m (surjective; bijective when restricted to D), for
-        one sequence, shape (n,), or a batch, shape (B, n)."""
+        one sequence, shape (n,), or a batch, shape (B, n).
+
+        Given the code's own table ``sequences()`` (recognised by identity),
+        whose row i holds the digits of i, the index of every row is i, so
+        the codewords are the image table gathered whole, with no validation
+        or ranking of the rows; the result is a fresh array either way."""
         images, _, _ = self.full_tables()
+        if x is self._digits[0]:
+            return np.take(self._digits[1], images, axis=0)
         return np.take(self._digits[1], images[self._sequence_index(x)], axis=0)
 
     def decode(self, c) -> np.ndarray:

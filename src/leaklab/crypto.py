@@ -20,7 +20,6 @@ import numpy as np
 
 from .codec import UniversalCode, _as_symbols, _radix
 from .galois import AffineMap, affine_apply
-from .probability import all_sequences
 
 __all__ = [
     "Cryptosystem",
@@ -141,7 +140,9 @@ def _condition_check(sys, level, sample_pairs, seed):
     A seeded batch of random pairs goes through encrypt/decrypt in one call
     each; it catches overrides that read the key beyond its image.  At the
     exhaustive level the key-image sweep then covers every pair, with the
-    first failing key and plaintext in lexicographic order as witness.  An
+    first failing key and plaintext in lexicographic order as witness.  The
+    plaintexts are the code's own X^n table, which ``encode`` reads as one
+    gather, so no image ranks the table again.  An
     image's whole table is compared at once; only a failing image is
     searched row by row for its first failing plaintext.
     """
@@ -158,7 +159,7 @@ def _condition_check(sys, level, sample_pairs, seed):
     if level == "sampled":
         return True, None
 
-    seqs = all_sequences(n, q)
+    seqs = sys.code.sequences()
     want = sys.code.decode(sys.code.encode(seqs))
     for k, _, back in _key_image_sweep(sys, seqs, seqs):
         if not np.array_equal(back, want):
@@ -211,7 +212,7 @@ def check_structural_properties(
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
 
-    seqs = all_sequences(n, q)
+    seqs = sys.code.sequences()
     want = sys.code.decode(sys.code.encode(seqs))
     in_d = np.all(want == seqs, axis=1)
     d_count = int(in_d.sum())

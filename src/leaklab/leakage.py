@@ -15,13 +15,20 @@ Given M_A = a the ciphertext is the sum over Z_q^m of two independent
 parts, encode(X) and the masked key, so every criterion has a closed form:
 
 * ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, as a cyclic
-  convolution over Z_q^m evaluated with one radix-q Fourier transform;
+  convolution over Z_q^m evaluated with one radix-q Fourier transform
+  (Walsh-Hadamard butterflies at q = 2, bit-identical to the matrix pass
+  they replace; one matrix product per digit axis for q >= 3);
 * ``delta_max_mi``   -- the worst case over all plaintext laws,
   m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
   set (the channel x -> (C, M_A) is symmetric);
 * closed-form lower / upper bounds through the key equivocations
   H(K^n | M_A) and H(keymap(K^n) | M_A), both read off the kernel, which
-  holds the one (key, message) law that p_KZ and the adversary induce.
+  holds the one (key, message) law that p_KZ and the adversary induce
+  (the second is computed once per kernel, for ``delta_max_mi`` and the
+  upper bound alike).
+
+``structural_checks`` convolves every posterior with the decoding set's
+image counts by the same transform, which it applies to the counts once.
 
 ``channel_capacity`` (the Blahut-Arimoto iteration) and
 ``GammaKernel.channel_rows`` stay as the slow path the tests check the
@@ -76,6 +83,8 @@ class GammaKernel:
     on demand.  Messages of probability zero are dropped (their original
     indices remain in ``message_ids``).  ``key_equivocation`` is
     H(K^n | M_A) in nats, taken from the same (key, message) law.
+    H(keymap(K^n) | M_A) is computed on first use and kept; ``replace``
+    starts a kernel without it.
     """
 
     q: int
@@ -88,6 +97,9 @@ class GammaKernel:
     message_ids: np.ndarray
     key_equivocation: float
     _sub: np.ndarray | None = field(default=None, repr=False)
+    _masked_equivocation: float | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def message_count(self) -> int:
@@ -210,43 +222,56 @@ def _plaintext_vector(kernel: GammaKernel, p_x) -> np.ndarray:
     v = np.asarray(p_x, dtype=np.float64)
     if v.shape != (total,):
         raise ValueError(f"plaintext vector must have length q^n = {total}")
-    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+    if not np.all(np.isfinite(v)) or v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
         raise ValueError("plaintext vector is not a distribution")
     return v
 
 
 def _dft_matrix(q: int) -> np.ndarray:
-    """The q-point DFT matrix F[j, k] = exp(-2 pi i jk / q).
-
-    For q = 2 its entries are +-1, and ``real_if_close`` returns it as a
-    real array, so the transforms below run in real arithmetic.
-    """
+    """The q-point DFT matrix F[j, k] = exp(-2 pi i jk / q)."""
     k = np.arange(q)
-    return np.real_if_close(np.exp(-2j * np.pi * (np.outer(k, k) % q) / q))
+    return np.exp(-2j * np.pi * (np.outer(k, k) % q) / q)
 
 
-def _zq_transform(a: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
-    """Apply ``mat`` along each of the m length-q axes of a (batch, q, ..., q)
-    array.  Each ``tensordot`` contracts axis 1 and appends the transformed
-    axis last, so after m passes the axes are back in their order."""
+def _zq_transform(a: np.ndarray, q: int, m: int, *, inverse: bool = False) -> np.ndarray:
+    """The Fourier transform of Z_q^m along each row of a (batch, q^m) array,
+    unnormalized; ``inverse`` uses the conjugate DFT matrix.
+
+    Each of the m passes transforms the leading digit axis and moves it
+    last, so after m passes the digits are back in their order.  For q >= 3
+    a pass is one matrix product with the q-point DFT matrix.  At q = 2 it
+    is the Walsh-Hadamard butterfly: the pass writes a0 + a1 and a0 - a1
+    into a new (batch, rest, 2) array.  That is bit-identical to the matrix
+    pass: at q = 2 the DFT matrix and its conjugate are both [[1, 1],
+    [1, -1]], multiplying by +-1 is exact, so every entry of the matrix pass
+    is the single rounding of a0 + a1 or a0 - a1 (up to the sign of a zero).
+    The passes run in the same order, so the whole transform is too.
+    """
+    if q == 2:
+        for _ in range(m):
+            a = a.reshape(len(a), 2, -1)
+            out = np.empty((len(a), a.shape[2], 2))
+            np.add(a[:, 0], a[:, 1], out=out[:, :, 0])
+            np.subtract(a[:, 0], a[:, 1], out=out[:, :, 1])
+            a = out
+        return a.reshape(len(a), -1)
+    mat = _dft_matrix(q).conj() if inverse else _dft_matrix(q)
+    a = a.reshape((len(a),) + (q,) * m)
     for _ in range(m):
         a = np.tensordot(a, mat, axes=([1], [0]))
-    return a
+    return a.reshape(len(a), -1)
 
 
-def _zq_convolve(rows: np.ndarray, v: np.ndarray, q: int, m: int) -> np.ndarray:
-    """Cyclic convolution over Z_q^m of each row of ``rows`` with ``v``.
+def _zq_convolve(rows: np.ndarray, spectrum: np.ndarray, q: int, m: int) -> np.ndarray:
+    """Cyclic convolution over Z_q^m of each row of ``rows`` with the vector
+    whose transform is ``spectrum``, shape (1, q^m), from ``_zq_transform``.
 
     Index t stands for the digits t_j of t = sum_j t_j q^(m-1-j).  The
     Fourier transform of Z_q^m turns the convolution into a product and
     factorizes into the q-point DFT along each of the m digit axes.
     """
-    dft = _dft_matrix(q)
-    shape = (-1,) + (q,) * m
-    spectrum = _zq_transform(rows.reshape(shape), dft, m) * _zq_transform(
-        v.reshape(shape), dft, m
-    )
-    return np.real(_zq_transform(spectrum, dft.conj(), m)).reshape(len(rows), -1) / q**m
+    product = _zq_transform(rows, q, m) * spectrum
+    return np.real(_zq_transform(product, q, m, inverse=True)) / q**m
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -280,7 +305,8 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
     live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
     if live.size == 0:
         return 0.0
-    mix = _zq_convolve(post[live], p_img, kernel.q, kernel.m)
+    spectrum = _zq_transform(p_img[None], kernel.q, kernel.m)
+    mix = _zq_convolve(post[live], spectrum, kernel.q, kernel.m)
     gain = _row_entropies(mix) - _row_entropies(post[live])
     return float(kernel.p_message[live] @ gain)
 
@@ -348,8 +374,11 @@ class DeltaMaxResult:
 
 
 def _masked_key_equivocation(kernel: GammaKernel) -> float:
-    """H(keymap(K^n) | M_A) in nats."""
-    return float(kernel.p_message @ _row_entropies(kernel.key_image_posterior))
+    """H(keymap(K^n) | M_A) in nats, computed once per kernel."""
+    if kernel._masked_equivocation is None:
+        post = kernel.key_image_posterior
+        kernel._masked_equivocation = float(kernel.p_message @ _row_entropies(post))
+    return kernel._masked_equivocation
 
 
 def _leakage_below(kernel: GammaKernel, equivocation: float) -> float:
@@ -463,8 +492,9 @@ def structural_checks(
     worst_a = worst_u = 0.0
     wit_a = wit_u = None
     post = kernel.key_image_posterior
+    spectrum = _zq_transform(img_counts[None], kernel.q, kernel.m)
     for lo in range(0, kernel.message_count, _CHECK_CHUNK):
-        sums = _zq_convolve(post[lo : lo + _CHECK_CHUNK], img_counts, kernel.q, kernel.m)
+        sums = _zq_convolve(post[lo : lo + _CHECK_CHUNK], spectrum, kernel.q, kernel.m)
         val, wit = _worst_entry(np.abs(sums - 1.0), lo)
         if val > worst_a:
             worst_a, wit_a = val, wit

@@ -64,9 +64,11 @@ def _validate_probs(a: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError(f"{what} is empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite entries")
     if a.min() < 0:
         raise ValueError(f"{what} has negative entries")
-    s = a.sum()
+    s = float(a.sum())
     if abs(s - 1.0) > SUM_TOL:
         if not renormalize:
             raise ValueError(f"{what} sums to {s!r}, not 1 within {SUM_TOL}")

@@ -142,6 +142,31 @@ def structural_properties_oracle(
     return report
 
 
+def dft_matrix_oracle(q):
+    """The q-point DFT matrix exp(-2 pi i jk / q), real for q = 2."""
+    k = np.arange(q)
+    return np.real_if_close(np.exp(-2j * np.pi * (np.outer(k, k) % q) / q))
+
+
+def zq_transform_oracle(a, mat, m):
+    """The Fourier transform of Z_q^m along each row of a (batch, q^m) array
+    as m matrix passes: each ``tensordot`` contracts the leading digit axis
+    with ``mat`` and appends the transformed axis last."""
+    q = len(mat)
+    a = a.reshape((len(a),) + (q,) * m)
+    for _ in range(m):
+        a = np.tensordot(a, mat, axes=([1], [0]))
+    return a.reshape(len(a), -1)
+
+
+def zq_convolve_oracle(rows, v, q, m):
+    """Cyclic convolution over Z_q^m of each row of ``rows`` with ``v``, by
+    the matrix-pass transform of both and the conjugate matrix pass back."""
+    dft = dft_matrix_oracle(q)
+    spectrum = zq_transform_oracle(rows, dft, m) * zq_transform_oracle(v[None], dft, m)
+    return np.real(zq_transform_oracle(spectrum, dft.conj(), m)) / q**m
+
+
 def kernel_checks_oracle(kern, in_decoding_set=None, tol=1e-10):
     """``structural_checks`` as a per-message loop over explicit
     [ciphertext, image] tables."""

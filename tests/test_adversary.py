@@ -156,3 +156,12 @@ def test_refinement_monotonicity():
         )
         if refines:
             assert h_of(list(fine)) <= h_of(list(coarse)) + 1e-12
+
+
+def test_non_finite_joint_is_refused():
+    enc = scalar_quantizer_encoder([0, 1], 3)
+    for bad in (math.nan, math.inf):
+        p_kz = np.array(bsc_joint(0.1))
+        p_kz[0, 1] = bad
+        with pytest.raises(ValueError, match="not a distribution"):
+            key_equivocation(enc, p_kz)

@@ -254,6 +254,41 @@ def test_schema_refuses_every_wrong_type_and_range(tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_probabilities_exit_2(tmp_path):
+    # NaN is valid JSON for Python's reader; every probability vector and
+    # channel row refuses it before any output is made
+    out = tmp_path / "o"
+    for overrides in (
+        {"source": {"probs": [math.nan, 0.11]}},
+        {"key": {"probs": [0.5, math.nan]}},
+        {"W": {"rows": [[0.9, 0.1], [math.nan, 0.9]]}},
+        {"source": {"probs": [math.inf, 0.11]}},
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        for cmd in ("leakage", "region", "simulate"):
+            rc = main([cmd, "--config", str(path), "--out", str(out)])
+            assert rc == EXIT_CONFIG, (cmd, overrides)
+            assert not out.exists()
+
+
+def test_probability_errors_name_the_key_path(tmp_path, capsys):
+    out = tmp_path / "o"
+    for overrides, where in (
+        ({"key": {"probs": [0.5, 0.4]}}, "config.key.probs"),
+        ({"source": {"probs": [math.nan, 0.11]}}, "config.source.probs"),
+        ({"W": {"rows": [[0.9, 0.1], [0.2, 0.9]]}}, "config.W.rows"),
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert main(["leakage", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: "), err
+        assert "np.float64" not in err
+    path = write_config(tmp_path, key={"probs": [0.5, 0.4]})
+    main(["leakage", "--config", str(path), "--out", str(out)])
+    assert "pmf sums to 0.9, not 1" in capsys.readouterr().err
+
+
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
     # q=2, n=16, m=11: the kernel tables would hold q^n * q^m = 2^27 entries
     cfg = write_config(tmp_path, n_list=[16], adversary={"kind": "scalar", "cells": None})

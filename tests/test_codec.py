@@ -176,6 +176,30 @@ def test_batch_and_scalar_codec_match_rank_oracle(code):
     assert np.array_equal(code.in_decoding_set(seqs), in_d)
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_universal_code(8, 0.5, 2),
+        build_universal_code(5, 0.8, 3),
+        UniversalCode.identity(5, 2),
+    ],
+    ids=["q2n8", "q3n5", "identity"],
+)
+def test_encode_of_the_code_table_is_a_fresh_gather(code):
+    # the code's own X^n table is recognised by identity and gathered whole;
+    # any other array with the same rows goes the validating, ranking path
+    table = code.sequences()
+    assert code.sequences() is table and not table.flags.writeable
+    assert np.array_equal(table, all_sequences(code.n, code.q))
+    got = code.encode(table)
+    want = code.encode(all_sequences(code.n, code.q).copy())
+    assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert got.flags.writeable and got.flags.owndata
+    assert not np.shares_memory(got, table) and got is not code.encode(table)
+    got[0] = 1 - got[0]  # writing into one result leaves the next unchanged
+    assert np.array_equal(code.encode(table), want)
+
+
 def test_codec_rejects_bad_batches():
     code = build_universal_code(6, 0.5, 2)  # m = 4
     for bad in (

@@ -7,16 +7,22 @@ import pytest
 from helpers import (
     capacity_oracle,
     delta_mi_oracle,
+    dft_matrix_oracle,
     kernel_checks_oracle,
     lower_bound_oracle,
+    zq_convolve_oracle,
+    zq_transform_oracle,
 )
 from helpers import simplex_grid_capacity as grid_capacity_oracle
 from leaklab import adversary
+from leaklab import leakage as leakage_module
 from leaklab.adversary import TableEncoder, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem
 from leaklab.galois import AffineMap, FieldSpec, random_affine
 from leaklab.leakage import (
+    _zq_convolve,
+    _zq_transform,
     build_gamma_kernel,
     channel_capacity,
     delta_max_lower_bound,
@@ -249,6 +255,65 @@ def test_delta_mi_accepts_product_and_vector():
     assert delta_mi(kern, pd) == delta_mi(kern, pd.materialize())
 
 
+def test_delta_mi_refuses_non_finite_plaintext_vector():
+    kern = build_gamma_kernel(otp_system(3), scalar_quantizer_encoder([0], 3), no_side_info())
+    for bad in (np.nan, np.inf):
+        v = np.full(8, 1 / 8)
+        v[2] = bad
+        with pytest.raises(ValueError, match="not a distribution"):
+            delta_mi(kern, v)
+
+
+def _posterior(q, n, R, seed):
+    code = build_universal_code(n, R, q)
+    sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=seed))
+    W = ChannelMatrix.bsc(0.1) if q == 2 else ChannelMatrix(
+        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+    )
+    p_kz = joint_from_channel(Pmf.uniform(q), W)
+    kern = build_gamma_kernel(sys, scalar_quantizer_encoder(list(range(q)), n), p_kz)
+    return kern.key_image_posterior, kern.m
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+def test_walsh_hadamard_butterflies_equal_matrix_passes(batch):
+    # at q = 2 each butterfly entry is the one rounding of a0 + a1 or a0 - a1,
+    # which is what the +-1 matrix pass computes: equal bit for bit
+    rng = np.random.default_rng(batch)
+    mat = dft_matrix_oracle(2)
+    assert mat.dtype == np.float64
+    for m in range(1, 10):
+        a = rng.random((batch, 2**m)) - 0.5
+        for inverse, oracle_mat in ((False, mat), (True, mat.conj())):
+            got = _zq_transform(a, 2, m, inverse=inverse)
+            assert np.array_equal(got, zq_transform_oracle(a, oracle_mat, m)), (m, inverse)
+    for n in (6, 10):  # real posteriors, m = 4 and 7
+        post, m = _posterior(2, n, 0.5, seed=n)
+        rows = post[:batch]
+        for inverse, oracle_mat in ((False, mat), (True, mat.conj())):
+            got = _zq_transform(rows, 2, m, inverse=inverse)
+            assert np.array_equal(got, zq_transform_oracle(rows, oracle_mat, m))
+        v = rng.dirichlet(np.ones(2**m))
+        got = _zq_convolve(rows, _zq_transform(v[None], 2, m), 2, m)
+        assert np.array_equal(got, zq_convolve_oracle(rows, v, 2, m))
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+def test_ternary_transform_is_the_matrix_pass(batch):
+    rng = np.random.default_rng(batch)
+    mat = dft_matrix_oracle(3)
+    for m in range(1, 6):
+        a = rng.random((batch, 3**m))
+        for inverse, oracle_mat in ((False, mat), (True, mat.conj())):
+            got = _zq_transform(a, 3, m, inverse=inverse)
+            assert np.array_equal(got, zq_transform_oracle(a, oracle_mat, m)), (m, inverse)
+    post, m = _posterior(3, 5, 0.8, seed=5)
+    rows = post[:batch]
+    v = rng.dirichlet(np.ones(3**m))
+    got = _zq_convolve(rows, _zq_transform(v[None], 3, m), 3, m)
+    assert np.array_equal(got, zq_convolve_oracle(rows, v, 3, m))
+
+
 # ---------------------------------------------------------------------------
 # channel capacity (the delta_max engine)
 # ---------------------------------------------------------------------------
@@ -401,6 +466,25 @@ def test_lower_bound_matches_pairwise_oracle():
         want = lower_bound_oracle(sys, enc, p_kz)
         assert want > 0, (q, n, enc.kind)  # not floored
         assert abs(got - want) <= 1e-12, (q, n, enc.kind, got, want)
+
+
+def test_masked_key_equivocation_is_kept_per_kernel(monkeypatch):
+    # delta_max_mi and the upper bound share one entropy pass per kernel; a
+    # kernel made by replace() with a new posterior computes its own
+    code = build_universal_code(8, 0.5, 2)
+    sys = Cryptosystem(code, random_affine(8, code.m, FieldSpec(2), seed=6))
+    kern = build_gamma_kernel(sys, scalar_quantizer_encoder([0, 1], 8), bsc_joint(0.1))
+    row_entropies = leakage_module._row_entropies
+    want = code.m * LN2 - float(kern.p_message @ row_entropies(kern.key_image_posterior))
+    passes = []
+    monkeypatch.setattr(
+        leakage_module, "_row_entropies", lambda rows: passes.append(1) or row_entropies(rows)
+    )
+    assert delta_max_mi(kern).value == delta_max_upper_bound(kern) == want
+    assert len(passes) == 1
+    flat = np.full_like(kern.key_image_posterior, 1.0 / kern.image_count)
+    assert delta_max_upper_bound(replace(kern, key_image_posterior=flat)) == 0.0
+    assert len(passes) == 2 and delta_max_upper_bound(kern) == want
 
 
 def test_leakage_report_enumerates_table_adversary_once(monkeypatch):

@@ -88,6 +88,22 @@ def test_pmf_validation():
     assert abs(p.probs.sum() - 1.0) < 1e-15
 
 
+def test_non_finite_probabilities_are_refused():
+    # NaN passes both "min < 0" and "|sum - 1| > tol", so it is checked first
+    for bad in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0], [-math.inf, 1.0]):
+        for renormalize in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                Pmf(bad, renormalize=renormalize)
+        with pytest.raises(ValueError, match="channel row 1 has non-finite"):
+            ChannelMatrix([[0.5, 0.5], bad])
+
+
+def test_pmf_sum_error_prints_a_plain_float():
+    with pytest.raises(ValueError) as err:
+        Pmf([0.5, 0.4])
+    assert str(err.value) == "pmf sums to 0.9, not 1 within 1e-12"
+
+
 def test_product_distribution_values():
     pd = product_distribution(Pmf.bernoulli(0.1), 2)
     assert abs(pd.prob([1, 1]) - 0.01) < 1e-15

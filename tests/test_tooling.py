@@ -9,10 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leaklab
 from leaklab import cli
+from leaklab.codec import UniversalCode, build_universal_code
+from leaklab.crypto import Cryptosystem, check_structural_properties
+from leaklab.galois import FieldSpec, random_affine
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -144,6 +148,31 @@ def test_structural_suite_does_not_import_masked_arrays():
         pytest.skip("numpy.ma was imported before the structural suite ran")
     assert passed == "True"
     assert after == "False"
+
+
+def test_key_image_sweep_ranks_no_table_per_image(monkeypatch):
+    # the exhaustive condition check and the structural suite encode the
+    # code's own X^n table once per key image; that is one gather, so the
+    # number of rankings must not grow with the 2^m key images
+    calls = []
+    ranking = UniversalCode._sequence_index
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return ranking(self, x)
+
+    monkeypatch.setattr(UniversalCode, "_sequence_index", counted)
+    counts = {}
+    for n in (6, 8):
+        code = build_universal_code(n, 0.45, 2)  # m = 3, then 5
+        calls.clear()
+        system = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), 0))
+        assert system.validation == "exhaustive"
+        report = check_structural_properties(system)
+        assert report.passed and report.mode == "exhaustive"
+        counts[code.m] = len(calls)
+    assert set(counts) == {3, 5}
+    assert counts[3] == counts[5] > 0
 
 
 def _schema_rows(schema, prefix=""):
