@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (
-    DEFAULT_TABLE_CAP,
-    TableCapError,
-    all_sequences,
-    conditional_entropy,
-)
+from .probability import all_sequences, check_table, conditional_entropy
 
 __all__ = [
     "ScalarQuantizerEncoder",
@@ -175,7 +170,7 @@ def _cell_joint(p_kz, cells) -> np.ndarray:
     return out
 
 
-def adversary_joint(enc, p_kz, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def adversary_joint(enc, p_kz) -> np.ndarray:
     """The (key, message) law that ``enc`` induces from p_KZ.
 
     For a scalar quantizer it is the per-symbol (key, cell) joint
@@ -183,7 +178,7 @@ def adversary_joint(enc, p_kz, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     encoder it is the (key sequence, message) joint, rows in lexicographic
     order of the key sequence, by enumeration of every (k^n, z^n) pair:
     p(k^n, a) = sum over z^n with table[z^n] = a of prod_t p_KZ(k_t, z_t).
-    That enumeration has q^n * |Z|^n entries and is refused above ``cap``.
+    That enumeration has q^n * |Z|^n entries, checked against the table cap.
     """
     p_kz = _check_joint(p_kz)
     if enc.kind == "scalar":
@@ -198,8 +193,7 @@ def adversary_joint(enc, p_kz, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     n = enc.n
     if zsym != enc.obs_size:
         raise ValueError(f"table encoder reads |Z| = {enc.obs_size}, p_KZ has {zsym}")
-    if q**n * zsym**n > cap:
-        raise TableCapError(f"q^n * |Z|^n = {q ** n * zsym ** n} exceeds table cap {cap}")
+    check_table("q^n * |Z|^n", q**n * zsym**n)
     kseqs = all_sequences(n, q)
     zseqs = all_sequences(n, zsym)
     joint_kz = np.ones((kseqs.shape[0], zseqs.shape[0]))

@@ -8,7 +8,7 @@ seeds are bit-identical.
 
 Subcommands: ``verify``, ``simulate``, ``leakage``, ``region``,
 ``exponent``, ``build-code``.  Exit codes: 0 ok, 1 property violation,
-2 config error, which includes a table that would exceed its size cap.
+2 config error, which includes a table that would exceed the table cap.
 """
 
 from __future__ import annotations
@@ -383,7 +383,6 @@ def _replay_draws(rng, p_x, p_k, samples: int, n: int):
 def _simulate_row(exp: Experiment, n: int, code, fvals):
     sys_n = exp.build_system(code)
     enc = exp.build_encoder(n)
-    pe = codec.error_probability_exact(code, exp.p_x)
     p2 = codec.verify_error_bound(code, exp.p_x, exp.gamma, R=exp.R)
     rep = leakage.leakage_report(
         sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
@@ -400,7 +399,7 @@ def _simulate_row(exp: Experiment, n: int, code, fvals):
         exp.R,
         exp.R_A,
         exp.gamma,
-        pe,
+        p2.pe_exact,
         pe_mc,
         p2.bound,
         p2.exponent,
@@ -420,6 +419,8 @@ SIMULATE_HEADER = (
 
 
 def cmd_simulate(exp: Experiment, out_dir, config_path) -> int:
+    # the replay's uniform draws at the largest block length, before any work
+    prob.check_table("monte_carlo_samples * 2 * n", exp.mc_samples * 2 * max(exp.n_list))
     if exp.exponents:
         calc = analysis.ExponentCalculator(exp.p_kz, exp.grid)
         fvals = (calc.F(exp.R_A, exp.R).value, calc.F_lower(exp.R_A, exp.R).value)

@@ -24,15 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .galois import _as_integers
-from .probability import (
-    MATERIALIZE_CAP,
-    Pmf,
-    TableCapError,
-    all_sequences,
-    entropy,
-    enumerate_types,
-    kl_divergence,
-)
+from .probability import Pmf, all_sequences, entropy, enumerate_types, kl_divergence
 
 __all__ = [
     "UniversalCode",
@@ -117,9 +109,9 @@ class UniversalCode:
         """Whether (m/n) ln q lies in the scheme's window [R - 1/n, R]."""
         return R - 1.0 / self.n - 1e-12 <= self.rate <= R + 1e-12
 
-    # -- the ranking of X^n (desk-scale; guarded by MATERIALIZE_CAP) ---------
+    # -- the ranking of X^n (desk-scale; guarded by the table cap) -----------
 
-    def full_tables(self, cap: int = MATERIALIZE_CAP):
+    def full_tables(self):
         """(image index, in-D mask, rank->lex map) over all of X^n.
 
         The first two are indexed by the lexicographic index of a sequence;
@@ -131,14 +123,13 @@ class UniversalCode:
 
         The same call caches the digit tables of ``encode`` and ``decode``:
         all of X^n and all of X^m in lexicographic order, so that row i holds
-        the base-q digits of index i and a word is one gather.
+        the base-q digits of index i and a word is one gather.  The largest
+        table, the X^n digits, is checked by ``all_sequences``.
         """
-        total = self.q**self.n
-        if total > cap:
-            raise TableCapError(f"q**n = {total} exceeds cap {cap}")
         if self._tables is not None:
             return self._tables
-        seqs = all_sequences(self.n, self.q, cap=cap * self.n)
+        total = self.q**self.n
+        seqs = all_sequences(self.n, self.q)
         if self.order == "lexicographic":
             idx = np.arange(total, dtype=np.int64)
             tables = (idx, np.ones(total, dtype=bool), idx)
@@ -156,7 +147,7 @@ class UniversalCode:
             ranks[order] = np.arange(total)
             images = np.minimum(ranks, self.decoding_set_size - 1)
             tables = (images, ranks < self.decoding_set_size, order)
-        words = all_sequences(self.m, self.q, cap=cap * self.m)
+        words = all_sequences(self.m, self.q)
         for t in tables + (seqs, words):
             t.setflags(write=False)
         self._tables = tables
@@ -165,9 +156,9 @@ class UniversalCode:
 
     def sequences(self) -> np.ndarray:
         """All of X^n in lexicographic order, shape (q**n, n): the cached,
-        read-only digit table of ``full_tables``, under the q**n * n cap of
-        ``all_sequences``.  ``encode`` reads this very array as one gather."""
-        self.full_tables(cap=MATERIALIZE_CAP // self.n)
+        read-only digit table of ``full_tables``.  ``encode`` reads this very
+        array as one gather."""
+        self.full_tables()
         return self._digits[0]
 
     def _sequence_index(self, x) -> np.ndarray:

@@ -17,15 +17,15 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
 * ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, as a cyclic
   convolution over Z_q^m evaluated with one radix-q Fourier transform
   (Walsh-Hadamard butterflies at q = 2, bit-identical to the matrix pass
-  they replace; one matrix product per digit axis for q >= 3);
+  they replace; one matrix product per digit axis for q >= 3), over the
+  posterior in chunks of 256 messages;
 * ``delta_max_mi``   -- the worst case over all plaintext laws,
   m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
   set (the channel x -> (C, M_A) is symmetric);
 * closed-form lower / upper bounds through the key equivocations
   H(K^n | M_A) and H(keymap(K^n) | M_A), both read off the kernel, which
   holds the one (key, message) law that p_KZ and the adversary induce
-  (the second is computed once per kernel, for ``delta_max_mi`` and the
-  upper bound alike).
+  (H(post_a) is computed once per kernel, for all three criteria).
 
 ``structural_checks`` convolves every posterior with the decoding set's
 image counts by the same transform, which it applies to the counts once.
@@ -46,14 +46,7 @@ from . import adversary
 from .codec import _radix
 from .crypto import Cryptosystem
 from .galois import affine_apply
-from .probability import (
-    DEFAULT_TABLE_CAP,
-    Pmf,
-    ProductDistribution,
-    TableCapError,
-    _xlogx,
-    all_sequences,
-)
+from .probability import Pmf, ProductDistribution, _xlogx, all_sequences, check_table
 
 __all__ = [
     "GammaKernel",
@@ -82,9 +75,9 @@ class GammaKernel:
     randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
     on demand.  Messages of probability zero are dropped (their original
     indices remain in ``message_ids``).  ``key_equivocation`` is
-    H(K^n | M_A) in nats, taken from the same (key, message) law.
-    H(keymap(K^n) | M_A) is computed on first use and kept; ``replace``
-    starts a kernel without it.
+    H(K^n | M_A) in nats, taken from the same (key, message) law.  The
+    entropy of each posterior row is computed on first use and kept;
+    ``replace`` starts a kernel without it.
     """
 
     q: int
@@ -97,7 +90,7 @@ class GammaKernel:
     message_ids: np.ndarray
     key_equivocation: float
     _sub: np.ndarray | None = field(default=None, repr=False)
-    _masked_equivocation: float | None = field(
+    _row_entropy: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -147,7 +140,7 @@ class GammaKernel:
         return out
 
 
-def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
+def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz):
     """Joint table over (masked key image, adversary message), and
     H(K^n | M_A), both from the one law ``adversary.adversary_joint``."""
     q, n, m = sys.q, sys.n, sys.m
@@ -155,12 +148,8 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
         raise ValueError("p_KZ key alphabet does not match the system")
     if encoder.n != n:
         raise ValueError(f"adversary block length {encoder.n} != system n {n}")
-    if encoder.kind == "scalar" and q**m * encoder.message_count > cap:
-        raise TableCapError(
-            f"q^m * |M_A| = {q ** m * encoder.message_count} exceeds table cap "
-            f"{cap}; use a smaller block or coarser quantizer"
-        )
-    joint = adversary.adversary_joint(encoder, p_kz, cap)
+    check_table("q^m * |M_A|", q**m * encoder.message_count)
+    joint = adversary.adversary_joint(encoder, p_kz)
     h_key = adversary.joint_equivocation(encoder, joint)
     radix_m = _radix(m, q)
     if encoder.kind == "table":
@@ -181,28 +170,25 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz, cap: int):
     return state, h_key
 
 
-def build_gamma_kernel(
-    sys: Cryptosystem, encoder, p_kz, *, table_cap: int = DEFAULT_TABLE_CAP
-) -> GammaKernel:
+def build_gamma_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel:
     """Exact kernel construction by joint enumeration (product-form for
-    scalar adversaries, full (k, z) enumeration for table adversaries)."""
+    scalar adversaries, full (k, z) enumeration for table adversaries).
+
+    The q^n * q^m size check runs first, before any table is built."""
     q, n, m = sys.q, sys.n, sys.m
-    if q**n * q**m > table_cap:
-        raise TableCapError(
-            f"q^n * q^m = {q}^{n + m} exceeds the table cap "
-            f"2^{math.log2(table_cap):g}; reduce n"
-        )
-    g_joint, h_key = _key_image_message_joint(sys, encoder, p_kz, table_cap)
+    check_table("q^n * q^m", q**n * q**m)
+    g_joint, h_key = _key_image_message_joint(sys, encoder, p_kz)
     p_message = g_joint.sum(axis=0)
     keep = np.flatnonzero(p_message > 0)
-    posterior = (g_joint[:, keep] / p_message[keep]).T
-    images, in_d, _ = sys.code.full_tables(cap=table_cap)
+    posterior = g_joint[:, keep]
+    posterior /= p_message[keep]  # in place: the same divisions, one table fewer
+    images, in_d, _ = sys.code.full_tables()
     return GammaKernel(
         q=q,
         n=n,
         m=m,
         p_message=p_message[keep],
-        key_image_posterior=posterior,
+        key_image_posterior=posterior.T,
         image_of=images,
         in_decoding_set=in_d,
         message_ids=keep,
@@ -274,9 +260,25 @@ def _zq_convolve(rows: np.ndarray, spectrum: np.ndarray, q: int, m: int) -> np.n
     return np.real(_zq_transform(product, q, m, inverse=True)) / q**m
 
 
+# Messages per batch of every pass over the posterior, which bounds the
+# size of its (messages, q^m) temporaries.
+_CHUNK = 256
+
+
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row of a 2-D table."""
-    return -_xlogx(rows).sum(axis=1)
+    """Entropy in nats of each row of a 2-D C-ordered table, ``_CHUNK`` rows
+    at a time; each row is summed on its own, so the batch leaves its bits."""
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _CHUNK):
+        out[lo : lo + _CHUNK] = -_xlogx(rows[lo : lo + _CHUNK]).sum(axis=1)
+    return out
+
+
+def _posterior_entropies(kernel: GammaKernel) -> np.ndarray:
+    """H(post_a) for every message a, computed once per kernel."""
+    if kernel._row_entropy is None:
+        kernel._row_entropy = _row_entropies(kernel.key_image_posterior)
+    return kernel._row_entropy
 
 
 def delta_mi(kernel: GammaKernel, p_x) -> float:
@@ -291,24 +293,33 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
         H(C | X, M_A = a)  = H(U + T | U, M_A = a) = H(post_a),
 
     and I(C; X | M_A) = sum_a p(a) [H(post_a * p_img) - H(post_a)], where *
-    is cyclic convolution over Z_q^m, evaluated for all messages at once by
-    one radix-q Fourier transform (``_zq_convolve``).  There is no
-    precondition beyond the additive form of the kernel.
+    is cyclic convolution over Z_q^m, evaluated by one radix-q Fourier
+    transform (``_zq_convolve``) for each chunk of ``_CHUNK`` messages.
+    H(post_a) is the kernel's own row entropy.  There is no precondition
+    beyond the additive form of the kernel.
 
     A message whose posterior is constant contributes exactly zero (its
     convolution is the same constant) and is skipped, so a kernel with no
-    other message gives exactly 0.0.
+    other message gives exactly 0.0.  The gains of all other messages are
+    weighted in one dot product, as when they were convolved at once.
     """
+    q, m = kernel.q, kernel.m
     px = _plaintext_vector(kernel, p_x)
     p_img = np.bincount(kernel.image_of, weights=px, minlength=kernel.image_count)
+    spectrum = _zq_transform(p_img[None], q, m)
+    h_post = _posterior_entropies(kernel)
     post = kernel.key_image_posterior
-    live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
-    if live.size == 0:
+    live, gain = [], []
+    for lo in range(0, kernel.message_count, _CHUNK):
+        rows = post[lo : lo + _CHUNK]
+        idx = lo + np.flatnonzero(np.any(rows != rows[:, :1], axis=1))
+        if idx.size:
+            live.append(idx)
+            gain.append(_row_entropies(_zq_convolve(post[idx], spectrum, q, m)) - h_post[idx])
+    if not live:
         return 0.0
-    spectrum = _zq_transform(p_img[None], kernel.q, kernel.m)
-    mix = _zq_convolve(post[live], spectrum, kernel.q, kernel.m)
-    gain = _row_entropies(mix) - _row_entropies(post[live])
-    return float(kernel.p_message[live] @ gain)
+    live = np.concatenate(live)
+    return float(kernel.p_message[live] @ np.concatenate(gain))
 
 
 @dataclass
@@ -374,11 +385,8 @@ class DeltaMaxResult:
 
 
 def _masked_key_equivocation(kernel: GammaKernel) -> float:
-    """H(keymap(K^n) | M_A) in nats, computed once per kernel."""
-    if kernel._masked_equivocation is None:
-        post = kernel.key_image_posterior
-        kernel._masked_equivocation = float(kernel.p_message @ _row_entropies(post))
-    return kernel._masked_equivocation
+    """H(keymap(K^n) | M_A) in nats, from the kernel's row entropies."""
+    return float(kernel.p_message @ _posterior_entropies(kernel))
 
 
 def _leakage_below(kernel: GammaKernel, equivocation: float) -> float:
@@ -455,11 +463,6 @@ class KernelCheckReport:
     uniform_witness: tuple | None
 
 
-# Messages per batch of the kernel checks, which bounds the size of their
-# (messages, q^m) convolution arrays.
-_CHECK_CHUNK = 256
-
-
 def _worst_entry(err: np.ndarray, lo: int) -> tuple:
     """Largest entry of a (message, ciphertext) block starting at message
     ``lo``, and its (ciphertext, message); the first message, then the first
@@ -493,8 +496,8 @@ def structural_checks(
     wit_a = wit_u = None
     post = kernel.key_image_posterior
     spectrum = _zq_transform(img_counts[None], kernel.q, kernel.m)
-    for lo in range(0, kernel.message_count, _CHECK_CHUNK):
-        sums = _zq_convolve(post[lo : lo + _CHECK_CHUNK], spectrum, kernel.q, kernel.m)
+    for lo in range(0, kernel.message_count, _CHUNK):
+        sums = _zq_convolve(post[lo : lo + _CHUNK], spectrum, kernel.q, kernel.m)
         val, wit = _worst_entry(np.abs(sums - 1.0), lo)
         if val > worst_a:
             worst_a, wit_a = val, wit

@@ -21,22 +21,31 @@ import numpy as np
 
 SUM_TOL = 1e-12
 
-# Largest q**n table the package will materialize; beyond this everything
-# must stay in streaming / per-type form.
-MATERIALIZE_CAP = 2**24
-
-# Hard ceiling on the dense (key, message) tables of the adversary and the
-# leakage kernel (entries, not bytes).
-DEFAULT_TABLE_CAP = 2**26
+# The package's one size policy: no table it builds may hold more entries
+# (not bytes) than this.  ``check_table`` reads it at call time.
+TABLE_CAP = 2**26
 
 
 class TableCapError(ValueError):
-    """A table would exceed its size cap; the run is refused before it
+    """A table would exceed ``TABLE_CAP``; the run is refused before it
     allocates (the CLI reports it as a config error)."""
 
 
+def check_table(formula: str, entries: int) -> None:
+    """Refuse a table of ``entries`` entries, counted as ``formula``, when it
+    would exceed ``TABLE_CAP``: the one size check, run where the table is
+    built and before it is allocated.  Powers of two are shown as 2^k."""
+    if entries > TABLE_CAP:
+        size, cap = (
+            f"2^{x.bit_length() - 1}" if x & (x - 1) == 0 else x for x in (int(entries), TABLE_CAP)
+        )
+        raise TableCapError(f"{formula} = {size} entries exceed the table cap {cap}")
+
+
 __all__ = [
+    "TABLE_CAP",
     "TableCapError",
+    "check_table",
     "Pmf",
     "ChannelMatrix",
     "ProductDistribution",
@@ -173,10 +182,16 @@ def joint_from_channel(p_in, channel) -> np.ndarray:
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    mask = a > 0
-    out[mask] = a[mask] * np.log(a[mask])
-    return out
+    """a ln a entrywise, with 0 ln 0 := 0, as b ln b for b = where(a > 0, a, 1).
+
+    Bit-identical to the masked form ``out[a > 0] = a ln a`` over zeros, with
+    no boolean gather: an entry a > 0 (subnormals and +inf too) goes through
+    the same two roundings, ln a and then a times it, and any other entry
+    (either zero, a negative rounding residue, NaN) gives 1.0 * ln 1.0 = +0.0,
+    the zero the mask leaves.
+    """
+    b = np.where(a > 0, a, 1.0)
+    return b * np.log(b)
 
 
 def entropy(p) -> float:
@@ -226,7 +241,7 @@ class ProductDistribution:
     """The n-fold i.i.d. extension of a base pmf, evaluated lazily.
 
     Never materializes the q**n table unless asked to and the table fits
-    under ``MATERIALIZE_CAP``.
+    under ``TABLE_CAP``.
     """
 
     def __init__(self, base: Pmf, n: int):
@@ -250,13 +265,9 @@ class ProductDistribution:
     def prob(self, seq) -> float:
         return float(np.exp(self.log_prob(seq)))
 
-    def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+    def materialize(self) -> np.ndarray:
         """Probabilities of all q**n sequences in lexicographic order."""
-        total = self.q**self.n
-        if total > cap:
-            raise ValueError(
-                f"q**n = {total} exceeds the materialization cap {cap}"
-            )
+        check_table("q^n", self.q**self.n)
         out = np.array([1.0])
         for _ in range(self.n):
             out = np.multiply.outer(out, self.base.probs).reshape(-1)
@@ -267,11 +278,10 @@ def product_distribution(p: Pmf, n: int) -> ProductDistribution:
     return ProductDistribution(p, n)
 
 
-def all_sequences(n: int, q: int, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+def all_sequences(n: int, q: int) -> np.ndarray:
     """All sequences of X^n in lexicographic order, shape (q**n, n)."""
     total = q**n
-    if total * n > cap:
-        raise TableCapError(f"q**n * n = {total * n} exceeds cap {cap}")
+    check_table("q^n * n", total * n)
     idx = np.arange(total)
     out = np.empty((total, n), dtype=np.int64)
     for t in range(n - 1, -1, -1):

@@ -167,6 +167,38 @@ def zq_convolve_oracle(rows, v, q, m):
     return np.real(zq_transform_oracle(spectrum, dft.conj(), m)) / q**m
 
 
+def xlogx_masked_oracle(a):
+    """a ln a with 0 ln 0 := 0, written through a boolean mask."""
+    out = np.zeros_like(a)
+    mask = a > 0
+    out[mask] = a[mask] * np.log(a[mask])
+    return out
+
+
+def row_entropies_oracle(rows):
+    """Entropy of each row of a whole table, in one pass."""
+    return -xlogx_masked_oracle(rows).sum(axis=1)
+
+
+def masked_equivocation_oracle(kern):
+    """H(keymap(K^n) | M_A), from the row entropies of the whole posterior."""
+    return float(kern.p_message @ row_entropies_oracle(kern.key_image_posterior))
+
+
+def delta_mi_whole_array_oracle(kern, p_x):
+    """``delta_mi`` with every non-flat posterior row convolved at once and
+    its entropy taken again, in one pass over the whole array each."""
+    px = _plaintext_vector(kern, p_x)
+    p_img = np.bincount(kern.image_of, weights=px, minlength=kern.image_count)
+    post = kern.key_image_posterior
+    live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
+    if live.size == 0:
+        return 0.0
+    mix = zq_convolve_oracle(post[live], p_img, kern.q, kern.m)
+    gain = row_entropies_oracle(mix) - row_entropies_oracle(post[live])
+    return float(kern.p_message[live] @ gain)
+
+
 def kernel_checks_oracle(kern, in_decoding_set=None, tol=1e-10):
     """``structural_checks`` as a per-message loop over explicit
     [ciphertext, image] tables."""

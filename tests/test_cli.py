@@ -560,11 +560,9 @@ def test_table_adversary_kind(tmp_path):
     assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
-def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
-    # q=2, n=12 with the finest scalar adversary: the explicit capacity rows
-    # alone would take 2 GiB, the closed forms need under 100 MiB
-    cfg = write_config(tmp_path, n_list=[12], adversary={"kind": "scalar", "cells": None})
-    out = tmp_path / "o"
+def run_in_1gib(args):
+    """``leaklab`` in a child process that limits its own address space to
+    1 GiB; what it allocates beyond that raises MemoryError (exit 1)."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -574,12 +572,58 @@ def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "leakage", "--config", str(cfg), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=600,
+    return subprocess.run(
+        [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=600
     )
+
+
+def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
+    # q=2, n=12 with the finest scalar adversary: the explicit capacity rows
+    # alone would take 2 GiB, the closed forms need under 100 MiB
+    cfg = write_config(tmp_path, n_list=[12], adversary={"kind": "scalar", "cells": None})
+    out = tmp_path / "o"
+    proc = run_in_1gib(["leakage", "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 0, proc.stderr[-2000:]
     header, row = (out / "leakage.csv").read_text().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
     assert vals["n"] == "12"
     assert vals["delta_max"] == vals["ub"]
+
+
+def test_leakage_n15_fits_in_1gib_address_space(tmp_path):
+    # the (|M|, q^m) = (2^15, 2^10) posterior takes 256 MiB; delta_mi and the
+    # entropy pass read it 256 messages at a time
+    cfg = write_config(tmp_path, n_list=[15], adversary={"kind": "scalar", "cells": None})
+    out = tmp_path / "o"
+    proc = run_in_1gib(["leakage", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    header, row = (out / "leakage.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert (vals["n"], vals["m"]) == ("15", "10")
+    assert vals["delta_max"] == vals["ub"]
+
+
+def test_digit_table_over_the_cap_exits_2_before_allocating(tmp_path):
+    # q=2, n=24, m=1: the kernel's q^n * q^m = 2^25 fits the cap, but the
+    # X^n digit table's q^n * n = 2^24 * 24 entries (3 GiB) do not
+    cfg = write_config(
+        tmp_path, n_list=[24], R=0.03, adversary={"kind": "scalar", "cells": None}
+    )
+    out = tmp_path / "o"
+    proc = run_in_1gib(["leakage", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+    want = "config error: q^n * n = 402653184 entries exceed the table cap 2^26"
+    assert proc.stderr.startswith(want)
+    assert not (out / "leakage.csv").exists()
+
+
+def test_oversized_replay_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    # 10^9 samples * 2 * n=6 uniform draws would take 89 GiB; the check runs
+    # before the exponents and before the first row
+    monkeypatch.setattr(cli.analysis, "ExponentCalculator", None)
+    cfg = write_config(tmp_path, n_list=[6], monte_carlo_samples=10**9, exponents=True)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "monte_carlo_samples * 2 * n = 12000000000 entries exceed the table cap 2^26" in err
+    assert not out.exists()

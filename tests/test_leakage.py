@@ -7,14 +7,16 @@ import pytest
 from helpers import (
     capacity_oracle,
     delta_mi_oracle,
+    delta_mi_whole_array_oracle,
     dft_matrix_oracle,
     kernel_checks_oracle,
     lower_bound_oracle,
+    masked_equivocation_oracle,
     zq_convolve_oracle,
     zq_transform_oracle,
 )
 from helpers import simplex_grid_capacity as grid_capacity_oracle
-from leaklab import adversary
+from leaklab import adversary, probability
 from leaklab import leakage as leakage_module
 from leaklab.adversary import TableEncoder, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
@@ -193,11 +195,12 @@ def test_kernel_prunes_zero_probability_messages():
     assert kern.p_message.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_kernel_cap_guard():
+def test_kernel_cap_guard(monkeypatch):
     sys = otp_system(4)
     enc = scalar_quantizer_encoder([0, 1], 4)
+    monkeypatch.setattr(probability, "TABLE_CAP", 100)
     with pytest.raises(ValueError):
-        build_gamma_kernel(sys, enc, bsc_joint(0.1), table_cap=100)
+        build_gamma_kernel(sys, enc, bsc_joint(0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,52 @@ def test_delta_mi_two_formulas_agree():
         kern = build_gamma_kernel(sys, scalar_quantizer_encoder(labels, n), p_kz)
         for p in (Pmf.uniform(3), Pmf(rng.dirichlet(np.ones(3))), rng.dirichlet(np.ones(3**n))):
             assert abs(delta_mi(kern, p) - delta_mi_oracle(kern, p)) < 1e-12
+
+
+def erasure_kernel(q, n, R, seed):
+    """Kernel of the finest quantizer of a q-ary erasure channel: a message
+    that erases enough key symbols has a flat posterior."""
+    W = np.zeros((q, q + 1))
+    W[:, :q] = 0.7 * np.eye(q)
+    W[:, q] = 0.3
+    code = build_universal_code(n, R, q)
+    sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=seed))
+    p_kz = joint_from_channel(Pmf.uniform(q), ChannelMatrix(W))
+    return build_gamma_kernel(sys, scalar_quantizer_encoder(list(range(q + 1)), n), p_kz)
+
+
+@pytest.mark.parametrize("q, n, R", [(2, 8, 0.4), (3, 6, 0.9), (5, 4, 0.9)])
+def test_chunked_passes_equal_whole_array_forms(q, n, R):
+    # delta_mi and H(keymap(K) | M_A) read the posterior in chunks; each row
+    # is convolved and summed on its own, so the bits are those of the
+    # whole-array forms
+    kern = erasure_kernel(q, n, R, seed=n)
+    post = kern.key_image_posterior
+    flat = np.all(post == post[:, :1], axis=1)
+    assert kern.message_count > 3 * leakage_module._CHUNK
+    assert 0 < np.count_nonzero(flat) < kern.message_count
+    rng = np.random.default_rng(q)
+    for p in (Pmf.uniform(q), Pmf(rng.dirichlet(np.ones(q))), rng.dirichlet(np.ones(q**n))):
+        assert delta_mi(kern, p) == delta_mi_whole_array_oracle(kern, p)
+    equivocation = masked_equivocation_oracle(kern)
+    assert delta_max_upper_bound(kern) == max(0.0, kern.m * math.log(q) - equivocation)
+    assert leakage_module._masked_key_equivocation(kern) == equivocation
+
+
+def test_posterior_passes_convolve_at_most_one_chunk_per_call(monkeypatch):
+    kern = erasure_kernel(2, 8, 0.4, seed=8)
+    convolve = leakage_module._zq_convolve
+    rows = []
+    monkeypatch.setattr(
+        leakage_module, "_zq_convolve", lambda a, *args: rows.append(len(a)) or convolve(a, *args)
+    )
+    post = kern.key_image_posterior
+    live = np.count_nonzero(np.any(post != post[:, :1], axis=1))
+    delta_mi(kern, Pmf.bernoulli(0.2))
+    assert max(rows) <= leakage_module._CHUNK and sum(rows) == live
+    rows.clear()
+    structural_checks(kern)
+    assert max(rows) <= leakage_module._CHUNK and sum(rows) == kern.message_count
 
 
 def test_delta_mi_accepts_product_and_vector():

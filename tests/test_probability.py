@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import xlogx_masked_oracle
+from leaklab import probability
 from leaklab.probability import (
     ChannelMatrix,
     Pmf,
@@ -118,10 +120,26 @@ def test_product_distribution_sums_to_one():
     assert abs(pd.materialize().sum() - 1.0) < 1e-12
 
 
-def test_product_distribution_cap():
+def test_xlogx_equals_masked_form_bit_for_bit():
+    tiny = np.finfo(np.float64).tiny
+    rng = np.random.default_rng(0)
+    table = rng.random((64, 33)) ** 8
+    table[rng.random(table.shape) < 0.3] = 0.0
+    table[:, 0] = 1.0
+    table[:, 1] = tiny / 2**rng.integers(1, 52, size=64)  # subnormals
+    table[:, 2] = tiny
+    table[:, 3] = -0.0
+    table[:, 4] = -1e-17  # a convolution's rounding residue
+    for a in (table, table.T, table[:, :7], np.array([0.0, 1.0, 5e-324, np.inf])):
+        # the same bits, the signs of zeros too
+        assert probability._xlogx(a).tobytes() == xlogx_masked_oracle(a).tobytes()
+
+
+def test_product_distribution_cap(monkeypatch):
     pd = product_distribution(Pmf.uniform(2), 40)
+    monkeypatch.setattr(probability, "TABLE_CAP", 2**20)
     with pytest.raises(ValueError):
-        pd.materialize(cap=2**20)
+        pd.materialize()
     # log evaluation still fine at that length
     assert abs(pd.log_prob([0] * 40) + 40 * LN2) < 1e-12
 

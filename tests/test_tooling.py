@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -13,10 +14,20 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import cli
+from leaklab import cli, probability
+from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
 from leaklab.galois import FieldSpec, random_affine
+from leaklab.leakage import build_gamma_kernel
+from leaklab.probability import (
+    ChannelMatrix,
+    Pmf,
+    TableCapError,
+    all_sequences,
+    joint_from_channel,
+    product_distribution,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -215,3 +226,55 @@ def test_readme_key_table_matches_schema():
     # a copy of the README with one row dropped fails the check
     row = next(line for line in text.splitlines() if line.startswith("| `R_A` |"))
     assert _readme_rows(text.replace(row + "\n", "")) != want
+
+
+def _package_functions():
+    """(dotted name, function) of every function and method that a leaklab
+    module defines."""
+    package = Path(leaklab.__file__).parent
+    for stem in sorted(p.stem for p in package.glob("*.py")):
+        module = importlib.import_module("leaklab" if stem == "__init__" else f"leaklab.{stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+            for attr, member in members:
+                member = getattr(member, "__func__", member)  # class and static methods
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}{'.' * bool(attr)}{attr}", member
+
+
+def test_one_table_cap_refuses_every_table(tmp_path, monkeypatch):
+    # every table is checked against the one constant, read at call time
+    system = Cryptosystem(build_universal_code(4, 0.5, 2), random_affine(4, 2, FieldSpec(2), 0))
+    p_kz = joint_from_channel(Pmf.uniform(2), ChannelMatrix.bsc(0.1))
+    config = dict(q=2, source={"probs": [0.9, 0.1]}, key={"probs": [0.5, 0.5]},
+                  W={"rows": [[0.9, 0.1], [0.1, 0.9]]}, n_list=[4], R=0.5,
+                  monte_carlo_samples=2, exponents=False)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    experiment = cli.Experiment(config)
+    table_encoder = TableEncoder(np.arange(16) % 3, 4, 2)
+    monkeypatch.setattr(probability, "TABLE_CAP", 15)
+    refusals = [
+        ("q^n * n = 2^6", lambda: all_sequences(4, 2)),
+        ("q^n = 2^4", lambda: product_distribution(Pmf.uniform(2), 4).materialize()),
+        ("q^n * n = 2^6", lambda: UniversalCode(4, 2, 2).full_tables()),
+        ("q^n * |Z|^n = 2^8", lambda: adversary_joint(table_encoder, p_kz)),
+        ("q^n * q^m = 2^6", lambda: build_gamma_kernel(
+            system, scalar_quantizer_encoder([0, 1], 4), p_kz
+        )),
+        ("monte_carlo_samples * 2 * n = 2^4", lambda: cli.cmd_simulate(
+            experiment, tmp_path / "o", tmp_path / "c.json"
+        )),
+    ]
+    for message, call in refusals:
+        want = f"{message} entries exceed the table cap 15"
+        with pytest.raises(TableCapError, match=re.escape(want)):
+            call()
+    assert not (tmp_path / "o").exists()
+    # no callable carries a cap of its own
+    functions = dict(_package_functions())
+    assert "leaklab.codec.UniversalCode.full_tables" in functions
+    for name, function in functions.items():
+        params = set(inspect.signature(function).parameters)
+        assert not params & {"cap", "table_cap"}, name
