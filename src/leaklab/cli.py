@@ -351,6 +351,7 @@ def cmd_verify(exp: Experiment, out_dir, config_path) -> int:
             print(f"{status} kernel.{name} (n={n}){extra}")
             if not ok:
                 failures += 1
+        del kern  # freed before the next block length builds its kernel
     _write_manifest(out_dir, "verify", config_path, exp, [])
     return EXIT_VIOLATION if failures else EXIT_OK
 

@@ -27,12 +27,23 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
   holds the one (key, message) law that p_KZ and the adversary induce
   (H(post_a) is computed once per kernel, for all three criteria).
 
+The kernel comes in two forms.  ``build_gamma_kernel`` holds the dense
+(messages, q^m) posterior.  ``build_translation_kernel`` applies when every
+cell law p(k | cell) of a scalar adversary is an exact translate over Z_q of
+one law: then every posterior is a translate of one law over Z_q^m, and the
+kernel is that one row, folded in n steps over a q^m vector (its docstring
+has the proof).  ``leakage_report`` takes the translation kernel where it
+applies and the dense one elsewhere; the criteria read either.
+
+The averages over messages are ``math.fsum`` reductions, correctly rounded,
+so their bits do not depend on the BLAS build or its thread count.
+
 ``structural_checks`` convolves every posterior with the decoding set's
 image counts by the same transform, which it applies to the counts once.
 
 ``channel_capacity`` (the Blahut-Arimoto iteration) and
 ``GammaKernel.channel_rows`` stay as the slow path the tests check the
-closed forms against.
+closed forms against, as the dense kernel is for the translation kernel.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ __all__ = [
     "DeltaMaxResult",
     "KernelCheckReport",
     "build_gamma_kernel",
+    "build_translation_kernel",
     "delta_mi",
     "delta_max_mi",
     "delta_max_lower_bound",
@@ -77,7 +89,9 @@ class GammaKernel:
     indices remain in ``message_ids``).  ``key_equivocation`` is
     H(K^n | M_A) in nats, taken from the same (key, message) law.  The
     entropy of each posterior row is computed on first use and kept;
-    ``replace`` starts a kernel without it.
+    ``replace`` starts a kernel without it.  A translation kernel
+    (``build_translation_kernel``) has one row of probability 1 that stands
+    for every message, and an empty ``message_ids``.
     """
 
     q: int
@@ -103,8 +117,12 @@ class GammaKernel:
         return self.q**self.m
 
     def sub_index(self) -> np.ndarray:
-        """sub[c, t] = index of the digitwise difference c - t (mod q)."""
+        """sub[c, t] = index of the digitwise difference c - t (mod q).
+
+        Its digit differences take q^m * q^m * m entries, checked against
+        the table cap before they are built."""
         if self._sub is None:
+            check_table("q^m * q^m * m", self.image_count**2 * self.m)
             digits = all_sequences(self.m, self.q)
             radix = _radix(self.m, self.q)
             diff = (digits[:, None, :] - digits[None, :, :]) % self.q
@@ -126,6 +144,7 @@ class GammaKernel:
         """
         if inputs is None:
             inputs = np.arange(self.image_count)
+        check_table("inputs * q^m * |M_A|", len(inputs) * self.image_count * self.message_count)
         sub = self.sub_index()
         # posterior[a, sub[c, t]] for selected t: -> (t, c, a)
         block = self.key_image_posterior[:, sub[:, inputs]]
@@ -140,14 +159,27 @@ class GammaKernel:
         return out
 
 
+def _check_adversary(sys: Cryptosystem, encoder, p_kz) -> None:
+    """Refuse a side channel or an adversary that does not fit the system."""
+    if np.shape(p_kz)[0] != sys.q:
+        raise ValueError("p_KZ key alphabet does not match the system")
+    if encoder.n != sys.n:
+        raise ValueError(f"adversary block length {encoder.n} != system n {sys.n}")
+
+
+def _translates(digits: np.ndarray, row: np.ndarray, q: int, radix: np.ndarray) -> np.ndarray:
+    """perm[k, s] = index of the word s - k * row over Z_q^m, shape (q, q^m);
+    ``digits`` holds every word of Z_q^m in lexicographic order.  A fold step
+    over one key symbol gathers its q translates of a table through it."""
+    shifts = (np.arange(q)[:, None] * row[None, :]) % q
+    return ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix
+
+
 def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz):
     """Joint table over (masked key image, adversary message), and
     H(K^n | M_A), both from the one law ``adversary.adversary_joint``."""
     q, n, m = sys.q, sys.n, sys.m
-    if np.shape(p_kz)[0] != q:
-        raise ValueError("p_KZ key alphabet does not match the system")
-    if encoder.n != n:
-        raise ValueError(f"adversary block length {encoder.n} != system n {n}")
+    _check_adversary(sys, encoder, p_kz)
     check_table("q^m * |M_A|", q**m * encoder.message_count)
     joint = adversary.adversary_joint(encoder, p_kz)
     h_key = adversary.joint_equivocation(encoder, joint)
@@ -158,15 +190,16 @@ def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz):
         np.add.at(g_joint, kimg_idx, joint)
         return g_joint, h_key
     # the (masked key, message) joint factorizes per coordinate: fold the
-    # per-symbol (key, cell) joint into a running table over (image, prefix)
+    # per-symbol (key, cell) joint into a running table over (image, prefix).
+    # Rebinding ``state`` to its gathered translates frees the old table
+    # before the product is allocated: at q = 2 with two cells the last step
+    # holds two posterior-sized tables, not two and a half.
     digits = all_sequences(m, q)
     state = np.zeros((q**m, 1))
     state[int(sys.keymap.offset @ radix_m)] = 1.0
     for t in range(n):
-        shifts = (np.arange(q)[:, None] * sys.keymap.matrix[t][None, :]) % q
-        perm = ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix_m
-        gathered = state[perm]  # (q, q^m, prefix)
-        state = np.einsum("ksp,ka->spa", gathered, joint).reshape(q**m, -1)
+        state = state[_translates(digits, sys.keymap.matrix[t], q, radix_m)]  # (q, q^m, prefix)
+        state = np.einsum("ksp,ka->spa", state, joint).reshape(q**m, -1)
     return state, h_key
 
 
@@ -193,6 +226,97 @@ def build_gamma_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel:
         in_decoding_set=in_d,
         message_ids=keep,
         key_equivocation=h_key,
+    )
+
+
+def _translation_law(joint: np.ndarray) -> np.ndarray | None:
+    """The law nu over Z_q of which every cell law of a scalar quantizer is a
+    translate, exactly, or None.
+
+    ``joint`` is the per-symbol (key, cell) law.  The law of cell c is
+    p(k | c) = joint[k, c] / p(c), with p(c) the correctly rounded sum
+    ``math.fsum``, which does not depend on the order of the entries; so a
+    column that is a cyclic shift of another gives the same shift of its law.
+    nu is the law of the first cell of positive probability, and every other
+    such cell must satisfy p(k | c) = nu(k - s_c) for some shift s_c, with
+    no tolerance: a law that is a translate only up to rounding gets None.
+    Cells of probability zero carry no message and are not read.
+    """
+    laws = [col / total for col in joint.T if (total := math.fsum(col)) > 0]
+    nu = laws[0]
+    shifts = [np.roll(nu, s) for s in range(len(nu))]
+    if all(any(np.array_equal(law, shifted) for shifted in shifts) for law in laws):
+        return nu
+    return None
+
+
+def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | None:
+    """The kernel in closed form for a scalar adversary whose cell laws are
+    translates over Z_q of one law nu (``_translation_law``), or None for a
+    table adversary or any other law, which ``build_gamma_kernel`` takes.
+
+    The kernel has one row, the law of S = sum_t N_t M[t] over Z_q^m, with
+    N_1, ..., N_n i.i.d. ~ nu and M[t] row t of the key map's matrix, and
+    that row has probability 1.  Only its q^m vector is built, so only it is
+    checked against the table cap.  It folds in n steps: the law of the
+    partial sum after symbol t is sum_k nu(k) prev(s - k M[t]), summed over
+    k in a fixed order.
+
+    Proof.  The pairs (K_t, Z_t) are i.i.d., and the message is the tuple of
+    cells a = (c_1, ..., c_n) of the Z_t, so given M_A = a the key symbols
+    are independent with laws p(k | c_t) = nu(k - s_{c_t}): K_t = s_{c_t} +
+    N_t with N_t i.i.d. ~ nu.  With b the key map's offset,
+
+        keymap(K^n) = b + sum_t K_t M[t] = v_a + S,   v_a = b + sum_t s_{c_t} M[t],
+
+    so post_a, the law of keymap(K^n) given a, is the law of S translated
+    by v_a.  Entropy is invariant under translation, and a translate of S
+    convolved with p_img is the same translate of S * p_img (Cover & Thomas,
+    Elements of Information Theory, section 7.2, symmetric channels).  So
+    for every message a
+
+        H(post_a) = H(S),   H(post_a * p_img) = H(S * p_img),
+
+    and each criterion, a p(a)-average of these entropies, equals its value
+    on the one-row kernel:
+
+        delta_mi        = H(S * p_img) - H(S),
+        delta_max = ub  = m ln q - H(S),
+        lb              = m ln q - n H(K | f(Z)),
+
+    where lb reads ``key_equivocation``, the same n H(K | f(Z)) the dense
+    kernel carries, bit for bit.  Equivalently, the one-row kernel is the
+    channel from X to C - v_{M_A} = encode(X) + S, which is independent of
+    M_A, and I(C; X | M_A) = I(C - v_{M_A}; X | M_A).  The precondition of
+    ``delta_max_mi`` is checked on this kernel as on the dense one.
+    """
+    _check_adversary(sys, encoder, p_kz)
+    if encoder.kind != "scalar":
+        return None
+    joint = adversary.adversary_joint(encoder, p_kz)
+    nu = _translation_law(joint)
+    if nu is None:
+        return None
+    q, n, m = sys.q, sys.n, sys.m
+    check_table("q^m", q**m)
+    digits = all_sequences(m, q)
+    radix_m = _radix(m, q)
+    law = np.zeros(q**m)
+    law[0] = 1.0
+    for t in range(n):
+        perm = _translates(digits, sys.keymap.matrix[t], q, radix_m)
+        law = sum(nu[k] * law[perm[k]] for k in range(q))
+    images, in_d, _ = sys.code.full_tables()
+    return GammaKernel(
+        q=q,
+        n=n,
+        m=m,
+        p_message=np.ones(1),
+        key_image_posterior=law[None],
+        image_of=images,
+        in_decoding_set=in_d,
+        message_ids=np.zeros(0, dtype=np.int64),
+        key_equivocation=adversary.joint_equivocation(encoder, joint),
     )
 
 
@@ -301,7 +425,7 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
     A message whose posterior is constant contributes exactly zero (its
     convolution is the same constant) and is skipped, so a kernel with no
     other message gives exactly 0.0.  The gains of all other messages are
-    weighted in one dot product, as when they were convolved at once.
+    weighted in one ``math.fsum``, as when they were convolved at once.
     """
     q, m = kernel.q, kernel.m
     px = _plaintext_vector(kernel, p_x)
@@ -319,7 +443,7 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
     if not live:
         return 0.0
     live = np.concatenate(live)
-    return float(kernel.p_message[live] @ np.concatenate(gain))
+    return math.fsum(kernel.p_message[live] * np.concatenate(gain))
 
 
 @dataclass
@@ -386,7 +510,7 @@ class DeltaMaxResult:
 
 def _masked_key_equivocation(kernel: GammaKernel) -> float:
     """H(keymap(K^n) | M_A) in nats, from the kernel's row entropies."""
-    return float(kernel.p_message @ _posterior_entropies(kernel))
+    return math.fsum(kernel.p_message * _posterior_entropies(kernel))
 
 
 def _leakage_below(kernel: GammaKernel, equivocation: float) -> float:
@@ -578,8 +702,15 @@ def leakage_report(
     R: float,
     tol: float = 1e-7,
 ) -> LeakageReport:
-    """Assemble the full leakage picture for one configuration."""
-    kernel = build_gamma_kernel(sys, encoder, p_kz)
+    """Assemble the full leakage picture for one configuration.
+
+    The kernel is the translation kernel where the adversary's cell laws
+    allow it, and the dense kernel otherwise; ``diagnostics["kernel"]``
+    names the one taken, "translation" or "dense".
+    """
+    kernel, path = build_translation_kernel(sys, encoder, p_kz), "translation"
+    if kernel is None:
+        kernel, path = build_gamma_kernel(sys, encoder, p_kz), "dense"
     return LeakageReport(
         n=sys.n,
         m=sys.m,
@@ -591,5 +722,5 @@ def leakage_report(
         lower_bound=delta_max_lower_bound(kernel),
         upper_bound=delta_max_upper_bound(kernel),
         tol=tol,
-        diagnostics={"adversary_rate": encoder.rate},
+        diagnostics={"adversary_rate": encoder.rate, "kernel": path},
     )

@@ -182,7 +182,7 @@ def row_entropies_oracle(rows):
 
 def masked_equivocation_oracle(kern):
     """H(keymap(K^n) | M_A), from the row entropies of the whole posterior."""
-    return float(kern.p_message @ row_entropies_oracle(kern.key_image_posterior))
+    return math.fsum(kern.p_message * row_entropies_oracle(kern.key_image_posterior))
 
 
 def delta_mi_whole_array_oracle(kern, p_x):
@@ -196,7 +196,7 @@ def delta_mi_whole_array_oracle(kern, p_x):
         return 0.0
     mix = zq_convolve_oracle(post[live], p_img, kern.q, kern.m)
     gain = row_entropies_oracle(mix) - row_entropies_oracle(post[live])
-    return float(kern.p_message[live] @ gain)
+    return math.fsum(kern.p_message[live] * gain)
 
 
 def kernel_checks_oracle(kern, in_decoding_set=None, tol=1e-10):

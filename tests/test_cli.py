@@ -290,8 +290,14 @@ def test_probability_errors_name_the_key_path(tmp_path, capsys):
 
 
 def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
-    # q=2, n=16, m=11: the kernel tables would hold q^n * q^m = 2^27 entries
-    cfg = write_config(tmp_path, n_list=[16], adversary={"kind": "scalar", "cells": None})
+    # q=2, n=16, m=11: the dense kernel tables would hold q^n * q^m = 2^27
+    # entries; key [0.7, 0.3] has no translation kernel, so the dense one is built
+    cfg = write_config(
+        tmp_path,
+        n_list=[16],
+        key={"probs": [0.7, 0.3]},
+        adversary={"kind": "scalar", "cells": None},
+    )
     out = tmp_path / "o"
     assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -591,9 +597,15 @@ def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
 
 
 def test_leakage_n15_fits_in_1gib_address_space(tmp_path):
-    # the (|M|, q^m) = (2^15, 2^10) posterior takes 256 MiB; delta_mi and the
-    # entropy pass read it 256 messages at a time
-    cfg = write_config(tmp_path, n_list=[15], adversary={"kind": "scalar", "cells": None})
+    # the dense (|M|, q^m) = (2^15, 2^10) posterior takes 256 MiB; delta_mi and
+    # the entropy pass read it 256 messages at a time.  Key [0.7, 0.3] has no
+    # translation kernel, so the dense one is built
+    cfg = write_config(
+        tmp_path,
+        n_list=[15],
+        key={"probs": [0.7, 0.3]},
+        adversary={"kind": "scalar", "cells": None},
+    )
     out = tmp_path / "o"
     proc = run_in_1gib(["leakage", "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -601,6 +613,22 @@ def test_leakage_n15_fits_in_1gib_address_space(tmp_path):
     vals = dict(zip(header.split(","), row.split(",")))
     assert (vals["n"], vals["m"]) == ("15", "10")
     assert vals["delta_max"] == vals["ub"]
+
+
+@pytest.mark.parametrize("n, m", [(16, 11), (20, 14)])
+def test_symmetric_leakage_runs_past_the_dense_cap_in_1gib(tmp_path, n, m):
+    # uniform key, BSC: every posterior is a translate of one law, so the
+    # translation kernel checks and builds one q^m vector, where the dense
+    # kernel's q^n * q^m would exceed the table cap
+    cfg = write_config(tmp_path, n_list=[n], adversary={"kind": "scalar", "cells": None})
+    out = tmp_path / "o"
+    proc = run_in_1gib(["leakage", "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    header, row = (out / "leakage.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert (vals["n"], vals["m"]) == (str(n), str(m))
+    assert vals["delta_max"] == vals["ub"]
+    assert float(vals["lb"]) <= float(vals["delta_max"]) and 0 < float(vals["delta_mi"])
 
 
 def test_digit_table_over_the_cap_exits_2_before_allocating(tmp_path):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
 from dataclasses import replace
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from helpers import (
     zq_transform_oracle,
 )
 from helpers import simplex_grid_capacity as grid_capacity_oracle
+import leaklab
 from leaklab import adversary, probability
 from leaklab import leakage as leakage_module
 from leaklab.adversary import TableEncoder, scalar_quantizer_encoder
@@ -26,6 +31,7 @@ from leaklab.leakage import (
     _zq_convolve,
     _zq_transform,
     build_gamma_kernel,
+    build_translation_kernel,
     channel_capacity,
     delta_max_lower_bound,
     delta_max_mi,
@@ -37,6 +43,7 @@ from leaklab.leakage import (
 from leaklab.probability import (
     ChannelMatrix,
     Pmf,
+    TableCapError,
     all_sequences,
     joint_from_channel,
     product_distribution,
@@ -182,6 +189,39 @@ def test_ternary_table_adversary_kernel_matches_brute_force():
     assert abs(delta_mi(kern, px) - want) < 1e-10
 
 
+def prefix_fold_oracle(sys, enc, p_kz):
+    """The scalar (masked key, message) joint by the per-symbol prefix fold,
+    each step gathering the q translates of the running table and keeping
+    that table until the step's product exists."""
+    q, m = sys.q, sys.m
+    joint = adversary.adversary_joint(enc, p_kz)
+    digits = all_sequences(m, q)
+    radix = q ** np.arange(m - 1, -1, -1)
+    state = np.zeros((q**m, 1))
+    state[int(sys.keymap.offset @ radix)] = 1.0
+    for t in range(sys.n):
+        shifts = (np.arange(q)[:, None] * sys.keymap.matrix[t][None, :]) % q
+        perm = ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix
+        gathered = state[perm]
+        state = np.einsum("ksp,ka->spa", gathered, joint).reshape(q**m, -1)
+    return state
+
+
+@pytest.mark.parametrize("q, n, R", [(2, 9, 0.5), (3, 5, 0.8), (5, 3, 0.9)])
+def test_kernel_fold_is_bit_identical_to_prefix_fold_oracle(q, n, R):
+    rng = np.random.default_rng(q)
+    W = ChannelMatrix(rng.dirichlet(np.ones(q + 1), size=q))
+    p_kz = joint_from_channel(Pmf(rng.dirichlet(np.ones(q))), W)
+    code = build_universal_code(n, R, q)
+    sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=n))
+    enc = scalar_quantizer_encoder(list(range(q + 1)), n)
+    g_joint, _ = leakage_module._key_image_message_joint(sys, enc, p_kz)
+    want = prefix_fold_oracle(sys, enc, p_kz)
+    assert g_joint.shape == want.shape and np.array_equal(g_joint, want)
+    kern = build_gamma_kernel(sys, enc, p_kz)
+    assert np.array_equal(kern.key_image_posterior, (want / want.sum(axis=0)).T)
+
+
 def test_kernel_prunes_zero_probability_messages():
     n = 3
     sys = otp_system(n)
@@ -201,6 +241,25 @@ def test_kernel_cap_guard(monkeypatch):
     monkeypatch.setattr(probability, "TABLE_CAP", 100)
     with pytest.raises(ValueError):
         build_gamma_kernel(sys, enc, bsc_joint(0.1))
+
+
+def test_oracle_tables_refuse_over_the_cap(monkeypatch):
+    # n=4, m=2: sub_index's digit differences hold q^m * q^m * m = 32
+    # entries, and channel_rows holds q^m * q^m * |M_A| = 256
+    code = build_universal_code(4, 0.4, 2)
+    sys = Cryptosystem(code, random_affine(4, code.m, FieldSpec(2), seed=4))
+    kern = build_gamma_kernel(sys, scalar_quantizer_encoder([0, 1], 4), bsc_joint(0.1))
+    assert (kern.m, kern.message_count) == (2, 16)
+    monkeypatch.setattr(probability, "TABLE_CAP", 31)
+    with pytest.raises(TableCapError, match=r"q\^m \* q\^m \* m = 2\^5"):
+        kern.sub_index()
+    with pytest.raises(TableCapError, match=r"inputs \* q\^m \* \|M_A\| = 2\^8"):
+        kern.channel_rows()
+    monkeypatch.setattr(probability, "TABLE_CAP", 255)
+    assert kern.sub_index().shape == (4, 4)
+    with pytest.raises(TableCapError, match="inputs"):
+        kern.channel_rows()
+    assert kern.channel_rows(np.arange(2)).shape == (2, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +803,183 @@ def test_leakage_report_row():
     assert rep.lower_bound - 1e-6 <= rep.delta_max <= rep.upper_bound + 1e-6
     assert rep.delta_mi <= rep.delta_max + 1e-6
     assert rep.delta_max == rep.upper_bound
-    assert rep.diagnostics == {"adversary_rate": enc.rate}
+    assert rep.diagnostics == {"adversary_rate": enc.rate, "kernel": "translation"}
     row = dict(zip(rep.CSV_HEADER.split(","), rep.csv_row().split(",")))
     assert len(row) == len(rep.csv_row().split(","))
     assert row["iters"] == "0" and row["tol"] == "1e-07"
+
+
+# ---------------------------------------------------------------------------
+# Translation kernel: the closed form against the dense kernel
+# ---------------------------------------------------------------------------
+
+TERNARY_SYMMETRIC = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+CIRCULANT = [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]
+
+
+def criteria(kern, p_x):
+    """The four leakage columns of one kernel: delta_mi, delta_max, lb, ub."""
+    return (
+        delta_mi(kern, p_x),
+        delta_max_mi(kern).value,
+        delta_max_lower_bound(kern),
+        delta_max_upper_bound(kern),
+    )
+
+
+def assert_translation_matches_dense(sys, enc, p_kz, laws):
+    fast = build_translation_kernel(sys, enc, p_kz)
+    assert fast is not None and fast.message_count == 1
+    dense = build_gamma_kernel(sys, enc, p_kz)
+    assert fast.key_equivocation == dense.key_equivocation
+    # message 0 (every symbol in cell 0, shift 0) has the law of S moved by
+    # the key map's offset b: post_0(c) = S(c - b)
+    b = int(sys.keymap.offset @ (sys.q ** np.arange(sys.m - 1, -1, -1)))
+    moved = fast.key_image_posterior[0][dense.sub_index()[:, b]]
+    assert np.max(np.abs(dense.key_image_posterior[0] - moved)) <= 1e-15
+    for p_x in laws:
+        got, want = criteria(fast, p_x), criteria(dense, p_x)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (got, want)
+        assert got[2] == want[2]  # lb reads the same key equivocation
+
+
+def system(n, R, q, seed):
+    code = build_universal_code(n, R, q)
+    return Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=seed))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_translation_kernel_matches_dense_oracle_binary(n):
+    rng = np.random.default_rng(n)
+    laws = [Pmf.bernoulli(0.11), Pmf.uniform(2), rng.dirichlet(np.ones(2**n))]
+    enc = scalar_quantizer_encoder([0, 1], n)
+    assert_translation_matches_dense(system(n, 0.5, 2, n), enc, bsc_joint(0.1), laws)
+
+
+@pytest.mark.parametrize("W", [TERNARY_SYMMETRIC, CIRCULANT], ids=["symmetric", "circulant"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_translation_kernel_matches_dense_oracle_ternary(n, W):
+    rng = np.random.default_rng(n)
+    laws = [Pmf([0.7, 0.2, 0.1]), Pmf.uniform(3), rng.dirichlet(np.ones(3**n))]
+    p_kz = joint_from_channel(Pmf.uniform(3), ChannelMatrix(W))
+    enc = scalar_quantizer_encoder([0, 1, 2], n)
+    assert_translation_matches_dense(system(n, 0.8, 3, n), enc, p_kz, laws)
+
+
+@pytest.mark.parametrize("n, R", [(1, 0.7), (2, 0.7), (3, 0.5)])
+def test_translation_kernel_capacity_is_delta_max(n, R):
+    # the one row is the additive channel x -> encode(x) + S; the capacity of
+    # its explicit rows is m ln q - H(S)
+    kern = build_translation_kernel(
+        system(n, R, 2, n), scalar_quantizer_encoder([0, 1], n), bsc_joint(0.2)
+    )
+    assert abs(delta_max_mi(kern).value - capacity_oracle(kern).value) <= 1e-9
+
+
+def test_translation_kernel_skips_cells_of_zero_probability():
+    # observation 2 never occurs; the two live cell laws are translates
+    W = ChannelMatrix([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]])
+    p_kz = joint_from_channel(Pmf.uniform(2), W)
+    enc = scalar_quantizer_encoder([0, 1, 2], 5)
+    assert_translation_matches_dense(system(5, 0.5, 2, 5), enc, p_kz, [Pmf.bernoulli(0.2)])
+
+
+def test_non_symmetric_adversaries_take_the_dense_kernel():
+    # the translation test is exact: a key law other than uniform on the
+    # BSC, the benchmark's ternary law and a table adversary all fail it,
+    # and the report is the dense kernel's, bit for bit
+    ternary = joint_from_channel(Pmf([0.4, 0.35, 0.25]), ChannelMatrix(TERNARY_SYMMETRIC))
+    skewed = bsc_joint(0.1, Pmf([0.7, 0.3]))
+    cases = [
+        (system(6, 0.5, 2, 6), scalar_quantizer_encoder([0, 1], 6), skewed),
+        (system(4, 0.8, 3, 4), scalar_quantizer_encoder([0, 1, 2], 4), ternary),
+        (system(4, 0.5, 2, 4), TableEncoder(np.arange(16) % 3, n=4, obs_size=2), bsc_joint(0.1)),
+    ]
+    for sys, enc, p_kz in cases:
+        assert build_translation_kernel(sys, enc, p_kz) is None
+        p_x = Pmf.uniform(sys.q)
+        rep = leakage_report(sys, enc, p_kz, p_x, R_A=1.1, R=0.5)
+        assert rep.diagnostics["kernel"] == "dense"
+        want = criteria(build_gamma_kernel(sys, enc, p_kz), p_x)
+        assert (rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound) == want
+
+
+def test_coarse_quantizer_takes_the_path_its_cell_laws_allow():
+    # one cell: its law is the key law, a translate of itself
+    sys = system(8, 0.5, 2, 8)
+    enc = scalar_quantizer_encoder([0, 0], 8)
+    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11), R_A=0.0, R=0.5)
+    assert rep.diagnostics["kernel"] == "translation"
+    assert_translation_matches_dense(sys, enc, bsc_joint(0.1), [Pmf.bernoulli(0.11)])
+    # cells {0} and {1, 2} of the ternary symmetric channel: p(k | {1, 2}) is
+    # proportional to (0.2, 0.9, 0.9), no translate of (0.8, 0.1, 0.1)
+    sys = system(4, 0.8, 3, 4)
+    p_kz = joint_from_channel(Pmf.uniform(3), ChannelMatrix(TERNARY_SYMMETRIC))
+    enc = scalar_quantizer_encoder([0, 1, 1], 4)
+    assert build_translation_kernel(sys, enc, p_kz) is None
+    rep = leakage_report(sys, enc, p_kz, Pmf.uniform(3), R_A=1.1, R=0.8)
+    assert rep.diagnostics["kernel"] == "dense"
+
+
+def test_translation_kernel_checks_only_its_vector_against_the_cap(monkeypatch):
+    # n=8, m=5: the dense kernel's q^n * q^m = 2^13 entries exceed a cap of
+    # 1000, the translation kernel's q^m vector and its digits do not
+    sys = system(8, 0.45, 2, 8)
+    assert sys.m == 5
+    enc = scalar_quantizer_encoder([0, 1], 8)
+    sys.code.full_tables()
+    monkeypatch.setattr(probability, "TABLE_CAP", 1000)
+    with pytest.raises(TableCapError, match=r"q\^n \* q\^m = 2\^13"):
+        build_gamma_kernel(sys, enc, bsc_joint(0.1))
+    assert build_translation_kernel(sys, enc, bsc_joint(0.1)).key_image_posterior.shape == (1, 32)
+    monkeypatch.setattr(probability, "TABLE_CAP", 31)
+    with pytest.raises(TableCapError, match=r"q\^m = 2\^5"):
+        build_translation_kernel(sys, enc, bsc_joint(0.1))
+
+
+def test_translation_kernel_keeps_the_onto_precondition():
+    kern = build_translation_kernel(
+        system(4, 0.45, 2, 4), scalar_quantizer_encoder([0, 1], 4), bsc_joint(0.1)
+    )
+    in_d = kern.in_decoding_set.copy()
+    in_d[np.flatnonzero(in_d)[0]] = False
+    with pytest.raises(ValueError, match="onto"):
+        delta_max_mi(replace(kern, in_decoding_set=in_d))
+
+
+BLAS_ROW = """
+from leaklab.adversary import scalar_quantizer_encoder
+from leaklab.codec import build_universal_code
+from leaklab.crypto import Cryptosystem
+from leaklab.galois import FieldSpec, random_affine
+from leaklab.leakage import leakage_report
+from leaklab.probability import ChannelMatrix, Pmf, joint_from_channel
+
+code = build_universal_code(10, 0.5, 2)
+sys = Cryptosystem(code, random_affine(10, code.m, FieldSpec(2), seed=3))
+erasure = ChannelMatrix([[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]])
+p_kz = joint_from_channel(Pmf.uniform(2), erasure)
+rep = leakage_report(
+    sys, scalar_quantizer_encoder([0, 1, 2], 10), p_kz, Pmf.bernoulli(0.11), R_A=1.1, R=0.5
+)
+values = (rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound)
+print(rep.diagnostics["kernel"], *(v.hex() for v in values))
+"""
+
+
+def test_dense_row_bits_do_not_depend_on_blas_threads():
+    # q=2, n=10, erasure channel: 3^10 messages, so the averages over
+    # messages are long reductions, which a BLAS dot splits over its threads
+    src = str(Path(leaklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [executable, "-c", BLAS_ROW], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0].startswith("dense ")
+    assert outs[0] == outs[1]
