@@ -43,6 +43,9 @@ __all__ = [
     "set_partitions",
 ]
 
+# The largest |Z| whose partitions ``best_scalar_quantizer`` searches.
+MAX_SEARCH_OBS = 12
+
 
 @dataclass(frozen=True)
 class ScalarQuantizerEncoder:
@@ -227,19 +230,17 @@ def key_equivocation(enc, p_kz) -> float:
     return joint_equivocation(enc, adversary_joint(enc, p_kz))
 
 
-def best_scalar_quantizer(
-    p_kz, R_A: float, n: int, *, max_obs: int = 12
-) -> ScalarQuantizerEncoder:
+def best_scalar_quantizer(p_kz, R_A: float, n: int) -> ScalarQuantizerEncoder:
     """Exhaustive search for the partition of Z minimizing H(K | f(Z)).
 
     The budget allows at most floor(exp(R_A)) cells.  Ties break toward
     the lexicographically smallest restricted-growth encoding.  Refuses
-    |Z| beyond ``max_obs`` (the partition count explodes).
+    |Z| beyond ``MAX_SEARCH_OBS`` (the partition count explodes).
     """
     p_kz = _check_joint(p_kz)
     z = p_kz.shape[1]
-    if z > max_obs:
-        raise ValueError(f"|Z| = {z} exceeds exhaustive-search cap {max_obs}")
+    if z > MAX_SEARCH_OBS:
+        raise ValueError(f"|Z| = {z} exceeds exhaustive-search cap {MAX_SEARCH_OBS}")
     budget = max(1, int(math.floor(math.exp(R_A) + 1e-9)))
     best = None
     best_h = math.inf

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adversary import _check_joint
 from .probability import entropy
-from .simplexopt import SolverOptions, _sum_rows, minimize_blocks
+from .simplexopt import _sum_rows, minimize_blocks
 
 __all__ = [
     "RMuResult",
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).tiny
+# Half-width of the "boundary-band" label of ``region_membership``, in nats.
+MEMBERSHIP_BAND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +235,11 @@ class RMuResult:
     dispersion: float
 
 
-def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = None) -> list:
+def _r_mu_levels(p_kz, mus) -> list:
     """The levels of every mu in ``mus``, solved in one many-problem call.
 
     U ranges over |Z| symbols (|Z| the size of Z's support; see
-    ``_u_sizes``) unless ``u_size`` says otherwise, and |U| = |Z| loses
+    ``_u_sizes``), and |U| = |Z| loses
     nothing (the support lemma; Csiszar & Korner, *Information Theory*,
     2nd ed., Lemma 15.4).
     Proof: the objective is sum_u p(u) phi(r_u) over laws r_u = p(z|u)
@@ -261,8 +263,7 @@ def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = 
         return mu * i_zu + (1.0 - mu) * h_kgu
 
     params = np.array(mus).reshape(-1, 1)
-    sizes = [u_size] if u_size else _u_sizes(zs, q)
-    solved = _better(minimize_blocks(f, [(zs, u)], params, opts=opts) for u in sizes)
+    solved = _better(minimize_blocks(f, [(zs, u)], params) for u in _u_sizes(zs, q))
     out = []
     for mu, (val, blocks, finals) in zip(mus, solved):
         i_zu, h_kgu = _psh_objective_terms(blocks[0][:, :, None], p_z, pk_given_z)
@@ -279,9 +280,9 @@ def _r_mu_levels(p_kz, mus, *, u_size: int | None = None, opts: SolverOptions = 
     return out
 
 
-def r_mu(p_kz, mu: float, *, u_size: int | None = None, opts: SolverOptions = None) -> RMuResult:
+def r_mu(p_kz, mu: float) -> RMuResult:
     """Numerically minimize the mu-weighted helper objective over U|Z."""
-    return _r_mu_levels(p_kz, [mu], u_size=u_size, opts=opts)[0]
+    return _r_mu_levels(p_kz, [mu])[0]
 
 
 @dataclass
@@ -320,15 +321,6 @@ class AkwBoundary:
     def contains(self, R_A: float, R: float, band: float = 1e-9) -> bool:
         """Membership in the (closed) helper region."""
         return R_A >= -band and R >= self.envelope(R_A) - band
-
-    def membership(self, R_A: float, R: float, band: float = 1e-9) -> str:
-        """Classify against the helper region: inside / outside / boundary-band."""
-        gap = R - self.envelope(R_A)
-        if gap > band:
-            return "inside"
-        if gap < -band:
-            return "outside"
-        return "boundary-band"
 
 
 def akw_boundary(p_kz, mu_grid=None) -> AkwBoundary:
@@ -439,10 +431,9 @@ class ExponentCalculator:
     theorem in a supporting hyperplane.
     """
 
-    def __init__(self, p_kz, grid: ExponentGrid | None = None, *, opts: SolverOptions = None):
+    def __init__(self, p_kz, grid: ExponentGrid | None = None):
         self.p_kz = np.asarray(p_kz, dtype=np.float64)
         self.grid = grid or ExponentGrid()
-        self.opts = opts
         p_z, pk_given_z, q, zs = _prep(self.p_kz)
         self._zs = zs
 
@@ -504,7 +495,7 @@ class ExponentCalculator:
                     todo[key] = (mu, s)
         if todo:
             cells = list(todo.values())
-            solved = _better(minimize_blocks(f, s, cells, opts=self.opts) for s in classes)
+            solved = _better(minimize_blocks(f, s, cells) for s in classes)
             cache.update(zip(todo, (r[0] for r in solved)))
 
     def omega_min(self, mu: float, alpha: float) -> float:
@@ -614,29 +605,24 @@ class MembershipResult:
     h_x: float
 
 
-def region_membership(
-    point,
-    p_x,
-    p_kz,
-    *,
-    band: float = 1e-6,
-    boundary: AkwBoundary | None = None,
-) -> MembershipResult:
+def region_membership(point, p_x, p_kz, *, boundary: AkwBoundary | None = None) -> MembershipResult:
     """Classify a rate point against {R >= H(X)} and the helper region.
 
     A point is in the reliable-and-secure region when the coding rate covers
     the source entropy and the pair lies in the closed complement of the
-    helper region (slack <= 0 against every supporting hyperplane).
+    helper region (slack <= 0 against every supporting hyperplane).  Points
+    within ``MEMBERSHIP_BAND`` of either boundary are labelled
+    "boundary-band".
     """
     R_A, R = float(point[0]), float(point[1])
     if boundary is None:
         boundary = akw_boundary(p_kz)
     h_x = entropy(np.asarray(p_x, dtype=np.float64) if not hasattr(p_x, "probs") else p_x.probs)
     gap = R - boundary.envelope(R_A)  # > 0: strictly above the helper boundary
-    rel_ok = R >= h_x - band
-    if not rel_ok or gap > band:
+    rel_ok = R >= h_x - MEMBERSHIP_BAND
+    if not rel_ok or gap > MEMBERSHIP_BAND:
         label = "outside"
-    elif abs(gap) <= band or abs(R - h_x) <= band:
+    elif abs(gap) <= MEMBERSHIP_BAND or abs(R - h_x) <= MEMBERSHIP_BAND:
         label = "boundary-band"
     else:
         label = "inside"

@@ -109,7 +109,6 @@ SCHEMA = {
     "tol": (Number(0), 1e-7),
     "monte_carlo_samples": (COUNT, 2000),
     "code": (("universal", "identity"), "universal"),
-    "mutation": (("decoder",), None),
     "adversary": {
         "kind": (("scalar", "best_scalar", "table"), "scalar"),
         "cells": (ListOf(ListOf(NATURAL)), None),
@@ -186,7 +185,6 @@ class Experiment:
         self.tol = c["tol"]
         self.mc_samples = c["monte_carlo_samples"]
         self.code_kind = c["code"]
-        self.mutation = c["mutation"]
         self.mu_points = c["mu_points"]
         self.exponents = c["exponents"]
         self.rate_grid = c["rate_grid"]
@@ -216,12 +214,8 @@ class Experiment:
 
     def build_code(self, n: int):
         if self.code_kind == "identity":
-            code = codec.UniversalCode.identity(n, self.q)
-        else:
-            code = codec.build_universal_code(n, self.R, self.q)
-        if self.mutation == "decoder":
-            code = _MutatedDecoderCode(code.n, code.m, code.q, code.order)
-        return code
+            return codec.UniversalCode.identity(n, self.q)
+        return codec.build_universal_code(n, self.R, self.q)
 
     def build_system(self, code: codec.UniversalCode) -> crypto.Cryptosystem:
         n = code.n
@@ -246,19 +240,6 @@ class Experiment:
                 f"adversary rate {enc.rate:.6f} exceeds the budget R_A = {self.R_A}"
             )
         return enc
-
-
-class _MutatedDecoderCode(codec.UniversalCode):
-    """Test fixture: a decoder with two outputs swapped, so the enumerated
-    decoding set comes up short and verify fails with a witness."""
-
-    def decode(self, c):
-        # codewords 0 and 1 are 0...00 and 0...01: swap them by flipping the
-        # last symbol where all others are 0 and it is 0 or 1
-        c = np.array(c, dtype=np.int64)
-        swap = ~np.any(c[..., :-1], axis=-1) & np.isin(c[..., -1], (0, 1))
-        c[..., -1] = np.where(swap, 1 - c[..., -1], c[..., -1])
-        return super().decode(c)
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,11 @@ class UniversalCode:
         _, in_d, _ = self.full_tables()
         return in_d[self._sequence_index(x)]
 
-# -- serialization ------------------------------------------------------
+    # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The code's descriptor, as ``build-code`` writes it."""
         return {"n": self.n, "m": self.m, "q": self.q, "order": self.order}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "UniversalCode":
-        return cls(doc["n"], doc["m"], doc["q"], doc.get("order", "type"))
 
     @classmethod
     def identity(cls, n: int, q: int) -> "UniversalCode":

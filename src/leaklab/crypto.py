@@ -10,6 +10,12 @@ structural condition tying the cryptosystem to its underlying source code.
 Both methods take one (key, word) pair or a batch.  Construction verifies
 the condition on seeded random pairs, and at desk scale on every pair by
 the key-image sweep that the structural suite shares.
+
+The validation level is decided once, at construction: "exhaustive" when
+the system has at most ``EXHAUSTIVE_PAIR_CAP`` (key, plaintext) pairs, and
+"sampled" otherwise.  ``Cryptosystem.validation`` records it, and the
+structural suite takes its mode from there.  The sample sizes and their
+seed are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -27,23 +33,22 @@ __all__ = [
     "StructuralReport",
 ]
 
-# Exhaustive (key, plaintext) verification is the default up to this many
-# pairs; larger systems get a sampled spot check instead.
+# Exhaustive (key, plaintext) verification up to this many pairs; larger
+# systems get a sampled spot check instead.
 EXHAUSTIVE_PAIR_CAP = 2**20
+# Random (key, plaintext) pairs of the construction probe; an exhaustive
+# system probes at most 256 of them before its sweep.
+SAMPLE_PAIRS = 10**4
+# Keys the structural suite checks on a sampled system.
+SAMPLE_KEYS = 64
+# Seed of the probe pairs and of the sampled keys.
+VALIDATION_SEED = 0
 
 
 class Cryptosystem:
     """Additive cipher built from a universal code and an affine key map."""
 
-    def __init__(
-        self,
-        code: UniversalCode,
-        keymap: AffineMap,
-        *,
-        validation: str = "auto",
-        sample_pairs: int = 10**4,
-        seed: int = 0,
-    ):
+    def __init__(self, code: UniversalCode, keymap: AffineMap):
         if keymap.n != code.n or keymap.m != code.m:
             raise ValueError(
                 f"keymap is {keymap.n}x{keymap.m}, code needs {code.n}x{code.m}"
@@ -55,20 +60,11 @@ class Cryptosystem:
         self.n = code.n
         self.m = code.m
         self.q = code.q
-        if validation == "auto":
-            pairs = self.q ** (2 * self.n)
-            validation = "exhaustive" if pairs <= EXHAUSTIVE_PAIR_CAP else "sampled"
-        if validation not in ("exhaustive", "sampled", "none"):
-            raise ValueError(f"unknown validation level {validation!r}")
-        if sample_pairs < 1:
-            raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
-        self.validation = validation
-        if validation != "none":
-            ok, witness = _condition_check(self, validation, sample_pairs, seed)
-            if not ok:
-                raise AssertionError(
-                    f"structural condition violated at (k, x) = {witness}"
-                )
+        pairs = self.q ** (2 * self.n)
+        self.validation = "exhaustive" if pairs <= EXHAUSTIVE_PAIR_CAP else "sampled"
+        ok, witness = _condition_check(self)
+        if not ok:
+            raise AssertionError(f"structural condition violated at (k, x) = {witness}")
 
     def encrypt(self, k, x) -> np.ndarray:
         """keymap(k) + encode(x) mod q.
@@ -95,17 +91,6 @@ class Cryptosystem:
     def key_image(self, k) -> np.ndarray:
         """keymap(k), the m-symbol masked key (one key or a batch)."""
         return affine_apply(self.keymap, k)
-
-    def to_json(self) -> dict:
-        return {"code": self.code.to_json(), "keymap": self.keymap.to_json()}
-
-    @classmethod
-    def from_json(cls, doc: dict, *, validation: str = "auto") -> "Cryptosystem":
-        return cls(
-            UniversalCode.from_json(doc["code"]),
-            AffineMap.from_json(doc["keymap"]),
-            validation=validation,
-        )
 
 
 def _key_image_sweep(sys: Cryptosystem, keys: np.ndarray, seqs: np.ndarray):
@@ -134,21 +119,18 @@ def _key_image_sweep(sys: Cryptosystem, keys: np.ndarray, seqs: np.ndarray):
         yield k, cipher, sys.decrypt(k, cipher)
 
 
-def _condition_check(sys, level, sample_pairs, seed):
-    """Verify decrypt(k, encrypt(k, x)) == decode(encode(x)) over (k, x).
+def _condition_check(sys):
+    """Verify decrypt(k, encrypt(k, x)) == decode(encode(x)) over (k, x), at
+    the system's validation level; returns (ok, first failing (k, x)).
 
     A seeded batch of random pairs goes through encrypt/decrypt in one call
     each; it catches overrides that read the key beyond its image.  At the
-    exhaustive level the key-image sweep then covers every pair, with the
-    first failing key and plaintext in lexicographic order as witness.  The
-    plaintexts are the code's own X^n table, which ``encode`` reads as one
-    gather, so no image ranks the table again.  An
-    image's whole table is compared at once; only a failing image is
-    searched row by row for its first failing plaintext.
+    exhaustive level ``_condition_sweep`` then covers every pair.
     """
     n, q = sys.n, sys.q
-    rng = np.random.default_rng(seed)
-    n_probe = min(sample_pairs, 256) if level == "exhaustive" else sample_pairs
+    rng = np.random.default_rng(VALIDATION_SEED)
+    exhaustive = sys.validation == "exhaustive"
+    n_probe = min(SAMPLE_PAIRS, 256) if exhaustive else SAMPLE_PAIRS
     keys = rng.integers(0, q, size=(n_probe, n))
     xs = rng.integers(0, q, size=(n_probe, n))
     want = sys.code.decode(sys.code.encode(xs))
@@ -156,9 +138,18 @@ def _condition_check(sys, level, sample_pairs, seed):
     bad = np.flatnonzero(np.any(got != want, axis=1))
     if bad.size:
         return False, (keys[bad[0]].tolist(), xs[bad[0]].tolist())
-    if level == "sampled":
-        return True, None
+    return _condition_sweep(sys) if exhaustive else (True, None)
 
+
+def _condition_sweep(sys):
+    """The condition on every (k, x) pair by the key-image sweep, with the
+    first failing key and plaintext in lexicographic order as witness.
+
+    The plaintexts are the code's own X^n table, which ``encode`` reads as
+    one gather, so no image ranks the table again.  An image's whole table
+    is compared at once; only a failing image is searched row by row for
+    its first failing plaintext.
+    """
     seqs = sys.code.sequences()
     want = sys.code.decode(sys.code.encode(seqs))
     for k, _, back in _key_image_sweep(sys, seqs, seqs):
@@ -184,13 +175,7 @@ class StructuralReport:
             self.failures.append((name, witness))
 
 
-def check_structural_properties(
-    sys: Cryptosystem,
-    *,
-    max_exhaustive_pairs: int = EXHAUSTIVE_PAIR_CAP,
-    sample_keys: int = 64,
-    seed: int = 0,
-) -> StructuralReport:
+def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
     """Run the decoding-set and per-key injectivity/surjectivity checks.
 
     Checks, each with a named witness on failure:
@@ -203,12 +188,10 @@ def check_structural_properties(
     * ``key_independent_D`` — {x : decrypt(k, encrypt(k, x)) = x} is the
       same set for every checked key.
 
-    All keys are checked when q**(2n) fits under ``max_exhaustive_pairs``;
-    otherwise a seeded sample of keys is used and the report says so.
+    All keys are checked when ``sys.validation`` is "exhaustive"; otherwise
+    ``SAMPLE_KEYS`` seeded keys are, and the report's mode says so.
     ``_key_image_sweep`` gives each check the first failing checked key.
     """
-    if sample_keys < 1:
-        raise ValueError(f"sample_keys must be >= 1, got {sample_keys}")
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
 
@@ -222,13 +205,12 @@ def check_structural_properties(
         None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
     )
 
-    exhaustive = q ** (2 * n) <= max_exhaustive_pairs
-    report.mode = "exhaustive" if exhaustive else "sampled"
-    if exhaustive:
+    report.mode = sys.validation
+    if sys.validation == "exhaustive":
         keys = seqs
     else:
-        rng = np.random.default_rng(seed)
-        keys = rng.integers(0, q, size=(sample_keys, n))
+        rng = np.random.default_rng(VALIDATION_SEED)
+        keys = rng.integers(0, q, size=(SAMPLE_KEYS, n))
 
     radix_m = _radix(m, q)
     d_indices = np.flatnonzero(in_d)

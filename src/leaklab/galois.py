@@ -87,17 +87,6 @@ class AffineMap:
     def m(self) -> int:
         return self.matrix.shape[1]
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.spec.q,
-            "matrix": self.matrix.tolist(),
-            "offset": self.offset.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "AffineMap":
-        return cls(doc["matrix"], doc["offset"], FieldSpec(doc["q"]))
-
 
 def _as_integers(a, what: str) -> np.ndarray:
     """``a`` as an int64 array; ``ValueError`` if an entry is not a whole

@@ -77,6 +77,8 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).tiny
+# The largest error ``structural_checks`` lets each identity have.
+KERNEL_CHECK_TOL = 1e-10
 
 
 @dataclass
@@ -257,8 +259,9 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | 
 
     The kernel has one row, the law of S = sum_t N_t M[t] over Z_q^m, with
     N_1, ..., N_n i.i.d. ~ nu and M[t] row t of the key map's matrix, and
-    that row has probability 1.  Only its q^m vector is built, so only it is
-    checked against the table cap.  It folds in n steps: the law of the
+    that row has probability 1.  Only its q^m vector and the q^m * m digit
+    table of Z_q^m are built, so only they are checked against the table
+    cap.  It folds in n steps: the law of the
     partial sum after symbol t is sum_k nu(k) prev(s - k M[t]), summed over
     k in a fixed order.
 
@@ -299,6 +302,7 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | 
         return None
     q, n, m = sys.q, sys.n, sys.m
     check_table("q^m", q**m)
+    check_table("q^m * m", q**m * m)
     digits = all_sequences(m, q)
     radix_m = _radix(m, q)
     law = np.zeros(q**m)
@@ -595,10 +599,9 @@ def _worst_entry(err: np.ndarray, lo: int) -> tuple:
     return float(err[a, c]), (int(c), lo + int(a))
 
 
-def structural_checks(
-    kernel: GammaKernel, in_decoding_set=None, tol: float = 1e-10
-) -> KernelCheckReport:
-    """Verify the two exact identities every valid kernel family satisfies.
+def structural_checks(kernel: GammaKernel) -> KernelCheckReport:
+    """Verify the two exact identities every valid kernel family satisfies,
+    each to within ``KERNEL_CHECK_TOL``.
 
     (a) For each (ciphertext, message), the kernel values summed over the
         decoding set equal 1.
@@ -610,9 +613,8 @@ def structural_checks(
     The sums over D are convolutions, sum_t post_a(c - t) n_D(t) with n_D(t)
     the number of D-members of image t, evaluated by ``_zq_convolve``.
     """
-    in_d = kernel.in_decoding_set if in_decoding_set is None else in_decoding_set
     img_counts = np.bincount(
-        kernel.image_of[np.flatnonzero(in_d)], minlength=kernel.image_count
+        kernel.image_of[np.flatnonzero(kernel.in_decoding_set)], minlength=kernel.image_count
     ).astype(np.float64)
     d_size = img_counts.sum()
     target = 1.0 / kernel.image_count
@@ -628,8 +630,8 @@ def structural_checks(
         val, wit = _worst_entry(np.abs(sums / d_size - target), lo)
         if val > worst_u:
             worst_u, wit_u = val, wit
-    rows_ok = worst_a <= tol
-    unif_ok = worst_u <= tol
+    rows_ok = worst_a <= KERNEL_CHECK_TOL
+    unif_ok = worst_u <= KERNEL_CHECK_TOL
     return KernelCheckReport(
         passed=rows_ok and unif_ok,
         row_sums_ok=rows_ok,

@@ -7,8 +7,7 @@ Conventions
 * ``0 * log 0 := 0`` everywhere.
 * Probabilities are stored in linear scale (float64); sequence probabilities
   are evaluated in log space so long blocks do not underflow.
-* A distribution must sum to 1 within ``SUM_TOL``; renormalization happens
-  only when explicitly requested at construction.
+* A distribution must sum to 1 within ``SUM_TOL``; nothing renormalizes.
 """
 
 from __future__ import annotations
@@ -31,14 +30,24 @@ class TableCapError(ValueError):
     allocates (the CLI reports it as a config error)."""
 
 
+def _count_text(x: int) -> str:
+    """An entry count as text: 2^k for a power of two, the decimal number
+    below 2^64, and "about 2^k" above it.  Python refuses a decimal
+    conversion past 4,300 digits, and a count that large reads no better in
+    full."""
+    if x & (x - 1) == 0:
+        return f"2^{x.bit_length() - 1}"
+    if x < 2**64:
+        return str(x)
+    return f"about 2^{math.log2(x):.0f}"
+
+
 def check_table(formula: str, entries: int) -> None:
     """Refuse a table of ``entries`` entries, counted as ``formula``, when it
     would exceed ``TABLE_CAP``: the one size check, run where the table is
-    built and before it is allocated.  Powers of two are shown as 2^k."""
+    built and before it is allocated."""
     if entries > TABLE_CAP:
-        size, cap = (
-            f"2^{x.bit_length() - 1}" if x & (x - 1) == 0 else x for x in (int(entries), TABLE_CAP)
-        )
+        size, cap = (_count_text(int(x)) for x in (entries, TABLE_CAP))
         raise TableCapError(f"{formula} = {size} entries exceed the table cap {cap}")
 
 
@@ -52,7 +61,6 @@ __all__ = [
     "TypeClass",
     "entropy",
     "conditional_entropy",
-    "mutual_information",
     "kl_divergence",
     "product_distribution",
     "enumerate_types",
@@ -69,7 +77,7 @@ def _as_prob_array(p) -> np.ndarray:
     return np.asarray(p, dtype=np.float64)
 
 
-def _validate_probs(a: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
+def _validate_probs(a: np.ndarray, what: str) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError(f"{what} is empty")
@@ -79,11 +87,7 @@ def _validate_probs(a: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
         raise ValueError(f"{what} has negative entries")
     s = float(a.sum())
     if abs(s - 1.0) > SUM_TOL:
-        if not renormalize:
-            raise ValueError(f"{what} sums to {s!r}, not 1 within {SUM_TOL}")
-        if s <= 0:
-            raise ValueError(f"{what} has zero total mass")
-        a = a / s
+        raise ValueError(f"{what} sums to {s!r}, not 1 within {SUM_TOL}")
     a.setflags(write=False)
     return a
 
@@ -91,11 +95,11 @@ def _validate_probs(a: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
 class Pmf:
     """Probability mass function on the alphabet {0, ..., q-1}."""
 
-    def __init__(self, probs, *, renormalize: bool = False):
+    def __init__(self, probs):
         a = np.asarray(probs, dtype=np.float64)
         if a.ndim != 1:
             raise ValueError(f"pmf must be 1-D, got shape {a.shape}")
-        self.probs = _validate_probs(a, renormalize, "pmf")
+        self.probs = _validate_probs(a, "pmf")
 
     @property
     def size(self) -> int:
@@ -106,9 +110,6 @@ class Pmf:
 
     def __getitem__(self, i) -> float:
         return float(self.probs[i])
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
 
     @classmethod
     def uniform(cls, q: int) -> "Pmf":
@@ -121,9 +122,6 @@ class Pmf:
             raise ValueError(f"bernoulli parameter {p} outside [0, 1]")
         return cls(np.array([1.0 - p, p]))
 
-    def to_json(self) -> dict:
-        return {"alphabet": self.size, "probs": self.probs.tolist()}
-
     def __repr__(self):
         return f"Pmf({self.probs.tolist()})"
 
@@ -131,12 +129,12 @@ class Pmf:
 class ChannelMatrix:
     """Row-stochastic matrix: one output pmf per input letter."""
 
-    def __init__(self, rows, *, renormalize: bool = False):
+    def __init__(self, rows):
         a = np.array(rows, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError(f"channel must be 2-D, got shape {a.shape}")
         for i in range(a.shape[0]):
-            a[i] = _validate_probs(a[i], renormalize, f"channel row {i}")
+            a[i] = _validate_probs(a[i], f"channel row {i}")
         a.setflags(write=False)
         self.rows = a
 
@@ -148,9 +146,6 @@ class ChannelMatrix:
     def out_size(self) -> int:
         return self.rows.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
     @classmethod
     def identity(cls, q: int) -> "ChannelMatrix":
         return cls(np.eye(q))
@@ -159,9 +154,6 @@ class ChannelMatrix:
     def bsc(cls, p: float) -> "ChannelMatrix":
         """Binary symmetric channel with crossover probability p."""
         return cls([[1.0 - p, p], [p, 1.0 - p]])
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows.tolist()}
 
     def __repr__(self):
         return f"ChannelMatrix({self.rows.tolist()})"
@@ -208,14 +200,6 @@ def conditional_entropy(joint, given=1) -> float:
     drop = tuple(i for i in range(a.ndim) if i not in axes)
     marg = a.sum(axis=drop) if drop else a
     return entropy(a) - entropy(marg)
-
-
-def mutual_information(joint) -> float:
-    """I between the two axes of a 2-D joint table, in nats."""
-    a = _as_prob_array(joint)
-    if a.ndim != 2:
-        raise ValueError("mutual_information expects a 2-D joint table")
-    return entropy(a.sum(axis=1)) + entropy(a.sum(axis=0)) - entropy(a)
 
 
 def kl_divergence(p, q) -> float:

@@ -11,13 +11,17 @@ Two engines:
 * a nested zoom grid scan, used when every block has two columns and the
   total number of free parameters is at most ``DENSE_MAX_DIM`` (each row of
   a 2-column block is one free number in [0, 1]): a global mesh of
-  ``dense_points`` per axis, zoom rounds around its best basins and a
+  ``DENSE_POINTS`` per axis, zoom rounds around its best basins and a
   golden-section polish.  With 1 or 2 free parameters the zoom runs two
-  rounds on ``dense_points`` axes; with 3 it runs five rounds on 13-point
+  rounds on ``DENSE_POINTS`` axes; with 3 it runs five rounds on 13-point
   axes, 2,197 points a mesh instead of 35,937, and ends on a finer step
   than two 33-point rounds;
 * batched multi-start Adam on row-softmax logits with forward-difference
-  gradients, used for everything else.
+  gradients, used for everything else: ``N_STARTS`` starts, seeded by
+  ``SOLVER_SEED``, for ``ADAM_ITERS`` steps.
+
+The schedules are module constants, read at call time; no caller sets
+them, and a test that needs another value patches the constant.
 
 One call of :func:`minimize_blocks` solves many problems that differ only in
 a row of parameters, in phases over arrays that span all of them: the global
@@ -41,34 +45,29 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SolverOptions", "minimize_blocks"]
+__all__ = ["minimize_blocks"]
 
 DENSE_MAX_DIM = 3
+DENSE_POINTS = 33  # points per axis of the global mesh
 DENSE_ROUNDS = 3  # the global mesh, then zoom rounds around each basin
 DENSE_BASINS = 3  # basins zoomed and polished per problem
 # The zoom of problems with 3 free parameters: local meshes of 13 points per
 # axis (2,197 points, not 33^3 = 35,937), each spanning 5 steps of the last,
 # so each round shrinks the step by 5/12, and 5 rounds end no coarser than
 # DENSE_ROUNDS - 1 rounds of 33-point axes do: (5/12)^5 < (5/32)^2.  Fewer
-# free parameters keep those rounds on ``dense_points`` axes.
+# free parameters keep those rounds on ``DENSE_POINTS`` axes.
 DENSE_3D_ZOOM_POINTS = 13
 DENSE_3D_ZOOM_ROUNDS = 5
+N_STARTS = 64  # Adam starts per problem
+ADAM_ITERS = 200
 ADAM_LR = 0.3
+SOLVER_SEED = 0  # seed of the random Adam starts
 # Rows per objective call; larger fresh temporaries cost more in page faults
 # than in arithmetic.
 CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    n_starts: int = 64
-    iters: int = 200
-    seed: int = 0
-    dense_points: int = 33
 
 
 def _sum_rows(rows):
@@ -265,7 +264,7 @@ def _golden_polish(f, shapes, params, owners, x, width, sweeps=2, tol=1e-7):
     return x, fx
 
 
-def _dense_scan(f, shapes, opts: SolverOptions, params) -> list:
+def _dense_scan(f, shapes, params) -> list:
     """Global mesh scan, then zooms and a polish on the best few basins, for
     every problem; one result per problem.
 
@@ -276,7 +275,7 @@ def _dense_scan(f, shapes, opts: SolverOptions, params) -> list:
     basins (its local meshes built as the stream draws them), the polish.
 
     The zoom schedule depends on the dimension.  With at most 2 free
-    parameters it runs DENSE_ROUNDS - 1 rounds on ``dense_points`` axes
+    parameters it runs DENSE_ROUNDS - 1 rounds on ``DENSE_POINTS`` axes
     (1,089 points a mesh at the default 33).  With 3, where such a mesh
     would have 35,937 points, the global mesh has already found the basins
     and the zoom only refines them: DENSE_3D_ZOOM_ROUNDS rounds on
@@ -284,7 +283,7 @@ def _dense_scan(f, shapes, opts: SolverOptions, params) -> list:
     33-point axes would.
     """
     dim = sum(r for r, _ in shapes)
-    pts = opts.dense_points
+    pts = DENSE_POINTS
     step0 = 1.0 / (pts - 1)
     if dim > 2:
         zoom_pts, rounds = DENSE_3D_ZOOM_POINTS, DENSE_3D_ZOOM_ROUNDS
@@ -332,10 +331,10 @@ def _dense_scan(f, shapes, opts: SolverOptions, params) -> list:
     return results
 
 
-def _initial_logits(shapes, opts: SolverOptions) -> np.ndarray:
+def _initial_logits(shapes) -> np.ndarray:
     """The Adam starts, as a (dim, starts) array of logits."""
     dim = sum(r * c for r, c in shapes)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(SOLVER_SEED)
     starts = [np.zeros(dim)]  # uniform blocks
     # deterministic corner-ish starts: mass concentrated per row, rotated
     for shift in range(max(c for _, c in shapes)):
@@ -346,13 +345,13 @@ def _initial_logits(shapes, opts: SolverOptions) -> np.ndarray:
                 t[r, (r + shift) % cols] = 3.0
             theta.append(t.reshape(-1))
         starts.append(np.concatenate(theta))
-    need = max(opts.n_starts - len(starts), 0)
+    need = max(N_STARTS - len(starts), 0)
     if need:
         starts.extend(rng.normal(scale=2.0, size=(need, dim)))
     return np.stack(starts, axis=1)
 
 
-def _multistart_adam(f, shapes, opts: SolverOptions, params) -> list:
+def _multistart_adam(f, shapes, params) -> list:
     """Batched Adam on row-softmax logits with forward-difference gradients,
     for every problem; one result per problem.
 
@@ -363,7 +362,7 @@ def _multistart_adam(f, shapes, opts: SolverOptions, params) -> list:
     are the next iteration's base.  Adam's arithmetic is elementwise, so
     every start follows its path in a solve of its problem alone.
     """
-    start = _initial_logits(shapes, opts)
+    start = _initial_logits(shapes)
     dim, starts = start.shape
     theta = np.tile(start, len(params))
     owners = np.repeat(np.arange(len(params)), starts)
@@ -385,7 +384,7 @@ def _multistart_adam(f, shapes, opts: SolverOptions, params) -> list:
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     lr = ADAM_LR
-    for it in range(1, opts.iters + 1):
+    for it in range(1, ADAM_ITERS + 1):
         grad = [vals.reshape(dim, starts) for vals in evaluate(bumped(theta))]
         grad = (np.concatenate(grad, axis=1) - base) / h
         m = 0.9 * m + 0.1 * grad
@@ -405,7 +404,7 @@ def _multistart_adam(f, shapes, opts: SolverOptions, params) -> list:
     return results
 
 
-def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
+def minimize_blocks(f, shapes, params) -> list:
     """Minimize a batched objective over a product of stochastic blocks, for
     each of P problems.
 
@@ -420,12 +419,11 @@ def minimize_blocks(f, shapes, params, *, opts: SolverOptions = None) -> list:
     that problem alone; the last entry is the dispersion diagnostic (dense
     scans report a single value).
     """
-    opts = opts or SolverOptions()
     shapes = [tuple(s) for s in shapes]
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 2:
         raise ValueError(f"params must be a (problems, k) array, got shape {params.shape}")
     free = sum(r * (c - 1) for r, c in shapes)
     if all(c == 2 for _, c in shapes) and free <= DENSE_MAX_DIM:
-        return _dense_scan(f, shapes, opts, params)
-    return _multistart_adam(f, shapes, opts, params)
+        return _dense_scan(f, shapes, params)
+    return _multistart_adam(f, shapes, params)

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from leaklab.crypto import EXHAUSTIVE_PAIR_CAP, StructuralReport
+from leaklab import simplexopt
+from leaklab.crypto import StructuralReport
 from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
 from leaklab.probability import all_sequences, type_of
 from leaklab.simplexopt import (
@@ -64,6 +65,21 @@ def decode_oracle(code, c):
     return unrank_oracle(code, _lex(c, code.q))
 
 
+def swapped_decode(decode):
+    """``decode`` with two outputs swapped: codewords 0...00 and 0...01 trade
+    places, by flipping the last symbol where all others are 0 and it is 0
+    or 1.  The enumerated decoding set of a code with it comes up short, yet
+    decrypt(k, encrypt(k, x)) == decode(encode(x)) still holds."""
+
+    def swapped(self, c):
+        c = np.array(c, dtype=np.int64)
+        swap = ~np.any(c[..., :-1], axis=-1) & np.isin(c[..., -1], (0, 1))
+        c[..., -1] = np.where(swap, 1 - c[..., -1], c[..., -1])
+        return decode(self, c)
+
+    return swapped
+
+
 def condition_oracle(sys):
     """First (k, x), keys then plaintexts in lexicographic order, with
     decrypt(k, encrypt(k, x)) != decode(encode(x)), by a loop over all q^n
@@ -77,12 +93,11 @@ def condition_oracle(sys):
     return None
 
 
-def structural_properties_oracle(
-    sys, *, max_exhaustive_pairs=EXHAUSTIVE_PAIR_CAP, sample_keys=64, seed=0
-):
+def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
     """``check_structural_properties`` as a loop over every checked key on
     tables built by one scalar encode per sequence and one scalar decode
-    per codeword."""
+    per codeword: every key at the system's "exhaustive" validation level,
+    ``sample_keys`` keys drawn with ``seed`` at the "sampled" one."""
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
     total_x = q**n
@@ -101,9 +116,8 @@ def structural_properties_oracle(
         d_count == q**m,
         None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
     )
-    exhaustive = q ** (2 * n) <= max_exhaustive_pairs
-    report.mode = "exhaustive" if exhaustive else "sampled"
-    if exhaustive:
+    report.mode = sys.validation
+    if sys.validation == "exhaustive":
         keys = seqs
     else:
         rng = np.random.default_rng(seed)
@@ -199,12 +213,11 @@ def delta_mi_whole_array_oracle(kern, p_x):
     return math.fsum(kern.p_message[live] * gain)
 
 
-def kernel_checks_oracle(kern, in_decoding_set=None, tol=1e-10):
+def kernel_checks_oracle(kern, tol=1e-10):
     """``structural_checks`` as a per-message loop over explicit
     [ciphertext, image] tables."""
-    in_d = kern.in_decoding_set if in_decoding_set is None else in_decoding_set
     img_counts = np.bincount(
-        kern.image_of[np.flatnonzero(in_d)], minlength=kern.image_count
+        kern.image_of[np.flatnonzero(kern.in_decoding_set)], minlength=kern.image_count
     ).astype(np.float64)
     d_size = img_counts.sum()
     sub = kern.sub_index()
@@ -376,27 +389,28 @@ def blocks_from_free_oracle(x, shapes):
     return blocks
 
 
-def full_zoom(opts):
-    """The zoom of ``DENSE_ROUNDS - 1`` rounds on ``dense_points`` axes at
+def full_zoom():
+    """The zoom of ``DENSE_ROUNDS - 1`` rounds on ``DENSE_POINTS`` axes at
     any dimension: the production zoom of problems with at most 2 free
     parameters, and the accuracy oracle of the cheaper 3-parameter one."""
-    return opts.dense_points, DENSE_ROUNDS - 1
+    return simplexopt.DENSE_POINTS, DENSE_ROUNDS - 1
 
 
-def dense_scan_oracle(f, shapes, opts, zoom=None):
+def dense_scan_oracle(f, shapes, zoom=None):
     """One problem's dense scan (``simplexopt._dense_scan``) with the
     whole mesh in one call and each basin zoomed and polished in turn, one
     objective call per golden-section point.
 
     ``zoom`` is the (points per axis, rounds) of the zoom; by default the
-    production schedule.  ``full_zoom(opts)`` gives the full-resolution
-    zoom on ``dense_points`` axes at every dimension, the accuracy oracle of
-    the coarser 3-parameter schedule.
+    production schedule.  ``full_zoom()`` gives the full-resolution zoom on
+    ``DENSE_POINTS`` axes at every dimension, the accuracy oracle of the
+    coarser 3-parameter schedule.  The mesh has ``simplexopt.DENSE_POINTS``
+    points per axis, read at call time as the solver reads it.
     """
     dim = sum(r for r, _ in shapes)
-    pts = opts.dense_points
+    pts = simplexopt.DENSE_POINTS
     if zoom is None:
-        zoom = (DENSE_3D_ZOOM_POINTS, DENSE_3D_ZOOM_ROUNDS) if dim > 2 else full_zoom(opts)
+        zoom = (DENSE_3D_ZOOM_POINTS, DENSE_3D_ZOOM_ROUNDS) if dim > 2 else full_zoom()
     zoom_pts, rounds = zoom
     axes = [np.linspace(0.0, 1.0, pts) for _ in range(dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -537,11 +551,13 @@ def omega_batch_oracle(q_u, q_zgu, p_z, pk_given_z, mu, alpha):
     return -np.log(terms.reshape(b, -1).sum(axis=1))
 
 
-def multistart_adam_oracle(f, shapes, opts):
+def multistart_adam_oracle(f, shapes):
     """``simplexopt._multistart_adam`` for one problem, batch first, with
     dim + 2 objective calls per iteration (the base values, one call per
-    bumped coordinate, and the post-step values), on ``softmax_oracle``."""
-    theta = np.ascontiguousarray(_initial_logits(shapes, opts).T)
+    bumped coordinate, and the post-step values), on ``softmax_oracle``;
+    the starts and ``simplexopt.ADAM_ITERS`` are read at call time, as the
+    solver reads them."""
+    theta = np.ascontiguousarray(_initial_logits(shapes).T)
     batch, dim = theta.shape
 
     def eval_theta(t):
@@ -554,7 +570,7 @@ def multistart_adam_oracle(f, shapes, opts):
     v = np.zeros_like(theta)
     h = 1e-6
     lr = ADAM_LR
-    for it in range(1, opts.iters + 1):
+    for it in range(1, simplexopt.ADAM_ITERS + 1):
         base = eval_theta(theta)
         grad = np.empty_like(theta)
         for d in range(dim):

@@ -12,8 +12,8 @@ from leaklab.analysis import (
     r_mu,
     region_membership,
 )
+from leaklab import simplexopt
 from leaklab.probability import ChannelMatrix, Pmf, entropy, joint_from_channel
-from leaklab.simplexopt import SolverOptions
 
 LN2 = math.log(2)
 H01 = 0.3250829733914482
@@ -25,6 +25,17 @@ SMALL_GRID = ExponentGrid(mu_points=11, alpha_points=11, lambda_points=16, refin
 @pytest.fixture(scope="module")
 def small_calc():
     return ExponentCalculator(BSC_KZ, SMALL_GRID)
+
+
+def set_schedule(monkeypatch, **constants):
+    """Patch ``simplexopt``'s schedule constants, which it reads at call time."""
+    for name, value in constants.items():
+        monkeypatch.setattr(simplexopt, name, value)
+
+
+def only_u_size(monkeypatch, u):
+    """Solve the inner minima over |U| = u alone."""
+    monkeypatch.setattr(analysis, "_u_sizes", lambda zs, q: [u])
 
 
 def psh_joint(channel_ugz, p_kz):
@@ -64,12 +75,13 @@ def test_r_mu_reports_achieving_channel():
     assert abs(val - res.value) < 1e-9
 
 
-def test_r_mu_ternary_alphabet_descent_path():
+def test_r_mu_ternary_alphabet_descent_path(monkeypatch):
     # |Z| = 3 exercises the multi-start descent engine
     W = ChannelMatrix([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]])
     p_kz = joint_from_channel(Pmf.uniform(2), W)
-    opts = SolverOptions(n_starts=24, iters=120, seed=0)
-    res = r_mu(p_kz, 0.5, u_size=3, opts=opts)
+    set_schedule(monkeypatch, N_STARTS=24, ADAM_ITERS=120)
+    only_u_size(monkeypatch, 3)
+    res = r_mu(p_kz, 0.5)
     rng = np.random.default_rng(1)
     ch = rng.dirichlet([1, 1, 1], size=(200000, 3))
     p_z, pkgz, _, _ = analysis._prep(p_kz)
@@ -79,14 +91,16 @@ def test_r_mu_ternary_alphabet_descent_path():
     assert oracle - res.value < 1e-3
 
 
-def test_cardinality_sensitivity():
+def test_cardinality_sensitivity(monkeypatch):
     # |U| = |Z| suffices (the support lemma) and |U| = |K| may not; on this
     # |Z| = 3 law at mu = 0.4, |U| = |K| = 2 happens to lose less than 1e-5
     W = ChannelMatrix([[0.7, 0.2, 0.1], [0.05, 0.25, 0.7]])
     p_kz = joint_from_channel(Pmf([0.6, 0.4]), W)
-    opts = SolverOptions(n_starts=24, iters=150, seed=0)
-    v2 = r_mu(p_kz, 0.4, u_size=2, opts=opts).value
-    v3 = r_mu(p_kz, 0.4, u_size=3, opts=opts).value
+    set_schedule(monkeypatch, N_STARTS=24, ADAM_ITERS=150)
+    only_u_size(monkeypatch, 2)
+    v2 = r_mu(p_kz, 0.4).value
+    only_u_size(monkeypatch, 3)
+    v3 = r_mu(p_kz, 0.4).value
     assert v3 <= v2 + 1e-9  # larger class can only do better
     assert v2 - v3 < 1e-5  # and should not need to
 
@@ -98,7 +112,7 @@ def _laws_with_z_above_k():
 
 
 @pytest.mark.parametrize("law", range(6))
-def test_r_mu_with_z_above_k_uses_u_equal_z(law):
+def test_r_mu_with_z_above_k_uses_u_equal_z(monkeypatch, law):
     # |U| = min(|Z|, |K|) overstates the mu = 0 level of these laws by up to
     # 0.057 nats; with |U| = |Z| it is H(K|Z), reached by U = Z, and no
     # level is above the |U| = |K| level
@@ -107,7 +121,8 @@ def test_r_mu_with_z_above_k_uses_u_equal_z(law):
     mus = [0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 2]
     levels = analysis._r_mu_levels(p_kz, mus)
     assert abs(levels[0].value - h_k_given_z) < 2e-5
-    small = analysis._r_mu_levels(p_kz, mus, u_size=2)
+    only_u_size(monkeypatch, 2)
+    small = analysis._r_mu_levels(p_kz, mus)
     for full, part in zip(levels, small):
         assert full.value <= part.value + 1e-9, (full.mu, full.value, part.value)
 
@@ -147,10 +162,10 @@ def test_boundary_midpoint_convexity():
 
 
 def test_boundary_reconstruction_idempotent():
-    # every computed supporting point classifies as boundary-band
+    # every computed supporting point lies on the reconstructed envelope
     bd = akw_boundary(BSC_KZ, np.linspace(0, 1, 21))
     for p in bd.points:
-        assert bd.membership(p.R_A, p.R, band=1e-6) == "boundary-band", p
+        assert abs(p.R - bd.envelope(p.R_A)) <= 1e-6, p
 
 
 def test_r_mu_concave_in_mu():
@@ -158,13 +173,6 @@ def test_r_mu_concave_in_mu():
     vals = [r_mu(BSC_KZ, float(m)).value for m in mus]
     for i in range(1, 10):
         assert vals[i] >= 0.5 * (vals[i - 1] + vals[i + 1]) - 1e-9
-
-
-def test_boundary_membership_labels():
-    bd = akw_boundary(BSC_KZ)
-    assert bd.membership(0.0, bd.h_k + 0.1) == "inside"
-    assert bd.membership(0.0, bd.h_k - 0.1) == "outside"
-    assert bd.membership(0.0, bd.envelope(0.0)) == "boundary-band"
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +383,14 @@ def test_lower_exponent_threshold_outside_region(small_calc):
             assert res.value > res.threshold(tau)
 
 
-def test_exponents_ternary_observation_descent_path():
+def test_exponents_ternary_observation_descent_path(monkeypatch):
     # |Z| = 3 channel blocks have three columns: the multi-start descent
     # engine carries the inner minimizations instead of the dense scan
     W = ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
     p_kz = joint_from_channel(Pmf.uniform(2), W)
     grid = ExponentGrid(mu_points=5, alpha_points=5, lambda_points=6, refine_rounds=1)
-    opts = SolverOptions(n_starts=16, iters=80, seed=0)
-    calc = ExponentCalculator(p_kz, grid, opts=opts)
+    set_schedule(monkeypatch, N_STARTS=16, ADAM_ITERS=80)
+    calc = ExponentCalculator(p_kz, grid)
     for (ra, r) in [(0.05, 0.2), (0.2, 0.4)]:
         F = calc.F(ra, r)
         FL = calc.F_lower(ra, r)
@@ -449,13 +457,14 @@ def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
     grid = ExponentGrid(
         mu_points=7, alpha_points=7, lambda_points=6, refine_rounds=2, refine_points=4
     )
-    opts = SolverOptions(dense_points=9)  # 42 coarse omega meshes of 729 rows span chunks
+    # 42 coarse omega meshes of 729 rows span chunks
+    set_schedule(monkeypatch, DENSE_POINTS=9)
     rates = [(0.0, 0.1), (0.3, 0.5), (0.2, 0.3)]
-    filled = ExponentCalculator(BSC_KZ, grid, opts=opts)
+    filled = ExponentCalculator(BSC_KZ, grid)
     seen = _cells_seen(filled)
     got = [(filled.F(ra, r), filled.F_lower(ra, r)) for ra, r in rates]
 
-    lazy = ExponentCalculator(BSC_KZ, grid, opts=opts)
+    lazy = ExponentCalculator(BSC_KZ, grid)
     fill = lazy._fill
 
     def cell_by_cell(table, mus, seconds):

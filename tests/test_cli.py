@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import cli
+from helpers import swapped_decode
+from leaklab import cli, codec
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,8 +60,11 @@ def test_verify_identity_code_otp_config(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_verify_fails_on_mutated_decoder(tmp_path, capsys):
-    cfg = write_config(tmp_path, mutation="decoder")
+def test_verify_fails_on_mutated_decoder(tmp_path, capsys, monkeypatch):
+    # a decoder with two outputs swapped shrinks the enumerated decoding set
+    decode = swapped_decode(codec.UniversalCode.decode)
+    monkeypatch.setattr(codec.UniversalCode, "decode", decode)
+    cfg = write_config(tmp_path)
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == EXIT_VIOLATION
     out = capsys.readouterr().out

@@ -287,8 +287,9 @@ def test_identity_code():
 
 
 def test_code_json_round_trip():
+    # the build-code descriptor names every argument of the code
     code = build_universal_code(6, 0.5, 2)
-    back = UniversalCode.from_json(code.to_json())
+    back = UniversalCode(**code.to_json())
     assert (back.n, back.m, back.q, back.order) == (code.n, code.m, code.q, code.order)
     x = np.array([0, 1, 1, 0, 1, 0])
     assert np.array_equal(back.encode(x), code.encode(x))

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from leaklab import crypto
 from leaklab.codec import UniversalCode, build_universal_code
-from leaklab.crypto import Cryptosystem, _condition_check, check_structural_properties
+from leaklab.crypto import Cryptosystem, _condition_sweep, check_structural_properties
 from leaklab.galois import AffineMap, FieldSpec, matrix_rank, random_affine
 from leaklab.probability import all_sequences
 
-from helpers import condition_oracle, structural_properties_oracle
+from helpers import condition_oracle, structural_properties_oracle, swapped_decode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+
+# A validation policy under which every fixture but the n = 3 binary one is
+# sampled, with 40 keys drawn from seed 3.
+SAMPLED_POLICY = {"EXHAUSTIVE_PAIR_CAP": 2**6, "SAMPLE_KEYS": 40, "VALIDATION_SEED": 3}
 
 
 def identity_keymap(n, spec):
@@ -22,11 +27,29 @@ def zero_keymap(n, m, spec):
     )
 
 
-def make_system(n, R, q, seed=0, validation="auto"):
+def make_system(n, R, q, seed=0):
     code = build_universal_code(n, R, q)
     spec = FieldSpec(q)
     keymap = random_affine(n, code.m, spec, seed)
-    return Cryptosystem(code, keymap, validation=validation)
+    return Cryptosystem(code, keymap)
+
+
+def unchecked(cls, code, keymap):
+    """A system of class ``cls`` built without its construction-time
+    condition check, for fixtures that violate the condition on purpose."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_condition_check", lambda sys: (True, None))
+        return cls(code, keymap)
+
+
+def policies(monkeypatch):
+    """Yield once under the default validation policy and once under
+    ``SAMPLED_POLICY``, with the oracle's key-sample arguments of each;
+    systems built in the loop body follow the policy of their step."""
+    for policy in ({}, SAMPLED_POLICY):
+        for name, value in policy.items():
+            monkeypatch.setattr(crypto, name, value)
+        yield {"sample_keys": crypto.SAMPLE_KEYS, "seed": crypto.VALIDATION_SEED}
 
 
 def test_one_time_pad_is_xor():
@@ -135,31 +158,39 @@ def test_structural_checks_pass_rank_deficient_keymap():
 class _CorruptedDecoder(UniversalCode):
     """Decoder with two outputs swapped: shrinks the enumerated decoding set."""
 
-    def decode(self, c):
-        # codewords 0 and 1 are 0...00 and 0...01: flip the last symbol there
-        c = np.array(c, dtype=np.int64)
-        swap = ~np.any(c[..., :-1], axis=-1) & np.isin(c[..., -1], (0, 1))
-        c[..., -1] = np.where(swap, 1 - c[..., -1], c[..., -1])
-        return super().decode(c)
+    decode = swapped_decode(UniversalCode.decode)
 
 
 def test_structural_checks_catch_corrupted_decoder():
     code = _CorruptedDecoder(5, 2, 2)
     spec = FieldSpec(2)
     keymap = random_affine(5, 2, spec, seed=0)
-    sys = Cryptosystem(code, keymap, validation="none")
+    sys = Cryptosystem(code, keymap)  # the condition holds; the suite fails
     rep = check_structural_properties(sys)
     assert not rep.passed
     assert not rep.checks["decoding_set_size"]["ok"]
     assert rep.checks["decoding_set_size"]["witness"]["enumerated"] < 4
 
 
-def test_sampled_validation_path():
-    # q^{2n} > 2^20 forces the sampled spot check at construction
-    sys = make_system(12, 0.5, 2, seed=6, validation="sampled")
+def test_sampled_validation_path(monkeypatch):
+    # q^{2n} > 2^20 forces the sampled spot check at construction, and the
+    # structural suite takes its mode from the system
+    sys = make_system(12, 0.5, 2, seed=6)
     assert sys.validation == "sampled"
-    rep = check_structural_properties(sys, sample_keys=8)
+    monkeypatch.setattr(crypto, "SAMPLE_KEYS", 8)
+    rep = check_structural_properties(sys)
     assert rep.passed and rep.mode == "sampled"
+
+
+def test_validation_level_is_decided_once(monkeypatch):
+    # the construction check and the structural suite follow the level the
+    # system recorded at construction, under the cap of that moment
+    monkeypatch.setattr(crypto, "EXHAUSTIVE_PAIR_CAP", 2**8)
+    small, large = make_system(4, 0.6, 2), make_system(5, 0.6, 2)
+    assert (small.validation, large.validation) == ("exhaustive", "sampled")
+    monkeypatch.setattr(crypto, "EXHAUSTIVE_PAIR_CAP", 2**20)
+    assert check_structural_properties(small).mode == "exhaustive"
+    assert check_structural_properties(large).mode == "sampled"
 
 
 def test_condition_violation_detected_at_construction():
@@ -176,14 +207,6 @@ def test_condition_violation_detected_at_construction():
 
     with pytest.raises(AssertionError, match="structural condition violated"):
         _KeyDependent(code, keymap)
-
-
-def test_json_round_trip():
-    sys = make_system(5, 0.5, 2, seed=8)
-    back = Cryptosystem.from_json(sys.to_json())
-    k = np.array([0, 1, 1, 0, 1])
-    x = np.array([1, 1, 0, 0, 1])
-    assert np.array_equal(back.encrypt(k, x), sys.encrypt(k, x))
 
 
 class _ImageDependent(Cryptosystem):
@@ -213,7 +236,7 @@ class _ImageDependent(Cryptosystem):
 def _image_dependent(q, n, R, seed, key_index, corrupt):
     code = build_universal_code(n, R, q)
     keymap = random_affine(n, code.m, FieldSpec(q), seed=seed)
-    sys = _ImageDependent(code, keymap, validation="none")
+    sys = unchecked(_ImageDependent, code, keymap)
     sys.bad_image = sys.key_image(all_sequences(n, q)[key_index])
     sys.corrupt = corrupt
     return sys
@@ -231,21 +254,24 @@ def _sweep_fixtures():
     yield _image_dependent(3, 4, 0.8, 5, 50, ("decrypt",))
 
 
-def test_key_image_sweep_matches_full_key_loop():
+def test_key_image_sweep_matches_full_key_loop(monkeypatch):
     # the structural suite and the exhaustive condition check sweep one key
     # per key image; a loop over every key gives the same reports, witnesses
     # included, on valid systems and on mutated ones
     failing = set()
-    for sys in _sweep_fixtures():
-        for opts in ({}, {"max_exhaustive_pairs": 2**6, "sample_keys": 40, "seed": 3}):
-            rep = check_structural_properties(sys, **opts)
-            assert rep == structural_properties_oracle(sys, **opts)
+    modes = set()
+    for sample in policies(monkeypatch):
+        for sys in _sweep_fixtures():
+            rep = check_structural_properties(sys)
+            assert rep == structural_properties_oracle(sys, **sample)
             failing.update(name for name, _ in rep.failures)
-        ok, witness = _condition_check(sys, "exhaustive", 0, 0)
-        assert witness == condition_oracle(sys)
-        assert ok == (witness is None)
-        if not ok:
-            failing.add("condition")
+            modes.add(rep.mode)
+            ok, witness = _condition_sweep(sys)
+            assert witness == condition_oracle(sys)
+            assert ok == (witness is None)
+            if not ok:
+                failing.add("condition")
+    assert modes == {"exhaustive", "sampled"}
     # the fixtures exercise every check's failure path
     assert failing == {
         "decoding_set_size", "injective_on_D", "surjective", "key_independent_D",
@@ -295,24 +321,14 @@ def test_fractional_symbols_are_refused_not_truncated():
         sys.decrypt([0, 1, 0, 1], [0.5, 0, 1])  # ciphertext
     with pytest.raises(ValueError, match="whole numbers"):
         sys.code.decode([np.nan, 0, 1])
-    doc = sys.keymap.to_json()
-    doc["offset"][0] = 0.5
+    offset = sys.keymap.offset.tolist()
+    offset[0] = 0.5
     with pytest.raises(ValueError, match="whole numbers"):
-        AffineMap.from_json(doc)
+        AffineMap(sys.keymap.matrix.tolist(), offset, F2)
     # whole numbers of a float dtype are still symbols
     k, x = [0, 1, 0, 1], [1, 1, 0, 0]
     whole = sys.encrypt(np.array(k, float), np.array(x, float))
     assert np.array_equal(whole, sys.encrypt(k, x))
-
-
-def test_zero_sample_sizes_are_refused():
-    code = build_universal_code(4, 0.6, 2)
-    keymap = random_affine(4, code.m, F2, seed=0)
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="sample_pairs"):
-            Cryptosystem(code, keymap, validation="sampled", sample_pairs=size)
-        with pytest.raises(ValueError, match="sample_keys"):
-            check_structural_properties(Cryptosystem(code, keymap), sample_keys=size)
 
 
 @pytest.mark.parametrize("q,n,R", [(2, 6, 0.45), (3, 4, 0.8), (5, 3, 1.1)])
@@ -355,10 +371,9 @@ def _last_visited_key(sys):
     return keys[first.max()]
 
 
-def test_key_image_sweep_fast_paths_match_full_key_loop():
-    # failures at the last image the sweep visits, after whole-table
-    # equality has passed every earlier image; one of them differs from
-    # decode(encode(x)) only outside D, which only the condition check sees
+def _fast_path_fixtures():
+    """Systems that fail at the last key image the sweep visits, and the
+    plaintext outside D that the last one redirects."""
     seqs = all_sequences(6, 2)
     fixtures = []
     for corrupt in (("encrypt", "decrypt"), ("decrypt",)):
@@ -366,22 +381,30 @@ def test_key_image_sweep_fast_paths_match_full_key_loop():
         sys.bad_image = sys.key_image(_last_visited_key(sys))
         fixtures.append(sys)
     code = build_universal_code(6, 0.45, 2)
-    sys = _Redirected(code, random_affine(6, code.m, F2, seed=5), validation="none")
+    sys = unchecked(_Redirected, code, random_affine(6, code.m, F2, seed=5))
     x_out = seqs[np.flatnonzero(~code.in_decoding_set(seqs))[-1]]
     sys.x_out, sys.x_in = x_out, seqs[0]  # all zeros: in D, not its last member
     sys.bad_image = sys.key_image(_last_visited_key(sys))
     fixtures.append(sys)
+    return fixtures, x_out
 
-    for sys in fixtures:
-        last = _last_visited_key(sys).tolist()
-        for opts in ({}, {"max_exhaustive_pairs": 2**6, "sample_keys": 40, "seed": 3}):
-            rep = check_structural_properties(sys, **opts)
-            assert rep == structural_properties_oracle(sys, **opts)
-        ok, witness = _condition_check(sys, "exhaustive", 0, 0)
-        assert not ok and witness == condition_oracle(sys)
-        assert witness[0] == last
-    assert witness == (last, x_out.tolist())
+
+def test_key_image_sweep_fast_paths_match_full_key_loop(monkeypatch):
+    # failures at the last image the sweep visits, after whole-table
+    # equality has passed every earlier image; one of them differs from
+    # decode(encode(x)) only outside D, which only the condition check sees
+    fixtures, _ = _fast_path_fixtures()
     assert check_structural_properties(fixtures[2]).passed
     rep = check_structural_properties(fixtures[1])
     assert [name for name, _ in rep.failures] == ["key_independent_D"]
     assert rep.failures[0][1]["key"] == _last_visited_key(fixtures[1]).tolist()
+    for sample in policies(monkeypatch):
+        fixtures, x_out = _fast_path_fixtures()
+        for sys in fixtures:
+            last = _last_visited_key(sys).tolist()
+            rep = check_structural_properties(sys)
+            assert rep == structural_properties_oracle(sys, **sample)
+            ok, witness = _condition_sweep(sys)
+            assert not ok and witness == condition_oracle(sys)
+            assert witness[0] == last
+        assert witness == (last, x_out.tolist())

@@ -121,14 +121,6 @@ def test_affine_map_validation():
         AffineMap([[1, 0]], [0], F2)  # offset length mismatch
 
 
-def test_affine_json_round_trip():
-    amap = random_affine(4, 2, F3, seed=9)
-    back = AffineMap.from_json(amap.to_json())
-    assert np.array_equal(back.matrix, amap.matrix)
-    assert np.array_equal(back.offset, amap.offset)
-    assert back.spec.q == 3
-
-
 def test_matrix_rank_gf2():
     assert matrix_rank(np.eye(3, dtype=int), 2) == 3
     assert matrix_rank([[1, 1], [1, 1]], 2) == 1

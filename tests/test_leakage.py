@@ -21,7 +21,7 @@ from helpers import (
 )
 from helpers import simplex_grid_capacity as grid_capacity_oracle
 import leaklab
-from leaklab import adversary, probability
+from leaklab import adversary, crypto, probability
 from leaklab import leakage as leakage_module
 from leaklab.adversary import TableEncoder, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
@@ -735,8 +735,8 @@ def test_structural_checks_match_per_message_loop():
         noisy = replace(kern, key_image_posterior=post)
         in_d = kern.in_decoding_set.copy()
         in_d[np.flatnonzero(in_d)[3]] = False
-        got = structural_checks(noisy, in_d)
-        want = kernel_checks_oracle(noisy, in_d)
+        noisy = replace(noisy, in_decoding_set=in_d)
+        got, want = structural_checks(noisy), kernel_checks_oracle(noisy)
         assert not got.passed and not want.passed
         assert got.row_sum_witness == want.row_sum_witness
         assert got.uniform_witness == want.uniform_witness
@@ -756,7 +756,7 @@ def test_leakage_decays_inside_secure_region():
         vals = []
         for s in range(16):
             keymap = random_affine(n, code.m, FieldSpec(2), seed=[s, n])
-            sys = Cryptosystem(code, keymap, validation="none")
+            sys = Cryptosystem(code, keymap)
             enc = scalar_quantizer_encoder([0, 1], n)
             kern = build_gamma_kernel(sys, enc, p_kz)
             vals.append(delta_max_mi(kern).value)
@@ -784,12 +784,13 @@ def test_leakage_grows_inside_helper_region():
     assert vals[0] < vals[1] < vals[2]
 
 
-def test_condition_sampled_beyond_exhaustive_range():
+def test_condition_sampled_beyond_exhaustive_range(monkeypatch):
     # q^{2n} = 2^24 exceeds the exhaustive cap: the spot check runs on
     # 10^5 sampled pairs through the public methods
+    monkeypatch.setattr(crypto, "SAMPLE_PAIRS", 10**5)
     code = build_universal_code(12, 0.5, 2)
     keymap = random_affine(12, code.m, FieldSpec(2), seed=1)
-    sys = Cryptosystem(code, keymap, validation="sampled", sample_pairs=10**5)
+    sys = Cryptosystem(code, keymap)
     assert sys.validation == "sampled"
 
 
@@ -923,7 +924,9 @@ def test_coarse_quantizer_takes_the_path_its_cell_laws_allow():
 
 def test_translation_kernel_checks_only_its_vector_against_the_cap(monkeypatch):
     # n=8, m=5: the dense kernel's q^n * q^m = 2^13 entries exceed a cap of
-    # 1000, the translation kernel's q^m vector and its digits do not
+    # 1000, the translation kernel's q^m vector and its digits do not; a cap
+    # of 100 refuses the q^m * m = 160 digit table of Z_q^m under its own
+    # name, and a cap of 31 the vector
     sys = system(8, 0.45, 2, 8)
     assert sys.m == 5
     enc = scalar_quantizer_encoder([0, 1], 8)
@@ -932,6 +935,9 @@ def test_translation_kernel_checks_only_its_vector_against_the_cap(monkeypatch):
     with pytest.raises(TableCapError, match=r"q\^n \* q\^m = 2\^13"):
         build_gamma_kernel(sys, enc, bsc_joint(0.1))
     assert build_translation_kernel(sys, enc, bsc_joint(0.1)).key_image_posterior.shape == (1, 32)
+    monkeypatch.setattr(probability, "TABLE_CAP", 100)
+    with pytest.raises(TableCapError, match=r"q\^m \* m = 160 entries"):
+        build_translation_kernel(sys, enc, bsc_joint(0.1))
     monkeypatch.setattr(probability, "TABLE_CAP", 31)
     with pytest.raises(TableCapError, match=r"q\^m = 2\^5"):
         build_translation_kernel(sys, enc, bsc_joint(0.1))

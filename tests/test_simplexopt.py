@@ -28,7 +28,7 @@ from helpers import (
 )
 from leaklab import analysis, simplexopt
 from leaklab.probability import ChannelMatrix, Pmf, joint_from_channel
-from leaklab.simplexopt import SolverOptions, minimize_blocks
+from leaklab.simplexopt import minimize_blocks
 
 BSC_KZ = joint_from_channel(Pmf.uniform(2), ChannelMatrix.bsc(0.1))
 TERNARY_KZ = joint_from_channel(
@@ -132,9 +132,16 @@ def fixed_objective(kind, p_kz, row):
     return OBJECTIVES[kind][0](p_kz, *row)
 
 
-def solve_one(kind, p_kz, row, shapes, opts=None):
+def solve_one(kind, p_kz, row, shapes):
     """One problem as a many-problem call with a single parameter row."""
-    return minimize_blocks(OBJECTIVES[kind][1](p_kz), shapes, [row], opts=opts)[0]
+    return minimize_blocks(OBJECTIVES[kind][1](p_kz), shapes, [row])[0]
+
+
+def set_schedule(monkeypatch, **constants):
+    """Patch ``simplexopt``'s schedule constants, which the solver and the
+    oracles read at call time."""
+    for name, value in constants.items():
+        monkeypatch.setattr(simplexopt, name, value)
 
 
 def counting(f):
@@ -161,34 +168,35 @@ def assert_same_result(got, want):
 
 
 @pytest.mark.parametrize(
-    "kind, p_kz, row, shapes, opts",
+    "kind, p_kz, row, shapes, schedule",
     [
-        # the ternary r_mu sweep of the region workload, at default options
-        ("psh", TERNARY_KZ, (0.25,), [(3, 3)], SolverOptions()),
+        # the ternary r_mu sweep of the region workload, at the default schedule
+        ("psh", TERNARY_KZ, (0.25,), [(3, 3)], {}),
         # omega with a 3-column Z|U block
         (
             "omega",
             BINARY_TO_TERNARY_KZ,
             (0.4, 0.7),
             [(1, 2), (2, 3)],
-            SolverOptions(n_starts=24, iters=60, seed=3),
+            {"N_STARTS": 24, "ADAM_ITERS": 60, "SOLVER_SEED": 3},
         ),
     ],
     ids=["ternary-r_mu", "omega-3col"],
 )
-def test_fused_adam_matches_sequential_oracle(kind, p_kz, row, shapes, opts):
-    got = solve_one(kind, p_kz, row, shapes, opts)
-    want = multistart_adam_oracle(fixed_objective(kind, p_kz, row), shapes, opts)
+def test_fused_adam_matches_sequential_oracle(monkeypatch, kind, p_kz, row, shapes, schedule):
+    set_schedule(monkeypatch, **schedule)
+    got = solve_one(kind, p_kz, row, shapes)
+    want = multistart_adam_oracle(fixed_objective(kind, p_kz, row), shapes)
     assert_same_result(got, want)
 
 
-def test_adam_makes_two_calls_per_iteration():
-    opts = SolverOptions(n_starts=10, iters=17)
+def test_adam_makes_two_calls_per_iteration(monkeypatch):
+    set_schedule(monkeypatch, N_STARTS=10, ADAM_ITERS=17)
     f, calls = counting(psh_rows_objective(TERNARY_KZ))
-    minimize_blocks(f, [(3, 3)], [(0.5,)], opts=opts)
-    assert len(calls) == 1 + 2 * opts.iters
+    minimize_blocks(f, [(3, 3)], [(0.5,)])
+    assert len(calls) == 1 + 2 * 17
     dim = 3 * 3
-    assert calls == [10] + [dim * 10, 10] * opts.iters
+    assert calls == [10] + [dim * 10, 10] * 17
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +217,8 @@ def test_adam_makes_two_calls_per_iteration():
     ids=["omega", "omega_tilde", "r_mu", "r_mu-corner"],
 )
 def test_lockstep_dense_scan_matches_sequential_oracle(kind, row, shapes):
-    opts = SolverOptions()
-    got = solve_one(kind, BSC_KZ, row, shapes, opts)
-    want = dense_scan_oracle(fixed_objective(kind, BSC_KZ, row), shapes, opts)
+    got = solve_one(kind, BSC_KZ, row, shapes)
+    want = dense_scan_oracle(fixed_objective(kind, BSC_KZ, row), shapes)
     assert_same_result(got, want)
 
 
@@ -245,10 +252,9 @@ def test_zoom_schedule_matches_full_zoom_accuracy():
     cells = sorted({(mu, alpha) for mus, alphas in grids for mu in mus for alpha in alphas})
     assert len(cells) == 20
     shapes = [(1, 2), (2, 2)]
-    opts = SolverOptions()
-    got = minimize_blocks(omega_rows_objective(BSC_KZ), shapes, cells, opts=opts)
+    got = minimize_blocks(omega_rows_objective(BSC_KZ), shapes, cells)
     for cell, res in zip(cells, got):
-        want = dense_scan_oracle(omega_objective(BSC_KZ, *cell), shapes, opts, full_zoom(opts))
+        want = dense_scan_oracle(omega_objective(BSC_KZ, *cell), shapes, full_zoom())
         assert res[0] <= want[0] + 1e-9, (cell, res[0], want[0])
 
 
@@ -498,13 +504,13 @@ def test_blas_and_einsum_orders_are_pinned():
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.25, 1.0])
-def test_unrolled_adam_matches_reduction_oracle(mu):
+def test_unrolled_adam_matches_reduction_oracle(monkeypatch, mu):
     # production: unrolled softmax and psh terms, 2 calls per iteration, the
     # per-row parameter path of one many-problem solve; oracle: NumPy's own
     # reductions and dim + 2 calls per iteration
-    opts = SolverOptions(n_starts=24, iters=80)
-    level = analysis._r_mu_levels(TERNARY_KZ, [mu], opts=opts)[0]
-    want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts)
+    set_schedule(monkeypatch, N_STARTS=24, ADAM_ITERS=80)
+    level = analysis._r_mu_levels(TERNARY_KZ, [mu])[0]
+    want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)])
     assert level.value == want[0]
     assert np.array_equal(level.channel, want[1][0])
 
@@ -512,25 +518,26 @@ def test_unrolled_adam_matches_reduction_oracle(mu):
 @pytest.mark.parametrize(
     "mus", [[0.0, 0.25, 1.0], list(np.linspace(0.0, 1.0, 33))], ids=["P3", "P33"]
 )
-def test_lockstep_adam_matches_per_problem_oracle(mus):
+def test_lockstep_adam_matches_per_problem_oracle(monkeypatch, mus):
     # the starts of all problems step as one array: at P = 3 each
     # iteration's bumped rows of every problem go in one call, and at
     # P = 33 the 33 * 216 bumped rows are split across 4096-row chunks,
     # with a problem's rows split between two calls; each problem still
     # follows its own sequential path bit for bit
-    opts = SolverOptions(n_starts=24, iters=30)
+    iters = 30
+    set_schedule(monkeypatch, N_STARTS=24, ADAM_ITERS=iters)
     dim = 3 * 3
     g, calls = counting(psh_rows_objective(TERNARY_KZ))
-    got = minimize_blocks(g, [(3, 3)], np.array(mus)[:, None], opts=opts)
+    got = minimize_blocks(g, [(3, 3)], np.array(mus)[:, None])
     for mu, res in zip(mus, got):
-        want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)], opts)
+        want = multistart_adam_oracle(psh_objective_oracle(TERNARY_KZ, mu), [(3, 3)])
         assert_same_result(res, want)
-    assert sum(calls) == len(mus) * 24 * (1 + opts.iters * (dim + 1))
+    assert sum(calls) == len(mus) * 24 * (1 + iters * (dim + 1))
     if len(mus) == 3:
-        assert calls == [3 * 24] + [3 * dim * 24, 3 * 24] * opts.iters
+        assert calls == [3 * 24] + [3 * dim * 24, 3 * 24] * iters
     else:
         assert max(calls) == simplexopt.CHUNK_ROWS
-        assert len(calls) < 2 * opts.iters * len(mus) // 4
+        assert len(calls) < 2 * iters * len(mus) // 4
 
 
 # ---------------------------------------------------------------------------
@@ -542,46 +549,43 @@ def test_many_problem_omega_matches_per_problem_oracle():
     # every 33^3 mesh spans chunk boundaries; the last chunk of a mesh is
     # shared with the next problem's rows
     cells = [(0.3, 0.8), (0.0, 0.5), (1.0, 1.0), (0.6, 0.2)]
-    opts = SolverOptions()
     g, calls = counting(omega_rows_objective(BSC_KZ))
-    got = minimize_blocks(g, [(1, 2), (2, 2)], cells, opts=opts)
+    got = minimize_blocks(g, [(1, 2), (2, 2)], cells)
     assert max(calls) == simplexopt.CHUNK_ROWS
     for cell, res in zip(cells, got):
-        assert_same_result(res, dense_scan_oracle(omega_objective(BSC_KZ, *cell), [(1, 2), (2, 2)], opts))
+        assert_same_result(res, dense_scan_oracle(omega_objective(BSC_KZ, *cell), [(1, 2), (2, 2)]))
 
 
 def test_many_problem_omega_tilde_packs_meshes_across_chunks():
     cells = [(0.5, 1.5), (0.1, 0.3), (0.9, 0.7), (0.0, 4.0), (1.0, 0.05), (0.3, 2.0)]
-    opts = SolverOptions()
     g, calls = counting(omega_tilde_rows_objective(BSC_KZ))
-    got = minimize_blocks(g, [(2, 2)], cells, opts=opts)
+    got = minimize_blocks(g, [(2, 2)], cells)
     # the 33^2 global meshes of the first problems fill the first call, and
     # the fourth mesh is split between it and the next call
     assert simplexopt.CHUNK_ROWS % 33**2 != 0
     assert calls[0] == simplexopt.CHUNK_ROWS
     assert max(calls) == simplexopt.CHUNK_ROWS
     for cell, res in zip(cells, got):
-        assert_same_result(res, dense_scan_oracle(omega_tilde_objective(BSC_KZ, *cell), [(2, 2)], opts))
+        assert_same_result(res, dense_scan_oracle(omega_tilde_objective(BSC_KZ, *cell), [(2, 2)]))
 
 
 def test_many_problem_r_mu_matches_per_problem_oracle():
     # mu = 0 is the clipped corner basin
     mus = [0.4, 0.0, 1.0, 0.75]
-    opts = SolverOptions()
-    got = minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], np.array(mus)[:, None], opts=opts)
+    got = minimize_blocks(psh_rows_objective(BSC_KZ), [(2, 2)], np.array(mus)[:, None])
     for mu, res in zip(mus, got):
-        assert_same_result(res, dense_scan_oracle(psh_objective(BSC_KZ, mu), [(2, 2)], opts))
+        assert_same_result(res, dense_scan_oracle(psh_objective(BSC_KZ, mu), [(2, 2)]))
     assert np.min(got[1][1][0]) < 1e-6
-    levels = analysis._r_mu_levels(BSC_KZ, mus, opts=opts)
+    levels = analysis._r_mu_levels(BSC_KZ, mus)
     assert [lv.value for lv in levels] == [res[0] for res in got]
 
 
 @pytest.mark.parametrize(
-    "f, shapes, row, opts",
+    "f, shapes, row, schedule",
     [
         # the local meshes of a zoom round are built as the stream draws
         # them, and the polish holds no mesh
-        (omega_rows_objective(BSC_KZ), [(1, 2), (2, 2)], lambda k: (0.5, 0.1 * (k + 1)), None),
+        (omega_rows_objective(BSC_KZ), [(1, 2), (2, 2)], lambda k: (0.5, 0.1 * (k + 1)), {}),
         # each problem's bumped rows are a lazy ask of 9 * 9 * 1000 values,
         # more than a chunk: six problems read 1.7 times one problem's peak
         # here, and 2.3 times if all six asks are built at once
@@ -589,19 +593,20 @@ def test_many_problem_r_mu_matches_per_problem_oracle():
             psh_rows_objective(TERNARY_KZ),
             [(3, 3)],
             lambda k: (0.1 * (k + 1),),
-            SolverOptions(n_starts=1000, iters=3),
+            {"N_STARTS": 1000, "ADAM_ITERS": 3},
         ),
     ],
     ids=["dense", "adam"],
 )
-def test_many_problem_memory_does_not_grow_with_problems(f, shapes, row, opts):
+def test_many_problem_memory_does_not_grow_with_problems(monkeypatch, f, shapes, row, schedule):
     # six problems peak well below six times one problem's memory
+    set_schedule(monkeypatch, **schedule)
     peaks = []
     tracemalloc.start()
     try:
         for n in (1, 6):
             tracemalloc.reset_peak()
-            minimize_blocks(f, shapes, [row(k) for k in range(n)], opts=opts)
+            minimize_blocks(f, shapes, [row(k) for k in range(n)])
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()

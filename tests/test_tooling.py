@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import cli, probability
+from leaklab import cli, probability, simplexopt
 from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
@@ -78,13 +78,13 @@ traced_minimize = analysis.minimize_blocks
 received = []  # the number of values each objective call returned
 
 
-def counting_minimize(f, shapes, params, **kwargs):
+def counting_minimize(f, shapes, params):
     def counted(blocks, rows):
         values = f(blocks, rows)
         received.append(len(values))
         return values
 
-    return traced_minimize(counted, shapes, params, **kwargs)
+    return traced_minimize(counted, shapes, params)
 
 
 analysis.minimize_blocks = counting_minimize
@@ -92,14 +92,14 @@ if sys.argv[2] == "dense":
     # three binary levels in one many-problem dense solve, whose 5 x 5
     # global meshes share one call
     p_kz = prob.joint_from_channel(prob.Pmf.uniform(2), prob.ChannelMatrix.bsc(0.1))
-    opts = simplexopt.SolverOptions(dense_points=5)
-    analysis._r_mu_levels(p_kz, [0.0, 0.4, 1.0], opts=opts)
+    simplexopt.DENSE_POINTS = 5
+    analysis._r_mu_levels(p_kz, [0.0, 0.4, 1.0])
 else:
     # three ternary levels in one many-problem Adam solve
     w = prob.ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
     p_kz = prob.joint_from_channel(prob.Pmf([0.4, 0.35, 0.25]), w)
-    opts = simplexopt.SolverOptions(n_starts=8, iters=5)
-    analysis._r_mu_levels(p_kz, [0.0, 0.25, 1.0], opts=opts)
+    simplexopt.N_STARTS, simplexopt.ADAM_ITERS = 8, 5
+    analysis._r_mu_levels(p_kz, [0.0, 0.25, 1.0])
 print(json.dumps({"metrics": tracer.metrics(), "received": received}))
 """
 
@@ -221,7 +221,7 @@ def test_readme_key_table_matches_schema():
     # kind, range and default, and no other key
     text = README.read_text()
     want = list(_schema_rows(cli.SCHEMA))
-    assert len(want) == 29
+    assert len(want) == 28
     assert _readme_rows(text) == want
     # a copy of the README with one row dropped fails the check
     row = next(line for line in text.splitlines() if line.startswith("| `R_A` |"))
@@ -278,3 +278,34 @@ def test_one_table_cap_refuses_every_table(tmp_path, monkeypatch):
     for name, function in functions.items():
         params = set(inspect.signature(function).parameters)
         assert not params & {"cap", "table_cap"}, name
+
+
+# The keyword options that only tests ever set, by the callable that took
+# them; each is now a module constant that tests patch.
+REMOVED_OPTIONS = {
+    "simplexopt.minimize_blocks": {"opts"},
+    "analysis.r_mu": {"u_size", "opts"},
+    "analysis._r_mu_levels": {"u_size", "opts"},
+    "analysis.ExponentCalculator.__init__": {"opts"},
+    "analysis.region_membership": {"band"},
+    "crypto.Cryptosystem.__init__": {"validation", "sample_pairs", "seed"},
+    "crypto.check_structural_properties": {"max_exhaustive_pairs", "sample_keys", "seed"},
+    "leakage.structural_checks": {"in_decoding_set", "tol"},
+    "adversary.best_scalar_quantizer": {"max_obs"},
+    "probability.Pmf.__init__": {"renormalize"},
+    "probability.ChannelMatrix.__init__": {"renormalize"},
+}
+
+
+def test_options_that_only_tests_set_stay_constants():
+    # an option needs two callers besides the tests that want different
+    # values; none of these had one, so none may come back
+    functions = dict(_package_functions())
+    for name, removed in REMOVED_OPTIONS.items():
+        params = set(inspect.signature(functions[f"leaklab.{name}"]).parameters)
+        assert not params & removed, (name, params & removed)
+    assert not hasattr(simplexopt, "SolverOptions")
+    assert not hasattr(Cryptosystem, "from_json")
+    # the decoder fixture lives in the tests, not in the config schema
+    assert "mutation" not in cli.SCHEMA
+    assert not hasattr(cli, "_MutatedDecoderCode")
