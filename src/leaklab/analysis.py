@@ -323,12 +323,10 @@ class AkwBoundary:
         return R_A >= -band and R >= self.envelope(R_A) - band
 
 
-def akw_boundary(p_kz, mu_grid=None) -> AkwBoundary:
-    """Sweep mu over [0, 1]; each level yields one half-plane and the
-    touching (I(Z;U), H(K|U)) point of the achieving channel.  All levels
-    are solved in one many-problem call of the minimizer."""
-    if mu_grid is None:
-        mu_grid = np.linspace(0.0, 1.0, 33)
+def akw_boundary(p_kz, mu_grid) -> AkwBoundary:
+    """Sweep mu over the levels ``mu_grid``; each level yields one half-plane
+    and the touching (I(Z;U), H(K|U)) point of the achieving channel.  All
+    levels are solved in one many-problem call of the minimizer."""
     levels = _r_mu_levels(p_kz, np.asarray(mu_grid, dtype=np.float64))
     pts = [BoundaryPoint(mu=r.mu, r_mu=r.value, R_A=r.i_zu, R=r.h_kgu) for r in levels]
     p = np.asarray(p_kz, dtype=np.float64)
@@ -605,18 +603,17 @@ class MembershipResult:
     h_x: float
 
 
-def region_membership(point, p_x, p_kz, *, boundary: AkwBoundary | None = None) -> MembershipResult:
+def region_membership(point, p_x, boundary: AkwBoundary) -> MembershipResult:
     """Classify a rate point against {R >= H(X)} and the helper region.
 
     A point is in the reliable-and-secure region when the coding rate covers
     the source entropy and the pair lies in the closed complement of the
     helper region (slack <= 0 against every supporting hyperplane).  Points
     within ``MEMBERSHIP_BAND`` of either boundary are labelled
-    "boundary-band".
+    "boundary-band".  ``boundary`` is the helper region's, from
+    ``akw_boundary``.
     """
     R_A, R = float(point[0]), float(point[1])
-    if boundary is None:
-        boundary = akw_boundary(p_kz)
     h_x = entropy(np.asarray(p_x, dtype=np.float64) if not hasattr(p_x, "probs") else p_x.probs)
     gap = R - boundary.envelope(R_A)  # > 0: strictly above the helper boundary
     rel_ok = R >= h_x - MEMBERSHIP_BAND

@@ -4,7 +4,9 @@ One JSON config describes the whole experiment: source and key laws, the
 side channel, the adversary encoder, block lengths, rate point, seeds, and
 solver tolerances.  Every run writes a manifest (config hash, seeds, tool
 version) next to its outputs, and repeated runs with the same config and
-seeds are bit-identical.
+seeds are bit-identical.  This module writes every output byte: the
+compute modules return numbers, and the CSV schemas, the one number format
+(``_fmt``) and the code descriptor live here.
 
 Subcommands: ``verify``, ``simulate``, ``leakage``, ``region``,
 ``exponent``, ``build-code``.  Exit codes: 0 ok, 1 property violation,
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import __version__, adversary, analysis, codec, crypto, galois, leakage
 from . import probability as prob
-from .leakage import _fmt
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,10 +36,6 @@ EXIT_CONFIG = 2
 
 class ConfigError(Exception):
     pass
-
-
-def _csv_line(values) -> str:
-    return ",".join(_fmt(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +244,21 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
+def _fmt(v) -> str:
+    """The package's one value format: an int or a string as it is, any
+    other number to 12 significant digits."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return format(float(v), ".12g")
+
+
+def _csv(header: str, rows, sep: str = ",") -> str:
+    """A table as text: the header line, then one line per row."""
+    return header + "\n" + "".join(sep.join(map(_fmt, r)) + "\n" for r in rows)
+
+
 def _write_text(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -290,6 +302,8 @@ def _codes(exp: Experiment):
     for n in exp.n_list:
         try:
             code = exp.build_code(n)
+        except prob.TableCapError:
+            raise
         except ValueError as e:
             print(f"notice: skipping n={n}: {e}", file=sys.stderr)
             continue
@@ -365,10 +379,8 @@ def _replay_draws(rng, p_x, p_k, samples: int, n: int):
 def _simulate_row(exp: Experiment, n: int, code, fvals):
     sys_n = exp.build_system(code)
     enc = exp.build_encoder(n)
-    p2 = codec.verify_error_bound(code, exp.p_x, exp.gamma, R=exp.R)
-    rep = leakage.leakage_report(
-        sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
-    )
+    p2 = codec.verify_error_bound(code, exp.p_x, exp.gamma, exp.R)
+    rep = leakage.leakage_report(sys_n, enc, exp.p_kz, exp.p_x)
     # seeded transmission replay through the real encrypt/decrypt path
     rng = np.random.default_rng(np.random.SeedSequence([exp.replay_seed, n]))
     xs, ks = _replay_draws(rng, exp.p_x.probs, exp.p_k.probs, exp.mc_samples, n)
@@ -410,32 +422,33 @@ def cmd_simulate(exp: Experiment, out_dir, config_path) -> int:
         fvals = (math.nan, math.nan)
     rows = [_simulate_row(exp, n, code, fvals) for n, code in _codes(exp)]
     rows.sort(key=lambda r: r[0])
-    text = SIMULATE_HEADER + "\n" + "".join(_csv_line(r) + "\n" for r in rows)
-    path = _write_text(out_dir, "simulate.csv", text)
+    path = _write_text(out_dir, "simulate.csv", _csv(SIMULATE_HEADER, rows))
     _write_manifest(out_dir, "simulate", config_path, exp, [path])
     print(f"wrote {path}")
     return EXIT_OK
 
 
+# The iters column reads 0 (worst-case leakage is in closed form, with no
+# iteration), and tol echoes the config; no leakage value depends on it.
+LEAKAGE_HEADER = "n,m,q,RA,R,delta_mi,delta_max,lb,ub,iters,tol"
+
+
 def cmd_leakage(exp: Experiment, out_dir, config_path) -> int:
-    reps = []
+    rows = []
     for n, code in _codes(exp):
         sys_n = exp.build_system(code)
         enc = exp.build_encoder(n)
-        rep = leakage.leakage_report(
-            sys_n, enc, exp.p_kz, exp.p_x, R_A=exp.R_A, R=exp.R, tol=exp.tol
-        )
-        gap = exp.R_A - rep.diagnostics["adversary_rate"]
+        rep = leakage.leakage_report(sys_n, enc, exp.p_kz, exp.p_x)
         print(
-            f"n={n}: adversary rate {rep.diagnostics['adversary_rate']:.6f} nats "
-            f"(budget R_A={exp.R_A:.6f}, slack {gap:.6f})"
+            f"n={n}: adversary rate {enc.rate:.6f} nats "
+            f"(budget R_A={exp.R_A:.6f}, slack {exp.R_A - enc.rate:.6f})"
         )
-        reps.append(rep)
-    reps.sort(key=lambda r: r.n)
-    text = leakage.LeakageReport.CSV_HEADER + "\n" + "".join(
-        r.csv_row() + "\n" for r in reps
-    )
-    path = _write_text(out_dir, "leakage.csv", text)
+        rows.append([
+            n, code.m, exp.q, exp.R_A, exp.R,
+            rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound, 0, exp.tol,
+        ])
+    rows.sort(key=lambda r: r[0])
+    path = _write_text(out_dir, "leakage.csv", _csv(LEAKAGE_HEADER, rows))
     _write_manifest(out_dir, "leakage", config_path, exp, [path])
     print(f"wrote {path}")
     return EXIT_OK
@@ -452,10 +465,8 @@ plot "region_points.dat" using 1:2 with linespoints title "boundary (I(Z;U), H(K
 def cmd_region(exp: Experiment, out_dir, config_path) -> int:
     boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0.0, 1.0, exp.mu_points))
     rows = sorted(((p.mu, p.r_mu, p.R_A, p.R) for p in boundary.points))
-    csv_text = "mu,R_mu\n" + "".join(_csv_line(r[:2]) + "\n" for r in rows)
-    dat_text = "# RA R\n" + "".join(
-        f"{_fmt(r[2])} {_fmt(r[3])}\n" for r in rows
-    )
+    csv_text = _csv("mu,R_mu", (r[:2] for r in rows))
+    dat_text = _csv("# RA R", (r[2:] for r in rows), " ")
     p1 = _write_text(out_dir, "region.csv", csv_text)
     p2 = _write_text(out_dir, "region_points.dat", dat_text)
     p3 = _write_text(out_dir, "region.gp", REGION_GP)
@@ -483,13 +494,10 @@ def cmd_exponent(exp: Experiment, out_dir, config_path) -> int:
         for r in rs:
             F = calc.F(ra, r)
             FL = calc.F_lower(ra, r)
-            member = analysis.region_membership(
-                (ra, r), exp.p_x, exp.p_kz, boundary=boundary
-            )
+            member = analysis.region_membership((ra, r), exp.p_x, boundary)
             rows.append((ra, r, F.value, FL.value, member.label))
     rows.sort(key=lambda t: (t[0], t[1]))
-    text = "RA,R,F,F_lower,member\n" + "".join(_csv_line(r) + "\n" for r in rows)
-    p1 = _write_text(out_dir, "exponent.csv", text)
+    p1 = _write_text(out_dir, "exponent.csv", _csv("RA,R,F,F_lower,member", rows))
     p2 = _write_text(out_dir, "exponent.gp", EXPONENT_GP)
     _write_manifest(out_dir, "exponent", config_path, exp, [p1, p2])
     print(f"wrote {p1}")
@@ -499,11 +507,16 @@ def cmd_exponent(exp: Experiment, out_dir, config_path) -> int:
 def cmd_build_code(exp: Experiment, out_dir, config_path) -> int:
     outputs = []
     for n, code in _codes(exp):
-        doc = code.to_json()
-        doc["rate"] = code.rate
-        doc["rate_window_ok"] = code.rate_window_ok(exp.R)
-        doc["decoding_set_size"] = code.decoding_set_size
-        doc["type_order"] = [list(t.counts) for t in code.type_order]
+        doc = {
+            "n": code.n,
+            "m": code.m,
+            "q": code.q,
+            "order": code.order,
+            "rate": code.rate,
+            "rate_window_ok": code.rate_window_ok(exp.R),
+            "decoding_set_size": code.decoding_set_size,
+            "type_order": [list(t.counts) for t in code.type_order],
+        }
         outputs.append(
             _write_text(out_dir, f"code_n{n}.json", json.dumps(doc, indent=2) + "\n")
         )
@@ -531,25 +544,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        exp = Experiment(cfg, seed_override=args.seed)
-        out_dir = Path(args.out)
-        if args.command == "verify":
-            return cmd_verify(exp, out_dir, args.config)
-        if args.command == "simulate":
-            return cmd_simulate(exp, out_dir, args.config)
-        if args.command == "leakage":
-            return cmd_leakage(exp, out_dir, args.config)
-        if args.command == "region":
-            return cmd_region(exp, out_dir, args.config)
-        if args.command == "exponent":
-            return cmd_exponent(exp, out_dir, args.config)
-        if args.command == "build-code":
-            return cmd_build_code(exp, out_dir, args.config)
+        exp = Experiment(load_config(args.config), seed_override=args.seed)
+        # looked up at call time, so a handler replaced on the module runs
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(exp, Path(args.out), args.config)
     except (ConfigError, prob.TableCapError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -191,12 +191,6 @@ class UniversalCode:
         _, in_d, _ = self.full_tables()
         return in_d[self._sequence_index(x)]
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """The code's descriptor, as ``build-code`` writes it."""
-        return {"n": self.n, "m": self.m, "q": self.q, "order": self.order}
-
     @classmethod
     def identity(cls, n: int, q: int) -> "UniversalCode":
         """Lossless identity-style code (m = n, D = X^n)."""
@@ -312,19 +306,15 @@ class ErrorBoundReport:
     holds: bool
 
 
-def verify_error_bound(
-    code: UniversalCode, p_X, gamma: float, R: float | None = None
-) -> ErrorBoundReport:
+def verify_error_bound(code: UniversalCode, p_X, gamma: float, R: float) -> ErrorBoundReport:
     """Check exact p_e <= (n+1)^q * exp(-n * E_gamma(R | p_X)).
 
-    ``R`` is the nominal scheme rate the exponent is evaluated at (the
-    code's own rate when omitted).  ``delta_n = (|X| ln(n+1) + 1) / n``
-    must be <= gamma for the bound's formal preconditions; the report
-    carries that flag and the check is run either way.
+    ``R`` is the nominal scheme rate the exponent is evaluated at.
+    ``delta_n = (|X| ln(n+1) + 1) / n`` must be <= gamma for the bound's
+    formal preconditions; the report carries that flag and the check is run
+    either way.
     """
     n, q = code.n, code.q
-    if R is None:
-        R = code.rate
     pe = error_probability_exact(code, p_X)
     p = p_X if isinstance(p_X, Pmf) else Pmf(p_X)
     e = exponent_E(ExponentQuery(R=R, gamma=gamma, p_X=p))

@@ -26,6 +26,7 @@ import numpy as np
 
 from .codec import UniversalCode, _as_symbols, _radix
 from .galois import AffineMap, affine_apply
+from .probability import check_table
 
 __all__ = [
     "Cryptosystem",
@@ -131,6 +132,7 @@ def _condition_check(sys):
     rng = np.random.default_rng(VALIDATION_SEED)
     exhaustive = sys.validation == "exhaustive"
     n_probe = min(SAMPLE_PAIRS, 256) if exhaustive else SAMPLE_PAIRS
+    check_table("n_probe * n", n_probe * n)
     keys = rng.integers(0, q, size=(n_probe, n))
     xs = rng.integers(0, q, size=(n_probe, n))
     want = sys.code.decode(sys.code.encode(xs))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .probability import check_table
+
 __all__ = [
     "FieldSpec",
     "AffineMap",
@@ -111,9 +113,11 @@ def affine_apply(amap: AffineMap, k) -> np.ndarray:
 
 
 def random_affine(n: int, m: int, spec: FieldSpec, seed) -> AffineMap:
-    """Sample A and b with i.i.d. uniform entries; deterministic given seed."""
+    """Sample A and b with i.i.d. uniform entries; deterministic given seed.
+    The n * m matrix is checked against the table cap before it is drawn."""
     if not (n >= m >= 1):
         raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
+    check_table("n * m", n * m)
     rng = np.random.default_rng(seed)
     A = rng.integers(0, spec.q, size=(n, m))
     b = rng.integers(0, spec.q, size=m)

@@ -33,7 +33,8 @@ cell law p(k | cell) of a scalar adversary is an exact translate over Z_q of
 one law: then every posterior is a translate of one law over Z_q^m, and the
 kernel is that one row, folded in n steps over a q^m vector (its docstring
 has the proof).  ``leakage_report`` takes the translation kernel where it
-applies and the dense one elsewhere; the criteria read either.
+applies and the dense one elsewhere; the criteria read either.  It returns
+numbers only: the CLI lays out ``leakage.csv`` and formats every value.
 
 The averages over messages are ``math.fsum`` reductions, correctly rounded,
 so their bits do not depend on the BLAS build or its thread count.
@@ -645,65 +646,17 @@ def structural_checks(kernel: GammaKernel) -> KernelCheckReport:
 
 @dataclass
 class LeakageReport:
-    """One experiment row: exact leakage plus both closed-form bounds.
+    """The leakage numbers of one configuration: exact leakage, worst-case
+    leakage and both closed-form bounds, in nats."""
 
-    ``tol`` is echoed in the CSV for configs that carry it; no leakage
-    value depends on it.  The ``iters`` column stays in the schema and
-    reads 0, since no iteration runs.
-    """
-
-    n: int
-    m: int
-    q: int
-    R_A: float
-    R: float
     delta_mi: float
     delta_max: float
     lower_bound: float
     upper_bound: float
-    tol: float
-    diagnostics: dict = field(default_factory=dict)
-
-    CSV_HEADER = "n,m,q,RA,R,delta_mi,delta_max,lb,ub,iters,tol"
-
-    def csv_row(self) -> str:
-        vals = [
-            self.n,
-            self.m,
-            self.q,
-            self.R_A,
-            self.R,
-            self.delta_mi,
-            self.delta_max,
-            self.lower_bound,
-            self.upper_bound,
-            0,
-            self.tol,
-        ]
-        return ",".join(_fmt(v) for v in vals)
+    diagnostics: dict
 
 
-def _fmt(v) -> str:
-    """The package's one CSV value format (floats to 12 significant digits)."""
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".12g")
-
-
-def leakage_report(
-    sys: Cryptosystem,
-    encoder,
-    p_kz,
-    p_x,
-    *,
-    R_A: float,
-    R: float,
-    tol: float = 1e-7,
-) -> LeakageReport:
+def leakage_report(sys: Cryptosystem, encoder, p_kz, p_x) -> LeakageReport:
     """Assemble the full leakage picture for one configuration.
 
     The kernel is the translation kernel where the adversary's cell laws
@@ -714,15 +667,9 @@ def leakage_report(
     if kernel is None:
         kernel, path = build_gamma_kernel(sys, encoder, p_kz), "dense"
     return LeakageReport(
-        n=sys.n,
-        m=sys.m,
-        q=sys.q,
-        R_A=R_A,
-        R=R,
         delta_mi=delta_mi(kernel, p_x),
         delta_max=delta_max_mi(kernel).value,
         lower_bound=delta_max_lower_bound(kernel),
         upper_bound=delta_max_upper_bound(kernel),
-        tol=tol,
-        diagnostics={"adversary_rate": encoder.rate, "kernel": path},
+        diagnostics={"kernel": path},
     )

@@ -395,10 +395,13 @@ def _compositions(n: int, parts: int) -> tuple:
 
 
 def enumerate_types(n: int, alphabet_size: int) -> list:
-    """All type classes of X^n in lexicographic counts order."""
+    """All type classes of X^n in lexicographic counts order.  Their
+    C(n + q - 1, q - 1) * q counts are checked against the table cap first."""
     if n < 1 or alphabet_size < 1:
         raise ValueError("need n >= 1 and alphabet_size >= 1")
-    return [TypeClass(c) for c in _compositions(n, alphabet_size)]
+    q = alphabet_size
+    check_table("C(n + q - 1, q - 1) * q", math.comb(n + q - 1, q - 1) * q)
+    return [TypeClass(c) for c in _compositions(n, q)]
 
 
 def type_of(seq, alphabet_size: int) -> TypeClass:

@@ -200,8 +200,13 @@ def _evaluate(f, shapes, asks, params, to_blocks=_blocks_from_free):
             entry[3] = stop
         points = np.concatenate([e[1][:, a:b] for e, a, b in pieces], axis=1)
         rows = params[np.concatenate([e[0][a:b] for e, a, b in pieces])]
-        vals = f([b.transpose(2, 0, 1) for b in to_blocks(points, shapes)], rows)
-        vals = np.asarray(vals, dtype=np.float64)
+        blocks = [b.transpose(2, 0, 1) for b in to_blocks(points, shapes)]
+        # Freed before the objective runs: points held through it can leave a
+        # free heap top that glibc trims and the next chunk faults back in (in
+        # some heap layouts, twice the time of exponent-surface's region step).
+        del points
+        vals = np.asarray(f(blocks, rows), dtype=np.float64)
+        del blocks
         pos = 0
         for entry, start, stop in pieces:
             entry[2].append(vals[pos : pos + stop - start])

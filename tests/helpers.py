@@ -20,6 +20,8 @@ from leaklab.simplexopt import (
 )
 
 TINY = np.finfo(np.float64).tiny
+# The mu levels of a boundary sweep at the config's default mu_points = 33.
+MU_LEVELS = np.linspace(0.0, 1.0, 33)
 
 
 def _lex(word, q):

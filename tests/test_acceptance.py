@@ -8,7 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import capacity_oracle, mu_weighted_information, omega_tilde, simplex_grid_capacity
+from helpers import (
+    MU_LEVELS,
+    capacity_oracle,
+    mu_weighted_information,
+    omega_tilde,
+    simplex_grid_capacity,
+)
 
 from leaklab import analysis
 from leaklab.adversary import scalar_quantizer_encoder
@@ -202,7 +208,7 @@ def test_criterion_6_region_endpoints():
         # random search cannot beat the solver; boundary optima keep it
         # a few 1e-4 above the truth at this sample size
         assert r0 <= oracle + 1e-9 and oracle - r0 < 1e-3
-        bd = analysis.akw_boundary(BSC_KZ)
+        bd = analysis.akw_boundary(BSC_KZ, MU_LEVELS)
         for pt in bd.points:
             assert pt.R_A + pt.R >= bd.h_k - 1e-8
         members = [
@@ -226,7 +232,7 @@ def test_criterion_7_exponent_ordering_and_positivity():
     positivity floor wherever the shifted point leaves the helper region."""
     with budget("7 exponent-ordering", 600):
         calc = analysis.ExponentCalculator(BSC_KZ)  # default grids
-        bd = analysis.akw_boundary(BSC_KZ)
+        bd = analysis.akw_boundary(BSC_KZ, MU_LEVELS)
         tau = 0.1
         qualifying = 0
         for ra in np.linspace(0.0, 0.4, 5):

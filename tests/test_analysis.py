@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mu_weighted_information, omega, omega_tilde
+from helpers import MU_LEVELS, mu_weighted_information, omega, omega_tilde
 from leaklab import analysis
 from leaklab.analysis import (
     ExponentCalculator,
@@ -137,19 +137,19 @@ def test_r_mu_noiseless_channel_closed_form(mu):
 
 
 def test_boundary_contains_zero_hk_point():
-    bd = akw_boundary(BSC_KZ)
+    bd = akw_boundary(BSC_KZ, MU_LEVELS)
     assert bd.contains(0.0, bd.h_k, band=1e-8)
     assert abs(bd.envelope(0.0) - bd.h_k) < 1e-8
 
 
 def test_boundary_points_satisfy_sum_rate_bound():
-    bd = akw_boundary(BSC_KZ)
+    bd = akw_boundary(BSC_KZ, MU_LEVELS)
     for p in bd.points:
         assert p.R_A + p.R >= bd.h_k - 1e-8
 
 
 def test_boundary_midpoint_convexity():
-    bd = akw_boundary(BSC_KZ)
+    bd = akw_boundary(BSC_KZ, MU_LEVELS)
     pts = [(0.05, 0.6), (0.2, 0.5), (0.4, 0.45), (0.1, 0.69)]
     members = [p for p in pts if bd.contains(*p, band=1e-9)]
     for i in range(len(members)):
@@ -373,7 +373,7 @@ def test_exponents_non_increasing_in_rates(small_calc):
 
 
 def test_lower_exponent_threshold_outside_region(small_calc):
-    bd = akw_boundary(BSC_KZ)
+    bd = akw_boundary(BSC_KZ, MU_LEVELS)
     calc = small_calc
     tau = 0.1
     for (ra, r) in [(0.05, 0.15), (0.1, 0.25), (0.3, 0.2)]:
@@ -405,21 +405,21 @@ def test_exponents_ternary_observation_descent_path(monkeypatch):
 
 def test_region_membership_reliability_gate():
     p_x = Pmf.bernoulli(0.3)  # H = 0.611 nats
-    res = region_membership((0.1, 0.3), p_x, BSC_KZ)
+    res = region_membership((0.1, 0.3), p_x, akw_boundary(BSC_KZ, MU_LEVELS))
     assert res.label == "outside" and not res.reliability_ok
 
 
 def test_region_membership_secure_band():
     p_x = Pmf.bernoulli(0.05)  # H = 0.199 nats
-    bd = akw_boundary(BSC_KZ)
+    bd = akw_boundary(BSC_KZ, MU_LEVELS)
     # below the helper boundary and above H(X): reliable and secure
-    inside = region_membership((0.0, 0.55), p_x, BSC_KZ, boundary=bd)
+    inside = region_membership((0.0, 0.55), p_x, bd)
     assert inside.label == "inside"
     # strictly inside the helper region: secrecy impossible
-    outside = region_membership((0.5, 0.6), p_x, BSC_KZ, boundary=bd)
+    outside = region_membership((0.5, 0.6), p_x, bd)
     assert outside.label == "outside"
     # on the helper boundary
-    edge = region_membership((0.0, bd.envelope(0.0)), p_x, BSC_KZ, boundary=bd)
+    edge = region_membership((0.0, bd.envelope(0.0)), p_x, bd)
     assert edge.label == "boundary-band"
 
 

@@ -529,6 +529,22 @@ def test_golden_region_ternary_csv(tmp_path):
     assert (out / "region.csv").read_bytes() == want
 
 
+def test_golden_leakage_csv(tmp_path):
+    # translation-kernel rows (BSC, uniform key) and dense rows (ternary)
+    out = tmp_path / "o"
+    assert main(["leakage", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_OK
+    assert (out / "leakage.csv").read_bytes() == (GOLDEN / "leakage.csv").read_bytes()
+    out = _run_config(tmp_path, "leakage", {**TERNARY_REGION_CONFIG, "n_list": [4, 5, 6]})
+    assert (out / "leakage.csv").read_bytes() == (GOLDEN / "leakage_ternary.csv").read_bytes()
+
+
+def test_golden_build_code_descriptor(tmp_path):
+    cfg = write_config(tmp_path, n_list=[6])
+    out = tmp_path / "o"
+    assert main(["build-code", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert (out / "code_n6.json").read_bytes() == (GOLDEN / "code_n6.json").read_bytes()
+
+
 def test_golden_exponent_csv(tmp_path):
     out = _run_config(tmp_path, "exponent", EXPONENT_CONFIG)
     got = (out / "exponent.csv").read_text().splitlines()
@@ -659,3 +675,20 @@ def test_oversized_replay_exits_2_before_any_work(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "monte_carlo_samples * 2 * n = 12000000000 entries exceed the table cap 2^26" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, want", [
+    ({**BASE_CONFIG, "R": 0.5}, "n * m = 28800"),  # m = 144
+    ({**BASE_CONFIG, "R": 0.01}, "n_probe * n = 2000000"),  # m = 2
+    (TERNARY_REGION_CONFIG, "C(n + q - 1, q - 1) * q = 60903"),
+], ids=["key_map", "probe", "type_classes"])
+def test_block_length_tables_exit_2_where_they_are_built(tmp_path, monkeypatch, capsys, cfg, want):
+    # n=200 under a cap of 2^14: each table is refused before it is
+    # allocated, before the X^n digit table is reached
+    monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**14)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg, "n_list": [200]}))
+    assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {want} entries exceed the table cap 2^14"), err
+    assert not (tmp_path / "o").exists()

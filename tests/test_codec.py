@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from leaklab.cli import main
 from leaklab.codec import (
     ExponentQuery,
     UniversalCode,
@@ -286,10 +288,15 @@ def test_identity_code():
         UniversalCode(3, 2, 2, order="lexicographic")
 
 
-def test_code_json_round_trip():
+def test_code_json_round_trip(tmp_path):
     # the build-code descriptor names every argument of the code
     code = build_universal_code(6, 0.5, 2)
-    back = UniversalCode(**code.to_json())
+    config = {"q": 2, "source": {"probs": [0.9, 0.1]}, "key": {"probs": [0.5, 0.5]},
+              "W": {"rows": [[0.9, 0.1], [0.1, 0.9]]}, "n_list": [6], "R": 0.5}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["build-code", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "code_n6.json").read_text())
+    back = UniversalCode(**{key: doc[key] for key in ("n", "m", "q", "order")})
     assert (back.n, back.m, back.q, back.order) == (code.n, code.m, code.q, code.order)
     x = np.array([0, 1, 1, 0, 1, 0])
     assert np.array_equal(back.encode(x), code.encode(x))

@@ -607,7 +607,7 @@ def test_leakage_report_enumerates_table_adversary_once(monkeypatch):
     code = build_universal_code(4, 0.5, 2)
     sys = Cryptosystem(code, random_affine(4, code.m, FieldSpec(2), seed=8))
     enc = TableEncoder(np.arange(16) % 3, n=4, obs_size=2)
-    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11), R_A=0.5, R=0.5)
+    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11))
     assert calls == ["table"]
     assert rep.lower_bound <= rep.delta_max == rep.upper_bound
 
@@ -798,16 +798,11 @@ def test_leakage_report_row():
     code = build_universal_code(4, 0.5, 2)
     sys = Cryptosystem(code, random_affine(4, code.m, FieldSpec(2), seed=8))
     enc = scalar_quantizer_encoder([0, 1], 4)
-    rep = leakage_report(
-        sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11), R_A=LN2, R=0.5, tol=1e-7
-    )
+    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11))
     assert rep.lower_bound - 1e-6 <= rep.delta_max <= rep.upper_bound + 1e-6
     assert rep.delta_mi <= rep.delta_max + 1e-6
     assert rep.delta_max == rep.upper_bound
-    assert rep.diagnostics == {"adversary_rate": enc.rate, "kernel": "translation"}
-    row = dict(zip(rep.CSV_HEADER.split(","), rep.csv_row().split(",")))
-    assert len(row) == len(rep.csv_row().split(","))
-    assert row["iters"] == "0" and row["tol"] == "1e-07"
+    assert rep.diagnostics == {"kernel": "translation"}
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +894,7 @@ def test_non_symmetric_adversaries_take_the_dense_kernel():
     for sys, enc, p_kz in cases:
         assert build_translation_kernel(sys, enc, p_kz) is None
         p_x = Pmf.uniform(sys.q)
-        rep = leakage_report(sys, enc, p_kz, p_x, R_A=1.1, R=0.5)
+        rep = leakage_report(sys, enc, p_kz, p_x)
         assert rep.diagnostics["kernel"] == "dense"
         want = criteria(build_gamma_kernel(sys, enc, p_kz), p_x)
         assert (rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound) == want
@@ -909,7 +904,7 @@ def test_coarse_quantizer_takes_the_path_its_cell_laws_allow():
     # one cell: its law is the key law, a translate of itself
     sys = system(8, 0.5, 2, 8)
     enc = scalar_quantizer_encoder([0, 0], 8)
-    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11), R_A=0.0, R=0.5)
+    rep = leakage_report(sys, enc, bsc_joint(0.1), Pmf.bernoulli(0.11))
     assert rep.diagnostics["kernel"] == "translation"
     assert_translation_matches_dense(sys, enc, bsc_joint(0.1), [Pmf.bernoulli(0.11)])
     # cells {0} and {1, 2} of the ternary symmetric channel: p(k | {1, 2}) is
@@ -918,7 +913,7 @@ def test_coarse_quantizer_takes_the_path_its_cell_laws_allow():
     p_kz = joint_from_channel(Pmf.uniform(3), ChannelMatrix(TERNARY_SYMMETRIC))
     enc = scalar_quantizer_encoder([0, 1, 1], 4)
     assert build_translation_kernel(sys, enc, p_kz) is None
-    rep = leakage_report(sys, enc, p_kz, Pmf.uniform(3), R_A=1.1, R=0.8)
+    rep = leakage_report(sys, enc, p_kz, Pmf.uniform(3))
     assert rep.diagnostics["kernel"] == "dense"
 
 
@@ -965,9 +960,7 @@ code = build_universal_code(10, 0.5, 2)
 sys = Cryptosystem(code, random_affine(10, code.m, FieldSpec(2), seed=3))
 erasure = ChannelMatrix([[0.8, 0.2, 0.0], [0.0, 0.2, 0.8]])
 p_kz = joint_from_channel(Pmf.uniform(2), erasure)
-rep = leakage_report(
-    sys, scalar_quantizer_encoder([0, 1, 2], 10), p_kz, Pmf.bernoulli(0.11), R_A=1.1, R=0.5
-)
+rep = leakage_report(sys, scalar_quantizer_encoder([0, 1, 2], 10), p_kz, Pmf.bernoulli(0.11))
 values = (rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound)
 print(rep.diagnostics["kernel"], *(v.hex() for v in values))
 """

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import cli, probability, simplexopt
+from leaklab import cli, codec, leakage, probability, simplexopt
 from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
@@ -309,3 +309,25 @@ def test_options_that_only_tests_set_stay_constants():
     # the decoder fixture lives in the tests, not in the config schema
     assert "mutation" not in cli.SCHEMA
     assert not hasattr(cli, "_MutatedDecoderCode")
+
+
+def test_cli_owns_every_output_format(monkeypatch):
+    # the compute modules return numbers; cli holds the one number format,
+    # the leakage.csv schema and the build-code descriptor
+    uses = {p.name: p.read_text().count('".12g"') for p in (SRC / "leaklab").glob("*.py")}
+    assert {name: k for name, k in uses.items() if k} == {"cli.py": 1}
+    for name in ("csv_row", "CSV_HEADER", "_fmt"):
+        assert not hasattr(leakage, name) and not hasattr(leakage.LeakageReport, name), name
+    assert not hasattr(codec.UniversalCode, "to_json")
+    assert list(inspect.signature(leakage.leakage_report).parameters) == [
+        "sys", "encoder", "p_kz", "p_x"
+    ]
+    # main looks its handler up at call time, so a wrapper set on the module runs
+    ran = []
+    monkeypatch.setattr(cli, "cmd_leakage", lambda *args: ran.append(args) or cli.EXIT_OK)
+    monkeypatch.setattr(cli, "load_config", lambda path: {
+        "q": 2, "source": {"probs": [0.9, 0.1]}, "key": {"probs": [0.5, 0.5]},
+        "W": {"rows": [[0.9, 0.1], [0.1, 0.9]]}, "n_list": [4], "R": 0.5,
+    })
+    assert cli.main(["leakage", "--config", "unread.json"]) == cli.EXIT_OK
+    assert len(ran) == 1 and isinstance(ran[0][0], cli.Experiment)
