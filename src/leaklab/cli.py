@@ -318,8 +318,11 @@ def _codes(exp: Experiment):
 def cmd_verify(exp: Experiment, out_dir, config_path) -> int:
     """Run every structural suite; non-zero exit on any violation.
 
-    The kernel is built before the crypto suite runs, so a block length
-    whose kernel exceeds the table cap is refused before any check."""
+    Each block length prints one line per crypto check, the decryption
+    condition included, then one per kernel check; a system whose
+    construction probe fails prints ``FAIL construction`` instead.  The
+    kernel is built before the crypto suite runs, so a block length whose
+    kernel exceeds the table cap is refused before any check."""
     failures = 0
     for n, code in _codes(exp):
         try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .probability import Pmf, all_sequences, entropy, enumerate_types, kl_diverg
 
 __all__ = [
     "UniversalCode",
-    "ExponentQuery",
     "build_universal_code",
     "error_probability_exact",
     "exponent_E",
@@ -72,7 +72,6 @@ class UniversalCode:
     q: int
     order: str = "type"
     type_order: list = field(init=False, repr=False)
-    offsets: list = field(init=False, repr=False)
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _digits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -87,12 +86,20 @@ class UniversalCode:
             self.type_order = _ordered_types(self.n, self.q)
         else:
             self.type_order = []
+
+    @cached_property
+    def offsets(self) -> list:
+        """The canonical rank of each class's first member, in ``type_order``.
+
+        Computed on first use: the class sizes are exact big integers, and
+        a block length far past the table caps is refused before they are
+        summed."""
         offsets = []
         pos = 0
         for t in self.type_order:
             offsets.append(pos)
             pos += t.size
-        self.offsets = offsets
+        return offsets
 
     # -- descriptor ---------------------------------------------------------
 
@@ -235,22 +242,7 @@ def error_probability_exact(code: UniversalCode, p_X) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ExponentQuery:
-    """Inputs of the source-coding exponent: rate R, slack gamma, source."""
-
-    R: float
-    gamma: float
-    p_X: Pmf
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.R < 0:
-            raise ValueError(f"rate must be >= 0, got {self.R}")
-
-
-def exponent_E(query: ExponentQuery) -> float:
+def exponent_E(R: float, gamma: float, p_X) -> float:
     """min D(p_bar || p_X) over pmfs with H(p_bar) >= R - gamma, in nats.
 
     Solved exactly through the tilted family p_beta ~ p_X**beta: the problem
@@ -258,8 +250,12 @@ def exponent_E(query: ExponentQuery) -> float:
     strictly monotone in beta.  Returns +inf when the constraint set is
     empty (R - gamma > ln q) or unreachable within supp(p_X).
     """
-    p = query.p_X.probs if isinstance(query.p_X, Pmf) else np.asarray(query.p_X)
-    target = query.R - query.gamma
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if R < 0:
+        raise ValueError(f"rate must be >= 0, got {R}")
+    p = p_X.probs if isinstance(p_X, Pmf) else np.asarray(p_X)
+    target = R - gamma
     q = p.shape[0]
     if target > math.log(q) + 1e-15:
         return math.inf
@@ -317,7 +313,7 @@ def verify_error_bound(code: UniversalCode, p_X, gamma: float, R: float) -> Erro
     n, q = code.n, code.q
     pe = error_probability_exact(code, p_X)
     p = p_X if isinstance(p_X, Pmf) else Pmf(p_X)
-    e = exponent_E(ExponentQuery(R=R, gamma=gamma, p_X=p))
+    e = exponent_E(R, gamma, p)
     prefactor = float((n + 1) ** q)
     bound = 0.0 if e == math.inf else prefactor * math.exp(-n * e)
     delta_n = (q * math.log(n + 1) + 1.0) / n

@@ -7,15 +7,15 @@ Encryption adds the two encodings over GF(q)^m:
 
 so decrypt(k, encrypt(k, x)) = decode(encode(x)) for every key, which is the
 structural condition tying the cryptosystem to its underlying source code.
-Both methods take one (key, word) pair or a batch.  Construction verifies
-the condition on seeded random pairs, and at desk scale on every pair by
-the key-image sweep that the structural suite shares.
+Both methods take one (key, word) pair or a batch.  Construction probes the
+condition on seeded random pairs; the structural suite checks it on every
+checked key's image, on the key-image sweep that its other checks share.
 
 The validation level is decided once, at construction: "exhaustive" when
 the system has at most ``EXHAUSTIVE_PAIR_CAP`` (key, plaintext) pairs, and
 "sampled" otherwise.  ``Cryptosystem.validation`` records it, and the
-structural suite takes its mode from there.  The sample sizes and their
-seed are module constants, read at call time.
+probe's size and the structural suite's mode follow it.  The sample sizes
+and their seed are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 # systems get a sampled spot check instead.
 EXHAUSTIVE_PAIR_CAP = 2**20
 # Random (key, plaintext) pairs of the construction probe; an exhaustive
-# system probes at most 256 of them before its sweep.
+# system, which the structural suite sweeps whole, probes at most 256.
 SAMPLE_PAIRS = 10**4
 # Keys the structural suite checks on a sampled system.
 SAMPLE_KEYS = 64
@@ -121,17 +121,16 @@ def _key_image_sweep(sys: Cryptosystem, keys: np.ndarray, seqs: np.ndarray):
 
 
 def _condition_check(sys):
-    """Verify decrypt(k, encrypt(k, x)) == decode(encode(x)) over (k, x), at
-    the system's validation level; returns (ok, first failing (k, x)).
+    """Probe decrypt(k, encrypt(k, x)) == decode(encode(x)) on seeded random
+    pairs; returns (ok, first failing (k, x)).
 
-    A seeded batch of random pairs goes through encrypt/decrypt in one call
-    each; it catches overrides that read the key beyond its image.  At the
-    exhaustive level ``_condition_sweep`` then covers every pair.
+    The batch goes through encrypt/decrypt in one call each; it catches
+    overrides that read the key beyond its image.  The structural suite's
+    ``decryption_condition`` covers every pair of the checked keys' images.
     """
     n, q = sys.n, sys.q
     rng = np.random.default_rng(VALIDATION_SEED)
-    exhaustive = sys.validation == "exhaustive"
-    n_probe = min(SAMPLE_PAIRS, 256) if exhaustive else SAMPLE_PAIRS
+    n_probe = min(SAMPLE_PAIRS, 256) if sys.validation == "exhaustive" else SAMPLE_PAIRS
     check_table("n_probe * n", n_probe * n)
     keys = rng.integers(0, q, size=(n_probe, n))
     xs = rng.integers(0, q, size=(n_probe, n))
@@ -140,24 +139,6 @@ def _condition_check(sys):
     bad = np.flatnonzero(np.any(got != want, axis=1))
     if bad.size:
         return False, (keys[bad[0]].tolist(), xs[bad[0]].tolist())
-    return _condition_sweep(sys) if exhaustive else (True, None)
-
-
-def _condition_sweep(sys):
-    """The condition on every (k, x) pair by the key-image sweep, with the
-    first failing key and plaintext in lexicographic order as witness.
-
-    The plaintexts are the code's own X^n table, which ``encode`` reads as
-    one gather, so no image ranks the table again.  An image's whole table
-    is compared at once; only a failing image is searched row by row for
-    its first failing plaintext.
-    """
-    seqs = sys.code.sequences()
-    want = sys.code.decode(sys.code.encode(seqs))
-    for k, _, back in _key_image_sweep(sys, seqs, seqs):
-        if not np.array_equal(back, want):
-            bad = np.flatnonzero(np.any(back != want, axis=1))[0]
-            return False, (k.tolist(), seqs[bad].tolist())
     return True, None
 
 
@@ -178,7 +159,8 @@ class StructuralReport:
 
 
 def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
-    """Run the decoding-set and per-key injectivity/surjectivity checks.
+    """Run the decoding-set, per-key injectivity/surjectivity and
+    decryption-condition checks.
 
     Checks, each with a named witness on failure:
 
@@ -189,6 +171,9 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
     * ``surjective`` — for every (checked) key, encrypt(k, .) covers X^m.
     * ``key_independent_D`` — {x : decrypt(k, encrypt(k, x)) = x} is the
       same set for every checked key.
+    * ``decryption_condition`` — decrypt(k, encrypt(k, x)) = decode(encode(x))
+      for every checked key and every x; the witness is the first failing
+      key and, for it, the first failing x in lexicographic order.
 
     All keys are checked when ``sys.validation`` is "exhaustive"; otherwise
     ``SAMPLE_KEYS`` seeded keys are, and the report's mode says so.
@@ -219,6 +204,7 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
     inj_ok, inj_witness = True, None
     surj_ok, surj_witness = True, None
     dset_ok, dset_witness = True, None
+    cond_ok, cond_witness = True, None
     for k, cipher, back in _key_image_sweep(sys, keys, seqs):
         cipher_idx = cipher @ radix_m
         if inj_ok:
@@ -239,15 +225,22 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
                 surj_ok = False
                 missing = np.flatnonzero(hits[: q**m] == 0)[:4].tolist()
                 surj_witness = {"key": k.tolist(), "missing_codewords": missing}
-        # in_d is all(want == seqs), so a key with back == want has in_d as
-        # its set; only a key whose table differs needs its own mask
-        if dset_ok and not np.array_equal(back, want):
-            ok_mask = np.all(back == seqs, axis=1)
-            if not np.array_equal(ok_mask, in_d):
-                dset_ok = False
-                diff = int(np.flatnonzero(ok_mask != in_d)[0])
-                dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
+        # in_d is all(want == seqs), so a key with back == want meets the
+        # condition and has in_d as its set; only a key whose table differs
+        # needs its own rows searched
+        if (cond_ok or dset_ok) and not np.array_equal(back, want):
+            if cond_ok:
+                cond_ok = False
+                bad = np.flatnonzero(np.any(back != want, axis=1))[0]
+                cond_witness = {"key": k.tolist(), "x": seqs[bad].tolist()}
+            if dset_ok:
+                ok_mask = np.all(back == seqs, axis=1)
+                if not np.array_equal(ok_mask, in_d):
+                    dset_ok = False
+                    diff = int(np.flatnonzero(ok_mask != in_d)[0])
+                    dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
     report.record("injective_on_D", inj_ok, inj_witness)
     report.record("surjective", surj_ok, surj_witness)
     report.record("key_independent_D", dset_ok, dset_witness)
+    report.record("decryption_condition", cond_ok, cond_witness)
     return report

@@ -82,24 +82,34 @@ def swapped_decode(decode):
     return swapped
 
 
-def condition_oracle(sys):
-    """First (k, x), keys then plaintexts in lexicographic order, with
-    decrypt(k, encrypt(k, x)) != decode(encode(x)), by a loop over all q^n
-    keys; None when the condition holds everywhere."""
+def checked_keys(sys, *, sample_keys=64, seed=0):
+    """The keys the structural suite checks, in its order: all of X^n in
+    lexicographic order at the system's "exhaustive" validation level,
+    ``sample_keys`` keys drawn with ``seed`` at the "sampled" one."""
+    if sys.validation == "exhaustive":
+        return all_sequences(sys.n, sys.q)
+    return np.random.default_rng(seed).integers(0, sys.q, size=(sample_keys, sys.n))
+
+
+def condition_oracle(sys, keys=None):
+    """The first key of ``keys`` (default: all q^n keys in lexicographic
+    order) and, for it, the first plaintext in lexicographic order with
+    decrypt(k, encrypt(k, x)) != decode(encode(x)), as the witness
+    {"key": k, "x": x}, by a loop over every key; None when the condition
+    holds for all of them."""
     seqs = all_sequences(sys.n, sys.q)
     want = sys.code.decode(sys.code.encode(seqs))
-    for k in seqs:
+    for k in seqs if keys is None else keys:
         bad = np.flatnonzero(np.any(sys.decrypt(k, sys.encrypt(k, seqs)) != want, axis=1))
         if bad.size:
-            return k.tolist(), seqs[bad[0]].tolist()
+            return {"key": k.tolist(), "x": seqs[bad[0]].tolist()}
     return None
 
 
 def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
     """``check_structural_properties`` as a loop over every checked key on
     tables built by one scalar encode per sequence and one scalar decode
-    per codeword: every key at the system's "exhaustive" validation level,
-    ``sample_keys`` keys drawn with ``seed`` at the "sampled" one."""
+    per codeword: the keys of :func:`checked_keys`."""
     n, m, q = sys.n, sys.m, sys.q
     report = StructuralReport()
     total_x = q**n
@@ -111,7 +121,8 @@ def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
         [int(sys.code.decode(c) @ radix_n) for c in all_sequences(m, q)],
         dtype=np.int64,
     )
-    in_d = dec_lex[enc_digits @ radix_m] == np.arange(total_x)
+    want = dec_lex[enc_digits @ radix_m]  # decode(encode(x)), by lex index
+    in_d = want == np.arange(total_x)
     d_count = int(in_d.sum())
     report.record(
         "decoding_set_size",
@@ -119,15 +130,12 @@ def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
         None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
     )
     report.mode = sys.validation
-    if sys.validation == "exhaustive":
-        keys = seqs
-    else:
-        rng = np.random.default_rng(seed)
-        keys = rng.integers(0, q, size=(sample_keys, n))
+    keys = checked_keys(sys, sample_keys=sample_keys, seed=seed)
     d_indices = np.flatnonzero(in_d)
     inj_ok, inj_witness = True, None
     surj_ok, surj_witness = True, None
     dset_ok, dset_witness = True, None
+    cond_ok, cond_witness = True, None
     for k in keys:
         cipher_digits = sys.encrypt(k, seqs)
         cipher_idx = cipher_digits @ radix_m
@@ -152,9 +160,14 @@ def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
             diff = int(np.flatnonzero(ok_mask != in_d)[0])
             dset_ok = False
             dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
+        if cond_ok and not np.array_equal(back, want):
+            cond_ok = False
+            bad = int(np.flatnonzero(back != want)[0])
+            cond_witness = {"key": k.tolist(), "x": seqs[bad].tolist()}
     report.record("injective_on_D", inj_ok, inj_witness)
     report.record("surjective", surj_ok, surj_witness)
     report.record("key_independent_D", dset_ok, dset_witness)
+    report.record("decryption_condition", cond_ok, cond_witness)
     return report
 
 

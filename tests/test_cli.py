@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import leaklab
-from helpers import swapped_decode
-from leaklab import cli, codec
+from helpers import condition_oracle, swapped_decode
+from leaklab import cli, codec, crypto
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
+from leaklab.probability import all_sequences
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(leaklab.__file__).resolve().parents[1]
@@ -70,6 +71,49 @@ def test_verify_fails_on_mutated_decoder(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL crypto.decoding_set_size" in out
     assert "witness" in out
+
+
+def test_verify_reports_a_condition_failure_the_probe_misses(tmp_path, capsys, monkeypatch):
+    # decrypt flips the first plaintext symbol under one key image that no
+    # key of the construction probe has: construction succeeds, and verify's
+    # sweep names the first failing pair of the loop over every key
+    cfg = {**BASE_CONFIG, "n_list": [10]}  # m = 7: 128 key images
+    exp = cli.Experiment(cfg)
+    honest = exp.build_system(exp.build_code(10))
+    rng = np.random.default_rng(crypto.VALIDATION_SEED)
+    probed = {tuple(w) for w in honest.key_image(rng.integers(0, 2, size=(256, 10)))}
+    bad = next(w for w in honest.key_image(all_sequences(10, 2)) if tuple(w) not in probed)
+    decrypt = crypto.Cryptosystem.decrypt
+
+    def image_dependent(self, k, c):
+        out = decrypt(self, k, c)
+        hit = np.all(self.key_image(k) == bad, axis=-1)
+        out[..., 0] = np.where(hit, 1 - out[..., 0], out[..., 0])
+        return out
+
+    monkeypatch.setattr(crypto.Cryptosystem, "decrypt", image_dependent)
+    witness = condition_oracle(exp.build_system(exp.build_code(10)))
+    assert witness is not None
+    path = write_config(tmp_path, n_list=[10])
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    want = f"FAIL crypto.decryption_condition (n=10, mode=exhaustive) witness={witness}"
+    assert want in out.splitlines()
+    assert "FAIL construction" not in out
+    for name in ("decoding_set_size", "injective_on_D", "surjective", "key_independent_D"):
+        assert f"crypto.{name} (n=10, mode=exhaustive)" in out, name
+
+
+def test_leakage_runs_no_key_image_sweep(tmp_path, monkeypatch):
+    # leakage never calls encrypt or decrypt beyond the construction probe,
+    # so the exhaustive sweep of the structural suite is not its to run
+    def sweep(*args):
+        raise AssertionError("leakage entered the key-image sweep")
+
+    monkeypatch.setattr(crypto, "_key_image_sweep", sweep)
+    path = write_config(tmp_path)
+    assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "leakage.csv").exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -691,4 +735,23 @@ def test_block_length_tables_exit_2_where_they_are_built(tmp_path, monkeypatch, 
     assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {want} entries exceed the table cap 2^14"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("R, want", [
+    (0.5, "n * m = 162300000"),  # m = 10820
+    (0.01, "n_probe * n = 150000000"),  # m = 216
+], ids=["key_map", "probe"])
+def test_far_block_length_exits_2_before_any_class_size(tmp_path, monkeypatch, capsys, R, want):
+    # n=15000 under the default cap: the first table the subcommand builds
+    # refuses it, and no big-integer class size is computed on the way
+    def multinomial(*args):
+        raise AssertionError("a class size was computed")
+
+    monkeypatch.setattr(cli.prob, "multinomial", multinomial)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "R": R, "n_list": [15000]}))
+    assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {want} entries exceed the table cap 2^26"), err
     assert not (tmp_path / "o").exists()

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from leaklab import probability
 from leaklab.cli import main
 from leaklab.codec import (
-    ExponentQuery,
     UniversalCode,
     build_universal_code,
     error_probability_exact,
@@ -133,6 +133,15 @@ def test_decoding_set_is_type_monotone():
     assert partial <= 1
 
 
+def test_far_block_length_builds_no_class_size(monkeypatch):
+    # the class offsets are summed on first use, not at construction, so a
+    # block length that the table caps refuse builds no big-integer size
+    calls = []
+    monkeypatch.setattr(probability, "multinomial", lambda *a: calls.append(a))
+    code = build_universal_code(15000, 0.5, 2)
+    assert (code.m, calls) == (10820, [])
+
+
 def test_full_tables_match_per_sequence_codec():
     # the tables against the scalar TypeClass.rank/unrank ranking
     for n, q, R in [(6, 2, 0.45), (4, 3, 0.9), (10, 2, 0.5)]:
@@ -229,17 +238,24 @@ def test_pe_non_increasing_in_n_above_entropy():
 
 def test_exponent_zero_when_feasible_at_source():
     p = Pmf.bernoulli(0.11)
-    assert exponent_E(ExponentQuery(R=0.3, gamma=0.05, p_X=p)) == 0.0
+    assert exponent_E(0.3, 0.05, p) == 0.0
     # uniform source, R - gamma = ln 2: only the uniform pmf is feasible
-    assert exponent_E(ExponentQuery(R=LN2 + 0.01, gamma=0.01, p_X=Pmf.uniform(2))) < 1e-12
+    assert exponent_E(LN2 + 0.01, 0.01, Pmf.uniform(2)) < 1e-12
 
 
 def test_exponent_infinite_when_constraint_empty():
-    assert exponent_E(ExponentQuery(R=LN2 + 0.2, gamma=0.1, p_X=Pmf.uniform(2))) == math.inf
+    assert exponent_E(LN2 + 0.2, 0.1, Pmf.uniform(2)) == math.inf
+
+
+def test_exponent_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        exponent_E(0.5, 0.0, Pmf.uniform(2))
+    with pytest.raises(ValueError, match="rate must be >= 0"):
+        exponent_E(-0.1, 0.05, Pmf.uniform(2))
 
 
 def test_exponent_matches_grid_oracle():
-    val = exponent_E(ExponentQuery(R=0.5, gamma=0.01, p_X=Pmf.bernoulli(0.11)))
+    val = exponent_E(0.5, 0.01, Pmf.bernoulli(0.11))
     oracle = exponent_grid_oracle(0.5, 0.01, 0.11)
     assert abs(val - oracle) < 1e-9
     # frozen from the oracle at development time
@@ -249,7 +265,7 @@ def test_exponent_matches_grid_oracle():
 def test_exponent_ternary_against_sampled_search():
     p = Pmf([0.6, 0.3, 0.1])
     R, gamma = 1.0, 0.05
-    val = exponent_E(ExponentQuery(R=R, gamma=gamma, p_X=p))
+    val = exponent_E(R, gamma, p)
     rng = np.random.default_rng(2)
     cand = rng.dirichlet([1, 1, 1], size=200000)
     hs = -np.sum(np.where(cand > 0, cand * np.log(cand), 0.0), axis=1)

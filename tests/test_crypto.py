@@ -3,11 +3,11 @@ import pytest
 
 from leaklab import crypto
 from leaklab.codec import UniversalCode, build_universal_code
-from leaklab.crypto import Cryptosystem, _condition_sweep, check_structural_properties
+from leaklab.crypto import Cryptosystem, check_structural_properties
 from leaklab.galois import AffineMap, FieldSpec, matrix_rank, random_affine
 from leaklab.probability import all_sequences
 
-from helpers import condition_oracle, structural_properties_oracle, swapped_decode
+from helpers import checked_keys, condition_oracle, structural_properties_oracle, swapped_decode
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -209,6 +209,23 @@ def test_condition_violation_detected_at_construction():
         _KeyDependent(code, keymap)
 
 
+def test_construction_runs_only_the_probe(monkeypatch):
+    # the exhaustive sweep of the condition is the structural suite's; an
+    # exhaustive system's construction makes one encrypt and one decrypt
+    # call, on the probe's whole batch
+    calls = []
+
+    def counted(name):
+        method = getattr(Cryptosystem, name)
+        return lambda self, k, w: calls.append(name) or method(self, k, w)
+
+    for name in ("encrypt", "decrypt"):
+        monkeypatch.setattr(Cryptosystem, name, counted(name))
+    sys = make_system(10, 0.5, 2)
+    assert sys.validation == "exhaustive"
+    assert calls == ["encrypt", "decrypt"]
+
+
 class _ImageDependent(Cryptosystem):
     """encrypt zeroes the last ciphertext symbol, and decrypt flips the first
     plaintext symbol, for the keys of one key image only.  Both read the key
@@ -255,27 +272,24 @@ def _sweep_fixtures():
 
 
 def test_key_image_sweep_matches_full_key_loop(monkeypatch):
-    # the structural suite and the exhaustive condition check sweep one key
-    # per key image; a loop over every key gives the same reports, witnesses
-    # included, on valid systems and on mutated ones
+    # the structural suite sweeps one key per key image; a loop over every
+    # checked key gives the same reports, witnesses included, on valid
+    # systems and on mutated ones
     failing = set()
     modes = set()
     for sample in policies(monkeypatch):
         for sys in _sweep_fixtures():
             rep = check_structural_properties(sys)
             assert rep == structural_properties_oracle(sys, **sample)
+            witness = condition_oracle(sys, checked_keys(sys, **sample))
+            assert rep.checks["decryption_condition"]["witness"] == witness
             failing.update(name for name, _ in rep.failures)
             modes.add(rep.mode)
-            ok, witness = _condition_sweep(sys)
-            assert witness == condition_oracle(sys)
-            assert ok == (witness is None)
-            if not ok:
-                failing.add("condition")
     assert modes == {"exhaustive", "sampled"}
     # the fixtures exercise every check's failure path
     assert failing == {
         "decoding_set_size", "injective_on_D", "surjective", "key_independent_D",
-        "condition",
+        "decryption_condition",
     }
 
 
@@ -351,7 +365,7 @@ class _Redirected(Cryptosystem):
     """For the keys of one key image, encrypt sends one plaintext outside D
     to the ciphertext of a plaintext inside D.  decrypt(k, encrypt(k, x))
     then differs from decode(encode(x)) at that one pair, yet every
-    structural check holds."""
+    structural check but the decryption condition holds."""
 
     bad_image = x_out = x_in = None
 
@@ -394,17 +408,19 @@ def test_key_image_sweep_fast_paths_match_full_key_loop(monkeypatch):
     # equality has passed every earlier image; one of them differs from
     # decode(encode(x)) only outside D, which only the condition check sees
     fixtures, _ = _fast_path_fixtures()
-    assert check_structural_properties(fixtures[2]).passed
+    rep = check_structural_properties(fixtures[2])
+    assert [name for name, _ in rep.failures] == ["decryption_condition"]
     rep = check_structural_properties(fixtures[1])
-    assert [name for name, _ in rep.failures] == ["key_independent_D"]
+    assert [name for name, _ in rep.failures] == ["key_independent_D", "decryption_condition"]
     assert rep.failures[0][1]["key"] == _last_visited_key(fixtures[1]).tolist()
     for sample in policies(monkeypatch):
         fixtures, x_out = _fast_path_fixtures()
         for sys in fixtures:
-            last = _last_visited_key(sys).tolist()
             rep = check_structural_properties(sys)
             assert rep == structural_properties_oracle(sys, **sample)
-            ok, witness = _condition_sweep(sys)
-            assert not ok and witness == condition_oracle(sys)
-            assert witness[0] == last
-        assert witness == (last, x_out.tolist())
+            witness = rep.checks["decryption_condition"]["witness"]
+            assert witness is not None
+            assert witness == condition_oracle(sys, checked_keys(sys, **sample))
+            if rep.mode == "exhaustive":
+                assert witness["key"] == _last_visited_key(sys).tolist()
+        assert witness["x"] == x_out.tolist()

@@ -162,9 +162,9 @@ def test_structural_suite_does_not_import_masked_arrays():
 
 
 def test_key_image_sweep_ranks_no_table_per_image(monkeypatch):
-    # the exhaustive condition check and the structural suite encode the
-    # code's own X^n table once per key image; that is one gather, so the
-    # number of rankings must not grow with the 2^m key images
+    # the structural suite encodes the code's own X^n table once per key
+    # image; that is one gather, so the number of rankings must not grow
+    # with the 2^m key images
     calls = []
     ranking = UniversalCode._sequence_index
 
