@@ -40,6 +40,8 @@ EXHAUSTIVE_PAIR_CAP = 2**20
 # Random (key, plaintext) pairs of the construction probe; an exhaustive
 # system, which the structural suite sweeps whole, probes at most 256.
 SAMPLE_PAIRS = 10**4
+# Probe pairs sent through encrypt/decrypt at once.
+PROBE_CHUNK = 2**10
 # Keys the structural suite checks on a sampled system.
 SAMPLE_KEYS = 64
 # Seed of the probe pairs and of the sampled keys.
@@ -124,9 +126,12 @@ def _condition_check(sys):
     """Probe decrypt(k, encrypt(k, x)) == decode(encode(x)) on seeded random
     pairs; returns (ok, first failing (k, x)).
 
-    The batch goes through encrypt/decrypt in one call each; it catches
-    overrides that read the key beyond its image.  The structural suite's
-    ``decryption_condition`` covers every pair of the checked keys' images.
+    The pairs are drawn at once and go through encrypt/decrypt
+    ``PROBE_CHUNK`` at a time, in order, so the first failing pair of the
+    first chunk that has one is the first of all; the probe's temporaries
+    stay chunk-sized.  It catches overrides that read the key beyond its
+    image.  The structural suite's ``decryption_condition`` covers every
+    pair of the checked keys' images.
     """
     n, q = sys.n, sys.q
     rng = np.random.default_rng(VALIDATION_SEED)
@@ -134,11 +139,12 @@ def _condition_check(sys):
     check_table("n_probe * n", n_probe * n)
     keys = rng.integers(0, q, size=(n_probe, n))
     xs = rng.integers(0, q, size=(n_probe, n))
-    want = sys.code.decode(sys.code.encode(xs))
-    got = sys.decrypt(keys, sys.encrypt(keys, xs))
-    bad = np.flatnonzero(np.any(got != want, axis=1))
-    if bad.size:
-        return False, (keys[bad[0]].tolist(), xs[bad[0]].tolist())
+    for lo in range(0, n_probe, PROBE_CHUNK):
+        k, x = keys[lo : lo + PROBE_CHUNK], xs[lo : lo + PROBE_CHUNK]
+        want = sys.code.decode(sys.code.encode(x))
+        bad = np.flatnonzero(np.any(sys.decrypt(k, sys.encrypt(k, x)) != want, axis=1))
+        if bad.size:
+            return False, (k[bad[0]].tolist(), x[bad[0]].tolist())
     return True, None
 
 

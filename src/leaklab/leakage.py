@@ -17,8 +17,8 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
 * ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, as a cyclic
   convolution over Z_q^m evaluated with one radix-q Fourier transform
   (Walsh-Hadamard butterflies at q = 2, bit-identical to the matrix pass
-  they replace; one matrix product per digit axis for q >= 3), over the
-  posterior in chunks of 256 messages;
+  they replace; one matrix product per digit axis for q >= 3), one block of
+  messages at a time;
 * ``delta_max_mi``   -- the worst case over all plaintext laws,
   m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
   set (the channel x -> (C, M_A) is symmetric);
@@ -27,30 +27,61 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
   holds the one (key, message) law that p_KZ and the adversary induce
   (H(post_a) is computed once per kernel, for all three criteria).
 
-The kernel comes in two forms.  ``build_gamma_kernel`` holds the dense
-(messages, q^m) posterior.  ``build_translation_kernel`` applies when every
-cell law p(k | cell) of a scalar adversary is an exact translate over Z_q of
-one law: then every posterior is a translate of one law over Z_q^m, and the
-kernel is that one row, folded in n steps over a q^m vector (its docstring
-has the proof).  ``leakage_report`` takes the translation kernel where it
-applies and the dense one elsewhere; the criteria read either.  It returns
-numbers only: the CLI lays out ``leakage.csv`` and formats every value.
+Production runs take the kernel in one of two forms, and every criterion
+reads either through ``blocks()``, one pass per kernel:
+
+* ``build_dense_stream`` streams the dense (messages, q^m) posterior in
+  blocks of whole message prefixes, each of at most ``_CHUNK`` messages, and
+  never holds it whole (the proof that the blocks are the table's columns
+  is below);
+* ``build_translation_kernel`` applies when every cell law p(k | cell) of a
+  scalar adversary is an exact translate over Z_q of one law: then every
+  posterior is a translate of one law over Z_q^m, and the kernel is that
+  one row, folded in n steps over a q^m vector (its docstring has the
+  proof).
+
+The blocks are the whole table's columns, bit for bit.  A scalar
+adversary's (masked key, message) joint folds symbol by symbol, and column
+(a_1..a_t) after step t reads only its parent column (a_1..a_(t-1)), through
+the same products and the same order of the sum over the key symbol,
+whatever the other columns.  So for each prefix (a_1..a_j), the first j
+steps run on that one column, each with its one cell a_t, and give the
+column bits of the whole fold; the last n - j steps then give the columns
+of every message with that prefix, which are a contiguous run of the whole
+table, in its order.  Each row's entropy and transform are computed on
+their own, so the other rows of a block leave their bits too, given two or
+more rows: numpy sums a lone (1, q^m) row pairwise, and each row of a
+taller block, which is column-major, in sequence.  A prefix block keeps
+no message or |C+|^(n - j) of them, C+ the cells of positive probability,
+so it has one row only where the whole table has one (or where a
+quantizer has more than ``_CHUNK`` cells); a table adversary's
+posterior is cut into runs of ``_CHUNK`` kept messages, as it was before
+it was streamed.
+
+``leakage_report`` takes the translation kernel where it applies and the
+dense stream elsewhere.  It returns numbers only: the CLI lays out
+``leakage.csv`` and formats every value.
 
 The averages over messages are ``math.fsum`` reductions, correctly rounded,
-so their bits do not depend on the BLAS build or its thread count.
+so their bits do not depend on the BLAS build, its thread count or how the
+messages are split into blocks.
 
 ``structural_checks`` convolves every posterior with the decoding set's
 image counts by the same transform, which it applies to the counts once.
 
+``build_gamma_kernel``, the concatenated blocks held as one table,
 ``channel_capacity`` (the Blahut-Arimoto iteration) and
 ``GammaKernel.channel_rows`` stay as the slow path the tests check the
-closed forms against, as the dense kernel is for the translation kernel.
+stream and the closed forms against; no pipeline path builds them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -62,10 +93,12 @@ from .probability import Pmf, ProductDistribution, _xlogx, all_sequences, check_
 
 __all__ = [
     "GammaKernel",
+    "DenseStream",
     "LeakageReport",
     "CapacityResult",
     "DeltaMaxResult",
     "KernelCheckReport",
+    "build_dense_stream",
     "build_gamma_kernel",
     "build_translation_kernel",
     "delta_mi",
@@ -80,44 +113,62 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny
 # The largest error ``structural_checks`` lets each identity have.
 KERNEL_CHECK_TOL = 1e-10
+# Messages per block of every pass over the posterior, which bounds the
+# size of its (messages, q^m) temporaries; read at call time.
+_CHUNK = 256
 
 
 @dataclass
-class GammaKernel:
-    """Ciphertext kernels of one (cryptosystem, adversary, key-source) triple.
-
-    ``key_image_posterior[a, t] = Pr[keymap(K^n) = t | M_A = a]`` carries all
-    randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
-    on demand.  Messages of probability zero are dropped (their original
-    indices remain in ``message_ids``).  ``key_equivocation`` is
-    H(K^n | M_A) in nats, taken from the same (key, message) law.  The
-    entropy of each posterior row is computed on first use and kept;
-    ``replace`` starts a kernel without it.  A translation kernel
-    (``build_translation_kernel``) has one row of probability 1 that stands
-    for every message, and an empty ``message_ids``.
-    """
+class _Kernel:
+    """What every criterion reads of a kernel: its sizes, the code's image
+    tables, H(K^n | M_A) in nats, and the posterior rows through
+    ``blocks()``.  H(keymap(K^n) | M_A), from the one entropy pass over the
+    blocks, is kept on first use; ``replace`` starts a kernel without it."""
 
     q: int
     n: int
     m: int
-    p_message: np.ndarray
-    key_image_posterior: np.ndarray
     image_of: np.ndarray
     in_decoding_set: np.ndarray
-    message_ids: np.ndarray
     key_equivocation: float
+    _equivocation: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def image_count(self) -> int:
+        return self.q**self.m
+
+    def lex_of_image(self) -> np.ndarray:
+        """Lexicographic index of the decoding-set member of each image."""
+        out = np.full(self.image_count, -1, dtype=np.int64)
+        d = np.flatnonzero(self.in_decoding_set)
+        out[self.image_of[d]] = d
+        return out
+
+
+@dataclass
+class GammaKernel(_Kernel):
+    """Ciphertext kernels of one (cryptosystem, adversary, key-source) triple,
+    held whole.
+
+    ``key_image_posterior[a, t] = Pr[keymap(K^n) = t | M_A = a]`` carries all
+    randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
+    on demand.  Messages of probability zero are dropped (their original
+    indices remain in ``message_ids``).  A translation kernel
+    (``build_translation_kernel``) has one row of probability 1 that stands
+    for every message, and an empty ``message_ids``.
+    """
+
+    p_message: np.ndarray
+    key_image_posterior: np.ndarray
+    message_ids: np.ndarray
     _sub: np.ndarray | None = field(default=None, repr=False)
-    _row_entropy: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def message_count(self) -> int:
         return self.p_message.shape[0]
 
-    @property
-    def image_count(self) -> int:
-        return self.q**self.m
+    def blocks(self):
+        return _chunks(self.message_ids, self.p_message, self.key_image_posterior)
 
     def sub_index(self) -> np.ndarray:
         """sub[c, t] = index of the digitwise difference c - t (mod q).
@@ -154,12 +205,29 @@ class GammaKernel:
         rows = np.transpose(block, (2, 1, 0)) * self.p_message
         return rows.reshape(len(inputs), -1)
 
-    def lex_of_image(self) -> np.ndarray:
-        """Lexicographic index of the decoding-set member of each image."""
-        out = np.full(self.image_count, -1, dtype=np.int64)
-        d = np.flatnonzero(self.in_decoding_set)
-        out[self.image_of[d]] = d
-        return out
+
+@dataclass
+class DenseStream(_Kernel):
+    """The dense kernel as a stream: ``blocks()`` yields the (message ids,
+    p_message, posterior rows) of ``build_gamma_kernel``'s table, in order,
+    one block at a time, ``block_count`` blocks of at most
+    ``block_messages`` messages.  A scalar adversary's blocks are folded
+    again on each call, and its posterior is never held whole."""
+
+    block_count: int
+    block_messages: int
+    _blocks: Callable = field(repr=False)
+
+    def blocks(self):
+        return self._blocks()
+
+
+def _chunks(message_ids, p_message, rows):
+    """(message ids, p_message, posterior rows) of a posterior held whole,
+    ``_CHUNK`` messages at a time, in order."""
+    for lo in range(0, len(p_message), _CHUNK):
+        hi = lo + _CHUNK
+        yield message_ids[lo:hi], p_message[lo:hi], rows[lo:hi]
 
 
 def _check_adversary(sys: Cryptosystem, encoder, p_kz) -> None:
@@ -178,57 +246,140 @@ def _translates(digits: np.ndarray, row: np.ndarray, q: int, radix: np.ndarray) 
     return ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix
 
 
-def _key_image_message_joint(sys: Cryptosystem, encoder, p_kz):
-    """Joint table over (masked key image, adversary message), and
-    H(K^n | M_A), both from the one law ``adversary.adversary_joint``."""
-    q, n, m = sys.q, sys.n, sys.m
-    _check_adversary(sys, encoder, p_kz)
-    check_table("q^m * |M_A|", q**m * encoder.message_count)
-    joint = adversary.adversary_joint(encoder, p_kz)
-    h_key = adversary.joint_equivocation(encoder, joint)
-    radix_m = _radix(m, q)
-    if encoder.kind == "table":
-        kimg_idx = affine_apply(sys.keymap, all_sequences(n, q)) @ radix_m
-        g_joint = np.zeros((q**m, joint.shape[1]))
-        np.add.at(g_joint, kimg_idx, joint)
-        return g_joint, h_key
-    # the (masked key, message) joint factorizes per coordinate: fold the
-    # per-symbol (key, cell) joint into a running table over (image, prefix).
-    # Rebinding ``state`` to its gathered translates frees the old table
-    # before the product is allocated: at q = 2 with two cells the last step
-    # holds two posterior-sized tables, not two and a half.
-    digits = all_sequences(m, q)
-    state = np.zeros((q**m, 1))
-    state[int(sys.keymap.offset @ radix_m)] = 1.0
-    for t in range(n):
-        state = state[_translates(digits, sys.keymap.matrix[t], q, radix_m)]  # (q, q^m, prefix)
-        state = np.einsum("ksp,ka->spa", state, joint).reshape(q**m, -1)
-    return state, h_key
+def _key_image_message_blocks(sys: Cryptosystem, joint: np.ndarray, prefix_steps: int, translates):
+    """The (masked key image, adversary message) joint of a scalar adversary
+    as blocks of its columns: one (q^m, cells^(n - j)) block per message
+    prefix of length j = ``prefix_steps``, prefixes in lexicographic order.
+    ``joint`` is the per-symbol (key, cell) law and ``translates[t]`` the
+    ``_translates`` table of row t of the key map's matrix.
+
+    The joint factorizes per coordinate, so it folds symbol by symbol into a
+    running table over (image, prefix): column (a_1..a_t) after step t is
+
+        col_(a_1..a_t)(s) = sum_k col_(a_1..a_(t-1))(s - k M[t]) joint[k, a_t],
+
+    summed over k in order, and the table after step n is the whole joint,
+    column a = (a_1..a_n) at the lexicographic index of a.  The module
+    docstring proves that the blocks are its columns, bit for bit.
+    Rebinding ``state`` to its gathered translates frees the old table
+    before the product is allocated.
+    """
+    q, m = sys.q, sys.m
+    start = np.zeros((q**m, 1))
+    start[int(sys.keymap.offset @ _radix(m, q))] = 1.0
+    for prefix in itertools.product(range(joint.shape[1]), repeat=prefix_steps):
+        state = start
+        for t, perm in enumerate(translates):
+            cells = joint[:, prefix[t] : prefix[t] + 1] if t < prefix_steps else joint
+            state = state[perm]  # (q, q^m, prefix)
+            state = np.einsum("ksp,ka->spa", state, cells).reshape(q**m, -1)
+        yield state
 
 
-def build_gamma_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel:
-    """Exact kernel construction by joint enumeration (product-form for
-    scalar adversaries, full (k, z) enumeration for table adversaries).
+def _prefix_posteriors(sys: Cryptosystem, joint: np.ndarray, prefix_steps: int, translates):
+    """(message ids, p_message, posterior rows) of each block of
+    ``_key_image_message_blocks``.  Each column sum is the message's
+    probability, and each column of positive probability is divided by it,
+    in place on the kept copy (the same divisions, one table fewer); a
+    prefix of probability zero yields no block."""
+    size = joint.shape[1] ** (len(translates) - prefix_steps)
+    for i, raw in enumerate(_key_image_message_blocks(sys, joint, prefix_steps, translates)):
+        p_message = raw.sum(axis=0)
+        keep = np.flatnonzero(p_message > 0)
+        if keep.size:
+            posterior = raw[:, keep]
+            posterior /= p_message[keep]
+            yield i * size + keep, p_message[keep], posterior.T
 
-    The q^n * q^m size check runs first, before any table is built."""
-    q, n, m = sys.q, sys.n, sys.m
-    check_table("q^n * q^m", q**n * q**m)
-    g_joint, h_key = _key_image_message_joint(sys, encoder, p_kz)
+
+def _table_posterior(sys: Cryptosystem, joint: np.ndarray):
+    """(message ids, p_message, posterior rows) of a table adversary, held
+    whole, from its (key sequence, message) enumeration ``joint``; messages
+    of probability zero are dropped as in ``_prefix_posteriors``."""
+    kimg_idx = affine_apply(sys.keymap, all_sequences(sys.n, sys.q)) @ _radix(sys.m, sys.q)
+    g_joint = np.zeros((sys.q**sys.m, joint.shape[1]))
+    np.add.at(g_joint, kimg_idx, joint)
     p_message = g_joint.sum(axis=0)
     keep = np.flatnonzero(p_message > 0)
     posterior = g_joint[:, keep]
-    posterior /= p_message[keep]  # in place: the same divisions, one table fewer
+    posterior /= p_message[keep]
+    return keep, p_message[keep], posterior.T
+
+
+def build_dense_stream(sys: Cryptosystem, encoder, p_kz) -> DenseStream:
+    """The dense kernel as a ``DenseStream`` (product-form fold for scalar
+    adversaries, full (k, z) enumeration for table adversaries).
+
+    A scalar adversary's blocks hold the messages of one prefix of length
+    j, the fewest symbols that leave at most ``_CHUNK`` messages per block:
+    256 at two cells, 243 at three.  Every table the stream allocates is
+    checked against the cap here, before its first block: the |M_A|
+    vectors of a pass over all messages, the n translate tables of the fold
+    (n * q * q^m) and the block table (q^m times the messages per block).
+    A table adversary keeps its enumeration: its posterior is built whole
+    here, under the same q^n * q^m and q^m * |M_A| checks as
+    ``build_gamma_kernel``, and yielded ``_CHUNK`` messages at a time.
+    """
+    q, n, m = sys.q, sys.n, sys.m
+    _check_adversary(sys, encoder, p_kz)
+    check_table("|M_A|", encoder.message_count)
+    if encoder.kind == "table":
+        check_table("q^n * q^m", q**n * q**m)
+        check_table("q^m * |M_A|", q**m * encoder.message_count)
+        joint = adversary.adversary_joint(encoder, p_kz)
+        whole = _table_posterior(sys, joint)
+        size = min(_CHUNK, len(whole[0]))
+        count = -(-len(whole[0]) // size)
+        blocks = partial(_chunks, *whole)
+    else:
+        cells = encoder.num_cells
+        steps = next(j for j in range(n + 1) if cells ** (n - j) <= _CHUNK)
+        size, count = cells ** (n - steps), cells**steps
+        check_table("n * q * q^m", n * q * q**m)
+        check_table("q^m * messages per block", q**m * size)
+        joint = adversary.adversary_joint(encoder, p_kz)
+        digits = all_sequences(m, q)
+        radix_m = _radix(m, q)
+        translates = [_translates(digits, row, q, radix_m) for row in sys.keymap.matrix]
+        blocks = partial(_prefix_posteriors, sys, joint, steps, translates)
     images, in_d, _ = sys.code.full_tables()
+    return DenseStream(
+        q=q,
+        n=n,
+        m=m,
+        image_of=images,
+        in_decoding_set=in_d,
+        key_equivocation=adversary.joint_equivocation(encoder, joint),
+        block_count=count,
+        block_messages=size,
+        _blocks=blocks,
+    )
+
+
+def build_gamma_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel:
+    """The dense kernel held whole: the blocks of ``build_dense_stream``
+    concatenated, the test oracle of the stream.
+
+    The q^n * q^m and q^m * |M_A| size checks run first, before any table
+    is built."""
+    q, n, m = sys.q, sys.n, sys.m
+    check_table("q^n * q^m", q**n * q**m)
+    check_table("q^m * |M_A|", q**m * encoder.message_count)
+    stream = build_dense_stream(sys, encoder, p_kz)
+    ids, p_message, rows = zip(*stream.blocks())
+    # the blocks' (q^m, messages) tables side by side; the posterior is
+    # their transpose, as each block's rows are
+    posterior = np.concatenate([r.T for r in rows], axis=1)
     return GammaKernel(
         q=q,
         n=n,
         m=m,
-        p_message=p_message[keep],
+        image_of=stream.image_of,
+        in_decoding_set=stream.in_decoding_set,
+        key_equivocation=stream.key_equivocation,
+        p_message=np.concatenate(p_message),
         key_image_posterior=posterior.T,
-        image_of=images,
-        in_decoding_set=in_d,
-        message_ids=keep,
-        key_equivocation=h_key,
+        message_ids=np.concatenate(ids),
     )
 
 
@@ -325,7 +476,7 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | 
     )
 
 
-def _plaintext_vector(kernel: GammaKernel, p_x) -> np.ndarray:
+def _plaintext_vector(kernel: _Kernel, p_x) -> np.ndarray:
     """Coerce a plaintext law to a vector over X^n in lexicographic order."""
     total = kernel.q**kernel.n
     if isinstance(p_x, ProductDistribution):
@@ -389,28 +540,42 @@ def _zq_convolve(rows: np.ndarray, spectrum: np.ndarray, q: int, m: int) -> np.n
     return np.real(_zq_transform(product, q, m, inverse=True)) / q**m
 
 
-# Messages per batch of every pass over the posterior, which bounds the
-# size of its (messages, q^m) temporaries.
-_CHUNK = 256
-
-
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row of a 2-D C-ordered table, ``_CHUNK`` rows
-    at a time; each row is summed on its own, so the batch leaves its bits."""
-    out = np.empty(len(rows))
-    for lo in range(0, len(rows), _CHUNK):
-        out[lo : lo + _CHUNK] = -_xlogx(rows[lo : lo + _CHUNK]).sum(axis=1)
-    return out
+    """Entropy in nats of each row of one block; each row is summed on its
+    own, so the other rows of the block leave its bits."""
+    return -_xlogx(rows).sum(axis=1)
 
 
-def _posterior_entropies(kernel: GammaKernel) -> np.ndarray:
-    """H(post_a) for every message a, computed once per kernel."""
-    if kernel._row_entropy is None:
-        kernel._row_entropy = _row_entropies(kernel.key_image_posterior)
-    return kernel._row_entropy
+def _entropy_pass(kernel: _Kernel, spectrum: np.ndarray | None = None) -> float:
+    """One pass over the kernel's blocks.  It keeps H(keymap(K^n) | M_A) =
+    sum_a p(a) H(post_a) on the kernel and, given the transform of p_img,
+    returns sum_a p(a) [H(post_a * p_img) - H(post_a)] (``delta_mi``).
+
+    A message whose posterior is constant gains exactly zero (its
+    convolution is the same constant) and is skipped, so a kernel with no
+    other message gives exactly 0.0.  Each sum is one ``math.fsum`` of the
+    per-message terms, which are the same bits however the messages are
+    split into blocks.
+    """
+    q, m = kernel.q, kernel.m
+    weights, entropies, live_weights, gains = [], [], [], []
+    for _, p_message, rows in kernel.blocks():
+        h_post = _row_entropies(rows)
+        weights.append(p_message)
+        entropies.append(h_post)
+        if spectrum is None:
+            continue
+        live = np.flatnonzero(np.any(rows != rows[:, :1], axis=1))
+        if live.size:
+            live_weights.append(p_message[live])
+            gains.append(_row_entropies(_zq_convolve(rows[live], spectrum, q, m)) - h_post[live])
+    kernel._equivocation = math.fsum(np.concatenate(weights) * np.concatenate(entropies))
+    if not gains:
+        return 0.0
+    return math.fsum(np.concatenate(live_weights) * np.concatenate(gains))
 
 
-def delta_mi(kernel: GammaKernel, p_x) -> float:
+def delta_mi(kernel: _Kernel, p_x) -> float:
     """I(C; X | M_A) in nats for the given plaintext law, exactly.
 
     Proof of the formula.  X is independent of (K^n, M_A).  Given M_A = a,
@@ -423,32 +588,16 @@ def delta_mi(kernel: GammaKernel, p_x) -> float:
 
     and I(C; X | M_A) = sum_a p(a) [H(post_a * p_img) - H(post_a)], where *
     is cyclic convolution over Z_q^m, evaluated by one radix-q Fourier
-    transform (``_zq_convolve``) for each chunk of ``_CHUNK`` messages.
-    H(post_a) is the kernel's own row entropy.  There is no precondition
-    beyond the additive form of the kernel.
+    transform (``_zq_convolve``) for each block of messages.  There is no
+    precondition beyond the additive form of the kernel.
 
-    A message whose posterior is constant contributes exactly zero (its
-    convolution is the same constant) and is skipped, so a kernel with no
-    other message gives exactly 0.0.  The gains of all other messages are
-    weighted in one ``math.fsum``, as when they were convolved at once.
+    The same pass (``_entropy_pass``) keeps H(keymap(K^n) | M_A) on the
+    kernel, so ``delta_max_mi`` and the bounds after it run no second pass:
+    a ``DenseStream`` folds once per ``leakage_report``.
     """
-    q, m = kernel.q, kernel.m
     px = _plaintext_vector(kernel, p_x)
     p_img = np.bincount(kernel.image_of, weights=px, minlength=kernel.image_count)
-    spectrum = _zq_transform(p_img[None], q, m)
-    h_post = _posterior_entropies(kernel)
-    post = kernel.key_image_posterior
-    live, gain = [], []
-    for lo in range(0, kernel.message_count, _CHUNK):
-        rows = post[lo : lo + _CHUNK]
-        idx = lo + np.flatnonzero(np.any(rows != rows[:, :1], axis=1))
-        if idx.size:
-            live.append(idx)
-            gain.append(_row_entropies(_zq_convolve(post[idx], spectrum, q, m)) - h_post[idx])
-    if not live:
-        return 0.0
-    live = np.concatenate(live)
-    return math.fsum(kernel.p_message[live] * np.concatenate(gain))
+    return _entropy_pass(kernel, _zq_transform(p_img[None], kernel.q, kernel.m))
 
 
 @dataclass
@@ -513,17 +662,19 @@ class DeltaMaxResult:
     input_distribution: np.ndarray  # over X^n, lexicographic
 
 
-def _masked_key_equivocation(kernel: GammaKernel) -> float:
-    """H(keymap(K^n) | M_A) in nats, from the kernel's row entropies."""
-    return math.fsum(kernel.p_message * _posterior_entropies(kernel))
+def _masked_key_equivocation(kernel: _Kernel) -> float:
+    """H(keymap(K^n) | M_A) in nats, from one entropy pass per kernel."""
+    if kernel._equivocation is None:
+        _entropy_pass(kernel)
+    return kernel._equivocation
 
 
-def _leakage_below(kernel: GammaKernel, equivocation: float) -> float:
+def _leakage_below(kernel: _Kernel, equivocation: float) -> float:
     """m ln q minus a key equivocation, floored at zero against rounding."""
     return max(0.0, kernel.m * math.log(kernel.q) - equivocation)
 
 
-def delta_max_mi(kernel: GammaKernel) -> DeltaMaxResult:
+def delta_max_mi(kernel: _Kernel) -> DeltaMaxResult:
     """max over plaintext laws of I(C; X | M_A), in nats, in closed form:
 
         delta_max = m ln q - H(keymap(K^n) | M_A),
@@ -561,7 +712,7 @@ def delta_max_mi(kernel: GammaKernel) -> DeltaMaxResult:
     return DeltaMaxResult(value=value, input_distribution=x_dist)
 
 
-def delta_max_lower_bound(kernel: GammaKernel) -> float:
+def delta_max_lower_bound(kernel: _Kernel) -> float:
     """m ln q - H(K^n | M_A), floored at zero (always <= delta_max_mi).
 
     keymap(K^n) is a function of K^n, so H(keymap(K^n) | M_A) <=
@@ -570,7 +721,7 @@ def delta_max_lower_bound(kernel: GammaKernel) -> float:
     return _leakage_below(kernel, kernel.key_equivocation)
 
 
-def delta_max_upper_bound(kernel: GammaKernel) -> float:
+def delta_max_upper_bound(kernel: _Kernel) -> float:
     """m ln q - H(keymap(K^n) | M_A), floored at zero.
 
     For the additive construction this is also the exact worst case (see
@@ -600,7 +751,7 @@ def _worst_entry(err: np.ndarray, lo: int) -> tuple:
     return float(err[a, c]), (int(c), lo + int(a))
 
 
-def structural_checks(kernel: GammaKernel) -> KernelCheckReport:
+def structural_checks(kernel: _Kernel) -> KernelCheckReport:
     """Verify the two exact identities every valid kernel family satisfies,
     each to within ``KERNEL_CHECK_TOL``.
 
@@ -612,7 +763,8 @@ def structural_checks(kernel: GammaKernel) -> KernelCheckReport:
     Witnesses are (ciphertext index, message position) of the worst entry:
     the first message, then the first ciphertext, of the largest error.
     The sums over D are convolutions, sum_t post_a(c - t) n_D(t) with n_D(t)
-    the number of D-members of image t, evaluated by ``_zq_convolve``.
+    the number of D-members of image t, evaluated by ``_zq_convolve`` for
+    each of the kernel's blocks in one pass.
     """
     img_counts = np.bincount(
         kernel.image_of[np.flatnonzero(kernel.in_decoding_set)], minlength=kernel.image_count
@@ -621,16 +773,17 @@ def structural_checks(kernel: GammaKernel) -> KernelCheckReport:
     target = 1.0 / kernel.image_count
     worst_a = worst_u = 0.0
     wit_a = wit_u = None
-    post = kernel.key_image_posterior
     spectrum = _zq_transform(img_counts[None], kernel.q, kernel.m)
-    for lo in range(0, kernel.message_count, _CHUNK):
-        sums = _zq_convolve(post[lo : lo + _CHUNK], spectrum, kernel.q, kernel.m)
+    lo = 0
+    for _, _, rows in kernel.blocks():
+        sums = _zq_convolve(rows, spectrum, kernel.q, kernel.m)
         val, wit = _worst_entry(np.abs(sums - 1.0), lo)
         if val > worst_a:
             worst_a, wit_a = val, wit
         val, wit = _worst_entry(np.abs(sums / d_size - target), lo)
         if val > worst_u:
             worst_u, wit_u = val, wit
+        lo += len(rows)
     rows_ok = worst_a <= KERNEL_CHECK_TOL
     unif_ok = worst_u <= KERNEL_CHECK_TOL
     return KernelCheckReport(
@@ -660,16 +813,25 @@ def leakage_report(sys: Cryptosystem, encoder, p_kz, p_x) -> LeakageReport:
     """Assemble the full leakage picture for one configuration.
 
     The kernel is the translation kernel where the adversary's cell laws
-    allow it, and the dense kernel otherwise; ``diagnostics["kernel"]``
-    names the one taken, "translation" or "dense".
+    allow it, and the dense stream otherwise, folded once: ``delta_mi``'s
+    pass keeps the entropies that the other criteria read.
+    ``diagnostics["kernel"]`` names the one taken, "translation" or
+    "dense"; a dense row also records its ``blocks`` and the
+    ``messages_per_block`` of each.
     """
-    kernel, path = build_translation_kernel(sys, encoder, p_kz), "translation"
+    kernel = build_translation_kernel(sys, encoder, p_kz)
+    diagnostics = {"kernel": "translation"}
     if kernel is None:
-        kernel, path = build_gamma_kernel(sys, encoder, p_kz), "dense"
+        kernel = build_dense_stream(sys, encoder, p_kz)
+        diagnostics = {
+            "kernel": "dense",
+            "blocks": kernel.block_count,
+            "messages_per_block": kernel.block_messages,
+        }
     return LeakageReport(
         delta_mi=delta_mi(kernel, p_x),
         delta_max=delta_max_mi(kernel).value,
         lower_bound=delta_max_lower_bound(kernel),
         upper_bound=delta_max_upper_bound(kernel),
-        diagnostics={"kernel": path},
+        diagnostics=diagnostics,
     )

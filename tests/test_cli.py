@@ -11,7 +11,7 @@ import pytest
 
 import leaklab
 from helpers import condition_oracle, swapped_decode
-from leaklab import cli, codec, crypto
+from leaklab import cli, codec, crypto, leakage
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
 from leaklab.probability import all_sequences
 
@@ -114,6 +114,47 @@ def test_leakage_runs_no_key_image_sweep(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert (tmp_path / "o" / "leakage.csv").exists()
+
+
+DENSE = {"key": {"probs": [0.7, 0.3]}, "adversary": {"kind": "scalar", "cells": None}}
+
+
+def test_dense_configs_never_build_the_materialized_kernel(tmp_path, monkeypatch):
+    # the dense kernel is streamed on every pipeline path; the whole table
+    # is the tests' oracle only
+    def whole(*args):
+        raise AssertionError("a pipeline path built the whole dense kernel")
+
+    monkeypatch.setattr(leakage, "build_gamma_kernel", whole)
+    path = write_config(tmp_path, n_list=[6, 10], **DENSE)
+    for cmd, name in (("leakage", "leakage.csv"), ("simulate", "simulate.csv")):
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / cmd)]) == EXIT_OK
+        assert (tmp_path / cmd / name).exists()
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == EXIT_OK
+
+
+def test_verify_checks_the_kernel_leakage_takes(tmp_path, capsys, monkeypatch):
+    # uniform key: the translation kernel is checked at every n, and the
+    # dense stream as well while q^n * q^m fits the cap (n=6, not n=16);
+    # key [0.7, 0.3]: the dense stream is the only kernel, and it is checked
+    # past that bound too (n=10 under a cap of 2^16, below its 2^17)
+    path = write_config(tmp_path, n_list=[6, 16], adversary={"kind": "scalar", "cells": None})
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    kernel_lines = [l for l in capsys.readouterr().out.splitlines() if "kernel." in l]
+    assert [l.split(" max_err=")[0] for l in kernel_lines] == [
+        "PASS kernel.row_sum_identity (n=6)",
+        "PASS kernel.uniform_ciphertext (n=6)",
+        "PASS kernel.row_sum_identity (n=6, kernel=translation)",
+        "PASS kernel.uniform_ciphertext (n=6, kernel=translation)",
+        "PASS kernel.row_sum_identity (n=16, kernel=translation)",
+        "PASS kernel.uniform_ciphertext (n=16, kernel=translation)",
+    ]
+    monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**16)
+    path = write_config(tmp_path, n_list=[10], **DENSE)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS kernel.row_sum_identity (n=10) max_err=" in out
+    assert "kernel=translation" not in out and "FAIL" not in out
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -337,12 +378,14 @@ def test_probability_errors_name_the_key_path(tmp_path, capsys):
     assert "pmf sums to 0.9, not 1" in capsys.readouterr().err
 
 
-def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
-    # q=2, n=16, m=11: the dense kernel tables would hold q^n * q^m = 2^27
-    # entries; key [0.7, 0.3] has no translation kernel, so the dense one is built
+def test_table_cap_refusal_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # q=2, n=10, m=7 under a cap of 2^14: key [0.7, 0.3] has no translation
+    # kernel, and the dense stream's block table of q^m * 256 = 2^15 entries
+    # is refused before its first block
+    monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**14)
     cfg = write_config(
         tmp_path,
-        n_list=[16],
+        n_list=[10],
         key={"probs": [0.7, 0.3]},
         adversary={"kind": "scalar", "cells": None},
     )
@@ -350,17 +393,26 @@ def test_table_cap_refusal_is_a_config_error(tmp_path, capsys):
     assert main(["leakage", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert "q^n * q^m = 2^27" in err and "table cap 2^26" in err
+    assert "q^m * messages per block = 2^15" in err and "table cap 2^14" in err
     assert not (out / "leakage.csv").exists()
 
 
-def test_verify_refuses_table_cap_before_crypto_suite(tmp_path, capsys):
-    cfg = write_config(tmp_path, n_list=[4, 16], adversary={"kind": "scalar", "cells": None})
+def test_verify_refuses_table_cap_before_crypto_suite(tmp_path, capsys, monkeypatch):
+    # the same refusal in verify: n=4 runs whole, and n=10's stream is
+    # refused before its crypto suite prints a line
+    monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**14)
+    cfg = write_config(
+        tmp_path,
+        n_list=[4, 10],
+        key={"probs": [0.7, 0.3]},
+        adversary={"kind": "scalar", "cells": None},
+    )
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "PASS crypto.decoding_set_size (n=4" in captured.out
-    assert "n=16" not in captured.out
-    assert "q^n * q^m = 2^27" in captured.err
+    assert "PASS kernel.uniform_ciphertext (n=4)" in captured.out
+    assert "n=10" not in captured.out
+    assert "q^m * messages per block = 2^15" in captured.err
 
 
 def test_simulate_schema_and_lossless_regime(tmp_path, capsys):
@@ -582,6 +634,14 @@ def test_golden_leakage_csv(tmp_path):
     assert (out / "leakage.csv").read_bytes() == (GOLDEN / "leakage_ternary.csv").read_bytes()
 
 
+def test_golden_leakage_dense_csv(tmp_path):
+    # key [0.7, 0.3]: the dense stream, over 4 to 32 blocks of 256 messages
+    path = write_config(tmp_path, key={"probs": [0.7, 0.3]}, n_list=[10, 11, 12, 13])
+    out = tmp_path / "o"
+    assert main(["leakage", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert (out / "leakage.csv").read_bytes() == (GOLDEN / "leakage_dense.csv").read_bytes()
+
+
 def test_golden_build_code_descriptor(tmp_path):
     cfg = write_config(tmp_path, n_list=[6])
     out = tmp_path / "o"
@@ -661,9 +721,9 @@ def test_leakage_n12_fits_in_1gib_address_space(tmp_path):
 
 
 def test_leakage_n15_fits_in_1gib_address_space(tmp_path):
-    # the dense (|M|, q^m) = (2^15, 2^10) posterior takes 256 MiB; delta_mi and
-    # the entropy pass read it 256 messages at a time.  Key [0.7, 0.3] has no
-    # translation kernel, so the dense one is built
+    # key [0.7, 0.3] has no translation kernel, so the dense kernel is
+    # streamed: its (|M|, q^m) = (2^15, 2^10) posterior would take 256 MiB,
+    # and the one pass holds a 256-message block of 2 MiB at a time
     cfg = write_config(
         tmp_path,
         n_list=[15],
@@ -677,6 +737,20 @@ def test_leakage_n15_fits_in_1gib_address_space(tmp_path):
     vals = dict(zip(header.split(","), row.split(",")))
     assert (vals["n"], vals["m"]) == ("15", "10")
     assert vals["delta_max"] == vals["ub"]
+
+
+def test_dense_leakage_runs_at_n16_in_1gib(tmp_path):
+    # key [0.7, 0.3], n=16, m=11: the whole table's q^n * q^m = 2^27 entries
+    # exceed the cap; the stream's 256 blocks of 2^19 entries do not
+    path = write_config(tmp_path, n_list=[16], **DENSE)
+    out = tmp_path / "o"
+    proc = run_in_1gib(["leakage", "--config", str(path), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    header, row = (out / "leakage.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert (vals["n"], vals["m"]) == ("16", "11")
+    assert vals["delta_max"] == vals["ub"]
+    assert float(vals["lb"]) <= float(vals["delta_max"]) and 0 < float(vals["delta_mi"])
 
 
 @pytest.mark.parametrize("n, m", [(16, 11), (20, 14)])

@@ -226,6 +226,37 @@ def test_construction_runs_only_the_probe(monkeypatch):
     assert calls == ["encrypt", "decrypt"]
 
 
+def test_probe_chunks_keep_the_first_failing_pair(monkeypatch):
+    # a decrypt that reads the key beyond its image fails on the probe
+    # pairs whose key is all zeros (the 7th, 51st and 54th); chunks of 4
+    # pairs, in order, report the pair that one batch of all of them reports
+    class _KeyDependent(Cryptosystem):
+        def decrypt(self, k, c):
+            out = super().decrypt(k, c)
+            hit = np.all(np.asarray(k) == 0, axis=-1)
+            out[..., 0] = np.where(hit, 1 - out[..., 0], out[..., 0])
+            return out
+
+    monkeypatch.setattr(crypto, "EXHAUSTIVE_PAIR_CAP", 2**6)
+    monkeypatch.setattr(crypto, "SAMPLE_PAIRS", 100)
+    code = build_universal_code(6, 0.5, 2)
+    keymap = random_affine(6, code.m, F2, seed=2)
+    messages, calls = [], []
+    encrypt = Cryptosystem.encrypt
+    monkeypatch.setattr(
+        Cryptosystem, "encrypt", lambda self, k, x: calls.append(len(x)) or encrypt(self, k, x)
+    )
+    for chunk in (100, 4):
+        monkeypatch.setattr(crypto, "PROBE_CHUNK", chunk)
+        calls.clear()
+        with pytest.raises(AssertionError, match="structural condition violated") as err:
+            _KeyDependent(code, keymap)
+        messages.append(str(err.value))
+        assert max(calls) <= chunk
+    assert messages[0] == messages[1]
+    assert calls == [4, 4]  # the second chunk holds the first failing pair
+
+
 class _ImageDependent(Cryptosystem):
     """encrypt zeroes the last ciphertext symbol, and decrypt flips the first
     plaintext symbol, for the keys of one key image only.  Both read the key

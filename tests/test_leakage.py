@@ -1,6 +1,7 @@
 import math
 import os
 import subprocess
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from sys import executable
@@ -208,16 +209,26 @@ def prefix_fold_oracle(sys, enc, p_kz):
 
 
 @pytest.mark.parametrize("q, n, R", [(2, 9, 0.5), (3, 5, 0.8), (5, 3, 0.9)])
-def test_kernel_fold_is_bit_identical_to_prefix_fold_oracle(q, n, R):
+def test_kernel_fold_is_bit_identical_to_prefix_fold_oracle(q, n, R, monkeypatch):
+    # the stream's blocks, side by side, are the whole fold's table, its
+    # column sums and its columns divided by them; with 16 messages per
+    # block every case splits at a prefix of 2 or more symbols
     rng = np.random.default_rng(q)
     W = ChannelMatrix(rng.dirichlet(np.ones(q + 1), size=q))
     p_kz = joint_from_channel(Pmf(rng.dirichlet(np.ones(q))), W)
     code = build_universal_code(n, R, q)
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=n))
     enc = scalar_quantizer_encoder(list(range(q + 1)), n)
-    g_joint, _ = leakage_module._key_image_message_joint(sys, enc, p_kz)
     want = prefix_fold_oracle(sys, enc, p_kz)
-    assert g_joint.shape == want.shape and np.array_equal(g_joint, want)
+    for chunk in (leakage_module._CHUNK, 16):
+        monkeypatch.setattr(leakage_module, "_CHUNK", chunk)
+        stream = leakage_module.build_dense_stream(sys, enc, p_kz)
+        ids, p_message, rows = zip(*stream.blocks())
+        assert len(rows) == stream.block_count
+        assert chunk > 16 or stream.block_count >= (q + 1) ** 2
+        assert np.array_equal(np.concatenate(ids), np.arange(want.shape[1]))
+        assert np.array_equal(np.concatenate(p_message), want.sum(axis=0))
+        assert np.array_equal(np.concatenate(rows), (want / want.sum(axis=0)).T)
     kern = build_gamma_kernel(sys, enc, p_kz)
     assert np.array_equal(kern.key_image_posterior, (want / want.sum(axis=0)).T)
 
@@ -982,3 +993,103 @@ def test_dense_row_bits_do_not_depend_on_blas_threads():
         outs.append(proc.stdout)
     assert outs[0].startswith("dense ")
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Dense stream: the blocks against the materialized oracle
+# ---------------------------------------------------------------------------
+
+ZERO_CELL = [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]]  # cell 2 never occurs
+
+
+@pytest.mark.parametrize("q, n, R, W, p_k, labels", [
+    (2, 9, 0.5, ChannelMatrix.bsc(0.1).rows, [0.7, 0.3], [0, 1]),
+    (2, 6, 0.5, ZERO_CELL, [0.6, 0.4], [0, 1, 2]),  # blocks of no message
+    (3, 5, 0.8, CIRCULANT, [0.4, 0.35, 0.25], [0, 1, 2]),
+    (3, 6, 0.8, TERNARY_SYMMETRIC, [0.5, 0.3, 0.2], [0, 1, 1]),
+], ids=["binary", "zero_cell", "ternary", "ternary_coarse"])
+def test_dense_stream_equals_the_materialized_oracle(q, n, R, W, p_k, labels, monkeypatch):
+    # the oracle is built in 256-message chunks; the stream splits at
+    # prefixes of 2 or more symbols, yet every per-message term, every
+    # criterion and every check is the oracle's, bit for bit
+    p_kz = joint_from_channel(Pmf(p_k), ChannelMatrix(W))
+    sys = system(n, R, q, n)
+    enc = scalar_quantizer_encoder(labels, n)
+    p_x = Pmf(np.random.default_rng(n).dirichlet(np.ones(q)))
+    oracle = build_gamma_kernel(sys, enc, p_kz)
+    want = criteria(oracle, p_x)
+    want_h = leakage_module._row_entropies(oracle.key_image_posterior)
+    in_d = oracle.in_decoding_set.copy()
+    in_d[np.flatnonzero(in_d)[3]] = False
+    want_checks = structural_checks(replace(oracle, in_decoding_set=in_d))
+    assert not want_checks.passed and want_checks.row_sum_witness is not None
+    for chunk in (16, 8):
+        monkeypatch.setattr(leakage_module, "_CHUNK", chunk)
+        stream = leakage_module.build_dense_stream(sys, enc, p_kz)
+        assert stream.block_count >= enc.num_cells**2
+        ids, p_message, rows = zip(*stream.blocks())
+        assert min(len(r) for r in rows) >= 2 and max(len(r) for r in rows) <= chunk
+        assert np.array_equal(np.concatenate(ids), oracle.message_ids)
+        assert np.array_equal(np.concatenate(p_message), oracle.p_message)
+        assert np.array_equal(np.concatenate(rows), oracle.key_image_posterior)
+        h = np.concatenate([leakage_module._row_entropies(r) for r in rows])
+        assert np.array_equal(h, want_h)
+        assert criteria(stream, p_x) == want
+        assert structural_checks(stream) == structural_checks(oracle)
+        assert structural_checks(replace(stream, in_decoding_set=in_d)) == want_checks
+
+
+def test_dense_stream_of_a_table_adversary_cuts_its_enumeration(monkeypatch):
+    sys = system(4, 0.5, 2, 4)
+    enc = TableEncoder(np.arange(16) % 5, n=4, obs_size=2)
+    p_kz = bsc_joint(0.1, Pmf([0.7, 0.3]))
+    oracle = build_gamma_kernel(sys, enc, p_kz)
+    monkeypatch.setattr(leakage_module, "_CHUNK", 2)
+    stream = leakage_module.build_dense_stream(sys, enc, p_kz)
+    assert (stream.block_count, stream.block_messages) == (3, 2)
+    ids, p_message, rows = zip(*stream.blocks())
+    assert np.array_equal(np.concatenate(ids), oracle.message_ids)
+    assert np.array_equal(np.concatenate(p_message), oracle.p_message)
+    assert np.array_equal(np.concatenate(rows), oracle.key_image_posterior)
+    assert criteria(stream, Pmf.bernoulli(0.2)) == criteria(oracle, Pmf.bernoulli(0.2))
+
+
+def test_dense_report_records_its_blocks():
+    sys = system(10, 0.5, 2, 10)
+    rep = leakage_report(sys, scalar_quantizer_encoder([0, 1], 10), bsc_joint(0.1, Pmf([0.7, 0.3])),
+                         Pmf.bernoulli(0.11))
+    assert rep.diagnostics == {"kernel": "dense", "blocks": 4, "messages_per_block": 256}
+    sys = system(6, 0.8, 3, 6)
+    p_kz = joint_from_channel(Pmf([0.4, 0.35, 0.25]), ChannelMatrix(TERNARY_SYMMETRIC))
+    rep = leakage_report(sys, scalar_quantizer_encoder([0, 1, 2], 6), p_kz, Pmf.uniform(3))
+    assert rep.diagnostics == {"kernel": "dense", "blocks": 3, "messages_per_block": 243}
+
+
+def test_dense_report_holds_one_block_and_folds_once(monkeypatch):
+    # q=2, n=13, m=9: the (2^13, 2^9) posterior would take 32 MiB; the
+    # stream holds one 256-message block of 1 MiB and its temporaries, and
+    # the one report runs the fold once, for all four criteria
+    sys = system(13, 0.5, 2, 13)
+    assert sys.m == 9
+    sys.code.full_tables()
+    fold = leakage_module._key_image_message_blocks
+    made = []
+
+    def counted(*args):
+        for block in fold(*args):
+            made.append(block.shape)
+            yield block
+
+    monkeypatch.setattr(leakage_module, "_key_image_message_blocks", counted)
+    enc = scalar_quantizer_encoder([0, 1], 13)
+    p_kz = bsc_joint(0.1, Pmf([0.7, 0.3]))
+    tracemalloc.start()
+    try:
+        rep = leakage_report(sys, enc, p_kz, Pmf.bernoulli(0.11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.diagnostics["blocks"] == 32
+    assert made == [(2**9, 256)] * 32
+    table = 2**13 * 2**9 * 8
+    assert peak < table / 4, peak

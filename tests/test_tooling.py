@@ -254,6 +254,9 @@ def test_one_table_cap_refuses_every_table(tmp_path, monkeypatch):
     (tmp_path / "c.json").write_text(json.dumps(config))
     experiment = cli.Experiment(config)
     table_encoder = TableEncoder(np.arange(16) % 3, 4, 2)
+    # n=3, m=1 for the dense stream's |M_A| vectors and block table
+    small = Cryptosystem(build_universal_code(3, 0.3, 2), random_affine(3, 1, FieldSpec(2), 0))
+    erasure = joint_from_channel(Pmf.uniform(2), ChannelMatrix([[0.8, 0.2, 0], [0, 0.2, 0.8]]))
     monkeypatch.setattr(probability, "TABLE_CAP", 15)
     refusals = [
         ("q^n * n = 2^6", lambda: all_sequences(4, 2)),
@@ -262,6 +265,15 @@ def test_one_table_cap_refuses_every_table(tmp_path, monkeypatch):
         ("q^n * |Z|^n = 2^8", lambda: adversary_joint(table_encoder, p_kz)),
         ("q^n * q^m = 2^6", lambda: build_gamma_kernel(
             system, scalar_quantizer_encoder([0, 1], 4), p_kz
+        )),
+        ("|M_A| = 27", lambda: leakage.build_dense_stream(
+            small, scalar_quantizer_encoder([0, 1, 2], 3), erasure
+        )),
+        ("n * q * q^m = 2^5", lambda: leakage.build_dense_stream(
+            system, scalar_quantizer_encoder([0, 0], 4), p_kz
+        )),
+        ("q^m * messages per block = 2^4", lambda: leakage.build_dense_stream(
+            small, scalar_quantizer_encoder([0, 1], 3), p_kz
         )),
         ("monte_carlo_samples * 2 * n = 2^4", lambda: cli.cmd_simulate(
             experiment, tmp_path / "o", tmp_path / "c.json"
