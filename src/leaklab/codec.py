@@ -9,7 +9,8 @@ exactly on D.
 
 X^n is ranked once, by the cached tables of ``UniversalCode.full_tables``;
 ``encode`` and ``decode`` are lookups on them, and on cached digit tables of
-X^n and X^m, for one word or a batch.
+X^n and X^m, for one word or a batch.  The leakage criteria read X^n only
+through two q^m vectors of this module, ``image_law`` and ``image_counts``.
 
 Because D is type-aligned (whole classes plus at most one partial boundary
 class), the exact error probability is a short sum over type classes, with
@@ -25,7 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from .galois import _as_integers
-from .probability import Pmf, all_sequences, entropy, enumerate_types, kl_divergence
+from .probability import (
+    Pmf, ProductDistribution, all_sequences, entropy, enumerate_types, kl_divergence,
+)
 
 __all__ = [
     "UniversalCode",
@@ -197,6 +200,29 @@ class UniversalCode:
         """Whether x (one sequence or each row of a batch) lies in D."""
         _, in_d, _ = self.full_tables()
         return in_d[self._sequence_index(x)]
+
+    # -- what the leakage criteria read of X^n, as q^m vectors ---------------
+
+    def image_law(self, p_x) -> np.ndarray:
+        """The law of the codeword encode(X) over Z_q^m, for ``p_x`` a
+        ``Pmf`` (X^n i.i.d.) or a vector over X^n in lexicographic order
+        with length q^n, finite non-negative entries and sum 1 +- 1e-9."""
+        if isinstance(p_x, Pmf):
+            v = ProductDistribution(p_x, self.n).materialize()
+        else:
+            v = np.asarray(p_x, dtype=np.float64)
+            if v.shape != (self.q**self.n,):
+                raise ValueError(f"plaintext vector must have length q^n = {self.q**self.n}")
+            if not np.all(np.isfinite(v)) or v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+                raise ValueError("plaintext vector is not a distribution")
+        images, _, _ = self.full_tables()
+        return np.bincount(images, weights=v, minlength=self.decoding_set_size)
+
+    def image_counts(self) -> np.ndarray:
+        """The number of decoding-set members of each codeword, as q^m
+        floats: all ones for a valid code, whose encode maps D onto Z_q^m."""
+        images, in_d, _ = self.full_tables()
+        return np.bincount(images[in_d], minlength=self.decoding_set_size).astype(np.float64)
 
     @classmethod
     def identity(cls, n: int, q: int) -> "UniversalCode":

@@ -12,9 +12,13 @@ posterior table over masked keys:
     gamma[x](c | a) = Pr[keymap(K^n) = c - encode(x) | M_A = a].
 
 Given M_A = a the ciphertext is the sum over Z_q^m of two independent
-parts, encode(X) and the masked key, so every criterion has a closed form:
+parts, encode(X) and the masked key, so the plaintext law reaches every
+criterion only through the codeword law p_img on Z_q^m, and the code only
+through its decoding-set members per codeword.  Both are q^m vectors that
+the code computes (``UniversalCode.image_law`` and ``image_counts``); no
+kernel reads X^n.  Every criterion has a closed form:
 
-* ``delta_mi``       -- I(C; X | M_A) for a given plaintext law, as a cyclic
+* ``delta_mi``       -- I(C; X | M_A) for a given codeword law, as a cyclic
   convolution over Z_q^m evaluated with one radix-q Fourier transform
   (Walsh-Hadamard butterflies at q = 2, bit-identical to the matrix pass
   they replace; one matrix product per digit axis for q >= 3), one block of
@@ -27,8 +31,8 @@ parts, encode(X) and the masked key, so every criterion has a closed form:
   holds the one (key, message) law that p_KZ and the adversary induce
   (H(post_a) is computed once per kernel, for all three criteria).
 
-Production runs take the kernel in one of two forms, and every criterion
-reads either through ``blocks()``, one pass per kernel:
+Production runs take the kernel as a ``KernelStream`` in one of two forms,
+and every criterion reads either through ``blocks()``, one pass per kernel:
 
 * ``build_dense_stream`` streams the dense (messages, q^m) posterior in
   blocks of whole message prefixes, each of at most ``_CHUNK`` messages, and
@@ -36,9 +40,9 @@ reads either through ``blocks()``, one pass per kernel:
   is below);
 * ``build_translation_kernel`` applies when every cell law p(k | cell) of a
   scalar adversary is an exact translate over Z_q of one law: then every
-  posterior is a translate of one law over Z_q^m, and the kernel is that
-  one row, folded in n steps over a q^m vector (its docstring has the
-  proof).
+  posterior is a translate of one law over Z_q^m, and the kernel is one
+  block of that one row, folded in n steps over a q^m vector (its
+  docstring has the proof).
 
 The blocks are the whole table's columns, bit for bit.  A scalar
 adversary's (masked key, message) joint folds symbol by symbol, and column
@@ -69,7 +73,8 @@ messages are split into blocks.
 ``structural_checks`` convolves every posterior with the decoding set's
 image counts by the same transform, which it applies to the counts once.
 
-``build_gamma_kernel``, the concatenated blocks held as one table,
+``build_gamma_kernel``, the concatenated blocks held as one table with the
+code's X^n tables that its per-plaintext ``gamma(x)`` reads,
 ``channel_capacity`` (the Blahut-Arimoto iteration) and
 ``GammaKernel.channel_rows`` stay as the slow path the tests check the
 stream and the closed forms against; no pipeline path builds them.
@@ -89,14 +94,13 @@ from . import adversary
 from .codec import _radix
 from .crypto import Cryptosystem
 from .galois import affine_apply
-from .probability import Pmf, ProductDistribution, _xlogx, all_sequences, check_table
+from .probability import _xlogx, all_sequences, check_table
 
 __all__ = [
     "GammaKernel",
-    "DenseStream",
+    "KernelStream",
     "LeakageReport",
     "CapacityResult",
-    "DeltaMaxResult",
     "KernelCheckReport",
     "build_dense_stream",
     "build_gamma_kernel",
@@ -120,29 +124,22 @@ _CHUNK = 256
 
 @dataclass
 class _Kernel:
-    """What every criterion reads of a kernel: its sizes, the code's image
-    tables, H(K^n | M_A) in nats, and the posterior rows through
-    ``blocks()``.  H(keymap(K^n) | M_A), from the one entropy pass over the
-    blocks, is kept on first use; ``replace`` starts a kernel without it."""
+    """What every criterion reads of a kernel: its sizes, the code's
+    ``image_counts`` (decoding-set members per codeword), H(K^n | M_A) in
+    nats, and the posterior rows through ``blocks()``.  H(keymap(K^n) |
+    M_A), from the one entropy pass over the blocks, is kept on first use;
+    ``replace`` starts a kernel without it."""
 
     q: int
     n: int
     m: int
-    image_of: np.ndarray
-    in_decoding_set: np.ndarray
+    image_counts: np.ndarray
     key_equivocation: float
     _equivocation: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def image_count(self) -> int:
         return self.q**self.m
-
-    def lex_of_image(self) -> np.ndarray:
-        """Lexicographic index of the decoding-set member of each image."""
-        out = np.full(self.image_count, -1, dtype=np.int64)
-        d = np.flatnonzero(self.in_decoding_set)
-        out[self.image_of[d]] = d
-        return out
 
 
 @dataclass
@@ -152,12 +149,14 @@ class GammaKernel(_Kernel):
 
     ``key_image_posterior[a, t] = Pr[keymap(K^n) = t | M_A = a]`` carries all
     randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
-    on demand.  Messages of probability zero are dropped (their original
-    indices remain in ``message_ids``).  A translation kernel
-    (``build_translation_kernel``) has one row of probability 1 that stands
-    for every message, and an empty ``message_ids``.
+    on demand through the code's X^n image table ``image_of``, which the
+    oracle alone holds, with the X^n mask of D, ``in_decoding_set``.
+    Messages of probability zero are dropped (their original indices remain
+    in ``message_ids``).
     """
 
+    image_of: np.ndarray
+    in_decoding_set: np.ndarray
     p_message: np.ndarray
     key_image_posterior: np.ndarray
     message_ids: np.ndarray
@@ -207,12 +206,13 @@ class GammaKernel(_Kernel):
 
 
 @dataclass
-class DenseStream(_Kernel):
-    """The dense kernel as a stream: ``blocks()`` yields the (message ids,
-    p_message, posterior rows) of ``build_gamma_kernel``'s table, in order,
-    one block at a time, ``block_count`` blocks of at most
-    ``block_messages`` messages.  A scalar adversary's blocks are folded
-    again on each call, and its posterior is never held whole."""
+class KernelStream(_Kernel):
+    """A kernel as a stream: ``blocks()`` yields its (message ids,
+    p_message, posterior rows), in order, one block at a time,
+    ``block_count`` blocks of at most ``block_messages`` messages.  The
+    dense stream's blocks are those of ``build_gamma_kernel``'s table, and
+    a scalar adversary's are folded again on each call, so its posterior is
+    never held whole; the translation kernel is one block of one row."""
 
     block_count: int
     block_messages: int
@@ -306,8 +306,8 @@ def _table_posterior(sys: Cryptosystem, joint: np.ndarray):
     return keep, p_message[keep], posterior.T
 
 
-def build_dense_stream(sys: Cryptosystem, encoder, p_kz) -> DenseStream:
-    """The dense kernel as a ``DenseStream`` (product-form fold for scalar
+def build_dense_stream(sys: Cryptosystem, encoder, p_kz) -> KernelStream:
+    """The dense kernel as a ``KernelStream`` (product-form fold for scalar
     adversaries, full (k, z) enumeration for table adversaries).
 
     A scalar adversary's blocks hold the messages of one prefix of length
@@ -342,13 +342,11 @@ def build_dense_stream(sys: Cryptosystem, encoder, p_kz) -> DenseStream:
         radix_m = _radix(m, q)
         translates = [_translates(digits, row, q, radix_m) for row in sys.keymap.matrix]
         blocks = partial(_prefix_posteriors, sys, joint, steps, translates)
-    images, in_d, _ = sys.code.full_tables()
-    return DenseStream(
+    return KernelStream(
         q=q,
         n=n,
         m=m,
-        image_of=images,
-        in_decoding_set=in_d,
+        image_counts=sys.code.image_counts(),
         key_equivocation=adversary.joint_equivocation(encoder, joint),
         block_count=count,
         block_messages=size,
@@ -370,12 +368,14 @@ def build_gamma_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel:
     # the blocks' (q^m, messages) tables side by side; the posterior is
     # their transpose, as each block's rows are
     posterior = np.concatenate([r.T for r in rows], axis=1)
+    images, in_d, _ = sys.code.full_tables()
     return GammaKernel(
         q=q,
         n=n,
         m=m,
-        image_of=stream.image_of,
-        in_decoding_set=stream.in_decoding_set,
+        image_counts=stream.image_counts,
+        image_of=images,
+        in_decoding_set=in_d,
         key_equivocation=stream.key_equivocation,
         p_message=np.concatenate(p_message),
         key_image_posterior=posterior.T,
@@ -404,18 +404,18 @@ def _translation_law(joint: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | None:
+def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> KernelStream | None:
     """The kernel in closed form for a scalar adversary whose cell laws are
     translates over Z_q of one law nu (``_translation_law``), or None for a
-    table adversary or any other law, which ``build_gamma_kernel`` takes.
+    table adversary or any other law, which ``build_dense_stream`` takes.
 
-    The kernel has one row, the law of S = sum_t N_t M[t] over Z_q^m, with
-    N_1, ..., N_n i.i.d. ~ nu and M[t] row t of the key map's matrix, and
-    that row has probability 1.  Only its q^m vector and the q^m * m digit
-    table of Z_q^m are built, so only they are checked against the table
-    cap.  It folds in n steps: the law of the
-    partial sum after symbol t is sum_k nu(k) prev(s - k M[t]), summed over
-    k in a fixed order.
+    The kernel is a stream of one block of one row, the law of S = sum_t
+    N_t M[t] over Z_q^m, with N_1, ..., N_n i.i.d. ~ nu and M[t] row t of
+    the key map's matrix; that row has probability 1 and no message id.
+    Only its q^m vector and the q^m * m digit table of Z_q^m are built, so
+    only they are checked against the table cap.  It folds in n steps: the
+    law of the partial sum after symbol t is sum_k nu(k) prev(s - k M[t]),
+    summed over k in a fixed order.
 
     Proof.  The pairs (K_t, Z_t) are i.i.d., and the message is the tuple of
     cells a = (c_1, ..., c_n) of the Z_t, so given M_A = a the key symbols
@@ -462,35 +462,17 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> GammaKernel | 
     for t in range(n):
         perm = _translates(digits, sys.keymap.matrix[t], q, radix_m)
         law = sum(nu[k] * law[perm[k]] for k in range(q))
-    images, in_d, _ = sys.code.full_tables()
-    return GammaKernel(
+    block = (np.zeros(0, dtype=np.int64), np.ones(1), law[None])
+    return KernelStream(
         q=q,
         n=n,
         m=m,
-        p_message=np.ones(1),
-        key_image_posterior=law[None],
-        image_of=images,
-        in_decoding_set=in_d,
-        message_ids=np.zeros(0, dtype=np.int64),
+        image_counts=sys.code.image_counts(),
         key_equivocation=adversary.joint_equivocation(encoder, joint),
+        block_count=1,
+        block_messages=1,
+        _blocks=partial(iter, [block]),
     )
-
-
-def _plaintext_vector(kernel: _Kernel, p_x) -> np.ndarray:
-    """Coerce a plaintext law to a vector over X^n in lexicographic order."""
-    total = kernel.q**kernel.n
-    if isinstance(p_x, ProductDistribution):
-        if p_x.q != kernel.q or p_x.n != kernel.n:
-            raise ValueError("plaintext law does not match the kernel")
-        return p_x.materialize()
-    if isinstance(p_x, Pmf):
-        return ProductDistribution(p_x, kernel.n).materialize()
-    v = np.asarray(p_x, dtype=np.float64)
-    if v.shape != (total,):
-        raise ValueError(f"plaintext vector must have length q^n = {total}")
-    if not np.all(np.isfinite(v)) or v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError("plaintext vector is not a distribution")
-    return v
 
 
 def _dft_matrix(q: int) -> np.ndarray:
@@ -575,13 +557,15 @@ def _entropy_pass(kernel: _Kernel, spectrum: np.ndarray | None = None) -> float:
     return math.fsum(np.concatenate(live_weights) * np.concatenate(gains))
 
 
-def delta_mi(kernel: _Kernel, p_x) -> float:
-    """I(C; X | M_A) in nats for the given plaintext law, exactly.
+def delta_mi(kernel: _Kernel, p_img: np.ndarray) -> float:
+    """I(C; X | M_A) in nats, exactly, for a plaintext law given by its
+    codeword law ``p_img`` over Z_q^m (``UniversalCode.image_law``): the
+    plaintext reaches the ciphertext only through encode(X).
 
     Proof of the formula.  X is independent of (K^n, M_A).  Given M_A = a,
-    the masked key T = keymap(K^n) has law post_a (the row a of
-    ``key_image_posterior``) and the codeword U = encode(X) has law p_img,
-    independent of T; the ciphertext is C = U + T over Z_q^m.  Hence
+    the masked key T = keymap(K^n) has law post_a (the posterior row of a)
+    and the codeword U = encode(X) has law p_img, independent of T; the
+    ciphertext is C = U + T over Z_q^m.  Hence
 
         p(c | a)           = sum_u p_img(u) post_a(c - u) = (post_a * p_img)(c),
         H(C | X, M_A = a)  = H(U + T | U, M_A = a) = H(post_a),
@@ -593,10 +577,8 @@ def delta_mi(kernel: _Kernel, p_x) -> float:
 
     The same pass (``_entropy_pass``) keeps H(keymap(K^n) | M_A) on the
     kernel, so ``delta_max_mi`` and the bounds after it run no second pass:
-    a ``DenseStream`` folds once per ``leakage_report``.
+    the dense stream folds once per ``leakage_report``.
     """
-    px = _plaintext_vector(kernel, p_x)
-    p_img = np.bincount(kernel.image_of, weights=px, minlength=kernel.image_count)
     return _entropy_pass(kernel, _zq_transform(p_img[None], kernel.q, kernel.m))
 
 
@@ -654,14 +636,6 @@ def channel_capacity(
     )
 
 
-@dataclass
-class DeltaMaxResult:
-    """Worst-case leakage with its achieving plaintext distribution."""
-
-    value: float
-    input_distribution: np.ndarray  # over X^n, lexicographic
-
-
 def _masked_key_equivocation(kernel: _Kernel) -> float:
     """H(keymap(K^n) | M_A) in nats, from one entropy pass per kernel."""
     if kernel._equivocation is None:
@@ -674,15 +648,17 @@ def _leakage_below(kernel: _Kernel, equivocation: float) -> float:
     return max(0.0, kernel.m * math.log(kernel.q) - equivocation)
 
 
-def delta_max_mi(kernel: _Kernel) -> DeltaMaxResult:
+def delta_max_mi(kernel: _Kernel) -> float:
     """max over plaintext laws of I(C; X | M_A), in nats, in closed form:
 
         delta_max = m ln q - H(keymap(K^n) | M_A),
 
-    reached by the uniform law on the decoding set D.
+    reached by the uniform law on the decoding set D.  That law is stated
+    here, not built: only its value is returned.
 
-    Precondition: encode maps D onto Z_q^m (true for every valid system,
-    where encode is a bijection D -> Z_q^m).  ``ValueError`` otherwise.
+    Precondition: encode maps D onto Z_q^m, i.e. ``image_counts`` > 0 for
+    every codeword (true for every valid system, where encode is a
+    bijection D -> Z_q^m).  ``ValueError`` otherwise.
 
     Proof.  X is independent of (K^n, M_A) and C = encode(X) + keymap(K^n),
     so H(C | X, M_A) = H(keymap(K^n) | M_A) for every plaintext law, and
@@ -692,24 +668,20 @@ def delta_max_mi(kernel: _Kernel) -> DeltaMaxResult:
     H(C | M_A) <= ln |Z_q^m| = m ln q.  A plaintext law whose codeword is
     uniform on Z_q^m makes C uniform given each message, whatever the masked
     key, so it meets the bound; by the precondition the uniform law on one
-    D-member per image (the uniform law on D for a valid system) is such a
-    law.  Equivalently, the channel from codewords to (C, M_A) has rows that
-    are translates of each other over Z_q^m, so it is symmetric and a
-    uniform input is optimal (Cover & Thomas, Elements of Information
-    Theory, section 7.2).  The value is the same number that
+    D-member per image (the uniform law on D for a valid system, whose
+    codeword law is uniform) is such a law.  Equivalently, the channel from
+    codewords to (C, M_A) has rows that are translates of each other over
+    Z_q^m, so it is symmetric and a uniform input is optimal (Cover &
+    Thomas, Elements of Information Theory, section 7.2).  The value is the same number that
     ``delta_max_upper_bound`` returns, bit for bit.
     """
-    lex = kernel.lex_of_image()
-    if np.any(lex < 0):
-        missing = int(np.count_nonzero(lex < 0))
+    missing = int(np.count_nonzero(~(kernel.image_counts > 0)))
+    if missing:
         raise ValueError(
             f"encode does not map the decoding set onto Z_q^m "
             f"({missing} of {kernel.image_count} images unreached)"
         )
-    x_dist = np.zeros(kernel.q**kernel.n)
-    x_dist[lex] = 1.0 / kernel.image_count
-    value = _leakage_below(kernel, _masked_key_equivocation(kernel))
-    return DeltaMaxResult(value=value, input_distribution=x_dist)
+    return _leakage_below(kernel, _masked_key_equivocation(kernel))
 
 
 def delta_max_lower_bound(kernel: _Kernel) -> float:
@@ -763,12 +735,10 @@ def structural_checks(kernel: _Kernel) -> KernelCheckReport:
     Witnesses are (ciphertext index, message position) of the worst entry:
     the first message, then the first ciphertext, of the largest error.
     The sums over D are convolutions, sum_t post_a(c - t) n_D(t) with n_D(t)
-    the number of D-members of image t, evaluated by ``_zq_convolve`` for
+    the number of D-members of image t (``image_counts``), evaluated by ``_zq_convolve`` for
     each of the kernel's blocks in one pass.
     """
-    img_counts = np.bincount(
-        kernel.image_of[np.flatnonzero(kernel.in_decoding_set)], minlength=kernel.image_count
-    ).astype(np.float64)
+    img_counts = kernel.image_counts
     d_size = img_counts.sum()
     target = 1.0 / kernel.image_count
     worst_a = worst_u = 0.0
@@ -814,24 +784,23 @@ def leakage_report(sys: Cryptosystem, encoder, p_kz, p_x) -> LeakageReport:
 
     The kernel is the translation kernel where the adversary's cell laws
     allow it, and the dense stream otherwise, folded once: ``delta_mi``'s
-    pass keeps the entropies that the other criteria read.
-    ``diagnostics["kernel"]`` names the one taken, "translation" or
-    "dense"; a dense row also records its ``blocks`` and the
-    ``messages_per_block`` of each.
+    pass keeps the entropies that the other criteria read.  The plaintext
+    law ``p_x`` reaches it as its codeword law, ``sys.code.image_law``.
+    ``diagnostics`` holds the ``kernel`` taken, "translation" or "dense",
+    its ``blocks`` and the ``messages_per_block`` of each (1 and 1 for the
+    translation kernel).
     """
-    kernel = build_translation_kernel(sys, encoder, p_kz)
-    diagnostics = {"kernel": "translation"}
+    kernel, name = build_translation_kernel(sys, encoder, p_kz), "translation"
     if kernel is None:
-        kernel = build_dense_stream(sys, encoder, p_kz)
-        diagnostics = {
-            "kernel": "dense",
-            "blocks": kernel.block_count,
-            "messages_per_block": kernel.block_messages,
-        }
+        kernel, name = build_dense_stream(sys, encoder, p_kz), "dense"
     return LeakageReport(
-        delta_mi=delta_mi(kernel, p_x),
-        delta_max=delta_max_mi(kernel).value,
+        delta_mi=delta_mi(kernel, sys.code.image_law(p_x)),
+        delta_max=delta_max_mi(kernel),
         lower_bound=delta_max_lower_bound(kernel),
         upper_bound=delta_max_upper_bound(kernel),
-        diagnostics=diagnostics,
+        diagnostics={
+            "kernel": name,
+            "blocks": kernel.block_count,
+            "messages_per_block": kernel.block_messages,
+        },
     )

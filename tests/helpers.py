@@ -7,7 +7,7 @@ import numpy as np
 
 from leaklab import simplexopt
 from leaklab.crypto import StructuralReport
-from leaklab.leakage import KernelCheckReport, _plaintext_vector, channel_capacity
+from leaklab.leakage import KernelCheckReport, channel_capacity
 from leaklab.probability import all_sequences, type_of
 from leaklab.simplexopt import (
     ADAM_LR,
@@ -214,11 +214,22 @@ def masked_equivocation_oracle(kern):
     return math.fsum(kern.p_message * row_entropies_oracle(kern.key_image_posterior))
 
 
-def delta_mi_whole_array_oracle(kern, p_x):
+def image_law_oracle(kern, px):
+    """The codeword law of the plaintext vector ``px`` over X^n, binned by
+    the oracle kernel's per-sequence image table."""
+    return np.bincount(kern.image_of, weights=px, minlength=kern.image_count)
+
+
+def image_counts_oracle(kern):
+    """Decoding-set members per codeword, binned by the oracle kernel's
+    per-sequence image table and decoding-set mask."""
+    members = kern.image_of[np.flatnonzero(kern.in_decoding_set)]
+    return np.bincount(members, minlength=kern.image_count).astype(np.float64)
+
+
+def delta_mi_whole_array_oracle(kern, p_img):
     """``delta_mi`` with every non-flat posterior row convolved at once and
     its entropy taken again, in one pass over the whole array each."""
-    px = _plaintext_vector(kern, p_x)
-    p_img = np.bincount(kern.image_of, weights=px, minlength=kern.image_count)
     post = kern.key_image_posterior
     live = np.flatnonzero(np.any(post != post[:, :1], axis=1))
     if live.size == 0:
@@ -231,9 +242,7 @@ def delta_mi_whole_array_oracle(kern, p_x):
 def kernel_checks_oracle(kern, tol=1e-10):
     """``structural_checks`` as a per-message loop over explicit
     [ciphertext, image] tables."""
-    img_counts = np.bincount(
-        kern.image_of[np.flatnonzero(kern.in_decoding_set)], minlength=kern.image_count
-    ).astype(np.float64)
+    img_counts = kern.image_counts
     d_size = img_counts.sum()
     sub = kern.sub_index()
     worst_a = worst_u = 0.0
@@ -292,11 +301,10 @@ def lower_bound_oracle(sys, enc, p_kz):
     return max(0.0, sys.m * math.log(q) - h)
 
 
-def delta_mi_oracle(kern, p_x):
+def delta_mi_oracle(kern, p_img):
     """I(C; X | M_A) as the per-message average of per-codeword divergences
-    from the mixture kernel, on explicit [ciphertext, codeword] tables."""
-    px = _plaintext_vector(kern, p_x)
-    p_img = np.bincount(kern.image_of, weights=px, minlength=kern.image_count)
+    from the mixture kernel, on explicit [ciphertext, codeword] tables, for
+    the codeword law ``p_img``."""
     sub = kern.sub_index()
     total = 0.0
     for a in range(kern.message_count):

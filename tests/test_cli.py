@@ -133,6 +133,27 @@ def test_dense_configs_never_build_the_materialized_kernel(tmp_path, monkeypatch
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == EXIT_OK
 
 
+def test_no_pipeline_path_builds_a_gamma_kernel(tmp_path, monkeypatch):
+    # GammaKernel, which holds the code's X^n tables, is the tests' oracle
+    # only: symmetric, dense and table configs run every leakage subcommand
+    # without it
+    def oracle(*args, **kwargs):
+        raise AssertionError("a pipeline path built a GammaKernel")
+
+    monkeypatch.setattr(leakage, "GammaKernel", oracle)
+    table = [int(v) for v in np.arange(16) % 3]
+    configs = {
+        "symmetric": {},
+        "dense": DENSE,
+        "table": {"adversary": {"kind": "table", "table": table}, "n_list": [4], "R_A": 0.5},
+    }
+    for name, overrides in configs.items():
+        path = write_config(tmp_path, **overrides)
+        for cmd in ("leakage", "simulate", "verify"):
+            out = tmp_path / name / cmd
+            assert main([cmd, "--config", str(path), "--out", str(out)]) == EXIT_OK, (name, cmd)
+
+
 def test_verify_checks_the_kernel_leakage_takes(tmp_path, capsys, monkeypatch):
     # uniform key: the translation kernel is checked at every n, and the
     # dense stream as well while q^n * q^m fits the cap (n=6, not n=16);

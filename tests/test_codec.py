@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leaklab import probability
+from leaklab.adversary import scalar_quantizer_encoder
 from leaklab.cli import main
 from leaklab.codec import (
     UniversalCode,
@@ -13,9 +14,26 @@ from leaklab.codec import (
     exponent_E,
     verify_error_bound,
 )
-from leaklab.probability import Pmf, all_sequences, entropy, product_distribution
+from leaklab.crypto import Cryptosystem
+from leaklab.galois import FieldSpec, random_affine
+from leaklab.leakage import build_gamma_kernel
+from leaklab.probability import (
+    ChannelMatrix,
+    Pmf,
+    all_sequences,
+    entropy,
+    joint_from_channel,
+    product_distribution,
+)
 
-from helpers import decode_oracle, encode_oracle, rank_oracle, unrank_oracle
+from helpers import (
+    decode_oracle,
+    encode_oracle,
+    image_counts_oracle,
+    image_law_oracle,
+    rank_oracle,
+    unrank_oracle,
+)
 
 LN2 = math.log(2)
 
@@ -228,6 +246,56 @@ def test_codec_rejects_bad_batches():
     for bad in (np.zeros((3, 3), dtype=int), np.full((3, 4), 2), np.zeros((2, 3, 4), dtype=int)):
         with pytest.raises(ValueError):
             code.decode(bad)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_universal_code(6, 0.5, 2),
+        build_universal_code(4, 0.8, 3),
+        UniversalCode.identity(4, 2),
+    ],
+    ids=["type_q2", "type_q3", "identity"],
+)
+def test_image_law_and_counts_equal_the_oracle_kernel_bincounts(code):
+    # the two q^m vectors the leakage criteria read, against the bincounts
+    # over the oracle kernel's per-sequence image table
+    q, n = code.q, code.n
+    sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=n))
+    no_side_info = joint_from_channel(Pmf.uniform(q), ChannelMatrix(np.ones((q, 1))))
+    kern = build_gamma_kernel(sys, scalar_quantizer_encoder([0], n), no_side_info)
+    rng = np.random.default_rng(q)
+    for p in (Pmf.uniform(q), Pmf(rng.dirichlet(np.ones(q)))):
+        want = image_law_oracle(kern, product_distribution(p, n).materialize())
+        assert np.array_equal(code.image_law(p), want)
+    px = rng.dirichlet(np.ones(q**n))
+    assert np.array_equal(code.image_law(px), image_law_oracle(kern, px))
+    counts = code.image_counts()
+    assert np.array_equal(counts, image_counts_oracle(kern)) and counts.dtype == np.float64
+    assert np.array_equal(counts, np.ones(code.decoding_set_size))
+
+
+def test_image_law_of_a_pmf_is_that_of_its_vector():
+    for code, p in (
+        (build_universal_code(6, 0.5, 2), Pmf.bernoulli(0.4)),
+        (build_universal_code(4, 0.8, 3), Pmf([0.5, 0.3, 0.2])),
+    ):
+        vector = product_distribution(p, code.n).materialize()
+        assert np.array_equal(code.image_law(p), code.image_law(vector))
+
+
+def test_image_law_refuses_what_is_not_a_plaintext_law():
+    code = build_universal_code(3, 0.5, 2)
+    with pytest.raises(ValueError, match=r"length q\^n = 8"):
+        code.image_law(np.full(7, 1 / 7))
+    for entry, fix in ((np.nan, 0.125), (np.inf, 0.125), (-0.125, 0.375)):
+        v = np.full(8, 1 / 8)
+        v[2], v[3] = entry, fix  # the sum is 1 where it is finite
+        with pytest.raises(ValueError, match="not a distribution"):
+            code.image_law(v)
+    with pytest.raises(ValueError, match="not a distribution"):
+        code.image_law(np.full(8, (1 + 2e-9) / 8))
+    assert code.image_law(np.full(8, (1 + 5e-10) / 8)).shape == (2**code.m,)
 
 
 def test_pe_non_increasing_in_n_above_entropy():

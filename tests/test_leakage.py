@@ -31,6 +31,7 @@ from leaklab.galois import AffineMap, FieldSpec, random_affine
 from leaklab.leakage import (
     _zq_convolve,
     _zq_transform,
+    build_dense_stream,
     build_gamma_kernel,
     build_translation_kernel,
     channel_capacity,
@@ -47,7 +48,6 @@ from leaklab.probability import (
     TableCapError,
     all_sequences,
     joint_from_channel,
-    product_distribution,
 )
 
 LN2 = math.log(2)
@@ -187,7 +187,7 @@ def test_ternary_table_adversary_kernel_matches_brute_force():
         for xi in range(q**n)
     )
     want = h_c_given_a - h_c_given_xa
-    assert abs(delta_mi(kern, px) - want) < 1e-10
+    assert abs(delta_mi(kern, code.image_law(px)) - want) < 1e-10
 
 
 def prefix_fold_oracle(sys, enc, p_kz):
@@ -282,8 +282,8 @@ def test_otp_leakage_is_exactly_zero():
     sys = otp_system(6)
     enc = scalar_quantizer_encoder([0], 6)
     kern = build_gamma_kernel(sys, enc, no_side_info())
-    assert delta_mi(kern, Pmf.uniform(2)) == 0.0
-    assert delta_mi(kern, Pmf.bernoulli(0.3)) == 0.0
+    assert delta_mi(kern, sys.code.image_law(Pmf.uniform(2))) == 0.0
+    assert delta_mi(kern, sys.code.image_law(Pmf.bernoulli(0.3))) == 0.0
 
 
 def test_full_leak_uniform_plaintext_saturates():
@@ -293,10 +293,8 @@ def test_full_leak_uniform_plaintext_saturates():
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, full_leak_joint())
     # uniform over the decoding set
-    px = np.zeros(2**n)
-    lex = kern.lex_of_image()
-    px[lex[lex >= 0]] = 1.0 / code.decoding_set_size
-    assert delta_mi(kern, px) == pytest.approx(code.m * LN2, abs=1e-10)
+    px = code.in_decoding_set(all_sequences(n, 2)) / code.decoding_set_size
+    assert delta_mi(kern, code.image_law(px)) == pytest.approx(code.m * LN2, abs=1e-10)
 
 
 def test_delta_mi_two_formulas_agree():
@@ -307,7 +305,8 @@ def test_delta_mi_two_formulas_agree():
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.15))
     for p in (Pmf.uniform(2), Pmf.bernoulli(0.23), Pmf.bernoulli(0.8)):
-        assert abs(delta_mi(kern, p) - delta_mi_oracle(kern, p)) < 1e-12
+        p_img = code.image_law(p)
+        assert abs(delta_mi(kern, p_img) - delta_mi_oracle(kern, p_img)) < 1e-12
     # q = 3: complex transforms, finest and coarse quantizers, random laws
     rng = np.random.default_rng(11)
     for n, R, labels in [(3, 0.9, [0, 1, 2]), (4, 0.6, [0, 1, 1]), (5, 0.8, [0, 1, 2])]:
@@ -317,7 +316,8 @@ def test_delta_mi_two_formulas_agree():
         p_kz = joint_from_channel(Pmf(rng.dirichlet(np.ones(3))), W)
         kern = build_gamma_kernel(sys, scalar_quantizer_encoder(labels, n), p_kz)
         for p in (Pmf.uniform(3), Pmf(rng.dirichlet(np.ones(3))), rng.dirichlet(np.ones(3**n))):
-            assert abs(delta_mi(kern, p) - delta_mi_oracle(kern, p)) < 1e-12
+            p_img = code.image_law(p)
+            assert abs(delta_mi(kern, p_img) - delta_mi_oracle(kern, p_img)) < 1e-12
 
 
 def erasure_kernel(q, n, R, seed):
@@ -329,7 +329,7 @@ def erasure_kernel(q, n, R, seed):
     code = build_universal_code(n, R, q)
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(q), seed=seed))
     p_kz = joint_from_channel(Pmf.uniform(q), ChannelMatrix(W))
-    return build_gamma_kernel(sys, scalar_quantizer_encoder(list(range(q + 1)), n), p_kz)
+    return code, build_gamma_kernel(sys, scalar_quantizer_encoder(list(range(q + 1)), n), p_kz)
 
 
 @pytest.mark.parametrize("q, n, R", [(2, 8, 0.4), (3, 6, 0.9), (5, 4, 0.9)])
@@ -337,21 +337,22 @@ def test_chunked_passes_equal_whole_array_forms(q, n, R):
     # delta_mi and H(keymap(K) | M_A) read the posterior in chunks; each row
     # is convolved and summed on its own, so the bits are those of the
     # whole-array forms
-    kern = erasure_kernel(q, n, R, seed=n)
+    code, kern = erasure_kernel(q, n, R, seed=n)
     post = kern.key_image_posterior
     flat = np.all(post == post[:, :1], axis=1)
     assert kern.message_count > 3 * leakage_module._CHUNK
     assert 0 < np.count_nonzero(flat) < kern.message_count
     rng = np.random.default_rng(q)
     for p in (Pmf.uniform(q), Pmf(rng.dirichlet(np.ones(q))), rng.dirichlet(np.ones(q**n))):
-        assert delta_mi(kern, p) == delta_mi_whole_array_oracle(kern, p)
+        p_img = code.image_law(p)
+        assert delta_mi(kern, p_img) == delta_mi_whole_array_oracle(kern, p_img)
     equivocation = masked_equivocation_oracle(kern)
     assert delta_max_upper_bound(kern) == max(0.0, kern.m * math.log(q) - equivocation)
     assert leakage_module._masked_key_equivocation(kern) == equivocation
 
 
 def test_posterior_passes_convolve_at_most_one_chunk_per_call(monkeypatch):
-    kern = erasure_kernel(2, 8, 0.4, seed=8)
+    code, kern = erasure_kernel(2, 8, 0.4, seed=8)
     convolve = leakage_module._zq_convolve
     rows = []
     monkeypatch.setattr(
@@ -359,28 +360,11 @@ def test_posterior_passes_convolve_at_most_one_chunk_per_call(monkeypatch):
     )
     post = kern.key_image_posterior
     live = np.count_nonzero(np.any(post != post[:, :1], axis=1))
-    delta_mi(kern, Pmf.bernoulli(0.2))
+    delta_mi(kern, code.image_law(Pmf.bernoulli(0.2)))
     assert max(rows) <= leakage_module._CHUNK and sum(rows) == live
     rows.clear()
     structural_checks(kern)
     assert max(rows) <= leakage_module._CHUNK and sum(rows) == kern.message_count
-
-
-def test_delta_mi_accepts_product_and_vector():
-    sys = otp_system(3)
-    enc = scalar_quantizer_encoder([0], 3)
-    kern = build_gamma_kernel(sys, enc, no_side_info())
-    pd = product_distribution(Pmf.bernoulli(0.4), 3)
-    assert delta_mi(kern, pd) == delta_mi(kern, pd.materialize())
-
-
-def test_delta_mi_refuses_non_finite_plaintext_vector():
-    kern = build_gamma_kernel(otp_system(3), scalar_quantizer_encoder([0], 3), no_side_info())
-    for bad in (np.nan, np.inf):
-        v = np.full(8, 1 / 8)
-        v[2] = bad
-        with pytest.raises(ValueError, match="not a distribution"):
-            delta_mi(kern, v)
 
 
 def _posterior(q, n, R, seed):
@@ -473,8 +457,8 @@ def test_delta_max_matches_simplex_grid_oracle(n, R, seed):
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.3))
     res = delta_max_mi(kern)
     oracle = grid_capacity_oracle(kern)
-    assert abs(res.value - oracle) < 1e-6
-    assert abs(res.value - capacity_oracle(kern).value) <= 1e-9
+    assert abs(res - oracle) < 1e-6
+    assert abs(res - capacity_oracle(kern).value) <= 1e-9
 
 
 def test_delta_max_otp_zero():
@@ -482,10 +466,10 @@ def test_delta_max_otp_zero():
     enc = scalar_quantizer_encoder([0], 5)
     kern = build_gamma_kernel(sys, enc, no_side_info())
     res = delta_max_mi(kern)
-    assert res.value <= 1e-6
+    assert res <= 1e-6
     cap = capacity_oracle(kern, tol=1e-7)
     assert cap.converged
-    assert abs(res.value - cap.value) <= 1e-9
+    assert abs(res - cap.value) <= 1e-9
 
 
 def test_delta_max_full_leak_saturates():
@@ -495,12 +479,8 @@ def test_delta_max_full_leak_saturates():
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, full_leak_joint())
     res = delta_max_mi(kern)
-    assert res.value == pytest.approx(code.m * LN2, abs=1e-7)
-    assert abs(res.value - capacity_oracle(kern).value) <= 1e-9
-    # optimizer is uniform over the decoding set
-    support = res.input_distribution[res.input_distribution > 0]
-    assert support.size == code.decoding_set_size
-    assert np.allclose(support, 1.0 / code.decoding_set_size, atol=1e-6)
+    assert res == pytest.approx(code.m * LN2, abs=1e-7)
+    assert abs(res - capacity_oracle(kern).value) <= 1e-9
 
 
 def test_delta_max_restricted_to_decoding_set_matches():
@@ -513,7 +493,7 @@ def test_delta_max_restricted_to_decoding_set_matches():
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.1))
     inputs = np.unique(kern.image_of[kern.in_decoding_set])
     cap = capacity_oracle(kern, inputs=inputs)
-    assert abs(delta_max_mi(kern).value - cap.value) < 1e-9
+    assert abs(delta_max_mi(kern) - cap.value) < 1e-9
 
 
 def test_delta_max_requires_decoding_set_onto_images():
@@ -522,10 +502,66 @@ def test_delta_max_requires_decoding_set_onto_images():
     sys = Cryptosystem(code, random_affine(n, code.m, FieldSpec(2), seed=4))
     enc = scalar_quantizer_encoder([0, 1], n)
     kern = build_gamma_kernel(sys, enc, bsc_joint(0.1))
-    in_d = kern.in_decoding_set.copy()
-    in_d[np.flatnonzero(in_d)[0]] = False
+    counts = without_member(kern.image_counts, code, 0)
     with pytest.raises(ValueError, match="onto"):
-        delta_max_mi(replace(kern, in_decoding_set=in_d))
+        delta_max_mi(replace(kern, image_counts=counts))
+
+
+@pytest.mark.parametrize("case", ["bsc", "skewed_key", "ternary"])
+def test_uniform_law_on_decoding_set_achieves_delta_max(case):
+    # the closed form is reached by a law, not only bounded: the uniform law
+    # on D gives delta_mi = delta_max, on the kernel leakage_report takes
+    # (the translation kernel for the uniform-key BSC) and on the oracle
+    q, n, R, p_kz = {
+        "bsc": (2, 8, 0.5, bsc_joint(0.1)),
+        "skewed_key": (2, 8, 0.5, bsc_joint(0.1, Pmf([0.7, 0.3]))),
+        "ternary": (3, 5, 0.8, joint_from_channel(
+            Pmf([0.4, 0.35, 0.25]), ChannelMatrix(TERNARY_SYMMETRIC)
+        )),
+    }[case]
+    sys = system(n, R, q, n)
+    enc = scalar_quantizer_encoder(list(range(q)), n)
+    uniform_on_d = sys.code.in_decoding_set(all_sequences(n, q)) / sys.code.decoding_set_size
+    p_img = sys.code.image_law(uniform_on_d)
+    fast = build_translation_kernel(sys, enc, p_kz)
+    assert (fast is not None) == (case == "bsc")
+    kernels = [build_gamma_kernel(sys, enc, p_kz), fast or build_dense_stream(sys, enc, p_kz)]
+    for kern in kernels:
+        assert delta_mi(kern, p_img) > 0
+        assert abs(delta_mi(kern, p_img) - delta_max_mi(kern)) <= 1e-12
+
+
+def test_delta_max_holds_no_plaintext_table():
+    # q=2, n=20, m=14: the worst case is a value; no q^n law is built for it
+    sys = system(20, 0.5, 2, 20)
+    kern = build_translation_kernel(sys, scalar_quantizer_encoder([0, 1], 20), bsc_joint(0.1))
+    assert kern is not None and sys.m == 14
+    tracemalloc.start()
+    try:
+        value = delta_max_mi(kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert value == delta_max_upper_bound(kern) > 0
+
+
+def test_pipeline_kernels_hold_only_codeword_vectors():
+    # every array a pipeline kernel holds has at most q^m entries: the X^n
+    # tables stay on the code
+    sys = system(10, 0.5, 2, 10)
+    enc = scalar_quantizer_encoder([0, 1], 10)
+    kernels = [
+        build_translation_kernel(sys, enc, bsc_joint(0.1)),
+        build_dense_stream(sys, enc, bsc_joint(0.1, Pmf([0.7, 0.3]))),
+    ]
+    for kern in kernels:
+        arrays = {k: v for k, v in vars(kern).items() if isinstance(v, np.ndarray)}
+        assert all(v.size <= 2**sys.m for v in arrays.values()), {
+            k: v.size for k, v in arrays.items()
+        }
+        assert "image_counts" in arrays
+        assert not hasattr(kern, "image_of") and not hasattr(kern, "in_decoding_set")
 
 
 def test_lower_bound_floors_at_zero():
@@ -599,7 +635,7 @@ def test_masked_key_equivocation_is_kept_per_kernel(monkeypatch):
     monkeypatch.setattr(
         leakage_module, "_row_entropies", lambda rows: passes.append(1) or row_entropies(rows)
     )
-    assert delta_max_mi(kern).value == delta_max_upper_bound(kern) == want
+    assert delta_max_mi(kern) == delta_max_upper_bound(kern) == want
     assert len(passes) == 1
     flat = np.full_like(kern.key_image_posterior, 1.0 / kern.image_count)
     assert delta_max_upper_bound(replace(kern, key_image_posterior=flat)) == 0.0
@@ -656,7 +692,7 @@ def sandwich_case(q, n, R, seed):
     dmax = delta_max_mi(kern)
     lb = delta_max_lower_bound(kern)
     ub = delta_max_upper_bound(kern)
-    return lb, dmax.value, ub, kern
+    return lb, dmax, ub, kern
 
 
 @pytest.mark.parametrize(
@@ -671,12 +707,13 @@ def test_sandwich_bounds(q, n, R, seed):
 
 def test_delta_mi_never_exceeds_delta_max():
     lb, val, ub, kern = sandwich_case(2, 4, 0.5, 9)
+    code = build_universal_code(4, 0.5, 2)
     rng = np.random.default_rng(10)
     for _ in range(100):
-        px = rng.dirichlet(np.ones(2**4))
-        got = delta_mi(kern, px)
+        p_img = code.image_law(rng.dirichlet(np.ones(2**4)))
+        got = delta_mi(kern, p_img)
         assert got <= val + 1e-6
-        assert abs(got - delta_mi_oracle(kern, px)) < 1e-12
+        assert abs(got - delta_mi_oracle(kern, p_img)) < 1e-12
 
 
 def test_perfect_secrecy_implication():
@@ -687,9 +724,9 @@ def test_perfect_secrecy_implication():
         enc = scalar_quantizer_encoder([0], n)
         p_kz = no_side_info(q)
         kern = build_gamma_kernel(sys, enc, p_kz)
-        dmi = delta_mi(kern, Pmf.uniform(q))
+        dmi = delta_mi(kern, sys.code.image_law(Pmf.uniform(q)))
         assert dmi <= 1e-9
-        assert delta_max_mi(kern).value <= 1e-6
+        assert delta_max_mi(kern) <= 1e-6
         assert capacity_oracle(kern, tol=1e-7).value <= 1e-6
 
 
@@ -744,9 +781,7 @@ def test_structural_checks_match_per_message_loop():
         assert got.row_sum_max_error <= 1e-12 and got.uniform_max_error <= 1e-12
         post = rng.dirichlet(np.ones(kern.image_count), size=kern.message_count)
         noisy = replace(kern, key_image_posterior=post)
-        in_d = kern.in_decoding_set.copy()
-        in_d[np.flatnonzero(in_d)[3]] = False
-        noisy = replace(noisy, in_decoding_set=in_d)
+        noisy = replace(noisy, image_counts=without_member(kern.image_counts, code, 3))
         got, want = structural_checks(noisy), kernel_checks_oracle(noisy)
         assert not got.passed and not want.passed
         assert got.row_sum_witness == want.row_sum_witness
@@ -770,7 +805,7 @@ def test_leakage_decays_inside_secure_region():
             sys = Cryptosystem(code, keymap)
             enc = scalar_quantizer_encoder([0, 1], n)
             kern = build_gamma_kernel(sys, enc, p_kz)
-            vals.append(delta_max_mi(kern).value)
+            vals.append(delta_max_mi(kern))
             assert abs(vals[-1] - capacity_oracle(kern).value) <= 1e-9
         best.append(min(vals))
     assert best[0] > best[1] > best[2]
@@ -788,7 +823,7 @@ def test_leakage_grows_inside_helper_region():
         sys = Cryptosystem(code, keymap)
         enc = scalar_quantizer_encoder([0, 1], n)
         kern = build_gamma_kernel(sys, enc, p_kz)
-        vals.append(delta_max_mi(kern).value)
+        vals.append(delta_max_mi(kern))
         assert abs(vals[-1] - capacity_oracle(kern).value) <= 1e-9
         lb = delta_max_lower_bound(kern)
         assert vals[-1] >= lb - 1e-9
@@ -813,7 +848,7 @@ def test_leakage_report_row():
     assert rep.lower_bound - 1e-6 <= rep.delta_max <= rep.upper_bound + 1e-6
     assert rep.delta_mi <= rep.delta_max + 1e-6
     assert rep.delta_max == rep.upper_bound
-    assert rep.diagnostics == {"kernel": "translation"}
+    assert rep.diagnostics == {"kernel": "translation", "blocks": 1, "messages_per_block": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -824,28 +859,59 @@ TERNARY_SYMMETRIC = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 CIRCULANT = [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]
 
 
-def criteria(kern, p_x):
-    """The four leakage columns of one kernel: delta_mi, delta_max, lb, ub."""
+def criteria(kern, p_img):
+    """The four leakage columns of one kernel, for the codeword law p_img:
+    delta_mi, delta_max, lb, ub."""
     return (
-        delta_mi(kern, p_x),
-        delta_max_mi(kern).value,
+        delta_mi(kern, p_img),
+        delta_max_mi(kern),
         delta_max_lower_bound(kern),
         delta_max_upper_bound(kern),
     )
 
 
+def one_row(kern):
+    """The law of S, the one row of a translation kernel's one block."""
+    (ids, p_message, rows), = kern.blocks()
+    assert (kern.block_count, kern.block_messages) == (1, 1)
+    assert ids.size == 0 and np.array_equal(p_message, [1.0]) and len(rows) == 1
+    return rows[0]
+
+
+def held_whole(kern, code):
+    """A translation kernel's one row held as a ``GammaKernel``, with the
+    code's X^n tables, for the oracles that read explicit channel rows."""
+    images, in_d, _ = code.full_tables()
+    return leakage_module.GammaKernel(
+        q=kern.q, n=kern.n, m=kern.m, image_counts=kern.image_counts,
+        key_equivocation=kern.key_equivocation, image_of=images, in_decoding_set=in_d,
+        p_message=np.ones(1), key_image_posterior=one_row(kern)[None],
+        message_ids=np.zeros(0, dtype=np.int64),
+    )
+
+
+def without_member(counts, code, i):
+    """``image_counts`` with the i-th decoding-set member, in lexicographic
+    order, taken out of its codeword's count."""
+    images, in_d, _ = code.full_tables()
+    counts = counts.copy()
+    counts[images[np.flatnonzero(in_d)[i]]] -= 1
+    return counts
+
+
 def assert_translation_matches_dense(sys, enc, p_kz, laws):
     fast = build_translation_kernel(sys, enc, p_kz)
-    assert fast is not None and fast.message_count == 1
+    assert fast is not None
     dense = build_gamma_kernel(sys, enc, p_kz)
     assert fast.key_equivocation == dense.key_equivocation
     # message 0 (every symbol in cell 0, shift 0) has the law of S moved by
     # the key map's offset b: post_0(c) = S(c - b)
     b = int(sys.keymap.offset @ (sys.q ** np.arange(sys.m - 1, -1, -1)))
-    moved = fast.key_image_posterior[0][dense.sub_index()[:, b]]
+    moved = one_row(fast)[dense.sub_index()[:, b]]
     assert np.max(np.abs(dense.key_image_posterior[0] - moved)) <= 1e-15
     for p_x in laws:
-        got, want = criteria(fast, p_x), criteria(dense, p_x)
+        p_img = sys.code.image_law(p_x)
+        got, want = criteria(fast, p_img), criteria(dense, p_img)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (got, want)
         assert got[2] == want[2]  # lb reads the same key equivocation
 
@@ -877,10 +943,9 @@ def test_translation_kernel_matches_dense_oracle_ternary(n, W):
 def test_translation_kernel_capacity_is_delta_max(n, R):
     # the one row is the additive channel x -> encode(x) + S; the capacity of
     # its explicit rows is m ln q - H(S)
-    kern = build_translation_kernel(
-        system(n, R, 2, n), scalar_quantizer_encoder([0, 1], n), bsc_joint(0.2)
-    )
-    assert abs(delta_max_mi(kern).value - capacity_oracle(kern).value) <= 1e-9
+    sys = system(n, R, 2, n)
+    kern = build_translation_kernel(sys, scalar_quantizer_encoder([0, 1], n), bsc_joint(0.2))
+    assert abs(delta_max_mi(kern) - capacity_oracle(held_whole(kern, sys.code)).value) <= 1e-9
 
 
 def test_translation_kernel_skips_cells_of_zero_probability():
@@ -907,7 +972,7 @@ def test_non_symmetric_adversaries_take_the_dense_kernel():
         p_x = Pmf.uniform(sys.q)
         rep = leakage_report(sys, enc, p_kz, p_x)
         assert rep.diagnostics["kernel"] == "dense"
-        want = criteria(build_gamma_kernel(sys, enc, p_kz), p_x)
+        want = criteria(build_gamma_kernel(sys, enc, p_kz), sys.code.image_law(p_x))
         assert (rep.delta_mi, rep.delta_max, rep.lower_bound, rep.upper_bound) == want
 
 
@@ -940,7 +1005,7 @@ def test_translation_kernel_checks_only_its_vector_against_the_cap(monkeypatch):
     monkeypatch.setattr(probability, "TABLE_CAP", 1000)
     with pytest.raises(TableCapError, match=r"q\^n \* q\^m = 2\^13"):
         build_gamma_kernel(sys, enc, bsc_joint(0.1))
-    assert build_translation_kernel(sys, enc, bsc_joint(0.1)).key_image_posterior.shape == (1, 32)
+    assert one_row(build_translation_kernel(sys, enc, bsc_joint(0.1))).shape == (32,)
     monkeypatch.setattr(probability, "TABLE_CAP", 100)
     with pytest.raises(TableCapError, match=r"q\^m \* m = 160 entries"):
         build_translation_kernel(sys, enc, bsc_joint(0.1))
@@ -950,13 +1015,11 @@ def test_translation_kernel_checks_only_its_vector_against_the_cap(monkeypatch):
 
 
 def test_translation_kernel_keeps_the_onto_precondition():
-    kern = build_translation_kernel(
-        system(4, 0.45, 2, 4), scalar_quantizer_encoder([0, 1], 4), bsc_joint(0.1)
-    )
-    in_d = kern.in_decoding_set.copy()
-    in_d[np.flatnonzero(in_d)[0]] = False
+    sys = system(4, 0.45, 2, 4)
+    kern = build_translation_kernel(sys, scalar_quantizer_encoder([0, 1], 4), bsc_joint(0.1))
+    counts = without_member(kern.image_counts, sys.code, 0)
     with pytest.raises(ValueError, match="onto"):
-        delta_max_mi(replace(kern, in_decoding_set=in_d))
+        delta_max_mi(replace(kern, image_counts=counts))
 
 
 BLAS_ROW = """
@@ -1015,13 +1078,12 @@ def test_dense_stream_equals_the_materialized_oracle(q, n, R, W, p_k, labels, mo
     p_kz = joint_from_channel(Pmf(p_k), ChannelMatrix(W))
     sys = system(n, R, q, n)
     enc = scalar_quantizer_encoder(labels, n)
-    p_x = Pmf(np.random.default_rng(n).dirichlet(np.ones(q)))
+    p_img = sys.code.image_law(Pmf(np.random.default_rng(n).dirichlet(np.ones(q))))
     oracle = build_gamma_kernel(sys, enc, p_kz)
-    want = criteria(oracle, p_x)
+    want = criteria(oracle, p_img)
     want_h = leakage_module._row_entropies(oracle.key_image_posterior)
-    in_d = oracle.in_decoding_set.copy()
-    in_d[np.flatnonzero(in_d)[3]] = False
-    want_checks = structural_checks(replace(oracle, in_decoding_set=in_d))
+    counts = without_member(oracle.image_counts, sys.code, 3)
+    want_checks = structural_checks(replace(oracle, image_counts=counts))
     assert not want_checks.passed and want_checks.row_sum_witness is not None
     for chunk in (16, 8):
         monkeypatch.setattr(leakage_module, "_CHUNK", chunk)
@@ -1034,9 +1096,9 @@ def test_dense_stream_equals_the_materialized_oracle(q, n, R, W, p_k, labels, mo
         assert np.array_equal(np.concatenate(rows), oracle.key_image_posterior)
         h = np.concatenate([leakage_module._row_entropies(r) for r in rows])
         assert np.array_equal(h, want_h)
-        assert criteria(stream, p_x) == want
+        assert criteria(stream, p_img) == want
         assert structural_checks(stream) == structural_checks(oracle)
-        assert structural_checks(replace(stream, in_decoding_set=in_d)) == want_checks
+        assert structural_checks(replace(stream, image_counts=counts)) == want_checks
 
 
 def test_dense_stream_of_a_table_adversary_cuts_its_enumeration(monkeypatch):
@@ -1051,7 +1113,8 @@ def test_dense_stream_of_a_table_adversary_cuts_its_enumeration(monkeypatch):
     assert np.array_equal(np.concatenate(ids), oracle.message_ids)
     assert np.array_equal(np.concatenate(p_message), oracle.p_message)
     assert np.array_equal(np.concatenate(rows), oracle.key_image_posterior)
-    assert criteria(stream, Pmf.bernoulli(0.2)) == criteria(oracle, Pmf.bernoulli(0.2))
+    p_img = sys.code.image_law(Pmf.bernoulli(0.2))
+    assert criteria(stream, p_img) == criteria(oracle, p_img)
 
 
 def test_dense_report_records_its_blocks():

@@ -131,6 +131,42 @@ def test_tracer_hooks_the_minimizer():
     assert received == [24] + [216, 24] * 5
 
 
+TRACED_ORACLE = """
+import importlib, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+names = ("adversary", "analysis", "cli", "codec", "crypto", "galois", "leakage",
+         "probability", "simplexopt")
+modules = {name: importlib.import_module("leaklab." + name) for name in names}
+tracer = tracer_module.Tracer()
+tracer.install(modules)
+codec, galois, prob = modules["codec"], modules["galois"], modules["probability"]
+code = codec.build_universal_code(4, 0.5, 2)
+system = modules["crypto"].Cryptosystem(code, galois.random_affine(4, code.m, galois.FieldSpec(2), 0))
+p_kz = prob.joint_from_channel(prob.Pmf.uniform(2), prob.ChannelMatrix.bsc(0.1))
+encoder = modules["adversary"].scalar_quantizer_encoder([0, 1], 4)
+modules["leakage"].build_gamma_kernel(system, encoder, p_kz)
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_tracer_reads_the_oracle_kernel():
+    # the tracer's kernel-bytes hook reads the fields of the oracle kernel,
+    # which no benchmark workload builds; a renamed field would otherwise
+    # show only in a traced run that calls the oracle
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_ORACLE, str(TRACER)],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    metrics = json.loads(proc.stdout)
+    assert metrics["leakage.build_gamma_kernel.calls"] == 1
+    assert metrics["leakage.kernel.bytes"] > 0
+
+
 STRUCTURAL_SUITE = """
 import sys
 from leaklab.codec import build_universal_code
@@ -343,3 +379,16 @@ def test_cli_owns_every_output_format(monkeypatch):
     })
     assert cli.main(["leakage", "--config", "unread.json"]) == cli.EXIT_OK
     assert len(ran) == 1 and isinstance(ran[0][0], cli.Experiment)
+
+
+def test_only_the_code_and_the_oracle_read_the_sequence_tables():
+    # the leakage pipeline reads X^n only through the code's q^m vectors;
+    # outside codec, only the oracle kernel builds the X^n tables
+    oracle = inspect.getsource(leakage.build_gamma_kernel)
+    assert oracle.count("full_tables(") == 1
+    uses = {p.name: p.read_text().count("full_tables(") for p in (SRC / "leaklab").glob("*.py")}
+    assert uses.pop("codec.py") > 0
+    assert {name: k for name, k in uses.items() if k} == {"leakage.py": 1}
+    for name in ("_plaintext_vector", "DeltaMaxResult"):
+        assert not hasattr(leakage, name), name
+    assert not hasattr(leakage._Kernel, "lex_of_image")
