@@ -233,7 +233,9 @@ def key_equivocation(enc, p_kz) -> float:
 def best_scalar_quantizer(p_kz, R_A: float, n: int) -> ScalarQuantizerEncoder:
     """Exhaustive search for the partition of Z minimizing H(K | f(Z)).
 
-    The budget allows at most floor(exp(R_A)) cells.  Ties break toward
+    The budget allows at most floor(exp(R_A)) cells.  A budget of |Z| or
+    more allows every partition, so it is capped at |Z| before exp(R_A) is
+    taken, which overflows a float from R_A = 710.  Ties break toward
     the lexicographically smallest restricted-growth encoding.  Refuses
     |Z| beyond ``MAX_SEARCH_OBS`` (the partition count explodes).
     """
@@ -241,7 +243,7 @@ def best_scalar_quantizer(p_kz, R_A: float, n: int) -> ScalarQuantizerEncoder:
     z = p_kz.shape[1]
     if z > MAX_SEARCH_OBS:
         raise ValueError(f"|Z| = {z} exceeds exhaustive-search cap {MAX_SEARCH_OBS}")
-    budget = max(1, int(math.floor(math.exp(R_A) + 1e-9)))
+    budget = z if R_A >= math.log(z) else max(1, int(math.floor(math.exp(R_A) + 1e-9)))
     best = None
     best_h = math.inf
     for part in set_partitions(z, budget):

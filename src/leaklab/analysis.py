@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import _check_joint
-from .probability import entropy
+from .probability import check_table, entropy
 from .simplexopt import _sum_rows, minimize_blocks
 
 __all__ = [
@@ -338,6 +338,11 @@ def akw_boundary(p_kz, mu_grid) -> AkwBoundary:
 # ---------------------------------------------------------------------------
 
 
+def _around(x: float, d: float, points: int) -> np.ndarray:
+    """``points`` values from x - d to x + d, clipped to [0, 1]."""
+    return np.clip(np.linspace(x - d, x + d, points), 0, 1)
+
+
 @dataclass(frozen=True)
 class ExponentGrid:
     """Outer-supremum grids with local zoom refinement."""
@@ -416,7 +421,11 @@ class ExponentCalculator:
     number of rate points share one table of minima over the tilt grids.
     Every cell is solved by :meth:`_fill`: each scan of F and F_lower fills
     all of its uncached cells in one many-problem solve before it reads
-    them, and a lookup that misses fills its one cell.
+    them, and a lookup that misses fills its one cell.  Both exponents are
+    one tilted supremum over a grid (:meth:`_sup`), whose cell counts
+    (mu_points * alpha_points, mu_points * lambda_points and
+    refine_points^2) are checked against the table cap here, before any
+    grid is built.
 
     U ranges over |Z| symbols, |Z| the size of Z's support (see
     ``_u_sizes``), and that loses nothing (the support lemma, as in
@@ -431,7 +440,10 @@ class ExponentCalculator:
 
     def __init__(self, p_kz, grid: ExponentGrid | None = None):
         self.p_kz = np.asarray(p_kz, dtype=np.float64)
-        self.grid = grid or ExponentGrid()
+        self.grid = g = grid or ExponentGrid()
+        check_table("mu_points * alpha_points", g.mu_points * g.alpha_points)
+        check_table("mu_points * lambda_points", g.mu_points * g.lambda_points)
+        check_table("refine_points^2", g.refine_points**2)
         p_z, pk_given_z, q, zs = _prep(self.p_kz)
         self._zs = zs
 
@@ -521,72 +533,71 @@ class ExponentCalculator:
 
     # -- outer suprema -------------------------------------------------------
 
-    def _sup(self, table, lookup, mus, seconds, objective):
-        """Best objective(lookup(mu, s), mu, s) over the grid mus x seconds,
-        whose uncached cells of ``table`` are filled in one solve first."""
-        self._fill(table, mus, seconds)
-        best = (-math.inf, 0.0, 0.0)
-        for mu in mus:
-            for s in seconds:
-                mu, s = float(mu), float(s)
-                v = objective(lookup(mu, s), mu, s)
-                if v > best[0]:
-                    best = (v, mu, s)
-        return best
+    def _sup(self, table, lookup, R_A, R, c, seconds, zoom):
+        """The supremum of both exponents over mu in [0, 1] and a second
+        parameter s (alpha for F, lam for F_lower):
+
+            (omega(mu, s) - s (mu R_A + (1 - mu) R)) / (2 + s (c - mu)),
+
+        omega = ``lookup(mu, s)``, on the grid ``mu_grid()`` x ``seconds``,
+        then ``refine_rounds`` grids of ``refine_points`` per axis around the
+        best cell: the mu axis ``_around`` it at +-dmu, the second axis
+        ``zoom(s, ds, refine_points)``.  dmu and ds start as the first grids' steps (0.5 on
+        a one-point axis) and are divided by refine_points - 1 after each
+        round.  Each grid's uncached cells of ``table`` are filled in one
+        solve first.
+
+        Returns (value, mu, s) of the first best cell in scan order (mu
+        outer, s inner, rounds in order) and the witness (ratio, mu, s): the
+        first evaluated cell with s > 0 of largest ratio value * (2 + s (c -
+        mu)) / s.
+        """
+        points = self.grid.refine_points
+        mus = self.grid.mu_grid()
+        dmu, ds = (g[1] - g[0] if len(g) > 1 else 0.5 for g in (mus, seconds))
+        best = witness = (-math.inf, 0.0, 0.0)
+        for r in range(self.grid.refine_rounds + 1):
+            if r:
+                mus = _around(best[1], dmu, points)
+                seconds = zoom(best[2], ds, points)
+                dmu /= points - 1
+                ds /= points - 1
+            self._fill(table, mus, seconds)
+            for mu in mus:
+                for s in seconds:
+                    mu, s = float(mu), float(s)
+                    den = 2.0 + s * (c - mu)
+                    v = (lookup(mu, s) - s * (mu * R_A + (1 - mu) * R)) / den
+                    if v > best[0]:
+                        best = (v, mu, s)
+                    if s > 0 and (ratio := v * den / s) > witness[0]:
+                        witness = (ratio, mu, s)
+        return best, witness
 
     def F(self, R_A: float, R: float) -> FResult:
         """sup over (mu, alpha) in the unit square of the upper exponent."""
-
-        def obj(om, mu, alpha):
-            return (om - alpha * (mu * R_A + (1 - mu) * R)) / (2.0 + alpha * (1 - mu))
-
-        mus = self.grid.mu_grid()
         alphas = self.grid.alpha_grid()
-        val, mu, alpha = self._sup(self._omega, self.omega_min, mus, alphas, obj)
-        dmu = mus[1] - mus[0] if len(mus) > 1 else 0.5
-        da = alphas[1] - alphas[0] if len(alphas) > 1 else 0.5
-        for _ in range(self.grid.refine_rounds):
-            mus = np.clip(np.linspace(mu - dmu, mu + dmu, self.grid.refine_points), 0, 1)
-            alphas = np.clip(np.linspace(alpha - da, alpha + da, self.grid.refine_points), 0, 1)
-            cand = self._sup(self._omega, self.omega_min, mus, alphas, obj)
-            if cand[0] > val:
-                val, mu, alpha = cand
-            dmu /= self.grid.refine_points - 1
-            da /= self.grid.refine_points - 1
+        (val, mu, alpha), _ = self._sup(self._omega, self.omega_min, R_A, R, 1.0, alphas, _around)
         return FResult(value=max(val, 0.0), mu=mu, alpha=alpha)
 
     def F_lower(self, R_A: float, R: float) -> FLowerResult:
         """sup over mu in [0,1], lam in [0, lambda_max] of the lower exponent."""
-        witness = [-math.inf, 0.0, 0.0]  # ratio, mu, lam
-
-        def obj(om, mu, lam):
-            v = (om - lam * (mu * R_A + (1 - mu) * R)) / (2.0 + lam * (5.0 - mu))
-            if lam > 0:
-                ratio = v * (2.0 + lam * (5.0 - mu)) / lam
-                if ratio > witness[0]:
-                    witness[:] = [ratio, mu, lam]
-            return v
-
-        mus = self.grid.mu_grid()
         lams = self.grid.lambda_grid()
-        val, mu, lam = self._sup(self._omega_tilde, self.omega_tilde_min, mus, lams, obj)
-        dmu = mus[1] - mus[0] if len(mus) > 1 else 0.5
-        for _ in range(self.grid.refine_rounds):
-            mus_r = np.clip(np.linspace(mu - dmu, mu + dmu, self.grid.refine_points), 0, 1)
-            lam_lo = lam / 2 if lam > 0 else 0.0
-            lam_hi = min(lam * 2 if lam > 0 else lams[1], self.grid.lambda_max)
-            lams_r = np.linspace(lam_lo, lam_hi, self.grid.refine_points)
-            cand = self._sup(self._omega_tilde, self.omega_tilde_min, mus_r, lams_r, obj)
-            if cand[0] > val:
-                val, mu, lam = cand
-            dmu /= self.grid.refine_points - 1
+
+        def zoom(lam, _, points):
+            hi = min(lam * 2 if lam > 0 else lams[1], self.grid.lambda_max)
+            return np.linspace(lam / 2 if lam > 0 else 0.0, hi, points)
+
+        (val, mu, lam), wit = self._sup(
+            self._omega_tilde, self.omega_tilde_min, R_A, R, 5.0, lams, zoom
+        )
         return FLowerResult(
             value=max(val, 0.0),
             mu=mu,
             lam=lam,
-            witness_mu=witness[1],
-            witness_lam=witness[2],
-            witness_ratio=witness[0],
+            witness_mu=wit[1],
+            witness_lam=wit[2],
+            witness_ratio=wit[0],
         )
 
 

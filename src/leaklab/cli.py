@@ -478,8 +478,15 @@ plot "region_points.dat" using 1:2 with linespoints title "boundary (I(Z;U), H(K
 """
 
 
+def _mu_levels(exp: Experiment) -> np.ndarray:
+    """The mu levels of the region sweep, checked against the table cap
+    before they are built."""
+    prob.check_table("mu_points", exp.mu_points)
+    return np.linspace(0.0, 1.0, exp.mu_points)
+
+
 def cmd_region(exp: Experiment, out_dir, config_path) -> int:
-    boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0.0, 1.0, exp.mu_points))
+    boundary = analysis.akw_boundary(exp.p_kz, _mu_levels(exp))
     rows = sorted(((p.mu, p.r_mu, p.R_A, p.R) for p in boundary.points))
     csv_text = _csv("mu,R_mu", (r[:2] for r in rows))
     dat_text = _csv("# RA R", (r[2:] for r in rows), " ")
@@ -501,8 +508,10 @@ splot "exponent.csv" using 1:2:3 every ::1 with lines title "F"
 
 
 def cmd_exponent(exp: Experiment, out_dir, config_path) -> int:
-    boundary = analysis.akw_boundary(exp.p_kz, np.linspace(0, 1, exp.mu_points))
+    # both sweeps' sizes are checked before either solves
+    levels = _mu_levels(exp)
     calc = analysis.ExponentCalculator(exp.p_kz, exp.grid)
+    boundary = analysis.akw_boundary(exp.p_kz, levels)
     ras = exp.rate_grid["RA"] or list(np.linspace(0.0, boundary.h_k, 5))
     rs = exp.rate_grid["R"] or list(np.linspace(0.0, boundary.h_k, 5))
     rows = []

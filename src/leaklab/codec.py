@@ -27,7 +27,7 @@ import numpy as np
 
 from .galois import _as_integers
 from .probability import (
-    Pmf, ProductDistribution, all_sequences, entropy, enumerate_types, kl_divergence,
+    Pmf, all_sequences, entropy, enumerate_types, kl_divergence, product_law,
 )
 
 __all__ = [
@@ -38,11 +38,6 @@ __all__ = [
     "verify_error_bound",
     "ErrorBoundReport",
 ]
-
-
-def _ordered_types(n: int, q: int) -> list:
-    types = enumerate_types(n, q)
-    return sorted(types, key=lambda t: (t.entropy(), t.counts))
 
 
 def _radix(width: int, q: int) -> np.ndarray:
@@ -74,7 +69,6 @@ class UniversalCode:
     m: int
     q: int
     order: str = "type"
-    type_order: list = field(init=False, repr=False)
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _digits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -85,10 +79,18 @@ class UniversalCode:
             raise ValueError(f"unknown order {self.order!r}")
         if self.order == "lexicographic" and self.m != self.n:
             raise ValueError("lexicographic order requires m = n")
-        if self.order == "type":
-            self.type_order = _ordered_types(self.n, self.q)
-        else:
-            self.type_order = []
+
+    @cached_property
+    def type_order(self) -> list:
+        """The type classes of X^n in code order (ascending empirical
+        entropy, ties by counts); empty for the lexicographic order.
+
+        Sorted on first use, as ``offsets`` is summed: a block length whose
+        classes are refused by the table cap, or that a table built before
+        them refuses, sorts none."""
+        if self.order == "lexicographic":
+            return []
+        return sorted(enumerate_types(self.n, self.q), key=lambda t: (t.entropy(), t.counts))
 
     @cached_property
     def offsets(self) -> list:
@@ -208,7 +210,7 @@ class UniversalCode:
         ``Pmf`` (X^n i.i.d.) or a vector over X^n in lexicographic order
         with length q^n, finite non-negative entries and sum 1 +- 1e-9."""
         if isinstance(p_x, Pmf):
-            v = ProductDistribution(p_x, self.n).materialize()
+            v = product_law(p_x, self.n)
         else:
             v = np.asarray(p_x, dtype=np.float64)
             if v.shape != (self.q**self.n,):

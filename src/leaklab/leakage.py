@@ -19,10 +19,10 @@ the code computes (``UniversalCode.image_law`` and ``image_counts``); no
 kernel reads X^n.  Every criterion has a closed form:
 
 * ``delta_mi``       -- I(C; X | M_A) for a given codeword law, as a cyclic
-  convolution over Z_q^m evaluated with one radix-q Fourier transform
-  (Walsh-Hadamard butterflies at q = 2, bit-identical to the matrix pass
-  they replace; one matrix product per digit axis for q >= 3), one block of
-  messages at a time;
+  convolution over Z_q^m evaluated with one radix-q Fourier transform, one
+  pass loop for every q (a Walsh-Hadamard butterfly per digit axis at
+  q = 2, bit-identical to the matrix pass; one matrix product per digit
+  axis for q >= 3), one block of messages at a time;
 * ``delta_max_mi``   -- the worst case over all plaintext laws,
   m ln q - H(keymap(K^n) | M_A), reached by the uniform law on the decoding
   set (the channel x -> (C, M_A) is symmetric);
@@ -41,8 +41,8 @@ and every criterion reads either through ``blocks()``, one pass per kernel:
 * ``build_translation_kernel`` applies when every cell law p(k | cell) of a
   scalar adversary is an exact translate over Z_q of one law: then every
   posterior is a translate of one law over Z_q^m, and the kernel is one
-  block of that one row, folded in n steps over a q^m vector (its
-  docstring has the proof).
+  block of that one row, folded in n steps over a q^m vector by the dense
+  fold's own steps on one column (its docstring has the proof).
 
 The blocks are the whole table's columns, bit for bit.  A scalar
 adversary's (masked key, message) joint folds symbol by symbol, and column
@@ -246,12 +246,15 @@ def _translates(digits: np.ndarray, row: np.ndarray, q: int, radix: np.ndarray) 
     return ((digits[None, :, :] - shifts[:, None, :]) % q) @ radix
 
 
-def _key_image_message_blocks(sys: Cryptosystem, joint: np.ndarray, prefix_steps: int, translates):
+def _key_image_message_blocks(
+    sys: Cryptosystem, joint: np.ndarray, prefix_steps: int, translates, origin: int
+):
     """The (masked key image, adversary message) joint of a scalar adversary
     as blocks of its columns: one (q^m, cells^(n - j)) block per message
     prefix of length j = ``prefix_steps``, prefixes in lexicographic order.
-    ``joint`` is the per-symbol (key, cell) law and ``translates[t]`` the
-    ``_translates`` table of row t of the key map's matrix.
+    ``joint`` is the per-symbol (key, cell) law, ``translates`` yields the
+    ``_translates`` table of each row t of the key map's matrix, in order,
+    and the fold starts from all mass on the word of index ``origin``.
 
     The joint factorizes per coordinate, so it folds symbol by symbol into a
     running table over (image, prefix): column (a_1..a_t) after step t is
@@ -262,11 +265,12 @@ def _key_image_message_blocks(sys: Cryptosystem, joint: np.ndarray, prefix_steps
     column a = (a_1..a_n) at the lexicographic index of a.  The module
     docstring proves that the blocks are its columns, bit for bit.
     Rebinding ``state`` to its gathered translates frees the old table
-    before the product is allocated.
+    before the product is allocated.  With one cell and j = n there is one
+    block of one column, read in one pass over ``translates``.
     """
     q, m = sys.q, sys.m
     start = np.zeros((q**m, 1))
-    start[int(sys.keymap.offset @ _radix(m, q))] = 1.0
+    start[origin] = 1.0
     for prefix in itertools.product(range(joint.shape[1]), repeat=prefix_steps):
         state = start
         for t, perm in enumerate(translates):
@@ -276,34 +280,39 @@ def _key_image_message_blocks(sys: Cryptosystem, joint: np.ndarray, prefix_steps
         yield state
 
 
+def _posterior_rows(raw: np.ndarray):
+    """(kept column indices, p_message, posterior rows) of a (q^m, messages)
+    joint: each column sum is the message's probability, and each column of
+    positive probability is divided by it, in place on the kept copy (the
+    same divisions, one table fewer); a message of probability zero is
+    dropped."""
+    p_message = raw.sum(axis=0)
+    keep = np.flatnonzero(p_message > 0)
+    posterior = raw[:, keep]
+    posterior /= p_message[keep]
+    return keep, p_message[keep], posterior.T
+
+
 def _prefix_posteriors(sys: Cryptosystem, joint: np.ndarray, prefix_steps: int, translates):
     """(message ids, p_message, posterior rows) of each block of
-    ``_key_image_message_blocks``.  Each column sum is the message's
-    probability, and each column of positive probability is divided by it,
-    in place on the kept copy (the same divisions, one table fewer); a
-    prefix of probability zero yields no block."""
+    ``_key_image_message_blocks``, from the key map's offset; a prefix of
+    probability zero yields no block."""
     size = joint.shape[1] ** (len(translates) - prefix_steps)
-    for i, raw in enumerate(_key_image_message_blocks(sys, joint, prefix_steps, translates)):
-        p_message = raw.sum(axis=0)
-        keep = np.flatnonzero(p_message > 0)
+    origin = int(sys.keymap.offset @ _radix(sys.m, sys.q))
+    blocks = _key_image_message_blocks(sys, joint, prefix_steps, translates, origin)
+    for i, raw in enumerate(blocks):
+        keep, p_message, rows = _posterior_rows(raw)
         if keep.size:
-            posterior = raw[:, keep]
-            posterior /= p_message[keep]
-            yield i * size + keep, p_message[keep], posterior.T
+            yield i * size + keep, p_message, rows
 
 
 def _table_posterior(sys: Cryptosystem, joint: np.ndarray):
     """(message ids, p_message, posterior rows) of a table adversary, held
-    whole, from its (key sequence, message) enumeration ``joint``; messages
-    of probability zero are dropped as in ``_prefix_posteriors``."""
+    whole, from its (key sequence, message) enumeration ``joint``."""
     kimg_idx = affine_apply(sys.keymap, all_sequences(sys.n, sys.q)) @ _radix(sys.m, sys.q)
     g_joint = np.zeros((sys.q**sys.m, joint.shape[1]))
     np.add.at(g_joint, kimg_idx, joint)
-    p_message = g_joint.sum(axis=0)
-    keep = np.flatnonzero(p_message > 0)
-    posterior = g_joint[:, keep]
-    posterior /= p_message[keep]
-    return keep, p_message[keep], posterior.T
+    return _posterior_rows(g_joint)
 
 
 def build_dense_stream(sys: Cryptosystem, encoder, p_kz) -> KernelStream:
@@ -415,7 +424,10 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> KernelStream |
     Only its q^m vector and the q^m * m digit table of Z_q^m are built, so
     only they are checked against the table cap.  It folds in n steps: the
     law of the partial sum after symbol t is sum_k nu(k) prev(s - k M[t]),
-    summed over k in a fixed order.
+    summed over k in order.  That is the dense fold
+    (``_key_image_message_blocks``) of the one-cell joint nu from the zero
+    word, all n steps on its one prefix, with the translate tables built one
+    at a time as the fold reads them.
 
     Proof.  The pairs (K_t, Z_t) are i.i.d., and the message is the tuple of
     cells a = (c_1, ..., c_n) of the Z_t, so given M_A = a the key symbols
@@ -457,12 +469,9 @@ def build_translation_kernel(sys: Cryptosystem, encoder, p_kz) -> KernelStream |
     check_table("q^m * m", q**m * m)
     digits = all_sequences(m, q)
     radix_m = _radix(m, q)
-    law = np.zeros(q**m)
-    law[0] = 1.0
-    for t in range(n):
-        perm = _translates(digits, sys.keymap.matrix[t], q, radix_m)
-        law = sum(nu[k] * law[perm[k]] for k in range(q))
-    block = (np.zeros(0, dtype=np.int64), np.ones(1), law[None])
+    translates = (_translates(digits, row, q, radix_m) for row in sys.keymap.matrix)
+    [law] = _key_image_message_blocks(sys, nu[:, None], n, translates, 0)
+    block = (np.zeros(0, dtype=np.int64), np.ones(1), law.T)
     return KernelStream(
         q=q,
         n=n,
@@ -487,27 +496,30 @@ def _zq_transform(a: np.ndarray, q: int, m: int, *, inverse: bool = False) -> np
 
     Each of the m passes transforms the leading digit axis and moves it
     last, so after m passes the digits are back in their order.  For q >= 3
-    a pass is one matrix product with the q-point DFT matrix.  At q = 2 it
-    is the Walsh-Hadamard butterfly: the pass writes a0 + a1 and a0 - a1
-    into a new (batch, rest, 2) array.  That is bit-identical to the matrix
-    pass: at q = 2 the DFT matrix and its conjugate are both [[1, 1],
-    [1, -1]], multiplying by +-1 is exact, so every entry of the matrix pass
-    is the single rounding of a0 + a1 or a0 - a1 (up to the sign of a zero).
-    The passes run in the same order, so the whole transform is too.
+    a pass is one (batch * rest, q) by (q, q) ``np.dot`` with the q-point
+    DFT matrix: the 2-D product that NumPy's tensor contraction over that
+    axis forms, so with its bits (the tests hold that contraction as the
+    oracle).  At q = 2 it is the Walsh-Hadamard butterfly: the pass writes
+    a0 + a1 and a0 - a1 into a new (batch, rest, 2) array.  That is
+    bit-identical to the matrix pass: at q = 2 the DFT matrix and its
+    conjugate are both [[1, 1], [1, -1]], multiplying by +-1 is exact, so
+    every entry of the matrix pass is the single rounding of a0 + a1 or
+    a0 - a1 (up to the sign of a zero).  The passes run in the same order,
+    so the whole transform is too.
     """
-    if q == 2:
-        for _ in range(m):
-            a = a.reshape(len(a), 2, -1)
-            out = np.empty((len(a), a.shape[2], 2))
+    batch = len(a)
+    if q > 2:  # the butterflies read no matrix
+        mat = _dft_matrix(q).conj() if inverse else _dft_matrix(q)
+    for _ in range(m):
+        a = a.reshape(batch, q, -1)
+        if q == 2:
+            out = np.empty((batch, a.shape[2], 2))
             np.add(a[:, 0], a[:, 1], out=out[:, :, 0])
             np.subtract(a[:, 0], a[:, 1], out=out[:, :, 1])
             a = out
-        return a.reshape(len(a), -1)
-    mat = _dft_matrix(q).conj() if inverse else _dft_matrix(q)
-    a = a.reshape((len(a),) + (q,) * m)
-    for _ in range(m):
-        a = np.tensordot(a, mat, axes=([1], [0]))
-    return a.reshape(len(a), -1)
+        else:
+            a = np.dot(a.transpose(0, 2, 1).reshape(-1, q), mat)
+    return a.reshape(batch, -1)
 
 
 def _zq_convolve(rows: np.ndarray, spectrum: np.ndarray, q: int, m: int) -> np.ndarray:

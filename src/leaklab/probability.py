@@ -57,12 +57,11 @@ __all__ = [
     "check_table",
     "Pmf",
     "ChannelMatrix",
-    "ProductDistribution",
     "TypeClass",
     "entropy",
     "conditional_entropy",
     "kl_divergence",
-    "product_distribution",
+    "product_law",
     "enumerate_types",
     "type_of",
     "multinomial",
@@ -104,12 +103,6 @@ class Pmf:
     @property
     def size(self) -> int:
         return self.probs.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i) -> float:
-        return float(self.probs[i])
 
     @classmethod
     def uniform(cls, q: int) -> "Pmf":
@@ -217,49 +210,19 @@ def kl_divergence(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sequences and the i.i.d. product view
+# Sequences and the i.i.d. product law
 # ---------------------------------------------------------------------------
 
 
-class ProductDistribution:
-    """The n-fold i.i.d. extension of a base pmf, evaluated lazily.
-
-    Never materializes the q**n table unless asked to and the table fits
-    under ``TABLE_CAP``.
-    """
-
-    def __init__(self, base: Pmf, n: int):
-        if n < 1:
-            raise ValueError(f"block length must be >= 1, got {n}")
-        self.base = base if isinstance(base, Pmf) else Pmf(base)
-        self.n = int(n)
-        with np.errstate(divide="ignore"):
-            self._log_probs = np.log(self.base.probs)
-
-    @property
-    def q(self) -> int:
-        return self.base.size
-
-    def log_prob(self, seq) -> float:
-        seq = np.asarray(seq, dtype=np.int64)
-        if seq.shape != (self.n,):
-            raise ValueError(f"sequence shape {seq.shape} != ({self.n},)")
-        return float(self._log_probs[seq].sum())
-
-    def prob(self, seq) -> float:
-        return float(np.exp(self.log_prob(seq)))
-
-    def materialize(self) -> np.ndarray:
-        """Probabilities of all q**n sequences in lexicographic order."""
-        check_table("q^n", self.q**self.n)
-        out = np.array([1.0])
-        for _ in range(self.n):
-            out = np.multiply.outer(out, self.base.probs).reshape(-1)
-        return out
-
-
-def product_distribution(p: Pmf, n: int) -> ProductDistribution:
-    return ProductDistribution(p, n)
+def product_law(base: Pmf, n: int) -> np.ndarray:
+    """The n-fold i.i.d. extension of ``base``: the probabilities of all
+    q**n sequences in lexicographic order, a table checked against the cap
+    before it is built."""
+    check_table("q^n", base.size**n)
+    out = np.array([1.0])
+    for _ in range(n):
+        out = np.multiply.outer(out, base.probs).reshape(-1)
+    return out
 
 
 def all_sequences(n: int, q: int) -> np.ndarray:

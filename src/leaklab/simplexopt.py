@@ -48,6 +48,8 @@ from collections import deque
 
 import numpy as np
 
+from .probability import check_table
+
 __all__ = ["minimize_blocks"]
 
 DENSE_MAX_DIM = 3
@@ -110,15 +112,6 @@ def _pairwise(rows, lo, n):
     return total
 
 
-def _max_rows(rows):
-    """The elementwise maximum of ``rows[0..n-1]`` (the maximum does not
-    depend on the order)."""
-    total = rows[0]
-    for j in range(1, len(rows)):
-        total = np.maximum(total, rows[j])
-    return total
-
-
 def _blocks_from_free(x: np.ndarray, shapes) -> list:
     """Free parameters in [0, 1], a (dim, N) array -> list of 2-column
     stochastic blocks, each (rows, 2, N)."""
@@ -137,8 +130,7 @@ def _blocks_from_free(x: np.ndarray, shapes) -> list:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the column axis of a (rows, cols, N) array."""
-    cols = logits.transpose(1, 0, 2)  # cols[j] is column j, (rows, N)
-    e = np.exp(logits - _max_rows(cols)[:, None])
+    e = np.exp(logits - logits.max(axis=1)[:, None])
     return e / _sum_rows(e.transpose(1, 0, 2))[:, None]
 
 
@@ -365,10 +357,13 @@ def _multistart_adam(f, shapes, params) -> list:
     every start, one lazy ask per problem so that only a few problems'
     bumped rows are held at a time, then the stepped logits, whose values
     are the next iteration's base.  Adam's arithmetic is elementwise, so
-    every start follows its path in a solve of its problem alone.
+    every start follows its path in a solve of its problem alone.  The
+    tiled logits' problems * N_STARTS * dim entries are checked against the
+    table cap before they are built.
     """
     start = _initial_logits(shapes)
     dim, starts = start.shape
+    check_table("problems * N_STARTS * dim", len(params) * starts * dim)
     theta = np.tile(start, len(params))
     owners = np.repeat(np.arange(len(params)), starts)
     h = 1e-6

@@ -188,6 +188,22 @@ def zq_transform_oracle(a, mat, m):
     return a.reshape(len(a), -1)
 
 
+def translation_fold_oracle(sys, nu):
+    """The law of S = sum_t N_t M[t] over Z_q^m, N_t i.i.d. ~ nu and M[t]
+    row t of the key map's matrix, folded one key symbol at a time:
+    law(s) <- sum_k nu(k) law(s - k M[t]), one gather of the whole vector per
+    k, summed over k in order."""
+    q, m = sys.q, sys.m
+    digits = all_sequences(m, q)
+    radix = q ** np.arange(m - 1, -1, -1)
+    law = np.zeros(q**m)
+    law[0] = 1.0
+    for row in sys.keymap.matrix:
+        shifted = [((digits - k * row) % q) @ radix for k in range(q)]
+        law = sum(nu[k] * law[shifted[k]] for k in range(q))
+    return law
+
+
 def zq_convolve_oracle(rows, v, q, m):
     """Cyclic convolution over Z_q^m of each row of ``rows`` with ``v``, by
     the matrix-pass transform of both and the conjugate matrix pass back."""

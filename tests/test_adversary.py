@@ -112,6 +112,16 @@ def test_best_quantizer_matches_brute_force():
     assert abs(h_given_partition(list(enc.cells)) - brute) < 1e-12
 
 
+def test_best_quantizer_budget_past_the_alphabet_allows_every_partition():
+    # exp(800) overflows a float; a budget of |Z| cells or more already
+    # allows every partition, so R_A = 800 picks what R_A = ln |Z| picks
+    rows = [[0.55, 0.25, 0.15, 0.05], [0.05, 0.2, 0.3, 0.45]]
+    joint = joint_from_channel(Pmf([0.5, 0.5]), ChannelMatrix(rows))
+    want = best_scalar_quantizer(joint, R_A=math.log(4), n=3)
+    for R_A in (math.log(4) + 1e-3, 709.0, 710.0, 800.0, 1e308):
+        assert best_scalar_quantizer(joint, R_A=R_A, n=3) == want, R_A
+
+
 def test_best_quantizer_refuses_large_alphabets():
     rows = np.full((2, 13), 1.0 / 13)
     with pytest.raises(ValueError):

@@ -486,3 +486,70 @@ def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
         by_key.setdefault(ExponentCalculator._key(*cell), set()).add(cell)
     assert any(len(cells) > 1 for cells in by_key.values())
     assert any(cell != key for key, cells in by_key.items() for cell in cells)
+
+
+# F and F_lower on the golden exponent config (tests/golden/exponent.csv,
+# whose CSV bounds them to 1e-10 only), as float.hex: (value, mu, alpha) of
+# F and (value, mu, lam, witness_mu, witness_lam, witness_ratio) of F_lower
+# at each of its six rate points.  The bits rest on the BLAS's matrix-product
+# order, which every run's manifest records.
+EXPONENT_BITS = {
+    (0.0, 0.1): (
+        ("0x1.e5e7fac71a45ap-4", "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+        (
+            "0x1.996c5e6abe204p-6", "0x1.0000000000000p-1", "0x1.15f4d44462724p-2",
+            "0x1.0000000000000p-1", "0x1.15f4d44462724p-2", "0x1.2fb0fcbc706b3p-2",
+        ),
+    ),
+    (0.0, 0.3): (
+        ("0x1.4210f089a9a1cp-4", "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+        (
+            "0x1.0f5f44d7bb491p-6", "0x1.0000000000000p-1", "0x1.15f4d44462724p-2",
+            "0x1.0000000000000p-1", "0x1.15f4d44462724p-2", "0x1.92952cac1409ap-3",
+        ),
+    ),
+    (0.0, 0.5): (
+        ("0x1.3c73cc9871fbdp-5", "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+        (
+            "0x1.0aa4568970e3ap-7", "0x1.0000000000000p-1", "0x1.15f4d44462724p-2",
+            "0x1.0000000000000p-1", "0x1.15f4d44462724p-2", "0x1.8b90bfbe8e798p-4",
+        ),
+    ),
+    (0.3, 0.1): (
+        ("0x1.e04ad6d5e29fap-5", "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+        (
+            "0x1.ced0cd75ec50cp-7", "0x0.0p+0", "0x1.15f4d44462724p-2",
+            "0x0.0p+0", "0x1.a36e2eb1c432dp-14", "0x1.ccece9947048dp-3",
+        ),
+    ),
+    (0.3, 0.3): (
+        ("0x1.313984b602b00p-6", "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+        (
+            "0x1.012e79ecdc191p-8", "0x1.0000000000000p-1", "0x1.15f4d44462724p-2",
+            "0x1.0000000000000p-1", "0x1.15f4d44462724p-2", "0x1.7d87e5e38359cp-5",
+        ),
+    ),
+    (0.3, 0.5): (
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        (
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x1.0000000000000p-1", "0x1.15f4d44462724p-3", "-0x1.b5ab4d4fafe1ep-5",
+        ),
+    ),
+}
+
+
+def test_exponent_bits_on_the_golden_config():
+    grid = ExponentGrid(
+        mu_points=3, alpha_points=3, lambda_points=5, refine_rounds=1, refine_points=3
+    )
+    calc = ExponentCalculator(BSC_KZ, grid)
+    for (ra, r), (f_bits, f_lower_bits) in EXPONENT_BITS.items():
+        f, lower = calc.F(ra, r), calc.F_lower(ra, r)
+        got = tuple(float(v).hex() for v in (f.value, f.mu, f.alpha))
+        assert got == f_bits, (ra, r)
+        got = tuple(float(v).hex() for v in (
+            lower.value, lower.mu, lower.lam,
+            lower.witness_mu, lower.witness_lam, lower.witness_ratio,
+        ))
+        assert got == f_lower_bits, (ra, r)

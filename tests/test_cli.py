@@ -699,6 +699,18 @@ def test_best_scalar_adversary_kind(tmp_path):
     assert len(lines) == 2
 
 
+def test_best_scalar_budget_past_the_float_range(tmp_path):
+    # exp(800) overflows; the budget is capped at |Z| before it is taken
+    out = {}
+    for R_A in (math.log(2), 800):
+        cfg = write_config(tmp_path, adversary={"kind": "best_scalar"}, n_list=[4], R_A=R_A)
+        path = tmp_path / f"o{R_A}"
+        assert main(["leakage", "--config", str(cfg), "--out", str(path)]) == EXIT_OK
+        out[R_A] = [line.split(",") for line in (path / "leakage.csv").read_text().splitlines()]
+    low, high = out[math.log(2)], out[800]
+    assert [row[:3] + row[4:] for row in low] == [row[:3] + row[4:] for row in high]
+
+
 def test_table_adversary_kind(tmp_path):
     table = list(np.arange(16) % 3)
     cfg = write_config(
@@ -816,18 +828,62 @@ def test_oversized_replay_exits_2_before_any_work(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cfg, want", [
-    ({**BASE_CONFIG, "R": 0.5}, "n * m = 28800"),  # m = 144
-    ({**BASE_CONFIG, "R": 0.01}, "n_probe * n = 2000000"),  # m = 2
-    (TERNARY_REGION_CONFIG, "C(n + q - 1, q - 1) * q = 60903"),
-], ids=["key_map", "probe", "type_classes"])
-def test_block_length_tables_exit_2_where_they_are_built(tmp_path, monkeypatch, capsys, cfg, want):
+@pytest.mark.parametrize("cmd, cfg, want", [
+    ("region", {**BASE_CONFIG, "mu_points": 10**10}, "mu_points = 10000000000"),
+    ("exponent", {**BASE_CONFIG, "exponent_grid": {"lambda_points": 10**10}},
+     "mu_points * lambda_points = 210000000000"),
+    ("exponent", {**BASE_CONFIG, "exponent_grid": {"refine_points": 10**5}},
+     "refine_points^2 = 10000000000"),
+    ("simulate", {**BASE_CONFIG, "exponents": True, "exponent_grid": {"alpha_points": 10**7}},
+     "mu_points * alpha_points = 210000000"),
+], ids=["region_levels", "lambda_grid", "refine_grid", "alpha_grid"])
+def test_oversized_solver_grids_exit_2_before_allocating(tmp_path, cmd, cfg, want):
+    # the mu levels and the exponent grids are checked where they are built,
+    # before any is allocated (10^10 levels would take 74.5 GiB)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    proc = run_in_1gib([cmd, "--config", str(path), "--out", str(out)])
+    assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+    assert proc.stderr.startswith(f"config error: {want} entries exceed the table cap 2^26")
+    assert not out.exists()
+
+
+def test_oversized_multistart_exits_2_before_tiling(tmp_path, monkeypatch, capsys):
+    # the ternary region's 5 levels fit a cap of 2^11, but Adam's tiled
+    # starts, 5 problems * 64 starts * 9 logits, do not
+    monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**11)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TERNARY_REGION_CONFIG))
+    out = tmp_path / "o"
+    assert main(["region", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problems * N_STARTS * dim = 2880 entries exceed"), err
+    assert not out.exists()
+
+
+def test_leakage_does_not_refuse_a_grid_it_never_reads(tmp_path):
+    cfg = write_config(tmp_path, exponent_grid={"lambda_points": 10**10})
+    assert main(["leakage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("cmd, cfg, want", [
+    ("leakage", {**BASE_CONFIG, "R": 0.5}, "n * m = 28800"),  # m = 144
+    ("leakage", {**BASE_CONFIG, "R": 0.01}, "n_probe * n = 2000000"),  # m = 2
+    # the type classes are sorted on first use: build-code reads them
+    # first, and leakage meets the key map (m = 145) before them
+    ("build-code", TERNARY_REGION_CONFIG, "C(n + q - 1, q - 1) * q = 60903"),
+    ("leakage", TERNARY_REGION_CONFIG, "n * m = 29000"),
+], ids=["key_map", "probe", "type_classes", "ternary_key_map"])
+def test_block_length_tables_exit_2_where_they_are_built(
+    tmp_path, monkeypatch, capsys, cmd, cfg, want
+):
     # n=200 under a cap of 2^14: each table is refused before it is
     # allocated, before the X^n digit table is reached
     monkeypatch.setattr(cli.prob, "TABLE_CAP", 2**14)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**cfg, "n_list": [200]}))
-    assert main(["leakage", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {want} entries exceed the table cap 2^14"), err
     assert not (tmp_path / "o").exists()

@@ -17,6 +17,7 @@ from helpers import (
     kernel_checks_oracle,
     lower_bound_oracle,
     masked_equivocation_oracle,
+    translation_fold_oracle,
     zq_convolve_oracle,
     zq_transform_oracle,
 )
@@ -403,13 +404,17 @@ def test_walsh_hadamard_butterflies_equal_matrix_passes(batch):
 
 @pytest.mark.parametrize("batch", [1, 300])
 def test_ternary_transform_is_the_matrix_pass(batch):
+    # for q >= 3 each pass is the 2-D product of the oracle's contraction,
+    # so the same bits, at q = 3 and at the larger primes 5 and 7
     rng = np.random.default_rng(batch)
-    mat = dft_matrix_oracle(3)
-    for m in range(1, 6):
-        a = rng.random((batch, 3**m))
-        for inverse, oracle_mat in ((False, mat), (True, mat.conj())):
-            got = _zq_transform(a, 3, m, inverse=inverse)
-            assert np.array_equal(got, zq_transform_oracle(a, oracle_mat, m)), (m, inverse)
+    for q, top in ((3, 5), (5, 3), (7, 3)):
+        mat = dft_matrix_oracle(q)
+        for m in range(1, top + 1):
+            a = rng.random((batch, q**m))
+            for inverse, oracle_mat in ((False, mat), (True, mat.conj())):
+                got = _zq_transform(a, q, m, inverse=inverse)
+                want = zq_transform_oracle(a, oracle_mat, m)
+                assert np.array_equal(got, want), (q, m, inverse)
     post, m = _posterior(3, 5, 0.8, seed=5)
     rows = post[:batch]
     v = rng.dirichlet(np.ones(3**m))
@@ -937,6 +942,31 @@ def test_translation_kernel_matches_dense_oracle_ternary(n, W):
     p_kz = joint_from_channel(Pmf.uniform(3), ChannelMatrix(W))
     enc = scalar_quantizer_encoder([0, 1, 2], n)
     assert_translation_matches_dense(system(n, 0.8, 3, n), enc, p_kz, laws)
+
+
+def circulant(q, p):
+    """The q-ary channel that keeps a symbol with probability p and moves
+    it to each other symbol with probability (1 - p) / (q - 1)."""
+    row = [p] + [(1 - p) / (q - 1)] * (q - 1)
+    return [row[q - i:] + row[:q - i] for i in range(q)]
+
+
+@pytest.mark.parametrize("q, ns, R, W", [
+    (2, (4, 8, 12, 16), 0.5, ChannelMatrix.bsc(0.1).rows),
+    (3, (3, 5, 7), 0.8, CIRCULANT),
+    (5, (2, 3, 4), 1.2, circulant(5, 0.6)),
+], ids=["q2", "q3", "q5"])
+def test_translation_kernel_row_is_the_per_symbol_fold(q, ns, R, W):
+    # the translation kernel runs the dense fold's steps on one column from
+    # the zero word; that is the per-symbol fold of the law of S, bit for bit
+    p_kz = joint_from_channel(Pmf.uniform(q), ChannelMatrix(W))
+    for n in ns:
+        enc = scalar_quantizer_encoder(list(range(q)), n)
+        nu = leakage_module._translation_law(adversary.adversary_joint(enc, p_kz))
+        for seed in (0, 7):
+            sys = system(n, R, q, seed)
+            row = one_row(build_translation_kernel(sys, enc, p_kz))
+            assert np.array_equal(row, translation_fold_oracle(sys, nu)), (n, seed)
 
 
 @pytest.mark.parametrize("n, R", [(1, 0.7), (2, 0.7), (3, 0.5)])

@@ -18,7 +18,7 @@ from leaklab.probability import (
     joint_from_channel,
     kl_divergence,
     multinomial,
-    product_distribution,
+    product_law,
     type_of,
 )
 
@@ -97,17 +97,18 @@ def test_pmf_sum_error_prints_a_plain_float():
 
 
 def test_product_distribution_values():
-    pd = product_distribution(Pmf.bernoulli(0.1), 2)
-    assert abs(pd.prob([1, 1]) - 0.01) < 1e-15
-    u = product_distribution(Pmf.uniform(2), 10)
-    assert u.prob([0, 1] * 5) == 2.0**-10
+    law = product_law(Pmf.bernoulli(0.1), 2)
+    assert abs(law[0b11] - 0.01) < 1e-15
+    u = product_law(Pmf.uniform(2), 10)
+    assert u[0b0101010101] == 2.0**-10
 
 
 def test_product_distribution_sums_to_one():
-    pd = product_distribution(Pmf([0.2, 0.3, 0.5]), 3)
-    total = sum(pd.prob(s) for s in all_sequences(3, 3))
-    assert abs(total - 1.0) < 1e-12
-    assert abs(pd.materialize().sum() - 1.0) < 1e-12
+    p = Pmf([0.2, 0.3, 0.5])
+    law = product_law(p, 3)
+    for s, v in zip(all_sequences(3, 3), law, strict=True):  # lexicographic order
+        assert abs(v - np.prod(p.probs[s])) < 1e-15
+    assert abs(law.sum() - 1.0) < 1e-12
 
 
 def test_xlogx_equals_masked_form_bit_for_bit():
@@ -126,12 +127,9 @@ def test_xlogx_equals_masked_form_bit_for_bit():
 
 
 def test_product_distribution_cap(monkeypatch):
-    pd = product_distribution(Pmf.uniform(2), 40)
     monkeypatch.setattr(probability, "TABLE_CAP", 2**20)
     with pytest.raises(ValueError):
-        pd.materialize()
-    # log evaluation still fine at that length
-    assert abs(pd.log_prob([0] * 40) + 40 * LN2) < 1e-12
+        product_law(Pmf.uniform(2), 40)
 
 
 def test_cap_refusal_names_counts_of_any_size(monkeypatch):

@@ -1,5 +1,6 @@
 """Guards for the tooling that reaches into the package from outside."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -8,13 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import leaklab
-from leaklab import cli, codec, leakage, probability, simplexopt
+from leaklab import analysis, cli, codec, leakage, probability, simplexopt
 from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
@@ -26,7 +28,7 @@ from leaklab.probability import (
     TableCapError,
     all_sequences,
     joint_from_channel,
-    product_distribution,
+    product_law,
 )
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -296,7 +298,7 @@ def test_one_table_cap_refuses_every_table(tmp_path, monkeypatch):
     monkeypatch.setattr(probability, "TABLE_CAP", 15)
     refusals = [
         ("q^n * n = 2^6", lambda: all_sequences(4, 2)),
-        ("q^n = 2^4", lambda: product_distribution(Pmf.uniform(2), 4).materialize()),
+        ("q^n = 2^4", lambda: product_law(Pmf.uniform(2), 4)),
         ("q^n * n = 2^6", lambda: UniversalCode(4, 2, 2).full_tables()),
         ("q^n * |Z|^n = 2^8", lambda: adversary_joint(table_encoder, p_kz)),
         ("q^n * q^m = 2^6", lambda: build_gamma_kernel(
@@ -392,3 +394,24 @@ def test_only_the_code_and_the_oracle_read_the_sequence_tables():
     for name in ("_plaintext_vector", "DeltaMaxResult"):
         assert not hasattr(leakage, name), name
     assert not hasattr(leakage._Kernel, "lex_of_image")
+
+
+def test_one_implementation_per_computation():
+    # the masked-key fold, the Z_q^m pass, the posterior normalization and
+    # the exponent supremum each have one implementation, and the second
+    # evaluator of the i.i.d. law and the unused Pmf methods stay deleted
+    assert "tensordot" not in (SRC / "leaklab" / "leakage.py").read_text()
+    translation = inspect.getsource(leakage.build_translation_kernel)
+    assert "_key_image_message_blocks(" in translation
+    for normalized in (leakage._prefix_posteriors, leakage._table_posterior):
+        source = inspect.getsource(normalized)
+        assert "_posterior_rows(" in source and "/=" not in source, normalized.__name__
+    for exponent in (analysis.ExponentCalculator.F, analysis.ExponentCalculator.F_lower):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(exponent)))
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(node, loops) for node in ast.walk(tree)), exponent.__name__
+    for name in ("ProductDistribution", "product_distribution"):
+        assert not hasattr(probability, name), name
+    for name in ("__len__", "__getitem__"):
+        assert name not in vars(Pmf), name
+    assert not hasattr(simplexopt, "_max_rows")
