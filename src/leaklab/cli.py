@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -328,7 +329,8 @@ def cmd_verify(exp: Experiment, out_dir, config_path) -> int:
     table cap, as the dense kernel was before the stream.  The kernels are
     built, and their tables checked against the cap, before the crypto
     suite runs, so a block length that exceeds the cap is refused before
-    any check."""
+    any check.  Every PASS/FAIL line of both suites is formatted at one
+    site, from (suite, label, ``StructuralReport``) triples."""
     failures = 0
     for n, code in _codes(exp):
         try:
@@ -345,24 +347,17 @@ def cmd_verify(exp: Experiment, out_dir, config_path) -> int:
         if translation is not None:
             kernels.append((", kernel=translation", translation))
         rep = crypto.check_structural_properties(sys_n)
-        for name, entry in rep.checks.items():
-            status = "PASS" if entry["ok"] else "FAIL"
-            extra = "" if entry["ok"] else f" witness={entry['witness']}"
-            print(f"{status} crypto.{name} (n={n}, mode={rep.mode}){extra}")
-        failures += len(rep.failures)
-        for label, kern in kernels:
-            kchk = leakage.structural_checks(kern)
-            for name, ok, err, wit in (
-                ("row_sum_identity", kchk.row_sums_ok, kchk.row_sum_max_error,
-                 kchk.row_sum_witness),
-                ("uniform_ciphertext", kchk.uniform_ok, kchk.uniform_max_error,
-                 kchk.uniform_witness),
-            ):
-                status = "PASS" if ok else "FAIL"
-                extra = f" max_err={err:.3e}" + ("" if ok else f" witness={wit}")
-                print(f"{status} kernel.{name} (n={n}{label}){extra}")
-                if not ok:
-                    failures += 1
+        reports = itertools.chain(
+            [("crypto", f", mode={rep.mode}", rep)],
+            (("kernel", label, leakage.structural_checks(kern)) for label, kern in kernels),
+        )
+        for suite, label, report in reports:
+            for name, entry in report.checks.items():
+                status = "PASS" if entry["ok"] else "FAIL"
+                extra = f" max_err={entry['max_err']:.3e}" if "max_err" in entry else ""
+                extra += "" if entry["ok"] else f" witness={entry['witness']}"
+                print(f"{status} {suite}.{name} (n={n}{label}){extra}")
+            failures += len(report.failures)
     _write_manifest(out_dir, "verify", config_path, exp, [])
     return EXIT_VIOLATION if failures else EXIT_OK
 

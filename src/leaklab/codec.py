@@ -127,9 +127,11 @@ class UniversalCode:
         """(image index, in-D mask, rank->lex map) over all of X^n.
 
         The first two are indexed by the lexicographic index of a sequence;
-        the third maps a canonical rank to that index.  One stable lexsort
-        by type-class position replicates the canonical ordering (classes in
-        ``type_order``, lexicographic inside a class).  The tables are built
+        the third maps a canonical rank to that index.  One stable argsort
+        of the sequences' type-class positions replicates the canonical
+        ordering (classes in ``type_order``, lexicographic inside a class):
+        the sequences are in lexicographic order, and a stable sort keeps
+        that order among equal positions.  The tables are built
         on the first call, cached on the code and returned read-only.  The
         test suite checks them against the scalar ``TypeClass.rank`` path.
 
@@ -154,7 +156,7 @@ class UniversalCode:
             )
             sorter = np.argsort(class_keys)
             pos = sorter[np.searchsorted(class_keys[sorter], keys)]
-            order = np.lexsort((np.arange(total), pos))
+            order = np.argsort(pos, kind="stable")
             ranks = np.empty(total, dtype=np.int64)
             ranks[order] = np.arange(total)
             images = np.minimum(ranks, self.decoding_set_size - 1)

@@ -150,18 +150,24 @@ def _condition_check(sys):
 
 @dataclass
 class StructuralReport:
-    """Outcome of the executable structural property suite."""
+    """Outcome of a structural suite: one ``{"ok", "witness"}`` record per
+    check, in the order run, plus ``"max_err"`` for the kernel identities.
+    ``mode`` is the crypto suite's validation level (None for the kernel
+    checks); ``passed`` and ``failures`` are read off ``checks``."""
 
-    passed: bool = True
-    mode: str = "exhaustive"
-    failures: list = field(default_factory=list)
+    mode: str | None = None
     checks: dict = field(default_factory=dict)
 
-    def record(self, name: str, ok: bool, witness=None):
-        self.checks[name] = {"ok": ok, "witness": witness}
-        if not ok:
-            self.passed = False
-            self.failures.append((name, witness))
+    def record(self, name: str, ok: bool, witness=None, **extra):
+        self.checks[name] = {"ok": ok, "witness": witness, **extra}
+
+    @property
+    def passed(self) -> bool:
+        return all(entry["ok"] for entry in self.checks.values())
+
+    @property
+    def failures(self) -> list:
+        return [(name, e["witness"]) for name, e in self.checks.items() if not e["ok"]]
 
 
 def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
@@ -183,10 +189,12 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
 
     All keys are checked when ``sys.validation`` is "exhaustive"; otherwise
     ``SAMPLE_KEYS`` seeded keys are, and the report's mode says so.
-    ``_key_image_sweep`` gives each check the first failing checked key.
+    ``_key_image_sweep`` gives each check the first failing checked key;
+    ``found`` keeps each per-key check's first witness (None while it
+    passes), and a check with one is not tested again.
     """
     n, m, q = sys.n, sys.m, sys.q
-    report = StructuralReport()
+    report = StructuralReport(mode=sys.validation)
 
     seqs = sys.code.sequences()
     want = sys.code.decode(sys.code.encode(seqs))
@@ -198,7 +206,6 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
         None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
     )
 
-    report.mode = sys.validation
     if sys.validation == "exhaustive":
         keys = seqs
     else:
@@ -207,46 +214,39 @@ def check_structural_properties(sys: Cryptosystem) -> StructuralReport:
 
     radix_m = _radix(m, q)
     d_indices = np.flatnonzero(in_d)
-    inj_ok, inj_witness = True, None
-    surj_ok, surj_witness = True, None
-    dset_ok, dset_witness = True, None
-    cond_ok, cond_witness = True, None
+    found = dict.fromkeys(
+        ("injective_on_D", "surjective", "key_independent_D", "decryption_condition"))
     for k, cipher, back in _key_image_sweep(sys, keys, seqs):
         cipher_idx = cipher @ radix_m
-        if inj_ok:
+        if found["injective_on_D"] is None:
             on_d = cipher_idx[d_indices]
             hits = np.bincount(on_d, minlength=q**m)
             if np.count_nonzero(hits) != on_d.size:
-                inj_ok = False
                 dup = np.flatnonzero(hits > 1)[0]
                 pair = d_indices[np.flatnonzero(on_d == dup)[:2]]
-                inj_witness = {
+                found["injective_on_D"] = {
                     "key": k.tolist(),
                     "x": seqs[pair[0]].tolist(),
                     "y": seqs[pair[1]].tolist(),
                 }
-        if surj_ok:
+        if found["surjective"] is None:
             hits = np.bincount(cipher_idx, minlength=q**m)
             if np.count_nonzero(hits) != q**m:
-                surj_ok = False
                 missing = np.flatnonzero(hits[: q**m] == 0)[:4].tolist()
-                surj_witness = {"key": k.tolist(), "missing_codewords": missing}
+                found["surjective"] = {"key": k.tolist(), "missing_codewords": missing}
         # in_d is all(want == seqs), so a key with back == want meets the
         # condition and has in_d as its set; only a key whose table differs
         # needs its own rows searched
-        if (cond_ok or dset_ok) and not np.array_equal(back, want):
-            if cond_ok:
-                cond_ok = False
+        pending = None in (found["decryption_condition"], found["key_independent_D"])
+        if pending and not np.array_equal(back, want):
+            if found["decryption_condition"] is None:
                 bad = np.flatnonzero(np.any(back != want, axis=1))[0]
-                cond_witness = {"key": k.tolist(), "x": seqs[bad].tolist()}
-            if dset_ok:
+                found["decryption_condition"] = {"key": k.tolist(), "x": seqs[bad].tolist()}
+            if found["key_independent_D"] is None:
                 ok_mask = np.all(back == seqs, axis=1)
                 if not np.array_equal(ok_mask, in_d):
-                    dset_ok = False
                     diff = int(np.flatnonzero(ok_mask != in_d)[0])
-                    dset_witness = {"key": k.tolist(), "x": seqs[diff].tolist()}
-    report.record("injective_on_D", inj_ok, inj_witness)
-    report.record("surjective", surj_ok, surj_witness)
-    report.record("key_independent_D", dset_ok, dset_witness)
-    report.record("decryption_condition", cond_ok, cond_witness)
+                    found["key_independent_D"] = {"key": k.tolist(), "x": seqs[diff].tolist()}
+    for name, witness in found.items():
+        report.record(name, witness is None, witness)
     return report

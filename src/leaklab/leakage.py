@@ -92,7 +92,7 @@ import numpy as np
 
 from . import adversary
 from .codec import _radix
-from .crypto import Cryptosystem
+from .crypto import Cryptosystem, StructuralReport
 from .galois import affine_apply
 from .probability import _xlogx, all_sequences, check_table
 
@@ -101,7 +101,6 @@ __all__ = [
     "KernelStream",
     "LeakageReport",
     "CapacityResult",
-    "KernelCheckReport",
     "build_dense_stream",
     "build_gamma_kernel",
     "build_translation_kernel",
@@ -714,19 +713,6 @@ def delta_max_upper_bound(kernel: _Kernel) -> float:
     return _leakage_below(kernel, _masked_key_equivocation(kernel))
 
 
-@dataclass
-class KernelCheckReport:
-    """Row-sum and uniformity checks of the kernel family."""
-
-    passed: bool
-    row_sums_ok: bool
-    row_sum_max_error: float
-    row_sum_witness: tuple | None
-    uniform_ok: bool
-    uniform_max_error: float
-    uniform_witness: tuple | None
-
-
 def _worst_entry(err: np.ndarray, lo: int) -> tuple:
     """Largest entry of a (message, ciphertext) block starting at message
     ``lo``, and its (ciphertext, message); the first message, then the first
@@ -735,48 +721,45 @@ def _worst_entry(err: np.ndarray, lo: int) -> tuple:
     return float(err[a, c]), (int(c), lo + int(a))
 
 
-def structural_checks(kernel: _Kernel) -> KernelCheckReport:
+def structural_checks(kernel: _Kernel) -> StructuralReport:
     """Verify the two exact identities every valid kernel family satisfies,
     each to within ``KERNEL_CHECK_TOL``.
 
-    (a) For each (ciphertext, message), the kernel values summed over the
-        decoding set equal 1.
-    (b) A uniform plaintext on the decoding set makes the ciphertext uniform
-        on X^m and independent of the message.
+    (a) ``row_sum_identity``: for each (ciphertext, message), the kernel
+        values summed over the decoding set equal 1.
+    (b) ``uniform_ciphertext``: a uniform plaintext on the decoding set
+        makes the ciphertext uniform on X^m and independent of the message.
 
-    Witnesses are (ciphertext index, message position) of the worst entry:
-    the first message, then the first ciphertext, of the largest error.
-    The sums over D are convolutions, sum_t post_a(c - t) n_D(t) with n_D(t)
-    the number of D-members of image t (``image_counts``), evaluated by ``_zq_convolve`` for
-    each of the kernel's blocks in one pass.
+    Each is recorded in a ``StructuralReport`` (mode None) with its largest
+    error, ``max_err``, and, when it fails, the witness: the (ciphertext
+    index, message position) of the worst entry, the first message, then
+    the first ciphertext, of the largest error.  The sums over D are
+    convolutions, sum_t post_a(c - t) n_D(t) with n_D(t) the number of
+    D-members of image t (``image_counts``), evaluated by ``_zq_convolve``
+    for each of the kernel's blocks in one pass.  Both errors are
+    |sums / total - target|: (a) with total 1 and target 1 (dividing by 1
+    is exact), (b) with total |D| and target q^-m.
     """
     img_counts = kernel.image_counts
-    d_size = img_counts.sum()
-    target = 1.0 / kernel.image_count
-    worst_a = worst_u = 0.0
-    wit_a = wit_u = None
+    identities = (
+        ("row_sum_identity", 1.0, 1.0),
+        ("uniform_ciphertext", img_counts.sum(), 1.0 / kernel.image_count),
+    )
+    worst = {name: (0.0, None) for name, _, _ in identities}
     spectrum = _zq_transform(img_counts[None], kernel.q, kernel.m)
     lo = 0
     for _, _, rows in kernel.blocks():
         sums = _zq_convolve(rows, spectrum, kernel.q, kernel.m)
-        val, wit = _worst_entry(np.abs(sums - 1.0), lo)
-        if val > worst_a:
-            worst_a, wit_a = val, wit
-        val, wit = _worst_entry(np.abs(sums / d_size - target), lo)
-        if val > worst_u:
-            worst_u, wit_u = val, wit
+        for name, total, target in identities:
+            val, wit = _worst_entry(np.abs(sums / total - target), lo)
+            if val > worst[name][0]:
+                worst[name] = val, wit
         lo += len(rows)
-    rows_ok = worst_a <= KERNEL_CHECK_TOL
-    unif_ok = worst_u <= KERNEL_CHECK_TOL
-    return KernelCheckReport(
-        passed=rows_ok and unif_ok,
-        row_sums_ok=rows_ok,
-        row_sum_max_error=worst_a,
-        row_sum_witness=None if rows_ok else wit_a,
-        uniform_ok=unif_ok,
-        uniform_max_error=worst_u,
-        uniform_witness=None if unif_ok else wit_u,
-    )
+    report = StructuralReport()
+    for name, (err, wit) in worst.items():
+        ok = err <= KERNEL_CHECK_TOL
+        report.record(name, ok, None if ok else wit, max_err=err)
+    return report
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 
 from leaklab import simplexopt
 from leaklab.crypto import StructuralReport
-from leaklab.leakage import KernelCheckReport, channel_capacity
+from leaklab.leakage import channel_capacity
 from leaklab.probability import all_sequences, type_of
 from leaklab.simplexopt import (
     ADAM_LR,
@@ -111,7 +111,7 @@ def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
     tables built by one scalar encode per sequence and one scalar decode
     per codeword: the keys of :func:`checked_keys`."""
     n, m, q = sys.n, sys.m, sys.q
-    report = StructuralReport()
+    report = StructuralReport(mode=sys.validation)
     total_x = q**n
     seqs = all_sequences(n, q)
     radix_m = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -129,7 +129,6 @@ def structural_properties_oracle(sys, *, sample_keys=64, seed=0):
         d_count == q**m,
         None if d_count == q**m else {"enumerated": d_count, "expected": q**m},
     )
-    report.mode = sys.validation
     keys = checked_keys(sys, sample_keys=sample_keys, seed=seed)
     d_indices = np.flatnonzero(in_d)
     inj_ok, inj_witness = True, None
@@ -243,6 +242,15 @@ def image_counts_oracle(kern):
     return np.bincount(members, minlength=kern.image_count).astype(np.float64)
 
 
+def without_member(counts, code, i):
+    """``image_counts`` with the i-th decoding-set member, in lexicographic
+    order, taken out of its codeword's count."""
+    images, in_d, _ = code.full_tables()
+    counts = counts.copy()
+    counts[images[np.flatnonzero(in_d)[i]]] -= 1
+    return counts
+
+
 def delta_mi_whole_array_oracle(kern, p_img):
     """``delta_mi`` with every non-flat posterior row convolved at once and
     its entropy taken again, in one pass over the whole array each."""
@@ -275,17 +283,11 @@ def kernel_checks_oracle(kern, tol=1e-10):
         c = int(err_u.argmax())
         if err_u[c] > worst_u:
             worst_u, wit_u = float(err_u[c]), (c, a)
-    rows_ok = worst_a <= tol
-    unif_ok = worst_u <= tol
-    return KernelCheckReport(
-        passed=rows_ok and unif_ok,
-        row_sums_ok=rows_ok,
-        row_sum_max_error=worst_a,
-        row_sum_witness=None if rows_ok else wit_a,
-        uniform_ok=unif_ok,
-        uniform_max_error=worst_u,
-        uniform_witness=None if unif_ok else wit_u,
-    )
+    report = StructuralReport()
+    for name, err, wit in (("row_sum_identity", worst_a, wit_a),
+                           ("uniform_ciphertext", worst_u, wit_u)):
+        report.record(name, err <= tol, None if err <= tol else wit, max_err=err)
+    return report
 
 
 def capacity_oracle(kern, inputs=None, tol=1e-10):

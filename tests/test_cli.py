@@ -4,13 +4,14 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import leaklab
-from helpers import condition_oracle, swapped_decode
+from helpers import condition_oracle, swapped_decode, without_member
 from leaklab import cli, codec, crypto, leakage
 from leaklab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _replay_draws, main
 from leaklab.probability import all_sequences
@@ -176,6 +177,31 @@ def test_verify_checks_the_kernel_leakage_takes(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "PASS kernel.row_sum_identity (n=10) max_err=" in out
     assert "kernel=translation" not in out and "FAIL" not in out
+
+
+def test_verify_prints_the_kernel_failures(tmp_path, capsys, monkeypatch):
+    # key [0.7, 0.3]: the dense stream is the only kernel; with one
+    # decoding-set member dropped from its image counts both identities
+    # fail, and each FAIL line carries its largest error and the worst
+    # (ciphertext, message), while the crypto suite still passes
+    build = leakage.build_dense_stream
+
+    def dropped(sys_n, enc, p_kz):
+        stream = build(sys_n, enc, p_kz)
+        return replace(stream, image_counts=without_member(stream.image_counts, sys_n.code, 3))
+
+    monkeypatch.setattr(leakage, "build_dense_stream", dropped)
+    path = write_config(tmp_path, n_list=[4, 6], **DENSE)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if "kernel." in l] == [
+        "FAIL kernel.row_sum_identity (n=4) max_err=8.359e-01 witness=(0, 0)",
+        "FAIL kernel.uniform_ciphertext (n=4) max_err=1.953e-01 witness=(0, 0)",
+        "FAIL kernel.row_sum_identity (n=6) max_err=7.566e-01 witness=(0, 0)",
+        "FAIL kernel.uniform_ciphertext (n=6) max_err=4.627e-02 witness=(0, 0)",
+    ]
+    assert all(l.startswith("PASS crypto.") for l in lines if "crypto." in l)
+    assert len(lines) == 14
 
 
 def test_config_errors_exit_2(tmp_path):

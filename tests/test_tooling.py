@@ -1,6 +1,7 @@
 """Guards for the tooling that reaches into the package from outside."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import analysis, cli, codec, leakage, probability, simplexopt
+from leaklab import analysis, cli, codec, crypto, leakage, probability, simplexopt
 from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
@@ -415,3 +416,26 @@ def test_one_implementation_per_computation():
     for name in ("__len__", "__getitem__"):
         assert name not in vars(Pmf), name
     assert not hasattr(simplexopt, "_max_rows")
+
+
+def test_one_report_for_both_structural_suites():
+    # a check's verdict is held once: in its record in the suite's
+    # StructuralReport, whose passed and failures are read off the records,
+    # and cmd_verify formats every PASS/FAIL line of both suites at one site
+    assert not hasattr(leakage, "KernelCheckReport")
+    report = crypto.StructuralReport
+    assert [f.name for f in dataclasses.fields(report)] == ["mode", "checks"]
+    assert all(isinstance(vars(report)[name], property) for name in ("passed", "failures"))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(crypto.check_structural_properties)))
+    stored = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not [name for name in stored if name.endswith(("_ok", "_witness"))], stored
+    verify = ast.parse(textwrap.dedent(inspect.getsource(cli.cmd_verify))).body[0]
+    literals = [  # after the docstring
+        node.value for statement in verify.body[1:] for node in ast.walk(statement)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    for part in ("PASS", "max_err=", "witness="):
+        assert sum(part in text for text in literals) == 1, part
