@@ -27,7 +27,6 @@ from .simplexopt import _sum_rows, minimize_blocks
 
 __all__ = [
     "RMuResult",
-    "BoundaryPoint",
     "AkwBoundary",
     "ExponentGrid",
     "ExponentCalculator",
@@ -286,14 +285,6 @@ def r_mu(p_kz, mu: float) -> RMuResult:
 
 
 @dataclass
-class BoundaryPoint:
-    mu: float
-    r_mu: float
-    R_A: float
-    R: float
-
-
-@dataclass
 class AkwBoundary:
     """Hyperplane family mu*R_A + (1-mu)*R >= R^(mu) with its touch points.
 
@@ -302,13 +293,16 @@ class AkwBoundary:
     upper envelope of the support lines with mu < 1 (mu = 1 contributes only
     the trivial constraint R_A >= 0).  The closed complement, which is what
     secure operation needs, is {R <= envelope(R_A)}.
+
+    ``points`` are the :class:`RMuResult` levels; each touches the boundary
+    at (R_A, R) = (``i_zu``, ``h_kgu``).
     """
 
     points: list
     h_k: float
 
     def hyperplanes(self) -> np.ndarray:
-        return np.array([(p.mu, p.r_mu) for p in self.points])
+        return np.array([(p.mu, p.value) for p in self.points])
 
     def envelope(self, R_A: float) -> float:
         """The boundary height min{H(K|U) : I(Z;U) <= R_A}, reconstructed
@@ -324,13 +318,12 @@ class AkwBoundary:
 
 
 def akw_boundary(p_kz, mu_grid) -> AkwBoundary:
-    """Sweep mu over the levels ``mu_grid``; each level yields one half-plane
-    and the touching (I(Z;U), H(K|U)) point of the achieving channel.  All
-    levels are solved in one many-problem call of the minimizer."""
+    """Sweep mu over the levels ``mu_grid``; each level, an ``RMuResult``,
+    yields one half-plane and the touching (I(Z;U), H(K|U)) point of the
+    achieving channel, all solved in one many-problem call."""
     levels = _r_mu_levels(p_kz, np.asarray(mu_grid, dtype=np.float64))
-    pts = [BoundaryPoint(mu=r.mu, r_mu=r.value, R_A=r.i_zu, R=r.h_kgu) for r in levels]
     p = np.asarray(p_kz, dtype=np.float64)
-    return AkwBoundary(points=pts, h_k=entropy(p.sum(axis=1)))
+    return AkwBoundary(points=levels, h_k=entropy(p.sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +334,14 @@ def akw_boundary(p_kz, mu_grid) -> AkwBoundary:
 def _around(x: float, d: float, points: int) -> np.ndarray:
     """``points`` values from x - d to x + d, clipped to [0, 1]."""
     return np.clip(np.linspace(x - d, x + d, points), 0, 1)
+
+
+def _first_above(a, running, mus, seconds) -> tuple:
+    """(a[i, j], mus[i], seconds[j]) at the first maximum of ``a`` in C
+    order, the (mu outer, second inner) scan order, if it is strictly above
+    ``running[0]``; else ``running``.  A NaN is never above."""
+    i, j = divmod(int(np.argmax(np.where(a > running[0], a, -math.inf))), a.shape[1])
+    return (float(a[i, j]), float(mus[i]), float(seconds[j])) if a[i, j] > running[0] else running
 
 
 @dataclass(frozen=True)
@@ -376,9 +377,11 @@ class ExponentGrid:
     def lambda_grid(self) -> np.ndarray:
         """Zero plus a geometric ladder; the small-tilt end carries the
         positivity witnesses, the large end the suprema.  The ladder starts
-        at 1e-4, or at lambda_max if that is smaller, so every tilt lies in
-        [0, lambda_max]."""
+        at 1e-4, or at lambda_max if that is smaller, and ends at
+        lambda_max, so every tilt lies in [0, lambda_max]; a one-rung ladder
+        is [lambda_max]."""
         tail = np.geomspace(min(1e-4, self.lambda_max), self.lambda_max, self.lambda_points - 1)
+        tail[-1] = self.lambda_max  # geomspace's one point is its start
         return np.concatenate([[0.0], tail])
 
 
@@ -419,13 +422,12 @@ class ExponentCalculator:
 
     The inner objectives do not depend on (R_A, R); F and F_lower for any
     number of rate points share one table of minima over the tilt grids.
-    Every cell is solved by :meth:`_fill`: each scan of F and F_lower fills
-    all of its uncached cells in one many-problem solve before it reads
-    them, and a lookup that misses fills its one cell.  Both exponents are
-    one tilted supremum over a grid (:meth:`_sup`), whose cell counts
-    (mu_points * alpha_points, mu_points * lambda_points and
-    refine_points^2) are checked against the table cap here, before any
-    grid is built.
+    :meth:`_fill` is the one path that reads a table: it returns a grid's
+    minima, solving its uncached cells in one many-problem solve.  Both
+    exponents are one tilted supremum over a grid (:meth:`_sup`), which
+    scans each grid as one array and whose cell counts (mu_points *
+    alpha_points, mu_points * lambda_points and refine_points^2) are
+    checked against the table cap here, before any grid is built.
 
     U ranges over |Z| symbols, |Z| the size of Z's support (see
     ``_u_sizes``), and that loses nothing (the support lemma, as in
@@ -445,7 +447,6 @@ class ExponentCalculator:
         check_table("mu_points * lambda_points", g.mu_points * g.lambda_points)
         check_table("refine_points^2", g.refine_points**2)
         p_z, pk_given_z, q, zs = _prep(self.p_kz)
-        self._zs = zs
 
         # the solver's blocks are batch-last arrays seen through
         # batch-first views; moving the axis back is a view again
@@ -460,64 +461,58 @@ class ExponentCalculator:
 
         self._omega_cache: dict = {}
         self._omega_tilde_cache: dict = {}
-        # each table: (cache, key of a cell, objective, the solver block
-        # shapes of each |U| class); omega runs over the free (U, Z|U) pair,
-        # omega~ over test channels U|Z
+        # each table: (cache, what a cell with s mu > 1 + 1e-12 reads without
+        # a solve, NaN if it is solved, objective, the solver block shapes
+        # of each |U| class); omega runs over the free (U, Z|U) pair, omega~
+        # over test channels U|Z
         sizes = _u_sizes(zs, q)
-        self._omega = (
-            self._omega_cache, self._omega_key, omega, [[(1, u), (u, zs)] for u in sizes]
-        )
+        self._omega = (self._omega_cache, math.nan, omega, [[(1, u), (u, zs)] for u in sizes])
+        blow_up = -math.inf if zs >= 2 else math.nan  # see omega_tilde_min
         self._omega_tilde = (
-            self._omega_tilde_cache, self._omega_tilde_key, omega_tilde, [[(zs, u)] for u in sizes]
+            self._omega_tilde_cache, blow_up, omega_tilde, [[(zs, u)] for u in sizes]
         )
 
     @staticmethod
     def _key(a: float, b: float) -> tuple:
         return (round(float(a), 12), round(float(b), 12))
 
-    def _omega_key(self, mu: float, alpha: float):
-        """Cache key of an omega_min cell; None where no solve is needed."""
-        return None if alpha == 0.0 else self._key(mu, alpha)
+    def _fill(self, table, mus, seconds) -> np.ndarray:
+        """The (len(mus), len(seconds)) array of ``table``'s minima on the
+        grid mus x seconds, its uncached cells solved in one many-problem
+        solve.
 
-    def _omega_tilde_key(self, mu: float, lam: float):
-        """Cache key of an omega_tilde_min cell; None where no solve is
-        needed."""
-        if lam == 0.0 or (lam * mu > 1.0 + 1e-12 and self._zs >= 2):
-            return None
-        return self._key(mu, lam)
-
-    def _fill(self, table, mus, seconds) -> None:
-        """Solve every uncached cell of ``table`` on the grid mus x seconds
-        in one many-problem solve.
-
-        A cell is solved at the unrounded values of its key's first
-        occurrence in the (mu outer, second inner) loop of the scans, so the
-        cache holds exactly what lookups one cell at a time in that order
-        would store.
+        Cells with s = 0 (alpha or lam) read 0.0, and omega~ cells with
+        lam mu > 1 + 1e-12 read -inf if |Z| >= 2 (see
+        :meth:`omega_tilde_min`), without a solve.  Every other cell reads the cache under its rounded key, and
+        is solved at the unrounded values of its key's first occurrence in
+        the (mu outer, s inner) order of the grid, so the cache holds
+        exactly what one-cell fills in that order would store.
         """
-        cache, key_of, f, classes = table
+        cache, blow_up, f, classes = table
+        mus, seconds = np.asarray(mus, dtype=np.float64), np.asarray(seconds, dtype=np.float64)
+        tilted = np.where(seconds * mus[:, None] > 1.0 + 1e-12, blow_up, np.nan)
+        out = np.where(seconds == 0.0, 0.0, tilted)
+        i, j = np.nonzero(np.isnan(out))
+        cells = list(zip(mus[i].tolist(), seconds[j].tolist()))
+        keys = [self._key(*cell) for cell in cells]
         todo = {}
-        for mu in mus:
-            for s in seconds:
-                mu, s = float(mu), float(s)
-                key = key_of(mu, s)
-                if key is not None and key not in cache and key not in todo:
-                    todo[key] = (mu, s)
+        for key, cell in zip(keys, cells):
+            if key not in cache:
+                todo.setdefault(key, cell)
         if todo:
-            cells = list(todo.values())
-            solved = _better(minimize_blocks(f, s, cells) for s in classes)
+            solved = _better(minimize_blocks(f, shapes, list(todo.values())) for shapes in classes)
             cache.update(zip(todo, (r[0] for r in solved)))
+        out[i, j] = [cache[key] for key in keys]
+        return out
 
     def omega_min(self, mu: float, alpha: float) -> float:
-        """min over the free (U, Z|U) pair of the two-parameter integrand."""
-        key = self._omega_key(mu, alpha)
-        if key is None:
-            return 0.0
-        self._fill(self._omega, [mu], [alpha])
-        return self._omega_cache[key]
+        """min over the free (U, Z|U) pair of the two-parameter integrand:
+        the one cell (mu, alpha) of :meth:`_fill`."""
+        return float(self._fill(self._omega, [mu], [alpha])[0, 0])
 
     def omega_tilde_min(self, mu: float, lam: float) -> float:
-        """inf over test channels U|Z of the one-parameter integrand.
+        """inf over test channels U|Z of the one-parameter integrand: the one
+        cell (mu, lam) of :meth:`_fill`.
 
         For lam * mu > 1 (and at least two observation symbols) the infimum
         is -inf: the integrand carries p(z|u)**(1 - lam*mu), which blows up
@@ -525,32 +520,29 @@ class ExponentCalculator:
         never achieve the supremum defining the lower exponent (which is
         >= 0 through lam = 0), so they are reported as -inf directly.
         """
-        key = self._omega_tilde_key(mu, lam)
-        if key is None:
-            return 0.0 if lam == 0.0 else -math.inf
-        self._fill(self._omega_tilde, [mu], [lam])
-        return self._omega_tilde_cache[key]
+        return float(self._fill(self._omega_tilde, [mu], [lam])[0, 0])
 
     # -- outer suprema -------------------------------------------------------
 
-    def _sup(self, table, lookup, R_A, R, c, seconds, zoom):
+    def _sup(self, table, R_A, R, c, seconds, zoom):
         """The supremum of both exponents over mu in [0, 1] and a second
         parameter s (alpha for F, lam for F_lower):
 
             (omega(mu, s) - s (mu R_A + (1 - mu) R)) / (2 + s (c - mu)),
 
-        omega = ``lookup(mu, s)``, on the grid ``mu_grid()`` x ``seconds``,
-        then ``refine_rounds`` grids of ``refine_points`` per axis around the
-        best cell: the mu axis ``_around`` it at +-dmu, the second axis
-        ``zoom(s, ds, refine_points)``.  dmu and ds start as the first grids' steps (0.5 on
-        a one-point axis) and are divided by refine_points - 1 after each
-        round.  Each grid's uncached cells of ``table`` are filled in one
-        solve first.
+        omega the minima of ``table``, on the grid ``mu_grid()`` x
+        ``seconds``, then ``refine_rounds`` grids of ``refine_points`` per
+        axis around the best cell: the mu axis ``_around`` it at +-dmu, the
+        second axis ``zoom(s, ds, refine_points)``.  dmu and ds start as the
+        first grids' steps (0.5 on a one-point axis) and are divided by
+        refine_points - 1 after each round.  Each round is one array
+        expression over the grid that :meth:`_fill` returns.
 
         Returns (value, mu, s) of the first best cell in scan order (mu
         outer, s inner, rounds in order) and the witness (ratio, mu, s): the
         first evaluated cell with s > 0 of largest ratio value * (2 + s (c -
-        mu)) / s.
+        mu)) / s.  A cell replaces them only when strictly above, and a NaN
+        never does.
         """
         points = self.grid.refine_points
         mus = self.grid.mu_grid()
@@ -562,22 +554,18 @@ class ExponentCalculator:
                 seconds = zoom(best[2], ds, points)
                 dmu /= points - 1
                 ds /= points - 1
-            self._fill(table, mus, seconds)
-            for mu in mus:
-                for s in seconds:
-                    mu, s = float(mu), float(s)
-                    den = 2.0 + s * (c - mu)
-                    v = (lookup(mu, s) - s * (mu * R_A + (1 - mu) * R)) / den
-                    if v > best[0]:
-                        best = (v, mu, s)
-                    if s > 0 and (ratio := v * den / s) > witness[0]:
-                        witness = (ratio, mu, s)
+            mu, s = mus[:, None], seconds[None, :]
+            den = 2.0 + s * (c - mu)
+            v = (self._fill(table, mus, seconds) - s * (mu * R_A + (1 - mu) * R)) / den
+            ratio = np.divide(v * den, s, out=np.full(v.shape, -math.inf), where=s > 0)
+            best = _first_above(v, best, mus, seconds)
+            witness = _first_above(ratio, witness, mus, seconds)
         return best, witness
 
     def F(self, R_A: float, R: float) -> FResult:
         """sup over (mu, alpha) in the unit square of the upper exponent."""
         alphas = self.grid.alpha_grid()
-        (val, mu, alpha), _ = self._sup(self._omega, self.omega_min, R_A, R, 1.0, alphas, _around)
+        (val, mu, alpha), _ = self._sup(self._omega, R_A, R, 1.0, alphas, _around)
         return FResult(value=max(val, 0.0), mu=mu, alpha=alpha)
 
     def F_lower(self, R_A: float, R: float) -> FLowerResult:
@@ -588,9 +576,7 @@ class ExponentCalculator:
             hi = min(lam * 2 if lam > 0 else lams[1], self.grid.lambda_max)
             return np.linspace(lam / 2 if lam > 0 else 0.0, hi, points)
 
-        (val, mu, lam), wit = self._sup(
-            self._omega_tilde, self.omega_tilde_min, R_A, R, 5.0, lams, zoom
-        )
+        (val, mu, lam), wit = self._sup(self._omega_tilde, R_A, R, 5.0, lams, zoom)
         return FLowerResult(
             value=max(val, 0.0),
             mu=mu,

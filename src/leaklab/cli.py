@@ -482,7 +482,7 @@ def _mu_levels(exp: Experiment) -> np.ndarray:
 
 def cmd_region(exp: Experiment, out_dir, config_path) -> int:
     boundary = analysis.akw_boundary(exp.p_kz, _mu_levels(exp))
-    rows = sorted(((p.mu, p.r_mu, p.R_A, p.R) for p in boundary.points))
+    rows = sorted(((p.mu, p.value, p.i_zu, p.h_kgu) for p in boundary.points))
     csv_text = _csv("mu,R_mu", (r[:2] for r in rows))
     dat_text = _csv("# RA R", (r[2:] for r in rows), " ")
     p1 = _write_text(out_dir, "region.csv", csv_text)

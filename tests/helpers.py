@@ -719,3 +719,51 @@ def mu_weighted_information(p_uzk, mu: float) -> float:
         )
     )
     return mu * i_uz + (1.0 - mu) * h
+
+
+# ---------------------------------------------------------------------------
+# the exponent suprema, one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def sup_oracle(calc, lower, R_A, R):
+    """``ExponentCalculator._sup`` of F_lower (``lower``) or F, as a scan one
+    cell at a time that reads each cell through ``calc.omega_tilde_min`` or
+    ``calc.omega_min``: mu outer, the second parameter s (lam or alpha)
+    inner, rounds in order, a cell replacing the best (value, mu, s) or the
+    witness (ratio, mu, s) only when strictly above it.  The grids are those
+    of ``calc.F_lower`` and ``calc.F``."""
+    grid = calc.grid
+    points = grid.refine_points
+    lams = grid.lambda_grid()
+
+    def around(x, d, k):
+        return np.clip(np.linspace(x - d, x + d, k), 0, 1)
+
+    def zoom_lam(lam, _, k):
+        hi = min(lam * 2 if lam > 0 else lams[1], grid.lambda_max)
+        return np.linspace(lam / 2 if lam > 0 else 0.0, hi, k)
+
+    if lower:
+        lookup, c, seconds, zoom = calc.omega_tilde_min, 5.0, lams, zoom_lam
+    else:
+        lookup, c, seconds, zoom = calc.omega_min, 1.0, grid.alpha_grid(), around
+    mus = grid.mu_grid()
+    dmu, ds = (g[1] - g[0] if len(g) > 1 else 0.5 for g in (mus, seconds))
+    best = witness = (-math.inf, 0.0, 0.0)
+    for r in range(grid.refine_rounds + 1):
+        if r:
+            mus = around(best[1], dmu, points)
+            seconds = zoom(best[2], ds, points)
+            dmu /= points - 1
+            ds /= points - 1
+        for mu in mus:
+            for s in seconds:
+                mu, s = float(mu), float(s)
+                den = 2.0 + s * (c - mu)
+                v = (lookup(mu, s) - s * (mu * R_A + (1 - mu) * R)) / den
+                if v > best[0]:
+                    best = (v, mu, s)
+                if s > 0 and (ratio := v * den / s) > witness[0]:
+                    witness = (ratio, mu, s)
+    return best, witness

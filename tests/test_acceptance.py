@@ -210,7 +210,7 @@ def test_criterion_6_region_endpoints():
         assert r0 <= oracle + 1e-9 and oracle - r0 < 1e-3
         bd = analysis.akw_boundary(BSC_KZ, MU_LEVELS)
         for pt in bd.points:
-            assert pt.R_A + pt.R >= bd.h_k - 1e-8
+            assert pt.i_zu + pt.h_kgu >= bd.h_k - 1e-8
         members = [
             (ra, r)
             for ra in np.linspace(0, 0.6, 5)

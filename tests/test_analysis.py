@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import MU_LEVELS, mu_weighted_information, omega, omega_tilde
+from helpers import MU_LEVELS, mu_weighted_information, omega, omega_tilde, sup_oracle
 from leaklab import analysis
 from leaklab.analysis import (
     ExponentCalculator,
@@ -145,7 +145,7 @@ def test_boundary_contains_zero_hk_point():
 def test_boundary_points_satisfy_sum_rate_bound():
     bd = akw_boundary(BSC_KZ, MU_LEVELS)
     for p in bd.points:
-        assert p.R_A + p.R >= bd.h_k - 1e-8
+        assert p.i_zu + p.h_kgu >= bd.h_k - 1e-8
 
 
 def test_boundary_midpoint_convexity():
@@ -165,7 +165,7 @@ def test_boundary_reconstruction_idempotent():
     # every computed supporting point lies on the reconstructed envelope
     bd = akw_boundary(BSC_KZ, np.linspace(0, 1, 21))
     for p in bd.points:
-        assert abs(p.R - bd.envelope(p.R_A)) <= 1e-6, p
+        assert abs(p.h_kgu - bd.envelope(p.i_zu)) <= 1e-6, p
 
 
 def test_r_mu_concave_in_mu():
@@ -439,13 +439,15 @@ def _cells_seen(calc):
 @pytest.mark.parametrize("lambda_max", [1e-6, 1e-5, 1e-4, 2e-4, 0.5, 5.0])
 def test_lambda_grid_stays_in_range(lambda_max):
     # F_lower takes its supremum over lam in [0, lambda_max]; below 1e-4
-    # the geometric ladder used to start at 1e-4 all the same
-    grid = ExponentGrid(lambda_points=5, lambda_max=lambda_max).lambda_grid()
-    assert grid[0] == 0.0 and np.all(grid[1:] > 0)
-    assert max(grid) <= lambda_max
-    assert grid[-1] == lambda_max
-    if lambda_max >= 1e-4:  # unchanged: the ladder from 1e-4
-        assert np.array_equal(grid[1:], np.geomspace(1e-4, lambda_max, 4))
+    # the geometric ladder used to start at 1e-4 all the same, and a
+    # one-rung ladder (lambda_points = 2) used to be [1e-4]
+    for points in (5, 2):
+        grid = ExponentGrid(lambda_points=points, lambda_max=lambda_max).lambda_grid()
+        assert grid[0] == 0.0 and np.all(grid[1:] > 0)
+        assert max(grid) <= lambda_max
+        assert grid[-1] == lambda_max
+        if lambda_max >= 1e-4 and points > 2:  # unchanged: the ladder from 1e-4
+            assert np.array_equal(grid[1:], np.geomspace(1e-4, lambda_max, points - 1))
 
 
 def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
@@ -469,9 +471,7 @@ def test_grid_fill_matches_lazy_cell_by_cell_fill(monkeypatch):
 
     def cell_by_cell(table, mus, seconds):
         # one solve per cell, in the scan order of the grid
-        for mu in mus:
-            for s in seconds:
-                fill(table, [mu], [s])
+        return np.array([[fill(table, [mu], [s])[0, 0] for s in seconds] for mu in mus])
 
     monkeypatch.setattr(lazy, "_fill", cell_by_cell)
     want = [(lazy.F(ra, r), lazy.F_lower(ra, r)) for ra, r in rates]
@@ -553,3 +553,109 @@ def test_exponent_bits_on_the_golden_config():
             lower.witness_mu, lower.witness_lam, lower.witness_ratio,
         ))
         assert got == f_lower_bits, (ra, r)
+
+
+GOLDEN_GRID = ExponentGrid(
+    mu_points=3, alpha_points=3, lambda_points=5, refine_rounds=1, refine_points=3
+)
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _scan_bits(calc, ra, r):
+    """F's (value, mu, alpha) and F_lower's (value, mu, lam, witness_mu,
+    witness_lam, witness_ratio) of the array scan and of the cell scan, as
+    float.hex."""
+    f, lower = calc.F(ra, r), calc.F_lower(ra, r)
+    (f_val, f_mu, alpha), _ = sup_oracle(calc, False, ra, r)
+    (val, mu, lam), (ratio, w_mu, w_lam) = sup_oracle(calc, True, ra, r)
+    got = _hex(f.value, f.mu, f.alpha, lower.value, lower.mu, lower.lam,
+               lower.witness_mu, lower.witness_lam, lower.witness_ratio)
+    want = _hex(max(f_val, 0.0), f_mu, alpha, max(val, 0.0), mu, lam, w_mu, w_lam, ratio)
+    return got, want
+
+
+@pytest.mark.parametrize("case", ["golden", "collision", "one-point", "descent", "nan-cell"])
+def test_array_scan_matches_the_cell_scan(case, monkeypatch):
+    # each refine round of _sup is one array expression whose first maximum
+    # in C order is the first best cell of the cell-by-cell scan
+    p_kz, grid, rates = BSC_KZ, GOLDEN_GRID, list(EXPONENT_BITS)
+    if case == "collision":  # as in test_grid_fill_matches_lazy_cell_by_cell_fill
+        grid = ExponentGrid(
+            mu_points=7, alpha_points=7, lambda_points=6, refine_rounds=2, refine_points=4
+        )
+        set_schedule(monkeypatch, DENSE_POINTS=9)
+        rates = [(0.0, 0.1), (0.3, 0.5), (0.2, 0.3)]
+    elif case == "one-point":  # the 0.5 steps of one-point axes
+        grid = ExponentGrid(
+            mu_points=1, alpha_points=1, lambda_points=2, refine_rounds=2, refine_points=3
+        )
+    elif case == "descent":
+        W = ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+        p_kz = joint_from_channel(Pmf.uniform(2), W)
+        grid = ExponentGrid(mu_points=5, alpha_points=5, lambda_points=6, refine_rounds=1)
+        set_schedule(monkeypatch, N_STARTS=16, ADAM_ITERS=80)
+        rates = [(0.05, 0.2), (0.2, 0.4)]
+    calc = ExponentCalculator(p_kz, grid)
+    spoiled = []
+    if case == "nan-cell":  # the best cached cells of both exponents turn NaN
+        f, lower = calc.F(*rates[0]), calc.F_lower(*rates[0])
+        for cache, cell in ((calc._omega_cache, (f.mu, f.alpha)),
+                            (calc._omega_tilde_cache, (lower.mu, lower.lam))):
+            key = calc._key(*cell)
+            cache[key] = math.nan
+            spoiled.append(key)
+    for ra, r in rates:
+        got, want = _scan_bits(calc, ra, r)
+        assert got == want, (ra, r)
+        f, lower = calc.F(ra, r), calc.F_lower(ra, r)
+        picked = [(f.mu, f.alpha), (lower.mu, lower.lam), (lower.witness_mu, lower.witness_lam)]
+        assert not set(spoiled) & {calc._key(*cell) for cell in picked}, (ra, r)
+        assert not math.isnan(f.value) and not math.isnan(lower.value)
+
+
+def test_one_cell_reads_are_the_scanned_cells():
+    # omega_min and omega_tilde_min are one-cell reads of _fill: the cells
+    # that need no solve, one solved cell, and every cell the scans used
+    calc = ExponentCalculator(BSC_KZ, GOLDEN_GRID)
+    for mu in (0.0, 0.3, 1.0):
+        assert calc.omega_min(mu, 0.0) == 0.0 and calc.omega_tilde_min(mu, 0.0) == 0.0
+    assert calc.omega_tilde_min(0.9, 2.0) == -math.inf  # lam mu > 1, |Z| = 2
+    one_z = joint_from_channel(Pmf([0.6, 0.4]), ChannelMatrix([[1.0, 0.0], [1.0, 0.0]]))
+    solved = ExponentCalculator(one_z, GOLDEN_GRID).omega_tilde_min(0.9, 2.0)  # |Z| = 1
+    assert math.isfinite(solved) and abs(solved - 0.13381765778967428) < 1e-9
+
+    scanned = []
+    fill = calc._fill
+
+    def recording(table, mus, seconds):
+        out = fill(table, mus, seconds)
+        scanned.append((table, mus, seconds, out.copy()))
+        return out
+
+    calc._fill = recording
+    for ra, r in EXPONENT_BITS:
+        calc.F(ra, r), calc.F_lower(ra, r)
+    del calc._fill
+    assert {id(table) for table, *_ in scanned} == {id(calc._omega), id(calc._omega_tilde)}
+    for table, mus, seconds, out in scanned:
+        read = calc.omega_min if table is calc._omega else calc.omega_tilde_min
+        for i, mu in enumerate(mus):
+            for j, s in enumerate(seconds):
+                assert read(mu, s).hex() == float(out[i, j]).hex(), (mu, s)
+
+
+def test_first_above_keeps_the_running_cell_on_ties():
+    # a cell replaces the running best only when strictly above it, the
+    # first of equal maxima in C order wins, and a NaN never does
+    mus, seconds = np.array([0.0, 0.5]), np.array([0.25, 0.75])
+    a = np.array([[1.0, 2.0], [2.0, math.nan]])
+    assert analysis._first_above(a, (2.0, 9.0, 9.0), mus, seconds) == (2.0, 9.0, 9.0)
+    assert analysis._first_above(a, (1.5, 9.0, 9.0), mus, seconds) == (2.0, 0.0, 0.75)
+    nan_first = np.array([[math.nan, -math.inf], [0.5, 0.5]])
+    first = analysis._first_above(nan_first, (-math.inf, 0.0, 0.0), mus, seconds)
+    assert first == (0.5, 0.5, 0.25)
+    all_nan = np.full((2, 2), math.nan)
+    assert analysis._first_above(all_nan, (-1.0, 0.0, 0.0), mus, seconds) == (-1.0, 0.0, 0.0)

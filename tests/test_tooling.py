@@ -418,6 +418,24 @@ def test_one_implementation_per_computation():
     assert not hasattr(simplexopt, "_max_rows")
 
 
+def test_exponent_cells_are_read_through_one_fill():
+    # the suprema scan each grid round as one array that _fill returns, the
+    # one-cell reads are reads of _fill, and the per-cell key helpers and
+    # the renamed copy of the R_mu levels stay deleted
+    calc = analysis.ExponentCalculator
+    for name in ("_omega_key", "_omega_tilde_key"):
+        assert not hasattr(calc, name), name
+    assert not hasattr(analysis, "BoundaryPoint")
+    assert "lookup" not in inspect.signature(calc._sup).parameters
+    tree = ast.parse(textwrap.dedent(inspect.getsource(calc._sup)))
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1 and "refine_rounds" in ast.unparse(loops[0].iter)
+    comprehensions = [node for node in ast.walk(tree) if isinstance(node, ast.comprehension)]
+    assert all(isinstance(node.iter, ast.Tuple) for node in comprehensions)  # (mus, seconds)
+    for method in (calc._sup, calc.omega_min, calc.omega_tilde_min):
+        assert "self._fill(" in inspect.getsource(method), method.__name__
+
+
 def test_one_report_for_both_structural_suites():
     # a check's verdict is held once: in its record in the suite's
     # StructuralReport, whose passed and failures are read off the records,
