@@ -77,17 +77,10 @@ class ScalarQuantizerEncoder:
         """(1/n) ln |messages| = ln(number of cells), in nats per symbol."""
         return math.log(self.num_cells)
 
-    def apply(self, z_seq) -> int:
-        z_seq = np.asarray(z_seq, dtype=np.int64)
-        out = 0
-        for z in z_seq:
-            out = out * self.num_cells + self.cells[int(z)]
-        return out
-
 
 @dataclass(frozen=True)
 class TableEncoder:
-    """Explicit encoder over Z^n: table[lex index of z-seq] = message id."""
+    """Explicit encoder over Z^n: table[lex index of z-seq] = message id >= 0."""
 
     table: np.ndarray
     n: int
@@ -101,6 +94,9 @@ class TableEncoder:
             raise ValueError(
                 f"table length {t.shape} != |Z|^n = {self.obs_size ** self.n}"
             )
+        if np.any(t < 0):
+            i = int(np.argmax(t < 0))
+            raise ValueError(f"table[{i}] = {t[i]} is a negative message id")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -111,13 +107,6 @@ class TableEncoder:
     @property
     def rate(self) -> float:
         return math.log(self.message_count) / self.n
-
-    def apply(self, z_seq) -> int:
-        z_seq = np.asarray(z_seq, dtype=np.int64)
-        idx = 0
-        for z in z_seq:
-            idx = idx * self.obs_size + int(z)
-        return int(self.table[idx])
 
 
 def scalar_quantizer_encoder(f, n: int) -> ScalarQuantizerEncoder:

@@ -295,26 +295,20 @@ class AkwBoundary:
     secure operation needs, is {R <= envelope(R_A)}.
 
     ``points`` are the :class:`RMuResult` levels; each touches the boundary
-    at (R_A, R) = (``i_zu``, ``h_kgu``).
+    at (R_A, R) = (``i_zu``, ``h_kgu``).  ``region_membership`` reads the
+    region through ``envelope`` alone.
     """
 
     points: list
     h_k: float
 
-    def hyperplanes(self) -> np.ndarray:
-        return np.array([(p.mu, p.value) for p in self.points])
-
     def envelope(self, R_A: float) -> float:
         """The boundary height min{H(K|U) : I(Z;U) <= R_A}, reconstructed
-        as the upper envelope of the supporting lines."""
-        h = self.hyperplanes()
+        as the upper envelope of the supporting lines with mu < 1."""
+        h = np.array([(p.mu, p.value) for p in self.points])
         mask = h[:, 0] < 1.0
         mu, r = h[mask, 0], h[mask, 1]
         return float(np.max((r - mu * R_A) / (1.0 - mu)))
-
-    def contains(self, R_A: float, R: float, band: float = 1e-9) -> bool:
-        """Membership in the (closed) helper region."""
-        return R_A >= -band and R >= self.envelope(R_A) - band
 
 
 def akw_boundary(p_kz, mu_grid) -> AkwBoundary:
@@ -399,9 +393,10 @@ class FLowerResult:
     ``(mu, lam)`` achieve the supremum.  ``(witness_mu, witness_lam)`` are
     the evaluated pair maximizing the ratio of the objective to the floor
     shape lam / (2 + lam(5 - mu)); outside the helper region (at depth tau)
-    that ratio exceeds tau/2, which is the quantitative positivity
-    statement.  The witness is a small-lam pair in general, not the argmax:
-    the floor grows with lam while the guarantee is anchored at small tilt.
+    that ratio exceeds tau/2 (the test suite checks it), which is the
+    quantitative positivity statement.  The witness is a small-lam pair in
+    general, not the argmax: the floor grows with lam while the guarantee
+    is anchored at small tilt.
     """
 
     value: float
@@ -410,11 +405,6 @@ class FLowerResult:
     witness_mu: float = 0.0
     witness_lam: float = 0.0
     witness_ratio: float = -math.inf
-
-    def threshold(self, tau: float) -> float:
-        """The quantitative positivity floor at the returned witness pair."""
-        lam, mu = self.witness_lam, self.witness_mu
-        return 0.5 * tau * lam / (2.0 + lam * (5.0 - mu))
 
 
 class ExponentCalculator:
@@ -596,8 +586,6 @@ class ExponentCalculator:
 class MembershipResult:
     label: str
     reliability_ok: bool
-    akw_slack: float
-    h_x: float
 
 
 def region_membership(point, p_x, boundary: AkwBoundary) -> MembershipResult:
@@ -620,4 +608,4 @@ def region_membership(point, p_x, boundary: AkwBoundary) -> MembershipResult:
         label = "boundary-band"
     else:
         label = "inside"
-    return MembershipResult(label=label, reliability_ok=rel_ok, akw_slack=gap, h_x=h_x)
+    return MembershipResult(label=label, reliability_ok=rel_ok)

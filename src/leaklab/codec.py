@@ -10,7 +10,7 @@ exactly on D.
 X^n is ranked once, by the cached tables of ``UniversalCode.full_tables``;
 ``encode`` and ``decode`` are lookups on them, and on cached digit tables of
 X^n and X^m, for one word or a batch.  The leakage criteria read X^n only
-through two q^m vectors of this module, ``image_law`` and ``image_counts``.
+through ``image_law``, a q^m vector; ``image_counts`` is all ones.
 
 Because D is type-aligned (whole classes plus at most one partial boundary
 class), the exact error probability is a short sum over type classes, with
@@ -200,11 +200,6 @@ class UniversalCode:
         ranks = _as_symbols(c, self.m, self.q, "codeword") @ _radix(self.m, self.q)
         return np.take(self._digits[0], order[ranks], axis=0)
 
-    def in_decoding_set(self, x):
-        """Whether x (one sequence or each row of a batch) lies in D."""
-        _, in_d, _ = self.full_tables()
-        return in_d[self._sequence_index(x)]
-
     # -- what the leakage criteria read of X^n, as q^m vectors ---------------
 
     def image_law(self, p_x) -> np.ndarray:
@@ -224,9 +219,12 @@ class UniversalCode:
 
     def image_counts(self) -> np.ndarray:
         """The number of decoding-set members of each codeword, as q^m
-        floats: all ones for a valid code, whose encode maps D onto Z_q^m."""
-        images, in_d, _ = self.full_tables()
-        return np.bincount(images[in_d], minlength=self.decoding_set_size).astype(np.float64)
+        floats: all ones, in closed form.  For the type order the ranks of
+        X^n are a permutation of 0..q^n - 1 and D, the q^m words of rank
+        below q^m, maps each word to its rank, one-to-one onto Z_q^m; for the
+        lexicographic order D = X^n and each word's image is its own index.
+        The test suite checks this against the bincount of ``full_tables``."""
+        return np.ones(self.decoding_set_size)
 
     @classmethod
     def identity(cls, n: int, q: int) -> "UniversalCode":
@@ -319,15 +317,11 @@ def exponent_E(R: float, gamma: float, p_X) -> float:
 
 @dataclass
 class ErrorBoundReport:
-    """Both sides of the universal-coding bound at one block length."""
+    """Both sides of the universal-coding bound at one block length: the
+    exact p_e, E_gamma(R | p_X), (n+1)^q * exp(-n * E_gamma) and p_e <= it."""
 
-    n: int
-    gamma: float
-    delta_n: float
-    precondition_met: bool
     pe_exact: float
     exponent: float
-    prefactor: float
     bound: float
     holds: bool
 
@@ -336,25 +330,10 @@ def verify_error_bound(code: UniversalCode, p_X, gamma: float, R: float) -> Erro
     """Check exact p_e <= (n+1)^q * exp(-n * E_gamma(R | p_X)).
 
     ``R`` is the nominal scheme rate the exponent is evaluated at.
-    ``delta_n = (|X| ln(n+1) + 1) / n`` must be <= gamma for the bound's
-    formal preconditions; the report carries that flag and the check is run
-    either way.
     """
     n, q = code.n, code.q
     pe = error_probability_exact(code, p_X)
     p = p_X if isinstance(p_X, Pmf) else Pmf(p_X)
     e = exponent_E(R, gamma, p)
-    prefactor = float((n + 1) ** q)
-    bound = 0.0 if e == math.inf else prefactor * math.exp(-n * e)
-    delta_n = (q * math.log(n + 1) + 1.0) / n
-    return ErrorBoundReport(
-        n=n,
-        gamma=gamma,
-        delta_n=delta_n,
-        precondition_met=delta_n <= gamma,
-        pe_exact=pe,
-        exponent=e,
-        prefactor=prefactor,
-        bound=bound,
-        holds=pe <= bound + 1e-15,
-    )
+    bound = 0.0 if e == math.inf else float((n + 1) ** q) * math.exp(-n * e)
+    return ErrorBoundReport(pe_exact=pe, exponent=e, bound=bound, holds=pe <= bound + 1e-15)

@@ -23,7 +23,6 @@ __all__ = [
     "AffineMap",
     "affine_apply",
     "random_affine",
-    "matrix_rank",
 ]
 
 
@@ -122,32 +121,3 @@ def random_affine(n: int, m: int, spec: FieldSpec, seed) -> AffineMap:
     A = rng.integers(0, spec.q, size=(n, m))
     b = rng.integers(0, spec.q, size=m)
     return AffineMap(A, b, spec)
-
-
-def matrix_rank(A, q: int) -> int:
-    """Rank over GF(q) by Gaussian elimination (exact integer arithmetic)."""
-    M = np.array(A, dtype=np.int64) % q
-    if M.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    rows, cols = M.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if M[r, col] % q != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        M[[row, pivot]] = M[[pivot, row]]
-        inv = pow(int(M[row, col]), q - 2, q)
-        M[row] = (M[row] * inv) % q
-        for r in range(rows):
-            if r != row and M[r, col] != 0:
-                M[r] = (M[r] - M[r, col] * M[row]) % q
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank

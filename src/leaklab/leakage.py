@@ -73,11 +73,11 @@ messages are split into blocks.
 ``structural_checks`` convolves every posterior with the decoding set's
 image counts by the same transform, which it applies to the counts once.
 
-``build_gamma_kernel``, the concatenated blocks held as one table with the
-code's X^n tables that its per-plaintext ``gamma(x)`` reads,
-``channel_capacity`` (the Blahut-Arimoto iteration) and
-``GammaKernel.channel_rows`` stay as the slow path the tests check the
-stream and the closed forms against; no pipeline path builds them.
+``build_gamma_kernel`` (the blocks as one table, with the code's X^n tables,
+off which the tests read each gamma[x]), ``channel_capacity`` (the
+Blahut-Arimoto iteration) and ``GammaKernel.channel_rows`` stay as the slow
+path the tests check the stream and the closed forms against; no pipeline
+path builds them.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ class GammaKernel(_Kernel):
     held whole.
 
     ``key_image_posterior[a, t] = Pr[keymap(K^n) = t | M_A = a]`` carries all
-    randomness; ``gamma(x)`` materializes the per-plaintext stochastic matrix
-    on demand through the code's X^n image table ``image_of``, which the
-    oracle alone holds, with the X^n mask of D, ``in_decoding_set``.
+    randomness; gamma[x] is its columns ``sub_index()[:, image_of[x]]``, read
+    through the code's X^n image table, which the oracle alone holds, with
+    the X^n mask of D, ``in_decoding_set``.
     Messages of probability zero are dropped (their original indices remain
     in ``message_ids``).
     """
@@ -180,11 +180,6 @@ class GammaKernel(_Kernel):
             diff = (digits[:, None, :] - digits[None, :, :]) % self.q
             self._sub = diff @ radix
         return self._sub
-
-    def gamma(self, x_index: int) -> np.ndarray:
-        """The stochastic matrix gamma[x](c | a), shape (q**m, messages)."""
-        t = int(self.image_of[x_index])
-        return self.key_image_posterior[:, self.sub_index()[:, t]].T
 
     def channel_rows(self, inputs=None) -> np.ndarray:
         """Rows of the plaintext-image -> (ciphertext, message) channel.

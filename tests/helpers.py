@@ -57,6 +57,44 @@ def unrank_oracle(code, rank):
     return code.type_order[pos].unrank(rank - code.offsets[pos])
 
 
+def message_of(enc, z):
+    """The message a helper encoder sends for one observation word z^n: the
+    cell labels read as a base-|cells| number for a scalar quantizer, the
+    table entry at the lexicographic index of z^n for a table encoder."""
+    if enc.kind == "scalar":
+        return _lex([enc.cells[int(s)] for s in z], enc.num_cells)
+    return int(enc.table[_lex(z, enc.obs_size)])
+
+
+def matrix_rank(A, q: int) -> int:
+    """Rank over GF(q) by Gaussian elimination (exact integer arithmetic)."""
+    M = np.array(A, dtype=np.int64) % q
+    if M.ndim != 2:
+        raise ValueError("matrix must be 2-D")
+    rows, cols = M.shape
+    rank = 0
+    row = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(row, rows):
+            if M[r, col] % q != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        M[[row, pivot]] = M[[pivot, row]]
+        inv = pow(int(M[row, col]), q - 2, q)
+        M[row] = (M[row] * inv) % q
+        for r in range(rows):
+            if r != row and M[r, col] != 0:
+                M[r] = (M[r] - M[r, col] * M[row]) % q
+        row += 1
+        rank += 1
+        if row == rows:
+            break
+    return rank
+
+
 def encode_oracle(code, x):
     """encode(x): the rank clamped to the last member of D, as m symbols."""
     return _word(min(rank_oracle(code, x), code.decoding_set_size - 1), code.m, code.q)
@@ -229,6 +267,13 @@ def masked_equivocation_oracle(kern):
     return math.fsum(kern.p_message * row_entropies_oracle(kern.key_image_posterior))
 
 
+def gamma_oracle(kern, x_index):
+    """The stochastic matrix gamma[x](c | a), shape (q**m, messages), of the
+    oracle kernel: its posterior columns at c - t for the image t of x."""
+    t = int(kern.image_of[x_index])
+    return kern.key_image_posterior[:, kern.sub_index()[:, t]].T
+
+
 def image_law_oracle(kern, px):
     """The codeword law of the plaintext vector ``px`` over X^n, binned by
     the oracle kernel's per-sequence image table."""
@@ -300,13 +345,13 @@ def capacity_oracle(kern, inputs=None, tol=1e-10):
 def lower_bound_oracle(sys, enc, p_kz):
     """m ln q - H(K^n | M_A), floored at zero, by a loop over every
     (k^n, z^n) pair: p(k^n, z^n) = prod_t p_KZ(k_t, z_t), and the message is
-    ``enc.apply(z^n)``."""
+    ``message_of(enc, z^n)``."""
     q, z_size = p_kz.shape
     joint = {}
     for k in itertools.product(range(q), repeat=sys.n):
         for z in itertools.product(range(z_size), repeat=sys.n):
             pr = math.prod(p_kz[kt, zt] for kt, zt in zip(k, z))
-            key = (k, enc.apply(z))
+            key = (k, message_of(enc, z))
             joint[key] = joint.get(key, 0.0) + pr
     p_msg = {}
     for (_, a), pr in joint.items():
@@ -346,7 +391,7 @@ def simplex_grid_capacity(kern, rounds=4, pts=21):
     """
     total = kern.q**kern.n
     rows = np.stack(
-        [(kern.gamma(x) * kern.p_message).reshape(-1) for x in range(total)]
+        [(gamma_oracle(kern, x) * kern.p_message).reshape(-1) for x in range(total)]
     )
     mask = rows > 0
     logr = np.where(mask, np.log(np.maximum(rows, 1e-300)), 0.0)
@@ -724,6 +769,19 @@ def mu_weighted_information(p_uzk, mu: float) -> float:
 # ---------------------------------------------------------------------------
 # the exponent suprema, one cell at a time
 # ---------------------------------------------------------------------------
+
+
+def in_helper_region(boundary, R_A, R, band=1e-9):
+    """Membership of (R_A, R) in the closed helper region of an
+    ``AkwBoundary``: R_A >= 0 and R at or above its envelope, within ``band``."""
+    return R_A >= -band and R >= boundary.envelope(R_A) - band
+
+
+def positivity_floor(res, tau):
+    """The quantitative positivity floor of an ``FLowerResult`` at depth
+    ``tau``, at its witness pair: tau/2 * lam / (2 + lam(5 - mu))."""
+    lam, mu = res.witness_lam, res.witness_mu
+    return 0.5 * tau * lam / (2.0 + lam * (5.0 - mu))
 
 
 def sup_oracle(calc, lower, R_A, R):

@@ -11,8 +11,10 @@ import pytest
 from helpers import (
     MU_LEVELS,
     capacity_oracle,
+    in_helper_region,
     mu_weighted_information,
     omega_tilde,
+    positivity_floor,
     simplex_grid_capacity,
 )
 
@@ -215,7 +217,7 @@ def test_criterion_6_region_endpoints():
             (ra, r)
             for ra in np.linspace(0, 0.6, 5)
             for r in np.linspace(0.3, 0.8, 5)
-            if bd.contains(ra, r, band=1e-9)
+            if in_helper_region(bd, ra, r, band=1e-9)
         ]
         assert members
         for i in range(len(members)):
@@ -224,7 +226,7 @@ def test_criterion_6_region_endpoints():
                     0.5 * (members[i][0] + members[j][0]),
                     0.5 * (members[i][1] + members[j][1]),
                 )
-                assert bd.contains(*mid, band=1e-9)
+                assert in_helper_region(bd, *mid, band=1e-9)
 
 
 def test_criterion_7_exponent_ordering_and_positivity():
@@ -240,14 +242,14 @@ def test_criterion_7_exponent_ordering_and_positivity():
                 F = calc.F(ra, r)
                 FL = calc.F_lower(ra, r)
                 assert F.value >= FL.value - 1e-6, (ra, r, F.value, FL.value)
-                if not bd.contains(ra + tau, r + tau, band=0.0):
+                if not in_helper_region(bd, ra + tau, r + tau, band=0.0):
                     qualifying += 1
                     assert FL.value > 0.0, (ra, r)
-                    assert FL.value > FL.threshold(tau), (
+                    assert FL.value > positivity_floor(FL, tau), (
                         ra,
                         r,
                         FL.value,
-                        FL.threshold(tau),
+                        positivity_floor(FL, tau),
                     )
         assert qualifying >= 5
 

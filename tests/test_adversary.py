@@ -20,6 +20,8 @@ from leaklab.probability import (
     joint_from_channel,
 )
 
+from helpers import message_of
+
 H01 = 0.3250829733914482  # binary entropy of 0.1, nats
 LN2 = math.log(2)
 
@@ -33,7 +35,7 @@ def test_scalar_encoder_rate_accounting():
     assert enc.num_cells == 2
     assert enc.message_count == 16
     assert abs(enc.rate - LN2) < 1e-15
-    assert enc.apply([0, 2, 1, 0]) == int("0110", 2)
+    assert message_of(enc, [0, 2, 1, 0]) == int("0110", 2)
 
 
 def test_scalar_encoder_label_canonicalization():
@@ -67,9 +69,16 @@ def test_table_encoder_matches_scalar_product_form():
     p_kz = bsc_joint(0.2, Pmf([0.6, 0.4]))
     scal = scalar_quantizer_encoder([0, 1], n=n)
     # same encoder expressed as an explicit table over Z^3
-    table = np.array([scal.apply(z) for z in all_sequences(n, 2)])
+    table = np.array([message_of(scal, z) for z in all_sequences(n, 2)])
     tab = TableEncoder(table, n=n, obs_size=2)
     assert abs(key_equivocation(tab, p_kz) - key_equivocation(scal, p_kz)) < 1e-12
+
+
+def test_table_encoder_refuses_negative_message_ids():
+    # a negative id would be binned as the last message by adversary_joint
+    for table, entry in (([0, -1, 1, 0], r"table\[1\] = -1"), ([-3, -1, 1, 0], r"table\[0\] = -3")):
+        with pytest.raises(ValueError, match=entry):
+            TableEncoder(table, 2, 2)
 
 
 def test_set_partitions_count():

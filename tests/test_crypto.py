@@ -4,10 +4,12 @@ import pytest
 from leaklab import crypto
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
-from leaklab.galois import AffineMap, FieldSpec, matrix_rank, random_affine
+from leaklab.galois import AffineMap, FieldSpec, random_affine
 from leaklab.probability import all_sequences
 
-from helpers import checked_keys, condition_oracle, structural_properties_oracle, swapped_decode
+from helpers import (
+    checked_keys, condition_oracle, matrix_rank, structural_properties_oracle, swapped_decode,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -81,8 +83,8 @@ def test_condition_random_pairs():
 
 def test_round_trip_on_decoding_set_exhaustive():
     sys = make_system(4, 0.6, 2, seed=2)  # q^{2n} = 2^8
-    for x in all_sequences(4, 2):
-        if sys.code.in_decoding_set(x):
+    for x, in_d in zip(all_sequences(4, 2), sys.code.full_tables()[1]):
+        if in_d:
             for k in all_sequences(4, 2):
                 assert np.array_equal(sys.decrypt(k, sys.encrypt(k, x)), x)
 
@@ -90,8 +92,8 @@ def test_round_trip_on_decoding_set_exhaustive():
 def test_error_pattern_key_independent_outside_decoding_set():
     sys = make_system(6, 0.4, 2, seed=3)
     keys = all_sequences(6, 2)
-    for x in all_sequences(6, 2):
-        if sys.code.in_decoding_set(x):
+    for x, in_d in zip(all_sequences(6, 2), sys.code.full_tables()[1]):
+        if in_d:
             continue
         outs = {tuple(sys.decrypt(k, sys.encrypt(k, x))) for k in keys}
         assert len(outs) == 1  # same wrong output for every key
@@ -105,7 +107,7 @@ def test_uniform_ciphertext_ranges_over_decoding_set():
         tuple(sys.decrypt(k, c)) for c in all_sequences(sys.m, 2)
     }
     want = {
-        tuple(x) for x in all_sequences(5, 2) if sys.code.in_decoding_set(x)
+        tuple(x) for x, in_d in zip(all_sequences(5, 2), sys.code.full_tables()[1]) if in_d
     }
     assert outs == want
 
@@ -427,7 +429,7 @@ def _fast_path_fixtures():
         fixtures.append(sys)
     code = build_universal_code(6, 0.45, 2)
     sys = unchecked(_Redirected, code, random_affine(6, code.m, F2, seed=5))
-    x_out = seqs[np.flatnonzero(~code.in_decoding_set(seqs))[-1]]
+    x_out = seqs[np.flatnonzero(~code.full_tables()[1])[-1]]
     sys.x_out, sys.x_in = x_out, seqs[0]  # all zeros: in D, not its last member
     sys.bad_image = sys.key_image(_last_visited_key(sys))
     fixtures.append(sys)

@@ -5,9 +5,10 @@ from leaklab.galois import (
     AffineMap,
     FieldSpec,
     affine_apply,
-    matrix_rank,
     random_affine,
 )
+
+from helpers import matrix_rank
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

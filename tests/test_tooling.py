@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 import leaklab
-from leaklab import analysis, cli, codec, crypto, leakage, probability, simplexopt
+from leaklab import (
+    adversary, analysis, cli, codec, crypto, galois, leakage, probability, simplexopt,
+)
 from leaklab.adversary import TableEncoder, adversary_joint, scalar_quantizer_encoder
 from leaklab.codec import UniversalCode, build_universal_code
 from leaklab.crypto import Cryptosystem, check_structural_properties
@@ -434,6 +436,29 @@ def test_exponent_cells_are_read_through_one_fill():
     assert all(isinstance(node.iter, ast.Tuple) for node in comprehensions)  # (mus, seconds)
     for method in (calc._sup, calc.omega_min, calc.omega_tilde_min):
         assert "self._fill(" in inspect.getsource(method), method.__name__
+
+
+def test_test_only_api_stays_out_of_the_package():
+    # callables that only tests called are helpers in tests/helpers.py or
+    # gone, and the result fields that nothing read stay deleted
+    removed = {
+        codec.UniversalCode: ("in_decoding_set",),
+        adversary.ScalarQuantizerEncoder: ("apply",),
+        adversary.TableEncoder: ("apply",),
+        analysis.AkwBoundary: ("contains", "hyperplanes"),
+        analysis.FLowerResult: ("threshold",),
+        leakage.GammaKernel: ("gamma",),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner.__name__, name)
+    assert not hasattr(galois, "matrix_rank") and "matrix_rank" not in galois.__all__
+    fields = {
+        codec.ErrorBoundReport: ["pe_exact", "exponent", "bound", "holds"],
+        analysis.MembershipResult: ["label", "reliability_ok"],
+    }
+    for report, names in fields.items():
+        assert [f.name for f in dataclasses.fields(report)] == names, report.__name__
 
 
 def test_one_report_for_both_structural_suites():
